@@ -10,13 +10,20 @@ intersections generate a compact set C. Generators:
   explicit tree     caller-supplied finite node table
   transforms        translate / similarity / inflated smooth-map image of a base
 
-Trees are expanded lazily and memoized; finite generators (gap lists, explicit
-tables) terminate in leaves and represent the set at that truncation, meaning
-C is the union of the leaf balls.
+Trees are expanded lazily and memoized, one node at a time: ball(word) builds
+only the missing nodes on the path to word, each from its parent's ball by its
+generator's per-child formula and without its siblings, and children(word)
+applies that formula to each child index. A transformed system expands
+nothing itself: its node at a word is the map of the base's node at that word,
+so every image of one base reads and fills the base's memo. Finite generators
+(gap lists, explicit tables) store every node up front; they terminate in
+leaves and represent the set at that truncation, meaning C is the union of the
+leaf balls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -73,6 +80,16 @@ class HomotheticIFS:
     def dimension(self) -> int:
         return len(self.maps[0][1])
 
+    @property
+    def child_count(self) -> int:
+        return len(self.maps)
+
+    def child(self, parent: Ball, j: int) -> Ball:
+        """Image of the node ball parent under map j."""
+        lam, t = self.maps[j]
+        r = parent.radius
+        return Ball(tuple([c + r * t_j for c, t_j in zip(parent.center, t)]), r * lam)
+
 
 @dataclass(frozen=True)
 class CornerFamilyParams:
@@ -94,6 +111,21 @@ class CornerFamilyParams:
     def g(self) -> float:
         # derived gap; n*ell + (n-1)*g = 2
         return (2 - self.n * self.ell) / (self.n - 1)
+
+    @property
+    def child_count(self) -> int:
+        return self.n**self.d
+
+    def child(self, parent: Ball, j: int) -> Ball:
+        """Sub-cube j of the node ball parent; axis i takes digit i of j in base n."""
+        n = self.n
+        rel = _corner_axis_offsets(n, self.ell)
+        r = parent.radius
+        center = []
+        for c in parent.center:
+            j, dig = divmod(j, n)
+            center.append(c + r * rel[dig])
+        return Ball(tuple(center), r * self.ell / 2)
 
 
 @dataclass(frozen=True)
@@ -169,15 +201,26 @@ class BallSystem:
     # -- tree access -------------------------------------------------------
 
     def ball(self, word: Word) -> Ball:
-        b = self._balls.get(word)
+        """The node at word; KeyError when the tree has none."""
+        balls = self._balls
+        b = balls.get(word)
         if b is not None:
             return b
-        parent = self.ball(word[:-1])  # fills caches along the path
-        kids = self.children(word[:-1])
-        if not 0 <= word[-1] < len(kids):
-            raise KeyError(f"no node at word {word}")
-        del parent
-        return self._balls[word]
+        gen = self.generator
+        if isinstance(gen, TransformedSystem):
+            b = balls[word] = self._map_ball(gen.base.ball(word), gen)
+            return b
+        depth = len(word) - 1
+        while word[:depth] not in balls:  # the root is always cached
+            depth -= 1
+        b = balls[word[:depth]]
+        # finite trees store every node: a word they lack fails the index check
+        for depth in range(depth + 1, len(word) + 1):
+            node = word[:depth]
+            if not 0 <= node[-1] < self._child_count(node[:-1]):
+                raise KeyError(f"no node at word {word}")
+            b = balls[node] = gen.child(b, node[-1])
+        return b
 
     def children(self, word: Word) -> Tuple[Ball, ...]:
         kids = self._kids.get(word)
@@ -186,10 +229,7 @@ class BallSystem:
         with self._lock:
             kids = self._kids.get(word)
             if kids is None:
-                kids = self._make_children(word)
-                for i, child in enumerate(kids):
-                    self._balls[word + (i,)] = child
-                self._kids[word] = kids
+                kids = self._kids[word] = self._make_children(word)
         return kids
 
     def is_leaf(self, word: Word) -> bool:
@@ -250,33 +290,82 @@ class BallSystem:
             return None
         return ratios[0]
 
+    def _corner_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
+        """The corner family under a Linf system that is one or an image of one
+        under translates and similarities, with those maps outermost first."""
+        if self.norm is not NormKind.LINF:
+            return None
+        maps = []
+        core = self
+        while isinstance(core.generator, TransformedSystem):
+            t = core.generator
+            if t.kind not in ("translate", "similarity"):
+                return None
+            maps.append(t)
+            core = t.base
+        if not isinstance(core.generator, CornerFamilyParams):
+            return None
+        return core, tuple(maps)
+
     def corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
         """Per-axis 1-D corner descriptions when the system is an axis-aligned
         affine image of a corner family under the Linf norm, else None."""
-        if self.norm is not NormKind.LINF:
+        chain = self._corner_chain()
+        if chain is None:
             return None
+        core, maps = chain
         # accumulate outermost-first: acc(y) = scale*y + shift applied on top
         # of the transforms still to be visited
         scale = 1.0
         shift = [0.0] * self.dimension
-        gen = self.generator
-        while isinstance(gen, TransformedSystem):
-            if gen.kind == "translate":
-                shift = [s + scale * v for s, v in zip(shift, gen.shift)]
-            elif gen.kind == "similarity":
-                shift = [s + scale * w for s, w in zip(shift, gen.shift)]
-                scale = scale * gen.scale
-            else:
-                return None
-            gen = gen.base.generator
-        if not isinstance(gen, CornerFamilyParams):
-            return None
+        for t in maps:
+            shift = [s + scale * v for s, v in zip(shift, t.shift)]
+            if t.kind == "similarity":
+                scale = scale * t.scale
+        gen = core.generator
         return tuple(
             CornerAxis(gen.n, gen.ell, offset=shift[i], scale=scale)
             for i in range(self.dimension)
         )
 
+    def corner_child_grid(
+        self, word: Word
+    ) -> Optional[Tuple[Tuple[Tuple[float, ...], ...], float]]:
+        """The children of the node at word as a grid, for the systems
+        corner_axes describes; None for every other system.
+
+        Returns (axes, radius): child j has this radius and, on axis i, the
+        coordinate axes[i][k] with k the axis-i digit of j. The values are
+        bit for bit those of ball(word + (j,)): each goes through the float
+        operations of the corner formula and then of every map outward.
+        """
+        chain = self._corner_chain()
+        if chain is None:
+            return None
+        core, maps = chain
+        gen = core.generator
+        parent = core.ball(word)
+        rel = _corner_axis_offsets(gen.n, gen.ell)
+        axes = [tuple(c + parent.radius * x for x in rel) for c in parent.center]
+        radius = parent.radius * gen.ell / 2
+        for t in reversed(maps):
+            if t.kind == "translate":
+                axes = [tuple(x + v for x in row) for row, v in zip(axes, t.shift)]
+            else:
+                axes = [tuple(t.scale * x + w for x in row) for row, w in zip(axes, t.shift)]
+                radius = t.scale * radius
+        return tuple(axes), radius
+
     def siblings_disjoint_at_root(self) -> bool:
+        grid = self.corner_child_grid(ROOT)
+        if grid is not None:
+            # Float rounding is monotone, so coordinates never fall as the
+            # digit rises and no pair of digits on an axis is closer than some
+            # neighbouring pair. The closest children are thus neighbours on
+            # one axis that agree on every other, where they differ by zero.
+            axes, radius = grid
+            reach = radius + radius
+            return all(b - a > reach for row in axes for a, b in zip(row, row[1:]))
         kids = self.children(ROOT)
         return all(
             balls_disjoint(kids[i], kids[j], self.norm)
@@ -313,36 +402,23 @@ class BallSystem:
     # -- expansion ----------------------------------------------------------
 
     def _make_children(self, word: Word) -> Tuple[Ball, ...]:
-        gen = self.generator
-        if self._finite_children is not None:
-            kid_words = self._finite_children.get(word, ())
-            return tuple(self._balls[w] for w in kid_words)
-        if isinstance(gen, CornerFamilyParams):
-            return self._corner_children(word, gen)
-        if isinstance(gen, HomotheticIFS):
-            parent = self.ball(word)
-            return tuple(
-                Ball(
-                    tuple(c + parent.radius * t_j for c, t_j in zip(parent.center, t)),
-                    parent.radius * lam,
-                )
-                for lam, t in gen.maps
-            )
-        if isinstance(gen, TransformedSystem):
-            return tuple(self._map_ball(b, gen) for b in gen.base.children(word))
-        raise TypeError(f"cannot expand generator {type(gen).__name__}")
-
-    def _corner_children(self, word: Word, gen: CornerFamilyParams) -> Tuple[Ball, ...]:
+        count = self._child_count(word)
+        if self._finite_children is not None or isinstance(self.generator, TransformedSystem):
+            return tuple(self.ball(word + (j,)) for j in range(count))
+        # one parent lookup per node, not one cache walk per child: full
+        # expansions (render, branch-and-bound) go through here
         parent = self.ball(word)
-        rel = _corner_axis_offsets(gen.n, gen.ell)
-        out = []
-        for k in range(gen.n**gen.d):
-            digits = _corner_digits(k, gen.n, gen.d)
-            center = tuple(
-                c + parent.radius * rel[dig] for c, dig in zip(parent.center, digits)
-            )
-            out.append(Ball(center, parent.radius * gen.ell / 2))
-        return tuple(out)
+        child = self.generator.child
+        keep = self._balls.setdefault
+        return tuple([keep(word + (j,), child(parent, j)) for j in range(count)])
+
+    def _child_count(self, word: Word) -> int:
+        if self._finite_children is not None:
+            return len(self._finite_children.get(word, ()))
+        gen = self.generator
+        if isinstance(gen, TransformedSystem):
+            return gen.base._child_count(word)
+        return gen.child_count
 
     @staticmethod
     def _map_ball(b: Ball, t: TransformedSystem) -> Ball:
@@ -396,13 +472,10 @@ class CornerAxis:
         return (2 - self.n * self.ell) / (self.n - 1)
 
 
+@functools.lru_cache(maxsize=64)
 def _corner_axis_offsets(n: int, ell: float) -> Tuple[float, ...]:
     g = (2 - n * ell) / (n - 1)
     return tuple(-1 + ell / 2 + k * (ell + g) for k in range(n))
-
-
-def _corner_digits(k: int, n: int, d: int) -> Tuple[int, ...]:
-    return tuple((k // n**i) % n for i in range(d))
 
 
 def corner_child_index(digits: Sequence[int], n: int) -> int:
@@ -462,13 +535,18 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     leaf_ivs: List[Tuple[float, float]] = []
     max_ratio = 0.0
 
-    def build(word: Word, a: float, b: float, inside: List[Tuple[float, float]]) -> None:
-        nonlocal max_ratio
+    # preorder with an explicit stack, left piece first: nesting depth is
+    # bounded only by the gap list's length
+    stack: List[Tuple[Word, float, float, List[Tuple[float, float]]]] = [
+        (ROOT, gl.hull[0], gl.hull[1], list(order))
+    ]
+    while stack:
+        word, a, b, inside = stack.pop()
         balls[word] = interval_ball(a, b)
         if not inside:
             children[word] = ()
             leaf_ivs.append((a, b))
-            return
+            continue
         gap = min(inside, key=lambda g: (-(g[1] - g[0]), g[0]))
         split_gaps[word] = gap
         lo, hi = gap
@@ -479,10 +557,9 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         children[word] = (word + (0,), word + (1,))
         for piece in ((a, lo), (hi, b)):
             max_ratio = max(max_ratio, (piece[1] - piece[0]) / (b - a))
-        build(word + (0,), a, lo, left)
-        build(word + (1,), hi, b, right)
+        stack.append((word + (1,), hi, b, right))
+        stack.append((word + (0,), a, lo, left))
 
-    build(ROOT, gl.hull[0], gl.hull[1], list(order))
     sys = BallSystem(
         norm=norm,
         dimension=1,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .ballsystem import ROOT, BallSystem, SpecError, Word, parse_set_spec, translate
+from .ballsystem import ROOT, BallSystem, SpecError, Word, parse_set_spec, translate, word_str
 from .game import (
     BfsConstants,
     pattern_search_oracle,
@@ -140,10 +140,6 @@ def _config(args: argparse.Namespace, **extra) -> RunConfig:
     return RunConfig(**values)
 
 
-def _word_tag(word: Word) -> str:
-    return ".".join(str(i) for i in word)
-
-
 # -- thickness ----------------------------------------------------------------
 
 
@@ -162,7 +158,7 @@ def _cmd_thickness(args: argparse.Namespace) -> int:
         },
         "per_node": [
             {
-                "word": _word_tag(rec.word),
+                "word": word_str(rec.word),
                 "child_min_radius": rec.child_min_radius,
                 "h": rec.h,
                 "ratio": rec.ratio,
@@ -192,7 +188,7 @@ def _hypotheses_payload(report) -> dict:
         "meet": {
             "status": report.hyp_meet.status,
             "word": (
-                _word_tag(report.hyp_meet.word)
+                word_str(report.hyp_meet.word)
                 if report.hyp_meet.word is not None
                 else None
             ),
@@ -423,7 +419,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     sys = _load_system(args.spec)
     lines = []
     for word, ball in sys.walk(args.depth):
-        cells = [_word_tag(word)]
+        cells = [word_str(word)]
         cells.extend(repr(c) for c in ball.center)
         cells.append(repr(ball.radius))
         lines.append(",".join(cells))

@@ -16,6 +16,7 @@ its own translate to certify one realized distance in a given direction.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -231,40 +232,81 @@ def _locate(sys: BallSystem, target: Ball, tol: float) -> Tuple[Point, Word]:
         _, _, word = heapq.heappop(heap)
         ball = sys.ball(word)
         if ball_contains(target, ball, norm):
-            while ball.radius > tol:
-                kids = sys.children(word)
-                if not kids:
-                    break
-                j = min(
-                    range(len(kids)),
-                    key=lambda i: (
-                        norm_distance(kids[i].center, target.center, norm),
-                        i,
-                    ),
-                )
-                word = word + (j,)
-                ball = kids[j]
-            return ball.center, word
-        for j, kid in enumerate(sys.children(word)):
-            if (
-                norm_distance(kid.center, target.center, norm)
-                <= kid.radius + target.radius
-            ):
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        norm_distance(kid.center, target.center, norm)
-                        + kid.radius
-                        - target.radius,
-                        counter,
-                        word + (j,),
-                    ),
-                )
+            return _descend(sys, target, tol, word, ball)
+        for dist, radius, j in _meeting_children(sys, word, target):
+            counter += 1
+            heapq.heappush(heap, (dist + radius - target.radius, counter, word + (j,)))
     raise RuntimeError(
         f"no node ball certifiably inside target B[{target.center}, {target.radius}] "
         f"at tolerance {tol}"
     )
+
+
+def _meeting_children(sys: BallSystem, word: Word, target: Ball) -> List[Tuple[float, float, int]]:
+    """(distance to the target center, radius, index) of every child of the
+    node at word that meets the target, in child order.
+
+    On a corner grid a child's Linf distance is the largest of its per-axis
+    deviations, so it meets the target iff each deviation is within reach;
+    only those digit combinations are visited, last axis slowest, which is
+    ascending child index.
+    """
+    grid = sys.corner_child_grid(word)
+    if grid is None:
+        out = []
+        for j, kid in enumerate(sys.children(word)):
+            dist = norm_distance(kid.center, target.center, sys.norm)
+            if dist <= kid.radius + target.radius:
+                out.append((dist, kid.radius, j))
+        return out
+    axes, radius = grid
+    reach = radius + target.radius
+    n = len(axes[0])
+    rows = []
+    for row, t in zip(axes, target.center):
+        devs = [(abs(x - t), k) for k, x in enumerate(row)]
+        rows.append([dk for dk in devs if dk[0] <= reach])
+    out = []
+    for combo in itertools.product(*reversed(rows)):
+        dist, j = 0.0, 0
+        for dev, k in combo:
+            dist = max(dist, dev)
+            j = j * n + k
+        out.append((dist, radius, j))
+    return out
+
+
+def _descend(sys: BallSystem, target: Ball, tol: float, word: Word, ball: Ball) -> Tuple[Point, Word]:
+    """Follow the child nearest the target center, lowest index on ties,
+    until the radius drops to tol.
+
+    On a corner grid the nearest distance is the largest per-axis minimum
+    deviation, the children at that distance are those within it on every
+    axis, and the lowest index among them takes on each axis the lowest
+    digit within it.
+    """
+    norm = sys.norm
+    radius = ball.radius
+    while radius > tol:
+        grid = sys.corner_child_grid(word)
+        if grid is None:
+            kids = sys.children(word)
+            if not kids:
+                break
+            j = min(
+                range(len(kids)),
+                key=lambda i: (norm_distance(kids[i].center, target.center, norm), i),
+            )
+            radius = kids[j].radius
+        else:
+            axes, radius = grid
+            devs = [[abs(x - t) for x in row] for row, t in zip(axes, target.center)]
+            nearest = max(min(row) for row in devs)
+            j = 0
+            for row in reversed(devs):
+                j = j * len(row) + next(k for k, dev in enumerate(row) if dev <= nearest)
+        word = word + (j,)
+    return sys.ball(word).center, word
 
 
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:

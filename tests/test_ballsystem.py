@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thickgap.geometry import balls_disjoint
 from thickgap.ballsystem import (
     Ball,
     CornerFamilyParams,
@@ -357,3 +358,201 @@ def test_gap_tree_leaves_partition_hull(data):
     assert total == pytest.approx(1.0 - gap_total, abs=1e-12)
     for (a1, b1), (a2, b2) in zip(leaves, leaves[1:]):
         assert b1 < a2
+
+
+# -- single nodes against full expansion ----------------------------------------
+
+
+def _nested_gaps_system():
+    return from_gaps_1d(
+        GapList1D(hull=(-1.0, 1.0), gaps=((-0.2, 0.3), (-0.9, -0.6), (0.5, 0.55), (-0.5, -0.45)))
+    )
+
+
+def _explicit_system():
+    return explicit_tree(
+        NormKind.L2,
+        2,
+        [
+            ((), Ball((0.0, 0.0), 1.0)),
+            ((0,), Ball((-0.5, 0.0), 0.4)),
+            ((1,), Ball((0.5, 0.1), 0.3)),
+            ((0, 0), Ball((-0.6, 0.1), 0.1)),
+            ((0, 1), Ball((-0.3, -0.1), 0.1)),
+            ((1, 0), Ball((0.5, 0.1), 0.2)),
+        ],
+    )
+
+
+def _warp(p):
+    return tuple(x + 0.01 * math.sin(3 * x + k) for k, x in enumerate(p))
+
+
+def _corner():
+    return corner_family(CornerFamilyParams(n=3, ell=0.3, d=2))
+
+
+_IFS_MAPS = ((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6)))
+
+GENERATORS = {
+    "corner": _corner,
+    "ifs_l2": lambda: from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2),
+    "ifs_linf": lambda: from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF),
+    "gaps1d": _nested_gaps_system,
+    "explicit": _explicit_system,
+    "translate": lambda: translate(_corner(), (0.05, -0.02)),
+    "similarity": lambda: similarity_image(
+        from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2), 0.7, (0.1, 0.2)
+    ),
+    "chain": lambda: translate(similarity_image(_corner(), 0.5, (0.3, -0.1)), (1e-3, 0.2)),
+    "perturbed": lambda: perturbed_image(_corner(), _warp, eps=0.05),
+    "translate_gaps1d": lambda: translate(_nested_gaps_system(), (0.25,)),
+    "perturbed_gaps1d": lambda: perturbed_image(_nested_gaps_system(), _warp, eps=0.05),
+}
+
+
+def _bits(b):
+    return repr((b.center, b.radius))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_single_ball_matches_children(name):
+    make = GENERATORS[name]
+    full = make()
+    words = [w for w, _ in full.walk(3) if w]
+    assert words
+    for word in words:
+        single = make()
+        b = single.ball(word)
+        assert _bits(b) == _bits(full.children(word[:-1])[word[-1]]), word
+        assert _bits(single.ball(word)) == _bits(b)
+    # one past the last child of a node is no node
+    for word in words[:5]:
+        past = word[:-1] + (len(full.children(word[:-1])),)
+        with pytest.raises(KeyError):
+            make().ball(past)
+    with pytest.raises(KeyError):
+        make().ball((-1,))
+
+
+def test_single_ball_builds_only_its_path():
+    base = _corner()
+    moved = translate(base, (0.05, -0.02))
+    word = (4, 0, 8, 2)
+    moved.ball(word)
+    # the base holds the path's nodes, the translate the root and the node
+    assert sorted(base._balls) == [word[:k] for k in range(len(word) + 1)]
+    assert sorted(moved._balls) == [(), word]
+    assert not base._kids and not moved._kids
+    # a second image of the same base reads the base's nodes
+    again = translate(base, (0.1, 0.1))
+    again.ball(word[:3])
+    assert len(base._balls) == len(word) + 1
+
+
+# -- sibling disjointness on corner grids ------------------------------------------
+
+
+def _pairwise_disjoint(sys):
+    kids = sys.children(())
+    return all(
+        balls_disjoint(kids[i], kids[j], sys.norm)
+        for i in range(len(kids))
+        for j in range(i + 1, len(kids))
+    )
+
+
+def _corner_images(params):
+    base = corner_family(params)
+    shift = tuple(0.1 * (k + 1) for k in range(params.d))
+    return [
+        base,
+        translate(corner_family(params), shift),
+        similarity_image(corner_family(params), 0.3, shift),
+        translate(similarity_image(corner_family(params), 1.7, shift), shift[::-1]),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), d=st.integers(1, 3))
+def test_corner_sibling_check_matches_pairwise(data, n, d):
+    top = math.nextafter(2 / n, 0)
+    ell = data.draw(
+        st.one_of(
+            st.just(top),
+            st.floats(top * (1 - 1e-12), top),
+            st.floats(1e-3, top),
+        )
+    )
+    if n**d > 400:
+        d = 2  # keeps the m^2 reference loop fast; 3-D cases follow below
+    for sys in _corner_images(CornerFamilyParams(n=n, ell=ell, d=d)):
+        assert sys.siblings_disjoint_at_root() == _pairwise_disjoint(sys)
+
+
+@pytest.mark.parametrize(
+    "n, ell, disjoint",
+    [(12, math.nextafter(2 / 12, 0), False), (6, 0.2, True), (9, math.nextafter(2 / 9, 0), False)],
+)
+def test_corner_sibling_check_matches_pairwise_3d(n, ell, disjoint):
+    for sys in _corner_images(CornerFamilyParams(n=n, ell=ell, d=3)):
+        assert sys.siblings_disjoint_at_root() == _pairwise_disjoint(sys) == disjoint
+
+
+# -- gap trees against the recursive construction ------------------------------------
+
+
+def _recursive_gap_tree(gl):
+    """The depth-first construction from_gaps_1d makes, written recursively."""
+    order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
+    balls, children, split_gaps, leaf_ivs = {}, {}, {}, []
+    max_ratio = 0.0
+
+    def build(word, a, b, inside):
+        nonlocal max_ratio
+        if not b > a:
+            raise ValueError("degenerate piece")
+        balls[word] = Ball(((a + b) / 2,), (b - a) / 2)
+        if not inside:
+            children[word] = ()
+            leaf_ivs.append((a, b))
+            return
+        gap = min(inside, key=lambda g: (-(g[1] - g[0]), g[0]))
+        split_gaps[word] = gap
+        lo, hi = gap
+        children[word] = (word + (0,), word + (1,))
+        for piece in ((a, lo), (hi, b)):
+            max_ratio = max(max_ratio, (piece[1] - piece[0]) / (b - a))
+        build(word + (0,), a, lo, [g for g in inside if g[1] <= lo])
+        build(word + (1,), hi, b, [g for g in inside if g[0] >= hi])
+
+    build((), gl.hull[0], gl.hull[1], order)
+    return balls, children, split_gaps, tuple(sorted(leaf_ivs)), max_ratio or None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(st.floats(0.01, 0.99), st.floats(0.001, 0.2)), min_size=1, max_size=12
+    )
+)
+def test_gap_tree_matches_recursive_construction(data):
+    gaps = []
+    for pos, length in data:
+        lo, hi = pos, min(pos + length, 0.999)
+        if hi > lo and all(hi <= a or b <= lo for a, b in gaps):
+            gaps.append((lo, hi))
+    gl = GapList1D(hull=(0.0, 1.0), gaps=tuple(gaps))
+    try:
+        expected = _recursive_gap_tree(gl)
+    except ValueError:
+        with pytest.raises(ValueError):
+            from_gaps_1d(gl)
+        return
+    sys = from_gaps_1d(gl)
+    balls, children, split_gaps, leaf_ivs, decay = expected
+    assert list(sys._balls.items()) == list(balls.items())
+    assert list(sys._finite_children.items()) == list(children.items())
+    assert list(sys._split_gaps.items()) == list(split_gaps.items())
+    assert sys.leaf_intervals() == leaf_ivs
+    assert sys.decay == decay

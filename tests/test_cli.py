@@ -89,6 +89,29 @@ class TestThickness:
         assert code == 0
         assert report["tau"]["lo"] <= 1.0 <= report["tau"]["hi"]
 
+    def test_thousand_nested_gaps(self, tmp_path):
+        # each gap (hi - L/2, hi - L/4) leaves bridges L/2 and L/4 around a
+        # gap of length L/4, and the next one nests in [lo, hi - L/2]
+        lo, hi = 0.0, 1.0
+        gaps = []
+        for _ in range(1000):
+            length = hi - lo
+            gaps.append([hi - length / 2, hi - length / 4])
+            hi -= length / 2
+        spec = tmp_path / "nested.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "norm": "linf",
+                    "dimension": 1,
+                    "generator": {"type": "gaps1d", "hull": [0.0, 1.0], "gaps": gaps},
+                }
+            )
+        )
+        code, report = run(["thickness", "--spec", str(spec)], tmp_path / "tau.json")
+        assert code == 0
+        assert report["tau"]["lo"] <= 1.0 <= report["tau"]["hi"]
+
 
 class TestInputErrors:
     def test_malformed_spec(self, specs):

@@ -1,5 +1,6 @@
 """Tests for the intersection criterion and its constructive witnesses."""
 
+import heapq
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
+from thickgap import gaplemma
 from thickgap.gaplemma import (
     bridge_ball,
     check_hypotheses,
@@ -189,6 +191,126 @@ def test_find_point_in_gap_exhausts():
         find_point_in(s, Ball((0.5,), 0.04), 1e-6)
     with pytest.raises(ValueError):
         find_point_in(s, Ball((0.2,), 0.1), 0.0)
+
+
+def _reference_locate(sys, target, tol):
+    """_locate as a full expansion: every child of every node it touches is
+    built and measured. The corner-grid search must match it exactly."""
+    norm = sys.norm
+    root = sys.root
+    heap = [(norm_distance(root.center, target.center, norm) + root.radius - target.radius, 0, ())]
+    counter = 0
+    pops = 0
+    while heap:
+        pops += 1
+        if pops > gaplemma._FIND_BUDGET:
+            break
+        _, _, word = heapq.heappop(heap)
+        ball = sys.ball(word)
+        if ball_contains(target, ball, norm):
+            while ball.radius > tol:
+                kids = sys.children(word)
+                if not kids:
+                    break
+                j = min(
+                    range(len(kids)),
+                    key=lambda i: (norm_distance(kids[i].center, target.center, norm), i),
+                )
+                word = word + (j,)
+                ball = kids[j]
+            return ball.center, word
+        for j, kid in enumerate(sys.children(word)):
+            if norm_distance(kid.center, target.center, norm) <= kid.radius + target.radius:
+                counter += 1
+                heapq.heappush(
+                    heap,
+                    (
+                        norm_distance(kid.center, target.center, norm)
+                        + kid.radius
+                        - target.radius,
+                        counter,
+                        word + (j,),
+                    ),
+                )
+    raise RuntimeError(
+        f"no node ball certifiably inside target B[{target.center}, {target.radius}] "
+        f"at tolerance {tol}"
+    )
+
+
+def _outcome(locate, sys, target, tol):
+    try:
+        return locate(sys, target, tol)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _corner_image(kind, n, ell, d):
+    base = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    shift = tuple(0.013 * (k + 1) for k in range(d))
+    if kind == "translate":
+        return translate(base, shift)
+    if kind == "similarity":
+        return similarity_image(base, 0.75, shift)
+    if kind == "chain":
+        return translate(similarity_image(translate(base, shift), 1.3, shift[::-1]), shift)
+    return base
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 10),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["corner", "translate", "similarity", "chain"]),
+    ell_frac=st.floats(0.05, 0.95),
+    radius=st.floats(1e-3, 0.6),
+    tol=st.floats(1e-7, 1e-2),
+)
+def test_corner_locate_matches_full_expansion(data, n, d, kind, ell_frac, radius, tol):
+    ell = ell_frac * 2 / n
+    fast = _corner_image(kind, n, ell, d)
+    ref = _corner_image(kind, n, ell, d)
+    # a center on a child's center or a node corner makes Linf ties between children
+    word = tuple(data.draw(st.lists(st.integers(0, n**d - 1), max_size=2)))
+    node = ref.ball(word)
+    spots = [
+        node.center,
+        tuple(c - node.radius for c in node.center),
+        tuple(data.draw(st.floats(-1.2, 1.2)) for _ in range(d)),
+    ]
+    center = list(data.draw(st.sampled_from(spots)))
+    for i in data.draw(st.sets(st.integers(0, d - 1))):
+        center[i] = data.draw(st.floats(-1.2, 1.2))
+    target = Ball(tuple(center), radius * ref.root.radius)
+    expected = _outcome(_reference_locate, ref, target, tol)
+    assert _outcome(gaplemma._locate, fast, target, tol) == expected
+
+
+def test_corner_locate_breaks_ties_like_full_expansion():
+    # the target center sits on the shared corner of four children: every
+    # child is at the same Linf distance and the lowest index wins
+    for kind in ("corner", "translate", "similarity", "chain"):
+        fast = _corner_image(kind, 4, 0.4, 2)
+        ref = _corner_image(kind, 4, 0.4, 2)
+        kid = ref.ball((5,))
+        target = Ball(tuple(c + kid.radius for c in kid.center), 2.5 * kid.radius)
+        expected = _reference_locate(ref, target, 1e-9)
+        assert gaplemma._locate(fast, target, 1e-9) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_locate_budget_exhaustion_matches_full_expansion(monkeypatch, budget):
+    monkeypatch.setattr(gaplemma, "_FIND_BUDGET", budget)
+    target = Ball((-1.0, -1.0), 1e-3)
+    for kind in ("corner", "chain"):
+        fast = _corner_image(kind, 4, 0.4, 2)
+        ref = _corner_image(kind, 4, 0.4, 2)
+        with pytest.raises(RuntimeError) as got:
+            gaplemma._locate(fast, target, 1e-6)
+        with pytest.raises(RuntimeError) as want:
+            _reference_locate(ref, target, 1e-6)
+        assert str(got.value) == str(want.value)
 
 
 # intersection construction
