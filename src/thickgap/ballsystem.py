@@ -10,28 +10,44 @@ intersections generate a compact set C. Generators:
   explicit tree     caller-supplied finite node table
   transforms        translate / similarity / inflated smooth-map image of a base
 
-Trees are expanded lazily and memoized, one node at a time: ball(word) builds
-only the missing nodes on the path to word, each from its parent's ball by its
-generator's per-child formula and without its siblings, and children(word)
-applies that formula to each child index. A transformed system expands
-nothing itself: its node at a word is the map of the base's node at that word,
-so every image of one base reads and fills the base's memo. Finite generators
-(gap lists, explicit tables) store every node up front; they terminate in
-leaves and represent the set at that truncation, meaning C is the union of the
-leaf balls.
+Trees are expanded lazily and memoized. Each generator has one per-child
+formula on plain floats: the parent's center and radius in, the child's out.
+child_block(word) applies it to every child of a node and memoizes the result
+as the node's child block, (centers, radii) of plain floats, checked once with
+the checks Ball makes; branch-and-bound searches read blocks and build no Ball.
+children(word) wraps a block's entries in Balls without checking them again,
+and ball(word) builds only the missing nodes on the path to word, one checked
+Ball per level and none of its siblings. A transformed system expands nothing
+itself: its node at a word is the map of the base's node at that word and its
+block the map of the base's block, so every image of one base reads and fills
+the base's memo. Finite generators (gap lists, explicit tables) store every
+node up front and read their blocks from there; they terminate in leaves and
+represent the set at that truncation, meaning C is the union of the leaf
+balls. Memo fills take no lock: two threads may build the same block, and
+both get the one stored first.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import Ball, NormKind, Point, as_point, ball_contains, balls_disjoint, norm_distance
+from .geometry import (
+    Ball,
+    NormKind,
+    Point,
+    as_point,
+    ball_contains,
+    balls_disjoint,
+    norm_distance,
+    trusted_ball,
+)
 
 Word = Tuple[int, ...]
+# the children of one node as plain floats: (centers, radii)
+Block = Tuple[Tuple[Point, ...], Tuple[float, ...]]
 
 ROOT: Word = ()
 
@@ -84,11 +100,10 @@ class HomotheticIFS:
     def child_count(self) -> int:
         return len(self.maps)
 
-    def child(self, parent: Ball, j: int) -> Ball:
-        """Image of the node ball parent under map j."""
+    def child(self, center: Point, radius: float, j: int) -> Tuple[Point, float]:
+        """Center and radius of the image of the node ball under map j."""
         lam, t = self.maps[j]
-        r = parent.radius
-        return Ball(tuple([c + r * t_j for c, t_j in zip(parent.center, t)]), r * lam)
+        return tuple([c + radius * t_j for c, t_j in zip(center, t)]), radius * lam
 
 
 @dataclass(frozen=True)
@@ -116,16 +131,16 @@ class CornerFamilyParams:
     def child_count(self) -> int:
         return self.n**self.d
 
-    def child(self, parent: Ball, j: int) -> Ball:
-        """Sub-cube j of the node ball parent; axis i takes digit i of j in base n."""
+    def child(self, center: Point, radius: float, j: int) -> Tuple[Point, float]:
+        """Center and radius of sub-cube j of the node ball; axis i takes digit
+        i of j in base n."""
         n = self.n
         rel = _corner_axis_offsets(n, self.ell)
-        r = parent.radius
-        center = []
-        for c in parent.center:
+        out = []
+        for c in center:
             j, dig = divmod(j, n)
-            center.append(c + r * rel[dig])
-        return Ball(tuple(center), r * self.ell / 2)
+            out.append(c + radius * rel[dig])
+        return tuple(out), radius * self.ell / 2
 
 
 @dataclass(frozen=True)
@@ -190,9 +205,10 @@ class BallSystem:
         self.generator = generator
         self.max_children = max_children
         self.decay = decay
+        self._blocks: Dict[Word, Block] = {}
         self._kids: Dict[Word, Tuple[Ball, ...]] = {}
         self._balls: Dict[Word, Ball] = {ROOT: root}
-        self._lock = threading.Lock()
+        self._dist_oracle = None  # metrics' distance oracle, built on the first query
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -217,20 +233,42 @@ class BallSystem:
         # finite trees store every node: a word they lack fails the index check
         for depth in range(depth + 1, len(word) + 1):
             node = word[:depth]
-            if not 0 <= node[-1] < self._child_count(node[:-1]):
+            if not 0 <= node[-1] < self.child_count(node[:-1]):
                 raise KeyError(f"no node at word {word}")
-            b = balls[node] = gen.child(b, node[-1])
+            b = balls[node] = Ball(*gen.child(b.center, b.radius, node[-1]))
         return b
+
+    def child_block(self, word: Word) -> Block:
+        """The children of the node at word as plain floats, (centers, radii):
+        child j has center centers[j] and radius radii[j], bit for bit those
+        of ball(word + (j,)). Built and checked once, then memoized. KeyError
+        when a generated tree has no node at word; a finite tree gives no
+        children for a word it lacks, as children() does."""
+        block = self._blocks.get(word)
+        if block is None:
+            block = self._blocks.setdefault(word, self._make_children(word))
+        return block
 
     def children(self, word: Word) -> Tuple[Ball, ...]:
         kids = self._kids.get(word)
-        if kids is not None:
-            return kids
-        with self._lock:
-            kids = self._kids.get(word)
-            if kids is None:
-                kids = self._kids[word] = self._make_children(word)
+        if kids is None:
+            # the block is checked already, so its Balls skip the checks
+            keep = self._balls.setdefault
+            built = [
+                keep(word + (j,), trusted_ball(c, r))
+                for j, (c, r) in enumerate(zip(*self.child_block(word)))
+            ]
+            kids = self._kids.setdefault(word, tuple(built))
         return kids
+
+    def child_count(self, word: Word) -> int:
+        """How many children the node at word has, without building them."""
+        if self._finite_children is not None:
+            return len(self._finite_children.get(word, ()))
+        gen = self.generator
+        if isinstance(gen, TransformedSystem):
+            return gen.base.child_count(word)
+        return gen.child_count
 
     def is_leaf(self, word: Word) -> bool:
         return len(self.children(word)) == 0
@@ -401,40 +439,48 @@ class BallSystem:
 
     # -- expansion ----------------------------------------------------------
 
-    def _make_children(self, word: Word) -> Tuple[Ball, ...]:
-        count = self._child_count(word)
-        if self._finite_children is not None or isinstance(self.generator, TransformedSystem):
-            return tuple(self.ball(word + (j,)) for j in range(count))
-        # one parent lookup per node, not one cache walk per child: full
-        # expansions (render, branch-and-bound) go through here
-        parent = self.ball(word)
-        child = self.generator.child
-        keep = self._balls.setdefault
-        return tuple([keep(word + (j,), child(parent, j)) for j in range(count)])
-
-    def _child_count(self, word: Word) -> int:
+    def _make_children(self, word: Word) -> Block:
+        """Build the child block of the node at word."""
         if self._finite_children is not None:
-            return len(self._finite_children.get(word, ()))
+            # finite trees store every node, each checked as a Ball already
+            kids = [self._balls[w] for w in self._finite_children.get(word, ())]
+            return tuple([b.center for b in kids]), tuple([b.radius for b in kids])
         gen = self.generator
         if isinstance(gen, TransformedSystem):
-            return gen.base._child_count(word)
-        return gen.child_count
+            centers, radii = gen.base.child_block(word)
+            return _checked_block([self._map_node(c, r, gen) for c, r in zip(centers, radii)])
+        center, radius = self._node(word)
+        child = gen.child
+        return _checked_block([child(center, radius, j) for j in range(gen.child_count)])
+
+    def _node(self, word: Word) -> Tuple[Point, float]:
+        """Center and radius of the node at word, read from its parent's
+        block when that is built, so that a search builds no Ball."""
+        if word:
+            block = self._blocks.get(word[:-1])
+            j = word[-1]
+            if block is not None and 0 <= j < len(block[1]):
+                return block[0][j], block[1][j]
+        b = self.ball(word)
+        return b.center, b.radius
+
+    @staticmethod
+    def _map_node(center: Point, radius: float, t: TransformedSystem) -> Tuple[Point, float]:
+        """The transform's image of one node ball, as center and radius."""
+        if t.kind == "translate":
+            return tuple([c + v for c, v in zip(center, t.shift)]), radius
+        if t.kind == "similarity":
+            return tuple([t.scale * c + w for c, w in zip(center, t.shift)]), t.scale * radius
+        if t.kind == "perturbed":
+            img = as_point(t.fmap(center))
+            if len(img) != len(center):
+                raise ValueError("perturbation map changed the dimension")
+            return img, (1 + t.eps) * radius
+        raise ValueError(f"unknown transform kind {t.kind}")
 
     @staticmethod
     def _map_ball(b: Ball, t: TransformedSystem) -> Ball:
-        if t.kind == "translate":
-            return Ball(tuple(c + v for c, v in zip(b.center, t.shift)), b.radius)
-        if t.kind == "similarity":
-            return Ball(
-                tuple(t.scale * c + w for c, w in zip(b.center, t.shift)),
-                t.scale * b.radius,
-            )
-        if t.kind == "perturbed":
-            img = as_point(t.fmap(b.center))
-            if len(img) != len(b.center):
-                raise ValueError("perturbation map changed the dimension")
-            return Ball(img, (1 + t.eps) * b.radius)
-        raise ValueError(f"unknown transform kind {t.kind}")
+        return Ball(*BallSystem._map_node(b.center, b.radius, t))
 
     # -- validation ---------------------------------------------------------
 
@@ -470,6 +516,18 @@ class CornerAxis:
     @property
     def g(self) -> float:
         return (2 - self.n * self.ell) / (self.n - 1)
+
+
+def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
+    """Child (center, radius) pairs as a block, after the checks Ball makes,
+    in the same order and with the same errors."""
+    isfinite = math.isfinite
+    for center, radius in kids:
+        if not all(map(isfinite, center)):
+            raise ValueError("point coordinates must be finite")
+        if not (radius > 0 and isfinite(radius)):
+            raise ValueError("ball radius must be positive and finite")
+    return tuple([k[0] for k in kids]), tuple([k[1] for k in kids])
 
 
 @functools.lru_cache(maxsize=64)

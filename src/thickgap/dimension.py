@@ -9,6 +9,7 @@ chosen so the proportions sum to one.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -72,8 +73,15 @@ def dim_lower_bound(d: int, tau: float, m0: int) -> float:
 
 
 def moran_exponent(ratios: Sequence[float], d: int) -> MoranSolve:
-    """Solve sum(ratios^s) = 1 for s by bisection; s is the product d*beta."""
-    rats = tuple(float(r) for r in ratios)
+    """Solve sum(ratios^s) = 1 for s by bisection; s is the product d*beta.
+
+    Solves are memoized per (ratios, d), since every node of a homothetic
+    tree asks for the same one."""
+    return _moran_solve(tuple(float(r) for r in ratios), d)
+
+
+@functools.lru_cache(maxsize=1024)
+def _moran_solve(rats: Tuple[float, ...], d: int) -> MoranSolve:
     if not rats:
         raise ValueError("ratios must be nonempty")
     if any(not 0 < r < 1 for r in rats):
@@ -104,7 +112,6 @@ def natural_measure(sys: BallSystem, depth: int) -> NaturalMeasure:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     masses: Dict[Word, float] = {ROOT: 1.0}
-    cache: Dict[Tuple[float, ...], float] = {}
     frontier: List[Word] = [ROOT]
     for _ in range(depth):
         nxt: List[Word] = []
@@ -114,9 +121,7 @@ def natural_measure(sys: BallSystem, depth: int) -> NaturalMeasure:
                 continue
             parent_rad = sys.ball(word).radius
             rats = tuple(k.radius / parent_rad for k in kids)
-            if rats not in cache:
-                cache[rats] = moran_exponent(rats, sys.dimension).exponent
-            s = cache[rats]
+            s = moran_exponent(rats, sys.dimension).exponent
             parent_mass = masses[word]
             for j, k in enumerate(kids):
                 child = word + (j,)

@@ -173,7 +173,7 @@ def _meet_status(sys1: BallSystem, sys2: BallSystem, r: float, meet_depth: int) 
             keep.append(word)
         if not keep:
             return MeetHypothesis("refuted")
-        frontier = [w + (j,) for w in keep for j in range(len(sys1.children(w)))]
+        frontier = [w + (j,) for w in keep for j in range(sys1.child_count(w))]
     return MeetHypothesis("unknown")
 
 

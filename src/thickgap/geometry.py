@@ -9,9 +9,10 @@ cubes, which the rest of the package exploits heavily.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 Point = Tuple[float, ...]
 
@@ -37,16 +38,37 @@ def _require_same_dim(p: Sequence[float], q: Sequence[float]) -> None:
         raise ValueError(f"dimension mismatch: {len(p)} vs {len(q)}")
 
 
+def _linf(p: Sequence[float], q: Sequence[float]) -> float:
+    return max(map(abs, map(operator.sub, p, q)))
+
+
+def _l2(p: Sequence[float], q: Sequence[float]) -> float:
+    return math.sqrt(math.fsum([(a - b) ** 2 for a, b in zip(p, q)]))
+
+
+def _l1(p: Sequence[float], q: Sequence[float]) -> float:
+    return math.fsum(map(abs, map(operator.sub, p, q)))
+
+
+_KERNELS = {NormKind.LINF: _linf, NormKind.L2: _l2, NormKind.L1: _l1}
+
+
+def distance_kernel(norm: NormKind) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """The norm's distance function without the dimension check.
+
+    Hot loops bind it once; it is what norm_distance evaluates, so both
+    give the same floats. Points of unequal length are silently truncated.
+    """
+    try:
+        return _KERNELS[norm]
+    except (KeyError, TypeError):
+        raise ValueError(f"unsupported norm {norm!r}") from None
+
+
 def norm_distance(p: Sequence[float], q: Sequence[float], norm: NormKind) -> float:
     """Distance from p to q in the given norm."""
     _require_same_dim(p, q)
-    if norm is NormKind.LINF:
-        return max(abs(a - b) for a, b in zip(p, q))
-    if norm is NormKind.L2:
-        return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(p, q)))
-    if norm is NormKind.L1:
-        return math.fsum(abs(a - b) for a, b in zip(p, q))
-    raise ValueError(f"unsupported norm {norm!r}")
+    return distance_kernel(norm)(p, q)
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,19 @@ class Ball:
     @property
     def dimension(self) -> int:
         return len(self.center)
+
+
+def trusted_ball(center: Point, radius: float) -> Ball:
+    """A Ball from a float tuple and a float that already passed Ball's checks.
+
+    Skips the checks: for balls built from a validated child block.
+    """
+    b = object.__new__(Ball)
+    # object.__setattr__ keeps the fields in the instance's own slots;
+    # writing to b.__dict__ would give every Ball a dict of its own
+    object.__setattr__(b, "center", center)
+    object.__setattr__(b, "radius", radius)
+    return b
 
 
 @dataclass(frozen=True)

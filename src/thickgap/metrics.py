@@ -13,6 +13,7 @@ import bisect
 import heapq
 import itertools
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ from .geometry import (
     as_point,
     ball_contains,
     dist_point_ball,
+    distance_kernel,
     norm_distance,
 )
 from .ballsystem import (
@@ -185,10 +187,13 @@ def _finite1d_hole(
 
 
 class _DistOracle:
-    """Per-system dispatcher for dist(x, C) enclosures."""
+    """Per-system dispatcher for dist(x, C) enclosures; _oracle builds one
+    per system."""
 
     def __init__(self, sys: BallSystem):
-        self.sys = sys
+        # the system keeps its oracle: a strong reference back would make a
+        # cycle, leaving every queried tree to the cyclic collector
+        self.sys = weakref.proxy(sys)
         self.axes = sys.corner_axes()
         self.mode = "bnb"
         self.starts: List[float] = []
@@ -224,13 +229,28 @@ class _DistOracle:
         return _dist_bnb(self.sys, x, tol, node_budget)
 
 
+def _oracle(sys: BallSystem) -> _DistOracle:
+    """The system's distance oracle, built on its first query."""
+    oracle = sys._dist_oracle
+    if oracle is None:
+        oracle = sys._dist_oracle = _DistOracle(sys)
+    return oracle
+
+
 def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> IntervalBound:
     """Best-first frontier refinement: lower = min distance to the frontier
-    balls, upper = min over the frontier of (distance to center + radius)."""
-    norm = sys.norm
-    upper = norm_distance(x, sys.root.center, norm) + sys.root.radius
+    balls, upper = min over the frontier of (distance to center + radius).
+
+    Reads each node's children as a child block and takes one norm
+    evaluation per child for both of its bounds."""
+    dist = distance_kernel(sys.norm)
+    child_block = sys.child_block
+    push, pop = heapq.heappush, heapq.heappop
+    root = sys.root
+    d_root = dist(x, root.center)
+    upper = d_root + root.radius
     best_exact = math.inf  # exact distances contributed by leaf balls
-    heap: List[Tuple[float, Word]] = [(dist_point_ball(x, sys.root, norm), ROOT)]
+    heap: List[Tuple[float, Word]] = [(max(0.0, d_root - root.radius), ROOT)]
     expansions = 0
     converged = True
     while heap:
@@ -240,20 +260,22 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> Interv
         if expansions >= node_budget:
             converged = False
             break
-        dlo, word = heapq.heappop(heap)
-        kids = sys.children(word)
+        dlo, word = pop(heap)
+        centers, radii = child_block(word)
         expansions += 1
-        if not kids:
+        if not radii:
             # finite-tree leaf: the ball is wholly part of the set
             best_exact = min(best_exact, dlo)
             continue
-        for i, child in enumerate(kids):
-            cub = norm_distance(x, child.center, norm) + child.radius
+        for i, r in enumerate(radii):
+            d = dist(x, centers[i])
+            cub = d + r
             if cub < upper:
                 upper = cub
-            clo = dist_point_ball(x, child, norm)
-            if clo < min(upper, best_exact):
-                heapq.heappush(heap, (clo, word + (i,)))
+            # max(0.0, d - r), as dist_point_ball takes it
+            clo = d - r if d > r else 0.0
+            if clo < upper and clo < best_exact:
+                push(heap, (clo, word + (i,)))
     hi = min(upper, best_exact)
     lo = min(heap[0][0], hi) if heap else hi
     lo = min(lo, best_exact)
@@ -273,7 +295,7 @@ def dist_to_set(
         raise ValueError(f"point dimension {len(x)} vs system dimension {sys.dimension}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    return _DistOracle(sys).enclosure(x, tol, node_budget)
+    return _oracle(sys).enclosure(x, tol, node_budget)
 
 
 # -- hole radius ---------------------------------------------------------------
@@ -321,7 +343,6 @@ def _hole_bnb(
     word: Word,
     tol: float,
     node_budget: int,
-    oracle: Optional[_DistOracle] = None,
     threads: int = 1,
 ) -> IntervalBound:
     """Maximize dist(x, C) over the node ball by subdividing into sub-boxes.
@@ -330,8 +351,7 @@ def _hole_bnb(
     is enclosed by [dist(q, C).lo, dist(q, C).hi + reach(box, q)] since the
     distance function is 1-Lipschitz in the workspace norm.
     """
-    if oracle is None:
-        oracle = _DistOracle(sys)
+    oracle = _oracle(sys)
     region = sys.ball(word)
     norm = sys.norm
     ftol = tol / 4
@@ -527,16 +547,15 @@ def _thickness_finite(sys: BallSystem, depth: int, tol: float) -> ThicknessRepor
 def _thickness_homothetic(
     sys: BallSystem, depth: int, tol: float, node_budget: int, threads: int
 ) -> ThicknessReport:
-    oracle = _DistOracle(sys)
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
-    rough = _hole_bnb(sys, ROOT, R / 64, node_budget, oracle, threads)
+    rough = _hole_bnb(sys, ROOT, R / 64, node_budget, threads)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = _hole_bnb(sys, ROOT, target, node_budget, oracle, threads)
+            h = _hole_bnb(sys, ROOT, target, node_budget, threads)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     return ThicknessReport(
@@ -549,8 +568,9 @@ def _thickness_homothetic(
     )
 
 
-def _sample_hole_lower(sys: BallSystem, oracle: _DistOracle, node_budget: int) -> float:
+def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
     """Sound lower bound on the root hole radius from a few sample points."""
+    oracle = _oracle(sys)
     region = sys.root
     d = sys.dimension
     ftol = region.radius * 1e-3
@@ -598,8 +618,7 @@ def _thickness_perturbed(
         return _thickness_generic(sys, depth, tol, node_budget, threads)
     lam_min = min(ratios)
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
-    oracle = _DistOracle(sys)
-    h_lo = _sample_hole_lower(sys, oracle, node_budget)
+    h_lo = _sample_hole_lower(sys, node_budget)
     minrad_root = min(k.radius for k in sys.children(ROOT))
     h_hi_abs = (2 * eps + (1 + eps) * hrel_hi) * base.root.radius
     upper = minrad_root / h_lo if h_lo > 0 else math.inf
@@ -621,7 +640,6 @@ def _thickness_perturbed(
 def _thickness_generic(
     sys: BallSystem, depth: int, tol: float, node_budget: int, threads: int
 ) -> ThicknessReport:
-    oracle = _DistOracle(sys)
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
     truncated = False
@@ -636,7 +654,7 @@ def _thickness_generic(
             truncated = True
             break
         examined += 1
-        h = _hole_bnb(sys, word, max(tol, 1e-9) * _ball.radius, node_budget, oracle, threads)
+        h = _hole_bnb(sys, word, max(tol, 1e-9) * _ball.radius, node_budget, threads)
         converged = converged and h.converged
         rec = _record(word, min(k.radius for k in kids), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:

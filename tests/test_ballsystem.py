@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys as pysys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import balls_disjoint
+from thickgap.metrics import dist_to_set
 from thickgap.ballsystem import (
     Ball,
     CornerFamilyParams,
@@ -444,10 +447,104 @@ def test_single_ball_builds_only_its_path():
     assert sorted(base._balls) == [word[:k] for k in range(len(word) + 1)]
     assert sorted(moved._balls) == [(), word]
     assert not base._kids and not moved._kids
+    assert not base._blocks and not moved._blocks
     # a second image of the same base reads the base's nodes
     again = translate(base, (0.1, 0.1))
     again.ball(word[:3])
     assert len(base._balls) == len(word) + 1
+
+
+def _block_bits(block):
+    return repr(block)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_child_block_matches_children_and_ball(name):
+    make = GENERATORS[name]
+    words = [w for w, _ in make().walk(2)]
+    top_down = make()  # each block's parent read from the block above it
+    for word in words:
+        block = make().child_block(word)
+        assert _block_bits(top_down.child_block(word)) == _block_bits(block), word
+        centers, radii = block
+        kids = make().children(word)
+        assert [_bits(k) for k in kids] == [repr((c, r)) for c, r in zip(centers, radii)], word
+        single = [make().ball(word + (j,)) for j in range(len(radii))]
+        assert [_bits(b) for b in single] == [_bits(k) for k in kids], word
+        assert make().child_count(word) == len(radii)
+
+
+def test_child_block_is_memoized_and_shared_by_images():
+    base = _corner()
+    moved = translate(base, (0.05, -0.02))
+    block = moved.child_block((4,))
+    assert moved.child_block((4,)) is block
+    assert list(base._blocks) == [(4,)] and not base._kids
+    assert translate(base, (0.1, 0.1)).child_block((4,))[1] == base._blocks[(4,)][1]
+    assert len(base._blocks) == 1
+    # children() wraps the block's own floats
+    kids = moved.children((4,))
+    assert all(k.center is c for k, c in zip(kids, block[0]))
+
+
+def test_child_block_past_the_tree_raises():
+    sys = from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2)
+    with pytest.raises(KeyError):
+        sys.child_block((3,))
+    sys.child_block(())
+    with pytest.raises(KeyError):
+        sys.child_block((-1,))
+    assert _nested_gaps_system().child_block((7, 7)) == ((), ())
+
+
+def test_memo_fills_from_threads_agree():
+    system = from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2)
+    words = [w for w, _ in from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2).walk(4)]
+    results = {}
+
+    def work(k):
+        results[k] = [(system.child_block(w), system.children(w)) for w in words]
+
+    interval = pysys.getswitchinterval()
+    pysys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        pysys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers) and len(results) == 4
+    # every reader gets the one block and the one Ball tuple stored first
+    for k in range(1, 4):
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(results[k], results[0]))
+    fresh = from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2)
+    assert [repr(fresh.child_block(w)) for w in words] == [repr(r[0]) for r in results[0]]
+
+
+def test_underflowing_radius_raises_at_its_depth():
+    ifs = HomotheticIFS(((1e-170, (-0.5,)), (1e-170, (0.5,))))
+    sys = from_ifs(ifs, NormKind.LINF)
+    # depth-1 radii are 1e-170; depth-2 ones, 1e-340, underflow to 0
+    assert sys.child_block(())[1] == (1e-170, 1e-170)
+    assert sys.ball((1,)).radius == 1e-170
+    for build in (sys.child_block, sys.children):
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            build((1,))
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        from_ifs(ifs, NormKind.LINF).ball((1, 0))
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        similarity_image(sys, 2.0, (0.0,)).child_block((0,))
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        dist_to_set((0.5,), from_ifs(ifs, NormKind.LINF), 1e-200)
+
+
+def test_child_block_non_finite_image_raises():
+    # the root maps to B[(1e308, 0), 1e308]; children right of its center overflow
+    sys = similarity_image(_corner(), 1e308, (1e308, 0.0))
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        sys.child_block(())
 
 
 # -- sibling disjointness on corner grids ------------------------------------------

@@ -17,6 +17,7 @@ from thickgap.ballsystem import (
 from thickgap.dimension import (
     MeasureBoundReport,
     _mass_in_ball,
+    _moran_solve,
     dim_lower_bound,
     measure_ball_bound_check,
     moran_exponent,
@@ -206,3 +207,24 @@ def test_measure_bound_deterministic_seed():
     a = measure_ball_bound_check(sys, 2 / 15, beta, 50, seed=7)
     b = measure_ball_bound_check(sys, 2 / 15, beta, 50, seed=7)
     assert a == b
+
+
+def test_moran_solves_are_memoized():
+    _moran_solve.cache_clear()
+    a = moran_exponent([0.3, 0.25, 0.2], 2)
+    assert moran_exponent((0.3, 0.25, 0.2), 2) is a
+    assert _moran_solve.cache_info().misses == 1
+    assert moran_exponent((0.3, 0.25, 0.2), 1) is not a
+    assert a.ratios == (0.3, 0.25, 0.2) and a.d == 2
+
+
+def test_measure_check_solves_each_ratio_tuple_once():
+    beta = moran_exponent([0.2] * 16, 2).exponent / 2
+    sys = corner_family(C4_2D)
+    _moran_solve.cache_clear()
+    rep = measure_ball_bound_check(sys, 2 / 15, beta, 100, seed=3)
+    info = _moran_solve.cache_info()
+    # one ratio tuple per rounding of radius / parent radius, not one per node
+    assert info.misses <= 4 < info.hits
+    _moran_solve.cache_clear()
+    assert measure_ball_bound_check(sys, 2 / 15, beta, 100, seed=3) == rep

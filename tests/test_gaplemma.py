@@ -424,3 +424,13 @@ def test_directional_certificate_validation():
         directional_distance_certificate(s, (2.0, 0.0), 0.1, 1e-6, r=R_BENCH)
     with pytest.raises(ValueError):
         directional_distance_certificate(s, (1.0, 0.0), 0.1, 0.0, r=R_BENCH)
+
+
+def test_meet_status_builds_no_children():
+    s1, s2 = bench_pair()
+    status = gaplemma._meet_status(s1, s2, R_BENCH, 6)
+    assert status.status == "proven" and len(status.word) >= 1
+    assert not s1._kids and not s1._blocks
+    # the answer read from child counts is the one a full expansion gives
+    s1.children(())
+    assert gaplemma._meet_status(s1, s2, R_BENCH, 6) == status

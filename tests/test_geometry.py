@@ -15,7 +15,9 @@ from thickgap.geometry import (
     balls_disjoint,
     dist_point_ball,
     dist_point_sphere,
+    distance_kernel,
     norm_distance,
+    trusted_ball,
 )
 
 ALL_NORMS = [NormKind.LINF, NormKind.L2, NormKind.L1]
@@ -25,6 +27,39 @@ coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity
 
 def pts(dim):
     return st.tuples(*([coord] * dim))
+
+
+_REFERENCE_NORMS = {
+    NormKind.LINF: lambda p, q: max(abs(a - b) for a, b in zip(p, q)),
+    NormKind.L2: lambda p, q: math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(p, q))),
+    NormKind.L1: lambda p, q: math.fsum(abs(a - b) for a, b in zip(p, q)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(pts(d), pts(d))))
+def test_distance_kernel_matches_reference_formulas(pq):
+    p, q = pq
+    for norm, reference in _REFERENCE_NORMS.items():
+        want = reference(p, q)
+        assert repr(distance_kernel(norm)(p, q)) == repr(want)
+        assert repr(norm_distance(p, q, norm)) == repr(want)
+
+
+def test_distance_kernel_rejects_unknown_norms():
+    for bad in ("linf", None, [NormKind.LINF]):
+        with pytest.raises(ValueError, match="unsupported norm"):
+            distance_kernel(bad)
+        with pytest.raises(ValueError, match="unsupported norm"):
+            norm_distance((0.0,), (1.0,), bad)
+
+
+def test_trusted_ball_equals_checked_ball():
+    b = trusted_ball((0.5, -0.25), 0.125)
+    assert b == Ball((0.5, -0.25), 0.125) and hash(b) == hash(Ball((0.5, -0.25), 0.125))
+    assert b.dimension == 2
+    with pytest.raises(AttributeError):
+        b.radius = 1.0
 
 
 def test_norm_distance_examples():

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import heapq
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thickgap.geometry import Ball
+from thickgap.geometry import Ball, IntervalBound, dist_point_ball, norm_distance
 from thickgap.ballsystem import (
     CornerFamilyParams,
     GapList1D,
@@ -24,8 +29,11 @@ from thickgap.ballsystem import (
     translate,
 )
 from thickgap.metrics import (
+    DEFAULT_NODE_BUDGET,
     _corner1d_dist,
     _corner1d_dist_batch,
+    _dist_bnb,
+    _oracle,
     denseness_check,
     dist_to_set,
     hole_radius,
@@ -412,3 +420,164 @@ def test_subtree_distance_within_twice_hole():
         x = tuple(c + node.radius * rng.uniform(-1, 1) for c in node.center)
         d_sub = dist_to_set(x, sub, 1e-9)
         assert d_sub.lo <= 2 * h.hi + 1e-9
+
+
+# -- branch-and-bound distance over child blocks --------------------------------
+
+
+def _reference_dist_bnb(sys, x, tol, node_budget):
+    """_dist_bnb as it read Ball children: two norm evaluations per child,
+    one for each bound. The block search must match it bit for bit."""
+    norm = sys.norm
+    upper = norm_distance(x, sys.root.center, norm) + sys.root.radius
+    best_exact = math.inf
+    heap = [(dist_point_ball(x, sys.root, norm), ())]
+    expansions = 0
+    converged = True
+    while heap:
+        cur_hi = min(upper, best_exact)
+        if cur_hi - min(heap[0][0], best_exact) <= tol:
+            break
+        if expansions >= node_budget:
+            converged = False
+            break
+        dlo, word = heapq.heappop(heap)
+        kids = sys.children(word)
+        expansions += 1
+        if not kids:
+            best_exact = min(best_exact, dlo)
+            continue
+        for i, child in enumerate(kids):
+            cub = norm_distance(x, child.center, norm) + child.radius
+            if cub < upper:
+                upper = cub
+            clo = dist_point_ball(x, child, norm)
+            if clo < min(upper, best_exact):
+                heapq.heappush(heap, (clo, word + (i,)))
+    hi = min(upper, best_exact)
+    lo = min(heap[0][0], hi) if heap else hi
+    lo = min(lo, best_exact)
+    return IntervalBound(max(lo, 0.0), hi, tol, converged)
+
+
+def _warp(p):
+    return tuple(x + 0.01 * math.sin(3 * x + k) for k, x in enumerate(p))
+
+
+@st.composite
+def _ifs_maps(draw, d):
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = draw(st.floats(0.05, 0.4))
+        # each coordinate within (1 - lam)/d keeps the map inside the unit
+        # ball of every norm
+        reach = (1 - lam) / d
+        t = tuple(draw(st.floats(-reach, reach)) for _ in range(d))
+        maps.append((lam, t))
+    return tuple(maps)
+
+
+@st.composite
+def _bnb_systems(draw):
+    """A maker of fresh systems that take the branch-and-bound path, its
+    dimension and the tolerances to test it at. Where siblings overlap or
+    tie, a search's cost grows exponentially with the depth it needs, and
+    both are common in perturbed images (every radius is inflated) and in
+    3-D sets with repeated coordinates: these get the coarser tolerances."""
+    norm = draw(st.sampled_from([NormKind.LINF, NormKind.L2, NormKind.L1]))
+    d = draw(st.integers(1, 3))
+    maps = draw(_ifs_maps(d))
+
+    def base():
+        return from_ifs(HomotheticIFS(maps), norm)
+
+    shift = tuple(draw(st.floats(-0.3, 0.3)) for _ in range(d))
+    scale = draw(st.floats(0.3, 2.0))
+    image = draw(
+        st.sampled_from(["none", "translate", "similarity", "perturbed", "corner", "gaps"])
+    )
+    coarse = (1e-2, 1e-3)
+    fine = (1e-2, 1e-4, 1e-6) if d < 3 else coarse
+    if image == "translate":
+        return (lambda: translate(base(), shift)), d, fine
+    if image == "similarity":
+        return (lambda: similarity_image(translate(base(), shift), scale, shift)), d, fine
+    if image == "perturbed":
+        linf = lambda: from_ifs(HomotheticIFS(maps), NormKind.LINF)  # noqa: E731
+        return (lambda: perturbed_image(linf(), _warp, eps=0.05)), d, coarse
+    if image == "corner":
+        n = draw(st.integers(2, 4))
+        ell = draw(st.floats(0.1, 0.95)) * 2 / n
+        params = CornerFamilyParams(n=n, ell=ell, d=d)
+        return (lambda: perturbed_image(corner_family(params), _warp, eps=0.05)), d, coarse
+    if image == "gaps":
+        # the image of a finite tree is no finite system, so its leaves reach
+        # the branch-and-bound as childless blocks
+        cuts = sorted(draw(st.sets(st.floats(-0.99, 0.99), min_size=2, max_size=12)))
+        gaps = GapList1D(hull=(-1.0, 1.0), gaps=tuple(zip(cuts[::2], cuts[1::2])))
+        return (lambda: perturbed_image(from_gaps_1d(gaps), _warp, eps=0.05)), 1, coarse
+    return base, d, fine
+
+
+@settings(max_examples=60, deadline=None)
+@given(made=_bnb_systems(), data=st.data())
+def test_dist_bnb_matches_reference_at_every_budget(made, data):
+    make, d, tols = made
+    tol = data.draw(st.sampled_from(tols))
+    x = tuple(data.draw(st.floats(-1.5, 1.5)) for _ in range(d))
+    ref_sys, sys = make(), make()
+    assert _oracle(sys).mode == "bnb"
+    for budget in [*range(41), DEFAULT_NODE_BUDGET]:
+        want = _reference_dist_bnb(ref_sys, x, tol, budget)
+        got = _dist_bnb(sys, x, tol, budget)
+        assert repr(got) == repr(want), budget
+    # a system whose blocks the reference already built answers alike
+    assert repr(_dist_bnb(ref_sys, x, tol, DEFAULT_NODE_BUDGET)) == repr(want)
+
+
+def test_dist_bnb_builds_no_balls():
+    sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
+    enc = dist_to_set((0.1, -0.2), sys, 1e-9)
+    assert enc.converged and enc.width <= 1e-9
+    assert sys._blocks and not sys._kids
+    assert list(sys._balls) == [()]
+
+
+def test_dist_oracle_built_once_per_system(monkeypatch):
+    sys = explicit_tree(
+        NormKind.L2,
+        2,
+        [((), Ball((0.0, 0.0), 1.0)), ((0,), Ball((-0.5, 0.0), 0.3)), ((1,), Ball((0.5, 0.1), 0.2))],
+    )
+    walk = sys.walk
+    walks = []
+    monkeypatch.setattr(sys, "walk", lambda depth: walks.append(depth) or walk(depth))
+    for x in ((0.0, 0.0), (0.9, 0.9), (-0.5, 0.0)):
+        dist_to_set(x, sys, 1e-9)
+    assert len(walks) == 1
+    assert _oracle(sys) is _oracle(sys) and _oracle(sys).mode == "finite"
+
+
+def test_thickness_threads_match_sequential_on_l2_ifs():
+    maps = ((0.3, (-0.45, -0.45)), (0.3, (-0.45, 0.45)), (0.3, (0.45, -0.45)), (0.3, (0.45, 0.45)))
+    reports = [
+        thickness(from_ifs(HomotheticIFS(maps), NormKind.L2), 3, 1e-6, threads=threads)
+        for threads in (1, 2)
+    ]
+    assert repr(reports[0]) == repr(reports[1])
+    assert reports[0].overall.converged
+
+
+def test_queried_system_is_freed_by_reference_counting():
+    sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
+    dist_to_set((0.1, 0.2), sys, 1e-6)
+    assert _oracle(sys).mode == "bnb"
+    gone = weakref.ref(sys)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sys
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
