@@ -52,6 +52,8 @@ Block = Tuple[Tuple[Point, ...], Tuple[float, ...]]
 ROOT: Word = ()
 
 _CONTAIN_SLACK = 1e-12  # relative float allowance in validation-only containment
+# default cap on the nodes or cells one search over a tree may examine
+DEFAULT_NODE_BUDGET = 200_000
 
 
 class SpecError(ValueError):

@@ -416,13 +416,22 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if args.depth < 0:
+        raise ValueError(f"render depth must be non-negative, got {args.depth}")
     sys = _load_system(args.spec)
+    block = sys.child_block
+    # depth first in child order, as BallSystem.walk, reading child blocks;
+    # each row's tag is its parent's tag plus its child index
     lines = []
-    for word, ball in sys.walk(args.depth):
-        cells = [word_str(word)]
-        cells.extend(repr(c) for c in ball.center)
-        cells.append(repr(ball.radius))
-        lines.append(",".join(cells))
+    stack: List[Tuple[Word, str, Point, float]] = [(ROOT, "", sys.root.center, sys.root.radius)]
+    while stack:
+        word, tag, center, radius = stack.pop()
+        lines.append(",".join([tag, *map(repr, center), repr(radius)]))
+        if len(word) < args.depth:
+            centers, radii = block(word)
+            prefix = tag + "." if word else ""
+            for i in range(len(radii) - 1, -1, -1):
+                stack.append((word + (i,), prefix + str(i), centers[i], radii[i]))
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

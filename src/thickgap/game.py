@@ -34,7 +34,7 @@ from .geometry import (
     dist_point_sphere,
     norm_distance,
 )
-from .metrics import dist_to_set, hole_radius
+from .metrics import _corner1d_dist_batch, dist_to_set, hole_radius
 
 _REF_TOL = 1e-9
 _RADIUS_FLOOR = 1e-9
@@ -799,30 +799,30 @@ class PatternQuery:
 
 
 def _leaf_cover(sys: BallSystem, target_radius: float, max_nodes: int):
-    """Node balls refined until all radii drop to the target."""
-    frontier: List[Tuple[Word, Ball]] = [(ROOT, sys.root)]
+    """Node balls refined until all radii drop to the target, as (centers, radii)."""
+    root = sys.root
+    frontier: List[Tuple[Word, Point, float]] = [(ROOT, root.center, root.radius)]
     while True:
-        done = [
-            (w, b)
-            for w, b in frontier
-            if b.radius <= target_radius or sys.is_leaf(w)
-        ]
-        todo = [
-            (w, b)
-            for w, b in frontier
-            if b.radius > target_radius and not sys.is_leaf(w)
-        ]
+        done: List[Tuple[Word, Point, float]] = []
+        todo: List[Word] = []
+        for node in frontier:
+            if node[2] <= target_radius or sys.child_count(node[0]) == 0:
+                done.append(node)
+            else:
+                todo.append(node[0])
         if not todo:
             break
-        grown: List[Tuple[Word, Ball]] = []
-        for word, _ in todo:
-            kids = sys.children(word)
-            grown.extend((word + (i,), kid) for i, kid in enumerate(kids))
+        grown: List[Tuple[Word, Point, float]] = []
+        for word in todo:
+            centers, radii = sys.child_block(word)
+            grown.extend(
+                (word + (i,), c, r) for i, (c, r) in enumerate(zip(centers, radii))
+            )
         if len(done) + len(grown) > max_nodes:
             raise RuntimeError(f"pattern cover exceeded the node budget {max_nodes}")
         frontier = done + grown
-    centers = np.array([b.center for _, b in frontier], dtype=float)
-    radii = np.array([b.radius for _, b in frontier], dtype=float)
+    centers = np.array([c for _, c, _ in frontier], dtype=float)
+    radii = np.array([r for _, _, r in frontier], dtype=float)
     return centers, radii
 
 
@@ -842,14 +842,19 @@ def _cover_upper_dist(
     return out
 
 
-def _corner_upper_dist(queries: np.ndarray, axes) -> np.ndarray:
-    """Exact max-norm distance to a corner product via per-axis descent."""
-    from .metrics import _corner1d_dist_batch
+def _corner_upper_dist(queries: np.ndarray, axes, tol: float) -> np.ndarray:
+    """Upper max-norm distance to a corner product via per-axis descent.
 
+    Each axis stops descending where all its remaining values are at most
+    tol / 2 (see _corner1d_dist_batch). A value may then differ from the
+    full descent's only while both are at most tol, so every comparison
+    against tol comes out as the full descent's.
+    """
     worst = np.zeros(len(queries))
     for i, axis in enumerate(axes):
         rel = (queries[:, i] - axis.offset) / axis.scale
-        _, hi = _corner1d_dist_batch(rel, axis.n, axis.ell)
+        stop = 0.5 * tol / abs(axis.scale)
+        _, hi = _corner1d_dist_batch(rel, axis.n, axis.ell, stop=stop)
         np.maximum(worst, hi * abs(axis.scale), out=worst)
     return worst
 
@@ -871,7 +876,8 @@ def pattern_search_oracle(
     A grid point x is accepted only when, for every pattern point b, the
     certified distance from x + lam * b to the set is at most tol, so a
     witness never depends on sampling luck and an empty list is a valid
-    result. Corner products are measured by exact per-axis descent;
+    result. Corner products are measured by exact per-axis descent, which
+    stops once the distances still open are certified below tol / 2;
     other systems use a node cover refined to radius tol / 8. Any point
     of the set realizing the pattern has a grid point within half a step
     of it, which certifies whenever grid_step / 2 plus the cover fuzz
@@ -900,7 +906,7 @@ def pattern_search_oracle(
     else:
 
         def upper(q: np.ndarray) -> np.ndarray:
-            return _corner_upper_dist(q, axes)
+            return _corner_upper_dist(q, axes, tol)
 
     grid_axes = [
         np.arange(c - root.radius, c + root.radius + grid_step / 2, grid_step)
@@ -918,4 +924,4 @@ def pattern_search_oracle(
         keep[live[upper(shifted) > tol]] = False
         if not keep.any():
             break
-    return [tuple(float(v) for v in row) for row in grid[keep]]
+    return list(map(tuple, grid[keep].tolist()))

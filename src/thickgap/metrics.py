@@ -32,6 +32,7 @@ from .geometry import (
     norm_distance,
 )
 from .ballsystem import (
+    DEFAULT_NODE_BUDGET,
     ROOT,
     BallSystem,
     CornerAxis,
@@ -39,7 +40,6 @@ from .ballsystem import (
     Word,
 )
 
-DEFAULT_NODE_BUDGET = 200_000
 _MAX_RECORDS = 64
 _REL_PAD = 1e-12  # absorbs last-ulp disagreement between equivalent formulas
 
@@ -112,20 +112,34 @@ def _corner1d_dist(y: float, n: int, ell: float, max_levels: int = 80) -> Tuple[
 
 
 def _corner1d_dist_batch(
-    ys: np.ndarray, n: int, ell: float, max_levels: int = 60
+    ys: np.ndarray, n: int, ell: float, max_levels: int = 60, stop: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized _corner1d_dist over a float array; returns (lo, hi) arrays."""
+    """Vectorized _corner1d_dist over a float array; returns (lo, hi) arrays.
+
+    All points still descending share one scale, half**k after k levels.
+    The descent also ends, after at least one level, once 2 * scale <= stop,
+    and the points still inside cells then get [0, 2 * scale], as at
+    max_levels. A caller comparing hi against a tolerance t keeps the full
+    descent's verdict with stop = t / 2 (in the same units): a point still
+    inside a level-k cell (k >= 1) lies in a copy of [-1, 1] scaled by
+    half**k, whose points are at most g/2 * half**k < 2 * half**k from the
+    set (g = step - ell < 2 is the gap), so both the stopped value and the
+    value a deeper exit would give are at most t / 2 and neither exceeds t;
+    the factor 1/2 absorbs the rounding of t / 2 and of the product. The
+    first level is never skipped: level-0 points can lie outside the root,
+    where 2 * scale bounds nothing. The default stop = 0 descends as far as
+    before (a scale that underflows to 0 gives 0 either way).
+    """
     half = ell / 2
     step = ell + (2 - n * ell) / (n - 1)
-    y = np.array(ys, dtype=float).ravel().copy()
-    scale = np.ones_like(y)
-    lo = np.zeros_like(y)
-    hi = np.zeros_like(y)
-    active = np.ones(y.shape, dtype=bool)
-    for _ in range(max_levels):
-        if not active.any():
+    ya = np.array(ys, dtype=float).ravel()
+    lo = np.zeros_like(ya)
+    hi = np.zeros_like(ya)
+    idx = np.arange(ya.size)  # the points still descending, and their y in ya
+    scale = 1.0
+    for level in range(max_levels):
+        if not idx.size or (level and 2 * scale <= stop):
             break
-        ya = y[active]
         t = np.floor((ya - (-1 + half)) / step)
         k0 = np.clip(t, 0, n - 1)
         k1 = np.clip(t + 1, 0, n - 1)
@@ -137,21 +151,15 @@ def _corner1d_dist_batch(
         m = np.where(use0, m0, m1)
         dmin = np.where(use0, d0, d1)
         in_cell = dmin <= half
-        idx = np.flatnonzero(active)
-        out_idx = idx[~in_cell]
-        if out_idx.size:
-            val = np.maximum(dmin[~in_cell] - half, 0.0) * scale[out_idx]
-            lo[out_idx] = val
-            hi[out_idx] = val
-            active[out_idx] = False
-        cell_idx = idx[in_cell]
-        if cell_idx.size:
-            y[cell_idx] = (ya[in_cell] - m[in_cell]) / half
-            scale[cell_idx] *= half
-    rest = np.flatnonzero(active)
-    if rest.size:
-        lo[rest] = 0.0
-        hi[rest] = 2 * scale[rest]
+        out = ~in_cell
+        if out.any():
+            val = np.maximum(dmin[out] - half, 0.0) * scale
+            lo[idx[out]] = val
+            hi[idx[out]] = val
+        idx = idx[in_cell]
+        ya = (ya[in_cell] - m[in_cell]) / half
+        scale *= half
+    hi[idx] = 2 * scale
     shape = np.asarray(ys, dtype=float).shape
     return lo.reshape(shape), hi.reshape(shape)
 

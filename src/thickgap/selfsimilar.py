@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .ballsystem import HomotheticIFS
+from .ballsystem import DEFAULT_NODE_BUDGET, HomotheticIFS
 from .geometry import IntervalBound, NormKind, Point, norm_distance
-
-DEFAULT_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)

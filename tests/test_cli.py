@@ -1,12 +1,26 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import math
 
 import pytest
 
 from thickgap import cli
-from thickgap.ballsystem import parse_set_spec
-from thickgap.geometry import NormKind
+from thickgap.ballsystem import (
+    CornerFamilyParams,
+    GapList1D,
+    HomotheticIFS,
+    corner_family,
+    explicit_tree,
+    from_gaps_1d,
+    from_ifs,
+    parse_set_spec,
+    perturbed_image,
+    similarity_image,
+    translate,
+    word_str,
+)
+from thickgap.geometry import Ball, NormKind
 from thickgap.metrics import thickness
 
 SPECS = {
@@ -371,6 +385,62 @@ class TestPattern:
         assert code == 2
 
 
+def _walk_dump(sys, depth):
+    """The render CSV as BallSystem.walk and word_str give it."""
+    lines = []
+    for word, ball in sys.walk(depth):
+        cells = [word_str(word)]
+        cells.extend(repr(c) for c in ball.center)
+        cells.append(repr(ball.radius))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_RENDER_IFS = HomotheticIFS(((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6))))
+
+
+def _render_corner():
+    return corner_family(CornerFamilyParams(n=3, ell=0.3, d=2))
+
+
+def _render_gaps():
+    return from_gaps_1d(
+        GapList1D(hull=(-1.0, 1.0), gaps=((-0.2, 0.3), (-0.9, -0.6), (0.5, 0.55), (-0.5, -0.45)))
+    )
+
+
+def _render_explicit():
+    return explicit_tree(
+        NormKind.L2,
+        2,
+        [
+            ((), Ball((0.0, 0.0), 1.0)),
+            ((0,), Ball((-0.5, 0.0), 0.4)),
+            ((1,), Ball((0.5, 0.1), 0.3)),
+            ((0, 0), Ball((-0.6, 0.1), 0.1)),
+            ((0, 1), Ball((-0.3, -0.1), 0.1)),
+            ((1, 0), Ball((0.5, 0.1), 0.2)),
+        ],
+    )
+
+
+def _warp(p):
+    return tuple(x + 0.01 * math.sin(3 * x + k) for k, x in enumerate(p))
+
+
+_RENDER_SYSTEMS = {
+    "corner": _render_corner,
+    "ifs_l2": lambda: from_ifs(_RENDER_IFS, NormKind.L2),
+    "ifs_linf": lambda: from_ifs(_RENDER_IFS, NormKind.LINF),
+    "gaps1d": _render_gaps,
+    "explicit": _render_explicit,
+    "translate": lambda: translate(_render_corner(), (0.05, -0.02)),
+    "similarity": lambda: similarity_image(from_ifs(_RENDER_IFS, NormKind.L2), 0.7, (0.1, 0.2)),
+    "perturbed": lambda: perturbed_image(_render_corner(), _warp, eps=0.05),
+}
+
+
+
 class TestRender:
     def test_row_counts(self, specs, tmp_path):
         out = tmp_path / "dump.csv"
@@ -418,3 +488,29 @@ class TestRender:
         assert cli.main(["render", "--spec", specs["corner4_d1"], "--depth", "0"]) == 0
         captured = capsys.readouterr().out
         assert captured.strip() == ",0.0,1.0"
+
+    def test_negative_depth_is_an_input_error(self, specs, tmp_path, capsys):
+        out = tmp_path / "dump.csv"
+        code = cli.main(
+            ["render", "--spec", specs["corner4_d2"], "--depth", "-1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "render depth must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(_RENDER_SYSTEMS))
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_dump_equals_the_walk(self, name, depth, tmp_path, monkeypatch):
+        make = _RENDER_SYSTEMS[name]
+        monkeypatch.setattr(cli, "_load_system", lambda path: make())
+        out = tmp_path / "dump.csv"
+        assert cli.main(["render", "--spec", "unused", "--depth", str(depth), "--out", str(out)]) == 0
+        assert out.read_text() == _walk_dump(make(), depth)
+
+    def test_dump_from_spec_equals_the_walk(self, specs, tmp_path):
+        out = tmp_path / "dump.csv"
+        assert cli.main(
+            ["render", "--spec", specs["corner4_d2"], "--depth", "3", "--out", str(out)]
+        ) == 0
+        assert out.read_text() == _walk_dump(parse_set_spec(SPECS["corner4_d2"]), 3)
+

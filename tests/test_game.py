@@ -5,10 +5,24 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from thickgap.ballsystem import ROOT, CornerFamilyParams, corner_family, explicit_tree
+from thickgap.ballsystem import (
+    ROOT,
+    CornerFamilyParams,
+    GapList1D,
+    HomotheticIFS,
+    corner_family,
+    explicit_tree,
+    from_gaps_1d,
+    from_ifs,
+    similarity_image,
+    translate,
+)
 from thickgap.game import (
     AliceMove,
     AliceStrategy,
@@ -36,8 +50,9 @@ from thickgap.game import (
     transcript_to_jsonl,
     winning_dim_bound,
 )
+from thickgap.game import _corner_upper_dist, _cover_upper_dist, _leaf_cover
 from thickgap.geometry import Ball, NormKind, Sphere, SphereUnion
-from thickgap.metrics import dist_to_set
+from thickgap.metrics import _corner1d_dist_batch, dist_to_set
 
 
 def quarter_corner(d: int):
@@ -481,3 +496,295 @@ class TestPatterns:
             pattern_search_oracle(sys, pattern, 0.05, 0.01, 0.0)
         with pytest.raises(ValueError):
             pattern_search_oracle(sys, [], 0.05, 0.01, 1e-3)
+
+
+# -- pattern scan against the full descent -------------------------------------
+
+
+def _full_descent_batch(ys, n, ell, max_levels=60):
+    """The 1-D corner batch descending every point until it leaves the cells
+    or max_levels runs out, as it was before it could stop at a tolerance."""
+    half = ell / 2
+    step = ell + (2 - n * ell) / (n - 1)
+    y = np.array(ys, dtype=float).ravel().copy()
+    scale = np.ones_like(y)
+    lo = np.zeros_like(y)
+    hi = np.zeros_like(y)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(max_levels):
+        if not active.any():
+            break
+        ya = y[active]
+        t = np.floor((ya - (-1 + half)) / step)
+        k0 = np.clip(t, 0, n - 1)
+        k1 = np.clip(t + 1, 0, n - 1)
+        m0 = -1 + half + k0 * step
+        m1 = -1 + half + k1 * step
+        d0 = np.abs(ya - m0)
+        d1 = np.abs(ya - m1)
+        use0 = d0 <= d1
+        m = np.where(use0, m0, m1)
+        dmin = np.where(use0, d0, d1)
+        in_cell = dmin <= half
+        idx = np.flatnonzero(active)
+        out_idx = idx[~in_cell]
+        if out_idx.size:
+            val = np.maximum(dmin[~in_cell] - half, 0.0) * scale[out_idx]
+            lo[out_idx] = val
+            hi[out_idx] = val
+            active[out_idx] = False
+        cell_idx = idx[in_cell]
+        if cell_idx.size:
+            y[cell_idx] = (ya[in_cell] - m[in_cell]) / half
+            scale[cell_idx] *= half
+    rest = np.flatnonzero(active)
+    if rest.size:
+        lo[rest] = 0.0
+        hi[rest] = 2 * scale[rest]
+    shape = np.asarray(ys, dtype=float).shape
+    return lo.reshape(shape), hi.reshape(shape)
+
+
+def _full_descent_upper(axes):
+    def upper(q):
+        worst = np.zeros(len(q))
+        for i, axis in enumerate(axes):
+            rel = (q[:, i] - axis.offset) / axis.scale
+            _, hi = _full_descent_batch(rel, axis.n, axis.ell)
+            np.maximum(worst, hi * abs(axis.scale), out=worst)
+        return worst
+
+    return upper
+
+
+def _children_leaf_cover(sys, target_radius, max_nodes):
+    """The node cover built from children() and is_leaf."""
+    frontier = [(ROOT, sys.root)]
+    while True:
+        done = [(w, b) for w, b in frontier if b.radius <= target_radius or sys.is_leaf(w)]
+        todo = [(w, b) for w, b in frontier if b.radius > target_radius and not sys.is_leaf(w)]
+        if not todo:
+            break
+        grown = []
+        for word, _ in todo:
+            grown.extend((word + (i,), kid) for i, kid in enumerate(sys.children(word)))
+        if len(done) + len(grown) > max_nodes:
+            raise RuntimeError(f"pattern cover exceeded the node budget {max_nodes}")
+        frontier = done + grown
+    centers = np.array([b.center for _, b in frontier], dtype=float)
+    radii = np.array([b.radius for _, b in frontier], dtype=float)
+    return centers, radii
+
+
+def _reference_scan(sys, points, lam, grid_step, tol, upper):
+    """The pattern grid scan building one witness tuple per kept row."""
+    root = sys.root
+    grid_axes = [
+        np.arange(c - root.radius, c + root.radius + grid_step / 2, grid_step)
+        for c in root.center
+    ]
+    mesh = np.meshgrid(*grid_axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    keep = np.ones(len(grid), dtype=bool)
+    for b in points:
+        live = np.flatnonzero(keep)
+        shifted = grid[live] + lam * np.asarray(b, dtype=float)[None, :]
+        keep[live[upper(shifted) > tol]] = False
+        if not keep.any():
+            break
+    return [tuple(float(v) for v in row) for row in grid[keep]]
+
+
+@st.composite
+def corner_images(draw):
+    """A corner family, a translate or a similarity image (scale not 1) of one."""
+    n = draw(st.integers(2, 10))
+    ell = draw(st.floats(0.02, 0.98)) * 2 / n
+    d = draw(st.integers(1, 2))
+    base = corner_family(CornerFamilyParams(n, ell, d))
+    kind = draw(st.sampled_from(["family", "translate", "similarity"]))
+    shift = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(d))
+    if kind == "translate":
+        return translate(base, shift)
+    if kind == "similarity":
+        scale = draw(st.floats(0.01, 50.0).filter(lambda s: s != 1.0))
+        return similarity_image(base, scale, shift)
+    return base
+
+
+def _set_points(sys, rng, count, depth):
+    """Corners of random depth-k cells of a corner product: points of the set."""
+    out = np.empty((count, sys.dimension))
+    for i, axis in enumerate(sys.corner_axes()):
+        half = axis.ell / 2
+        step = axis.ell + axis.g
+        y = np.zeros(count)
+        s = 1.0
+        for _ in range(depth):
+            y += s * (-1 + half + rng.integers(0, axis.n, count) * step)
+            s *= half
+        y += s * rng.choice([-1.0, 1.0], count)
+        out[:, i] = axis.offset + axis.scale * y
+    return out
+
+
+class TestPatternDescentStop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sys=corner_images(),
+        pattern=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
+        lam_frac=st.floats(0.01, 0.99),
+        per_axis=st.integers(5, 300),
+        tol_exp=st.floats(-5.0, 1.0),
+    )
+    def test_witnesses_equal_the_full_descent(self, sys, pattern, lam_frac, per_axis, tol_exp):
+        d = sys.dimension
+        pts = [tuple(pattern[i : i + d]) for i in range(0, len(pattern) - d + 1, d)]
+        radius = sys.root.radius
+        limit = pattern_lambda_limit(pts, radius, sys.norm)
+        lam = lam_frac * (limit if math.isfinite(limit) else radius)
+        if d == 2:
+            per_axis = min(per_axis, 60)
+        grid_step = 2 * radius / (per_axis - 1)
+        tol = 10.0**tol_exp * radius
+        found = pattern_search_oracle(sys, pts, lam, grid_step, tol)
+        want = _reference_scan(
+            sys, pts, lam, grid_step, tol, _full_descent_upper(sys.corner_axes())
+        )
+        assert repr(found) == repr(want)
+        assert all(type(v) is float for row in found for v in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sys=corner_images(),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(0, 8),
+        tol_exp=st.floats(-9.0, 1.0),
+    )
+    def test_verdicts_near_the_set_equal_the_full_descent(self, sys, seed, depth, tol_exp):
+        # queries within a few tol of the set, where the stop matters
+        rng = np.random.default_rng(seed)
+        tol = 10.0**tol_exp * sys.root.radius
+        q = _set_points(sys, rng, 400, depth)
+        q += tol * rng.uniform(-3.0, 3.0, q.shape)
+        axes = sys.corner_axes()
+        got = _corner_upper_dist(q, axes, tol)
+        want = _full_descent_upper(axes)(q)
+        assert np.array_equal(got > tol, want > tol)
+        assert np.array_equal(got[want > tol], want[want > tol])
+
+    @pytest.mark.parametrize("factor", [2.0, 2.5, 10.0])
+    def test_tolerance_at_or_above_twice_the_scale(self, factor):
+        # stop >= 1 ends the descent after the first level; the pattern's
+        # end points push shifted rows up to 0.3 root radii outside the root
+        base = corner_family(CornerFamilyParams(4, 0.4, 1))
+        for sys in (base, similarity_image(base, 0.3, (0.2,)), translate(base, (-0.7,))):
+            scale = sys.corner_axes()[0].scale
+            pts = [(-1.0,), (0.0,), (1.0,)]
+            lam = 0.3 * scale
+            step = 2 * sys.root.radius / 400
+            tol = factor * abs(scale)
+            found = pattern_search_oracle(sys, pts, lam, step, tol)
+            upper = _full_descent_upper(sys.corner_axes())
+            want = _reference_scan(sys, pts, lam, step, tol, upper)
+            assert repr(found) == repr(want)
+            assert found
+            # and just below it, where the descent goes one level further
+            tol = 0.9 * abs(scale)
+            found = pattern_search_oracle(sys, pts, lam, step, tol)
+            assert repr(found) == repr(
+                _reference_scan(sys, pts, lam, step, tol, upper)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        ell_frac=st.floats(1e-7, 0.999),
+        max_levels=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_default_stop_is_the_full_descent_bit_for_bit(self, n, ell_frac, max_levels, seed):
+        ell = ell_frac * 2 / n
+        rng = np.random.default_rng(seed)
+        ys = np.concatenate(
+            [
+                rng.uniform(-1.0, 1.0, 200),
+                rng.uniform(-5.0, 5.0, 50),
+                -1 + ell / 2 + rng.integers(0, n, 20) * (ell + (2 - n * ell) / (n - 1)),
+                [-1.0, 1.0, 0.0, -0.0, np.inf, -np.inf, np.nan],
+            ]
+        ).reshape(-1, 1)
+        want = _full_descent_batch(ys, n, ell, max_levels)
+        # a stop below 2 * half**max_levels never fires either
+        below = (ell / 2) ** max_levels
+        for kwargs in ({}, {"stop": 0.0}, {"stop": below}):
+            got = _corner1d_dist_batch(ys, n, ell, max_levels, **kwargs)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_the_descent_stops_at_the_tolerance(self):
+        # ell = 0.19: six levels reach 2 * 0.095**6 < 5e-6, sixty give ~1e-61
+        ys = np.linspace(-1.0, 1.0, 1001)
+        _, hi = _corner1d_dist_batch(ys, 10, 0.19, stop=5e-6)
+        _, full = _full_descent_batch(ys, 10, 0.19)
+        stopped = hi != full
+        assert stopped.any()
+        assert np.all(hi[stopped] == 2 * 0.095**6)
+        assert np.all(full[stopped] < hi[stopped])
+
+
+_PATTERN_IFS = HomotheticIFS(((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6))))
+
+
+
+def _middle_thirds_gaps(depth):
+    gaps, cells = [], [(0.0, 1.0)]
+    for _ in range(depth):
+        split = []
+        for a, b in cells:
+            t = (b - a) / 3
+            gaps.append((a + t, b - t))
+            split += [(a, a + t), (b - t, b)]
+        cells = split
+    return GapList1D(hull=(0.0, 1.0), gaps=tuple(gaps))
+
+
+# leaves of radius 3**-6 / 2, so a cover of them can certify tol 0.01
+_PATTERN_GAPS = _middle_thirds_gaps(6)
+
+
+class TestPatternLeafCover:
+    @pytest.mark.parametrize(
+        "make, pts, lam, step, tol",
+        [
+            (lambda: from_ifs(_PATTERN_IFS, NormKind.L2), [(0.0, 0.0), (1.0, 0.5)], 0.1, 0.05, 0.08),
+            (lambda: from_ifs(_PATTERN_IFS, NormKind.LINF), [(0.0, 0.0), (0.0, 1.0)], 0.2, 0.04, 0.05),
+            (lambda: from_gaps_1d(_PATTERN_GAPS), [(0.0,), (1.0,), (3.0,)], 0.08, 0.002, 0.01),
+            (lambda: translate(from_gaps_1d(_PATTERN_GAPS), (0.3,)), [(0.0,), (2.0,)], 0.1, 5e-4, 3e-3),
+        ],
+    )
+    def test_witnesses_equal_the_children_cover(self, make, pts, lam, step, tol):
+        got = _leaf_cover(make(), tol / 8.0, 300_000)
+        want = _children_leaf_cover(make(), tol / 8.0, 300_000)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        sys = make()
+        centers, radii = want
+
+        def upper(q):
+            return _cover_upper_dist(q, centers, radii, sys.norm)
+
+        found = pattern_search_oracle(make(), pts, lam, step, tol)
+        assert found
+        assert repr(found) == repr(
+            _reference_scan(sys, pts, lam, step, tol, upper)
+        )
+
+    def test_cover_budget_error_is_unchanged(self):
+        sys = from_ifs(_PATTERN_IFS, NormKind.L2)
+        with pytest.raises(RuntimeError) as got:
+            _leaf_cover(sys, 1e-3, 200)
+        with pytest.raises(RuntimeError) as want:
+            _children_leaf_cover(from_ifs(_PATTERN_IFS, NormKind.L2), 1e-3, 200)
+        assert str(got.value) == str(want.value)
