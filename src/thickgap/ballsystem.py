@@ -12,9 +12,12 @@ intersections generate a compact set C. Generators:
 
 Trees are expanded lazily and memoized. Each generator has one per-child
 formula on plain floats: the parent's center and radius in, the child's out.
-child_block(word) applies it to every child of a node and memoizes the result
-as the node's child block, (centers, radii) of plain floats, checked once with
-the checks Ball makes; branch-and-bound searches read blocks and build no Ball.
+child_block(word) applies it to every child of a node (the generator's
+block()) and memoizes the result as the node's child block, (centers, radii)
+of plain floats, checked once with the checks Ball makes; branch-and-bound
+searches read blocks and build no Ball. A corner family's block is the
+product of each axis's n coordinates, which go through the formula's own
+float operations.
 children(word) wraps a block's entries in Balls without checking them again,
 and ball(word) builds only the missing nodes on the path to word, one checked
 Ball per level and none of its siblings. A transformed system expands nothing
@@ -50,6 +53,8 @@ Word = Tuple[int, ...]
 Block = Tuple[Tuple[Point, ...], Tuple[float, ...]]
 
 ROOT: Word = ()
+
+_UNSET = object()  # marks a memo not filled yet where None is a value
 
 _CONTAIN_SLACK = 1e-12  # relative float allowance in validation-only containment
 # default cap on the nodes or cells one search over a tree may examine
@@ -107,6 +112,11 @@ class HomotheticIFS:
         lam, t = self.maps[j]
         return tuple([c + radius * t_j for c, t_j in zip(center, t)]), radius * lam
 
+    def block(self, center: Point, radius: float) -> Block:
+        """The checked child block of the node ball, child by child."""
+        child = self.child
+        return _checked_block([child(center, radius, j) for j in range(len(self.maps))])
+
 
 @dataclass(frozen=True)
 class CornerFamilyParams:
@@ -143,6 +153,19 @@ class CornerFamilyParams:
             j, dig = divmod(j, n)
             out.append(c + radius * rel[dig])
         return tuple(out), radius * self.ell / 2
+
+    def child_axes(
+        self, center: Point, radius: float
+    ) -> Tuple[Tuple[Tuple[float, ...], ...], float]:
+        """All sub-cubes of the node ball as a grid, (axes, radius): sub-cube j
+        has this radius and, on axis i, the coordinate axes[i][k] with k the
+        axis-i digit of j; the values are child()'s, bit for bit."""
+        rel = _corner_axis_offsets(self.n, self.ell)
+        return tuple([tuple([c + radius * x for x in rel]) for c in center]), radius * self.ell / 2
+
+    def block(self, center: Point, radius: float) -> Block:
+        """The checked child block of the node ball, built axis by axis."""
+        return _corner_block(*self.child_axes(center, radius))
 
 
 @dataclass(frozen=True)
@@ -211,6 +234,7 @@ class BallSystem:
         self._kids: Dict[Word, Tuple[Ball, ...]] = {}
         self._balls: Dict[Word, Ball] = {ROOT: root}
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
+        self._corner_axes = _UNSET  # corner_axes(), computed on its first call
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -349,7 +373,14 @@ class BallSystem:
 
     def corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
         """Per-axis 1-D corner descriptions when the system is an axis-aligned
-        affine image of a corner family under the Linf norm, else None."""
+        affine image of a corner family under the Linf norm, else None.
+        Computed once: the system does not change after construction."""
+        axes = self._corner_axes
+        if axes is _UNSET:
+            axes = self._corner_axes = self._make_corner_axes()
+        return axes
+
+    def _make_corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
         chain = self._corner_chain()
         if chain is None:
             return None
@@ -383,11 +414,8 @@ class BallSystem:
         if chain is None:
             return None
         core, maps = chain
-        gen = core.generator
         parent = core.ball(word)
-        rel = _corner_axis_offsets(gen.n, gen.ell)
-        axes = [tuple(c + parent.radius * x for x in rel) for c in parent.center]
-        radius = parent.radius * gen.ell / 2
+        axes, radius = core.generator.child_axes(parent.center, parent.radius)
         for t in reversed(maps):
             if t.kind == "translate":
                 axes = [tuple(x + v for x in row) for row, v in zip(axes, t.shift)]
@@ -451,9 +479,7 @@ class BallSystem:
         if isinstance(gen, TransformedSystem):
             centers, radii = gen.base.child_block(word)
             return _checked_block([self._map_node(c, r, gen) for c, r in zip(centers, radii)])
-        center, radius = self._node(word)
-        child = gen.child
-        return _checked_block([child(center, radius, j) for j in range(gen.child_count)])
+        return gen.block(*self._node(word))
 
     def _node(self, word: Word) -> Tuple[Point, float]:
         """Center and radius of the node at word, read from its parent's
@@ -530,6 +556,28 @@ def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
         if not (radius > 0 and isfinite(radius)):
             raise ValueError("ball radius must be positive and finite")
     return tuple([k[0] for k in kids]), tuple([k[1] for k in kids])
+
+
+def _corner_block(axes: Sequence[Tuple[float, ...]], radius: float) -> Block:
+    """The block of a grid of children, child j taking on axis i the
+    coordinate axes[i][k] with k the axis-i digit of j, all of one radius.
+
+    Raises what _checked_block raises on the per-child list: that list
+    fails first at child 0 when the radius is bad, on a coordinate if one
+    of child 0's is not finite, else at its first child with one.
+    """
+    isfinite = math.isfinite
+    if not (radius > 0 and isfinite(radius)):
+        if all(isfinite(row[0]) for row in axes):
+            raise ValueError("ball radius must be positive and finite")
+        raise ValueError("point coordinates must be finite")
+    if not all(isfinite(x) for row in axes for x in row):
+        raise ValueError("point coordinates must be finite")
+    # axis 0's digit varies fastest
+    centers = [(x,) for x in axes[0]]
+    for row in axes[1:]:
+        centers = [c + (x,) for x in row for c in centers]
+    return tuple(centers), (radius,) * len(centers)
 
 
 @functools.lru_cache(maxsize=64)

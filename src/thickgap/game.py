@@ -22,8 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
 from .ballsystem import ROOT, BallSystem, CornerFamilyParams, Word
 from .geometry import (
     Ball,
@@ -32,7 +30,9 @@ from .geometry import (
     Sphere,
     SphereUnion,
     dist_point_sphere,
+    distance_kernel,
     norm_distance,
+    trusted_sphere,
 )
 from .metrics import _corner1d_dist_batch, dist_to_set, hole_radius
 
@@ -100,6 +100,9 @@ class Verdict:
     reason: str = ""
 
 
+_LEGAL = Verdict(True)
+
+
 @dataclass(frozen=True)
 class GameTranscript:
     """Finished match: the move list, the limit point estimate, and its label."""
@@ -142,20 +145,22 @@ def referee(move: Move, history: Sequence[Move], params: GameParams) -> Verdict:
                     False,
                     f"first radius {ball.radius:.6g} is below rho {params.rho:.6g}",
                 )
-            return Verdict(True)
+            return _LEGAL
         if ball.radius < params.beta * prev.radius * (1 - _REF_TOL):
             return Verdict(
                 False,
                 f"radius {ball.radius:.6g} shrinks past beta * {prev.radius:.6g}",
             )
-        gap = norm_distance(ball.center, prev.center, params.norm)
+        if len(prev.center) != len(ball.center):
+            raise ValueError(f"dimension mismatch: {len(ball.center)} vs {len(prev.center)}")
+        gap = distance_kernel(params.norm)(ball.center, prev.center)
         if gap + ball.radius > prev.radius * (1 + _REF_TOL):
             return Verdict(False, "ball is not inside the previous ball")
-        return Verdict(True)
+        return _LEGAL
 
     if isinstance(move, AliceMove):
         if not move.erased:
-            return Verdict(True)
+            return _LEGAL
         prev = _last_ball(history)
         if prev is None:
             return Verdict(False, "no ball to respond to")
@@ -174,7 +179,7 @@ def referee(move: Move, history: Sequence[Move], params: GameParams) -> Verdict:
                     False,
                     f"erase radius {move.erased[0].rho:.6g} exceeds the budget {budget:.6g}",
                 )
-            return Verdict(True)
+            return _LEGAL
         total = math.fsum(e.rho**params.c for e in move.erased)
         cap = budget**params.c
         if total > cap * (1 + _REF_TOL):
@@ -182,7 +187,7 @@ def referee(move: Move, history: Sequence[Move], params: GameParams) -> Verdict:
                 False,
                 f"erase radii sum to {total:.6g} in the c-power, over the cap {cap:.6g}",
             )
-        return Verdict(True)
+        return _LEGAL
 
     return Verdict(False, f"unrecognized move {type(move).__name__}")
 
@@ -224,12 +229,18 @@ def alice_h_sets(sys: BallSystem, word: Word) -> SphereUnion:
     end of the hole enclosure for both offsets. The union has at most
     one sphere more than the node has children.
     """
+    spheres = _h_spheres(sys, word, _hole_enclosure(sys, word).hi)
+    return SphereUnion(tuple(spheres), m_bound=len(spheres))
+
+
+def _h_spheres(sys: BallSystem, word: Word, h: float) -> List[Sphere]:
+    """alice_h_sets' spheres for the node at word, given its hole bound h."""
     ball = sys.ball(word)
-    kids = sys.children(word)
-    h = _hole_enclosure(sys, word).hi
-    spheres = [Sphere(ball.center, ball.radius - h / 2)]
-    spheres.extend(Sphere(kid.center, kid.radius + h) for kid in kids)
-    return SphereUnion(tuple(spheres), m_bound=len(kids) + 1)
+    centers, radii = sys.child_block(word)
+    # node centers passed Ball's checks already
+    spheres = [trusted_sphere(ball.center, ball.radius - h / 2)]
+    spheres.extend([trusted_sphere(c, r + h) for c, r in zip(centers, radii)])
+    return spheres
 
 
 class AliceStrategy:
@@ -255,7 +266,9 @@ class AliceStrategy:
         self.sys = sys
         self.tau = tau
         self._ratio: Optional[float] = None
-        self._level_radii: Optional[List[float]] = None
+        # level radii: every level of a finite tree, or those of a homothetic
+        # one that band has read so far
+        self._level_radii: List[float] = []
         self.n0 = 1
         sup = self._verify_structure()
         if not sup <= beta < 1:
@@ -282,6 +295,7 @@ class AliceStrategy:
                         if gap <= kids[i].radius + kids[j].radius:
                             raise ValueError("first-level balls overlap")
             self._ratio = ratio
+            self._level_radii = [sys.root.radius]
             return ratio
         if sys.is_finite:
             return self._verify_finite_levels()
@@ -318,41 +332,46 @@ class AliceStrategy:
         self._level_radii = radii
         return sup
 
-    def _level_radius(self, n: int) -> Optional[float]:
-        if self._ratio is not None:
-            return self.sys.root.radius * self._ratio**n
-        assert self._level_radii is not None
-        return self._level_radii[n] if n < len(self._level_radii) else None
-
     def band(self, radius: float) -> Optional[int]:
         """Index n of the radius band, or None while waiting or below the tree."""
-        if radius > self.sys.root.radius:
+        root_radius = self.sys.root.radius
+        if radius > root_radius:
             return None
+        radii = self._level_radii
+        ratio = self._ratio
         for n in range(_BAND_LIMIT):
-            below = self._level_radius(n + 1)
-            if below is None:
-                return None
-            if radius >= below:
+            if n + 1 == len(radii):
+                if ratio is None:
+                    return None  # below the finite tree's last level
+                radii.append(root_radius * ratio ** (n + 1))
+            if radius >= radii[n + 1]:
                 return n
         raise RuntimeError("radius band search did not terminate")
 
     def words_meeting(self, ball: Ball, level: int) -> List[Word]:
         """Words of the given length whose balls intersect the ball."""
-        norm = self.sys.norm
-        words = [ROOT]
-        if norm_distance(self.sys.root.center, ball.center, norm) > (
-            self.sys.root.radius + ball.radius
-        ):
+        sys = self.sys
+        root = sys.root
+        x, r = ball.center, ball.radius
+        if len(x) != len(root.center):
+            raise ValueError(f"dimension mismatch: {len(root.center)} vs {len(x)}")
+        dist = distance_kernel(sys.norm)
+        if dist(root.center, x) > root.radius + r:
             return []
+        axes = sys.corner_axes()
+        child_block = sys.child_block
+        words = [ROOT]
         for _ in range(level):
             grown: List[Word] = []
             for word in words:
-                for i, kid in enumerate(self.sys.children(word)):
-                    if (
-                        norm_distance(kid.center, ball.center, norm)
-                        <= kid.radius + ball.radius
-                    ):
-                        grown.append(word + (i,))
+                centers, radii = child_block(word)
+                if axes is None:
+                    for i, c in enumerate(centers):
+                        if dist(c, x) <= radii[i] + r:
+                            grown.append(word + (i,))
+                else:
+                    cells = _corner_cells_meeting(centers, radii[0] + r, x, axes[0].n)
+                    grown.extend([word + (j,) for j in cells])
             words = grown
             if not words:
                 break
@@ -383,10 +402,32 @@ class AliceStrategy:
         if rho_erase <= 0:
             return AliceMove()
         spheres: List[Sphere] = []
-        for word in words:
-            spheres.extend(alice_h_sets(self.sys, word).spheres)
+        for word, h in zip(words, holes):
+            spheres.extend(_h_spheres(self.sys, word, h.hi))
         union = SphereUnion(tuple(spheres), m_bound=self.sphere_budget)
         return AliceMove((Erasure(union, rho_erase),))
+
+
+def _corner_cells_meeting(
+    centers: Sequence[Point], reach: float, x: Point, n: int
+) -> List[int]:
+    """Indices, ascending, of the children of a corner block within max-norm
+    distance reach of x.
+
+    Child j's axis-i coordinate is centers[k * n**i][i] with k the axis-i
+    digit of j. A float max is exact, so max_i |c_i - x_i| <= reach holds
+    exactly when every axis passes: the children found are the products of
+    the passing digits, n * d comparisons in place of n**d distances.
+    """
+    found = [0]
+    stride = 1  # n**i
+    for i, xi in enumerate(x):
+        steps = [k * stride for k in range(n) if abs(centers[k * stride][i] - xi) <= reach]
+        if not steps:
+            return []
+        found = [s + j for s in steps for j in found]
+        stride *= n
+    return found
 
 
 def alice_strategy(
@@ -799,7 +840,11 @@ class PatternQuery:
 
 
 def _leaf_cover(sys: BallSystem, target_radius: float, max_nodes: int):
-    """Node balls refined until all radii drop to the target, as (centers, radii)."""
+    """Node balls refined until all radii drop to the target, as (centers,
+    radii, solid): solid flags the childless nodes, which are wholly part
+    of the set."""
+    import numpy as np
+
     root = sys.root
     frontier: List[Tuple[Word, Point, float]] = [(ROOT, root.center, root.radius)]
     while True:
@@ -823,13 +868,24 @@ def _leaf_cover(sys: BallSystem, target_radius: float, max_nodes: int):
         frontier = done + grown
     centers = np.array([c for _, c, _ in frontier], dtype=float)
     radii = np.array([r for _, _, r in frontier], dtype=float)
-    return centers, radii
+    solid = np.array([sys.child_count(w) == 0 for w, _, _ in frontier], dtype=bool)
+    return centers, radii, solid
 
 
 def _cover_upper_dist(
-    queries: np.ndarray, centers: np.ndarray, radii: np.ndarray, norm: NormKind
+    queries: np.ndarray,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    norm: NormKind,
+    solid: np.ndarray,
 ) -> np.ndarray:
-    """Upper distance to the set: nearest cover center plus its radius."""
+    """Upper distance to the set over a node cover: the least over its
+    nodes of the distance to the center plus the radius, or for a solid
+    node (one with no children, wholly part of the set) the distance to
+    its ball, max(0, d - r)."""
+    import numpy as np
+
+    offset = np.where(solid, -radii, radii)
     out = np.empty(len(queries))
     block = max(1, 4_000_000 // max(len(centers), 1))
     for start in range(0, len(queries), block):
@@ -838,8 +894,9 @@ def _cover_upper_dist(
             dist = diff.max(axis=2)
         else:
             dist = np.sqrt((diff**2).sum(axis=2))
-        out[start : start + block] = (dist + radii[None, :]).min(axis=1)
-    return out
+        out[start : start + block] = (dist + offset[None, :]).min(axis=1)
+    # d + r > 0 for the other nodes, so the clamp changes only solid ones
+    return np.maximum(out, 0.0, out=out)
 
 
 def _corner_upper_dist(queries: np.ndarray, axes, tol: float) -> np.ndarray:
@@ -850,6 +907,8 @@ def _corner_upper_dist(queries: np.ndarray, axes, tol: float) -> np.ndarray:
     full descent's only while both are at most tol, so every comparison
     against tol comes out as the full descent's.
     """
+    import numpy as np
+
     worst = np.zeros(len(queries))
     for i, axis in enumerate(axes):
         rel = (queries[:, i] - axis.offset) / axis.scale
@@ -878,11 +937,13 @@ def pattern_search_oracle(
     witness never depends on sampling luck and an empty list is a valid
     result. Corner products are measured by exact per-axis descent, which
     stops once the distances still open are certified below tol / 2;
-    other systems use a node cover refined to radius tol / 8. Any point
-    of the set realizing the pattern has a grid point within half a step
-    of it, which certifies whenever grid_step / 2 plus the cover fuzz
-    stays at most tol.
+    other systems use a node cover refined to radius tol / 8, whose
+    childless nodes count as solid balls. Any point of the set realizing
+    the pattern has a grid point within half a step of it, which certifies
+    whenever grid_step / 2 plus the cover fuzz stays at most tol.
     """
+    import numpy as np
+
     pts = [tuple(float(v) for v in p) for p in points]
     if not pts:
         raise ValueError("pattern needs at least one point")
@@ -898,10 +959,10 @@ def pattern_search_oracle(
     root = sys.root
     axes = sys.corner_axes()
     if axes is None:
-        centers, radii = _leaf_cover(sys, tol / 8.0, max_nodes)
+        centers, radii, solid = _leaf_cover(sys, tol / 8.0, max_nodes)
 
         def upper(q: np.ndarray) -> np.ndarray:
-            return _cover_upper_dist(q, centers, radii, sys.norm)
+            return _cover_upper_dist(q, centers, radii, sys.norm, solid)
 
     else:
 

@@ -29,6 +29,7 @@ from .geometry import (
     Point,
     ball_contains,
     ball_scale,
+    distance_kernel,
     norm_distance,
 )
 from .metrics import DensenessReport, denseness_check, dist_to_set, hole_radius, thickness
@@ -384,19 +385,22 @@ def intersect(
         if k_ball.radius >= r * l_ball.radius:
             # large ball case: bridge into a child of the other side
             bridge = bridge_ball(k_ball, l_ball, r, norm)
-            kids = side_b.children(l_word)
-            min_child = min(kid.radius for kid in kids)
+            centers, radii = side_b.child_block(l_word)
+            min_child = min(radii)
             h_k = _hole_hi(side_a, k_word)
             if not h_k.hi < shrink * min_child:
                 raise RuntimeError(
                     f"step {step}: hole bound {h_k.hi:.6g} of the located ball is "
                     f"not below {shrink:.6g} * min child radius {min_child:.6g}"
                 )
+            # the first child inside the bridge ball, by ball_contains' test
+            # (bridge_ball checked that the two sides share a dimension)
+            dist = distance_kernel(norm)
             child_idx = next(
                 (
                     i
-                    for i, kid in enumerate(kids)
-                    if ball_contains(bridge, kid, norm)
+                    for i, c in enumerate(centers)
+                    if dist(bridge.center, c) + radii[i] <= bridge.radius
                 ),
                 None,
             )
@@ -405,7 +409,7 @@ def intersect(
                     f"step {step}: no child of word {l_word} fits in the bridge "
                     "ball; the denseness hypothesis fails here"
                 )
-            child_ball = kids[child_idx]
+            child_ball = side_b.ball(l_word + (child_idx,))
             if child_ball.radius > r * l_ball.radius * (1 + _SLACK):
                 raise RuntimeError(
                     f"step {step}: child radius {child_ball.radius:.6g} exceeds "

@@ -116,6 +116,20 @@ class Sphere:
             raise ValueError("sphere radius must be positive and finite")
 
 
+def trusted_sphere(center: Point, radius: float) -> Sphere:
+    """A Sphere around a float tuple that already passed as_point's checks.
+
+    Skips the center's checks but keeps Sphere's radius check and error:
+    for spheres around validated node centers.
+    """
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("sphere radius must be positive and finite")
+    s = object.__new__(Sphere)
+    object.__setattr__(s, "center", center)
+    object.__setattr__(s, "radius", radius)
+    return s
+
+
 @dataclass(frozen=True)
 class SphereUnion:
     """Union of at most m_bound spheres; the erasable objects of the game."""

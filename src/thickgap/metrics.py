@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .geometry import (
     Ball,
     IntervalBound,
@@ -130,6 +128,8 @@ def _corner1d_dist_batch(
     where 2 * scale bounds nothing. The default stop = 0 descends as far as
     before (a scale that underflows to 0 gives 0 either way).
     """
+    import numpy as np
+
     half = ell / 2
     step = ell + (2 - n * ell) / (n - 1)
     ya = np.array(ys, dtype=float).ravel()
@@ -578,6 +578,8 @@ def _thickness_homothetic(
 
 def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
     """Sound lower bound on the root hole radius from a few sample points."""
+    import numpy as np
+
     oracle = _oracle(sys)
     region = sys.root
     d = sys.dimension
@@ -809,6 +811,8 @@ def _dense_finite1d(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
 
 
 def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
+    import numpy as np
+
     homothetic = sys.is_homothetic()
     nodes = [ROOT] if homothetic else [
         w for w, _ in sys.walk(depth) if sys.children(w) and len(w) <= depth
@@ -867,6 +871,8 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
 
 
 def _np_norm(arr: np.ndarray, norm: NormKind) -> np.ndarray:
+    import numpy as np
+
     if norm is NormKind.LINF:
         return np.abs(arr).max(axis=1)
     if norm is NormKind.L2:

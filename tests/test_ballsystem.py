@@ -31,6 +31,7 @@ from thickgap.ballsystem import (
     translate,
     word_str,
 )
+from thickgap.ballsystem import _checked_block, _corner_block
 
 
 def test_corner_axis_centers_n4():
@@ -653,3 +654,92 @@ def test_gap_tree_matches_recursive_construction(data):
     assert list(sys._split_gaps.items()) == list(split_gaps.items())
     assert sys.leaf_intervals() == leaf_ivs
     assert sys.decay == decay
+
+
+# -- corner blocks built axis by axis -------------------------------------------------
+
+
+def _per_child_block(sys, word):
+    """The corner block as the per-child formula gives it, child by child."""
+    gen = sys.generator
+    parent = sys.ball(word)
+    return _checked_block(
+        [gen.child(parent.center, parent.radius, j) for j in range(gen.child_count)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), d=st.integers(1, 3))
+def test_corner_block_equals_the_per_child_formula(data, n, d):
+    top = math.nextafter(2 / n, 0)
+    ell = data.draw(
+        st.one_of(st.just(top), st.floats(top * (1 - 1e-12), top), st.floats(1e-3, top))
+    )
+    if n**d > 400:
+        d = 2
+    sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    word = ()
+    for _ in range(data.draw(st.integers(0, 4))):
+        word = word + (data.draw(st.integers(0, n**d - 1)),)
+    assert repr(sys.child_block(word)) == repr(_per_child_block(sys, word))
+    # read top-down: each parent taken from the block above it
+    top_down = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    for k in range(len(word) + 1):
+        top_down.child_block(word[:k])
+    assert repr(top_down.child_block(word)) == repr(sys.child_block(word))
+
+
+@pytest.mark.parametrize("ell", [1e-100, 1e-160, 1e-200, 5e-324])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3)])
+def test_corner_block_underflow_errors_equal_the_per_child_formula(n, d, ell):
+    sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    word = ()
+    for depth in range(6):
+        try:
+            want = repr(_per_child_block(sys, word))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                sys.child_block(word)
+            assert str(got.value) == str(exc) == "ball radius must be positive and finite"
+            break
+        assert repr(sys.child_block(word)) == want
+        word = word + (n**d - 1,)
+    else:
+        pytest.fail("the radius never underflowed")
+
+
+@pytest.mark.parametrize(
+    "axes, radius",
+    [
+        (((math.inf, 0.5), (0.0, 1.0)), 0.0),  # child 0's coordinate and the radius
+        (((0.0, math.inf), (0.0, 1.0)), 0.0),  # the radius, at child 0
+        (((0.0, 0.5), (0.0, math.nan)), 0.25),  # a later child's coordinate
+        (((0.0, 0.5), (0.0, 1.0)), math.inf),
+        (((0.0, 0.5), (0.0, 1.0)), -1.0),
+    ],
+)
+def test_corner_block_errors_take_the_per_child_precedence(axes, radius):
+    kids = []
+    for j in range(4):
+        kids.append(((axes[0][j % 2], axes[1][j // 2]), radius))
+    with pytest.raises(ValueError) as want:
+        _checked_block(kids)
+    with pytest.raises(ValueError) as got:
+        _corner_block(axes, radius)
+    assert str(got.value) == str(want.value)
+    good = ((0.0, 0.5), (0.0, 1.0))
+    assert _corner_block(good, 0.25) == _checked_block(
+        [((good[0][j % 2], good[1][j // 2]), 0.25) for j in range(4)]
+    )
+
+
+def test_corner_axes_is_computed_once():
+    for sys in (
+        _corner(),
+        translate(similarity_image(_corner(), 0.5, (0.3, -0.1)), (1e-3, 0.2)),
+        from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF),
+        perturbed_image(_corner(), _warp, eps=0.05),
+    ):
+        first = sys.corner_axes()
+        assert sys.corner_axes() is first
+        assert sys._make_corner_axes() == first

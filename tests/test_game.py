@@ -50,8 +50,21 @@ from thickgap.game import (
     transcript_to_jsonl,
     winning_dim_bound,
 )
-from thickgap.game import _corner_upper_dist, _cover_upper_dist, _leaf_cover
-from thickgap.geometry import Ball, NormKind, Sphere, SphereUnion
+from thickgap.game import (
+    Verdict,
+    _corner_upper_dist,
+    _cover_upper_dist,
+    _hole_enclosure,
+    _leaf_cover,
+)
+from thickgap.geometry import (
+    Ball,
+    NormKind,
+    Sphere,
+    SphereUnion,
+    distance_kernel,
+    norm_distance,
+)
 from thickgap.metrics import _corner1d_dist_batch, dist_to_set
 
 
@@ -558,7 +571,8 @@ def _full_descent_upper(axes):
 
 
 def _children_leaf_cover(sys, target_radius, max_nodes):
-    """The node cover built from children() and is_leaf."""
+    """The node cover built from children() and is_leaf, with the leaves
+    flagged solid."""
     frontier = [(ROOT, sys.root)]
     while True:
         done = [(w, b) for w, b in frontier if b.radius <= target_radius or sys.is_leaf(w)]
@@ -573,7 +587,8 @@ def _children_leaf_cover(sys, target_radius, max_nodes):
         frontier = done + grown
     centers = np.array([b.center for _, b in frontier], dtype=float)
     radii = np.array([b.radius for _, b in frontier], dtype=float)
-    return centers, radii
+    solid = np.array([sys.is_leaf(w) for w, _ in frontier], dtype=bool)
+    return centers, radii, solid
 
 
 def _reference_scan(sys, points, lam, grid_step, tol, upper):
@@ -770,10 +785,10 @@ class TestPatternLeafCover:
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
         sys = make()
-        centers, radii = want
+        centers, radii, solid = want
 
         def upper(q):
-            return _cover_upper_dist(q, centers, radii, sys.norm)
+            return _cover_upper_dist(q, centers, radii, sys.norm, solid)
 
         found = pattern_search_oracle(make(), pts, lam, step, tol)
         assert found
@@ -788,3 +803,432 @@ class TestPatternLeafCover:
         with pytest.raises(RuntimeError) as want:
             _children_leaf_cover(from_ifs(_PATTERN_IFS, NormKind.L2), 1e-3, 200)
         assert str(got.value) == str(want.value)
+
+
+class TestPatternSolidLeaves:
+    # the gap tree's leaf [0.55, 1] is wider than tol: every x in [0.55, 0.7]
+    # realizes the pattern inside it
+    GAPS = GapList1D(
+        hull=(-1.0, 1.0), gaps=((-0.2, 0.3), (-0.9, -0.6), (0.5, 0.55), (-0.5, -0.45))
+    )
+
+    def test_witnesses_inside_a_wide_leaf(self):
+        sys = from_gaps_1d(self.GAPS)
+        pts, lam, tol = [(0.0,), (1.0,), (3.0,)], 0.1, 0.01
+        found = pattern_search_oracle(sys, pts, lam, 0.002, tol)
+        inside = [x for (x,) in found if 0.55 <= x <= 0.7]
+        assert len(inside) >= 70
+        for (x,) in found:
+            for (b,) in pts:
+                # the finite-1-D oracle's distance is exact
+                assert dist_to_set((x + lam * b,), sys, tol).hi <= tol
+
+    def test_cover_distance_to_solid_nodes(self):
+        centers, radii = np.array([[0.0], [1.0]]), np.array([0.25, 0.25])
+        q = np.array([[-0.1], [0.0], [0.5], [1.0], [2.0]])
+        got = _cover_upper_dist(q, centers, radii, NormKind.LINF, np.array([True, False]))
+        # max(0, d - r) for the solid node, d + r for the other
+        assert got.tolist() == [0.0, 0.0, 0.25, 0.25, 1.25]
+
+    def test_only_childless_nodes_are_solid(self):
+        # every leaf of this tree is wider than the target radius
+        _, radii, solid = _leaf_cover(from_gaps_1d(self.GAPS), 0.01 / 8.0, 300_000)
+        assert len(solid) == 5 and solid.all()
+        # depth-6 nodes of the depth-8 Cantor tree stop at the target radius
+        _, radii, solid = _leaf_cover(_middle_thirds(8), 1e-3, 300_000)
+        assert len(solid) == 2**6 and not solid.any()
+
+    def test_cli_pattern_finds_them(self, tmp_path):
+        from thickgap import cli
+
+        spec = tmp_path / "gaps.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "norm": "linf",
+                    "dimension": 1,
+                    "generator": {
+                        "type": "gaps1d",
+                        "hull": list(self.GAPS.hull),
+                        "gaps": [list(g) for g in self.GAPS.gaps],
+                    },
+                }
+            )
+        )
+        out = tmp_path / "pattern.json"
+        argv = ["pattern", "--spec", str(spec), "--grid", "0.002", "--tol", "0.01"]
+        assert cli.main(argv + ["0.1", "0", "1", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["count"] > 0
+
+    def test_infinite_trees_have_no_solid_nodes(self):
+        for norm in (NormKind.L2, NormKind.LINF):
+            _, _, solid = _leaf_cover(from_ifs(_PATTERN_IFS, norm), 0.01, 300_000)
+            assert not solid.any()
+
+
+def test_numpy_is_imported_on_first_use():
+    import os
+    import subprocess
+    import sys
+
+    import thickgap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thickgap.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, thickgap, thickgap.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with the package'\n"
+        "from thickgap import CornerFamilyParams, corner_family, pattern_search_oracle\n"
+        "sys_ = corner_family(CornerFamilyParams(10, 0.19, 1))\n"
+        "found = pattern_search_oracle(sys_, [(0.0,), (1.0,)], 0.05, 1e-3, 1e-3)\n"
+        "assert found and 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- Alice and the referee against their block-free versions --------------------
+
+
+def _reference_referee(move, history, params):
+    """The referee's Bob branch before the shared verdict and the bound
+    kernel; its Alice branch changed only in sharing the verdict."""
+    if isinstance(move, BobMove):
+        ball = move.ball
+        if len(ball.center) != params.dimension:
+            return Verdict(False, "ball dimension does not match the game")
+        prev = next((m.ball for m in reversed(history) if isinstance(m, BobMove)), None)
+        if prev is None:
+            if ball.radius < params.rho * (1 - 1e-9):
+                return Verdict(
+                    False,
+                    f"first radius {ball.radius:.6g} is below rho {params.rho:.6g}",
+                )
+            return Verdict(True)
+        if ball.radius < params.beta * prev.radius * (1 - 1e-9):
+            return Verdict(
+                False,
+                f"radius {ball.radius:.6g} shrinks past beta * {prev.radius:.6g}",
+            )
+        gap = norm_distance(ball.center, prev.center, params.norm)
+        if gap + ball.radius > prev.radius * (1 + 1e-9):
+            return Verdict(False, "ball is not inside the previous ball")
+        return Verdict(True)
+    return referee(move, history, params)
+
+
+def _reference_h_sets(sys, word):
+    """alice_h_sets over children() Balls, computing its own hole bound."""
+    ball = sys.ball(word)
+    kids = sys.children(word)
+    h = _hole_enclosure(sys, word).hi
+    spheres = [Sphere(ball.center, ball.radius - h / 2)]
+    spheres.extend(Sphere(kid.center, kid.radius + h) for kid in kids)
+    return SphereUnion(tuple(spheres), m_bound=len(kids) + 1)
+
+
+class _ReferenceAlice(AliceStrategy):
+    """The covering strategy over children() Balls and norm_distance, with
+    the level radii recomputed on every band step."""
+
+    def _reference_level_radius(self, n):
+        if self._ratio is not None:
+            return self.sys.root.radius * self._ratio**n
+        radii = self._level_radii
+        return radii[n] if n < len(radii) else None
+
+    def band(self, radius):
+        if radius > self.sys.root.radius:
+            return None
+        for n in range(10_000):
+            below = self._reference_level_radius(n + 1)
+            if below is None:
+                return None
+            if radius >= below:
+                return n
+        raise RuntimeError("radius band search did not terminate")
+
+    def words_meeting(self, ball, level):
+        norm = self.sys.norm
+        words = [ROOT]
+        if norm_distance(self.sys.root.center, ball.center, norm) > (
+            self.sys.root.radius + ball.radius
+        ):
+            return []
+        for _ in range(level):
+            grown = []
+            for word in words:
+                for i, kid in enumerate(self.sys.children(word)):
+                    if norm_distance(kid.center, ball.center, norm) <= kid.radius + ball.radius:
+                        grown.append(word + (i,))
+            words = grown
+            if not words:
+                break
+        return words
+
+    def respond(self, ball):
+        n = self.band(ball.radius)
+        if n is None or n in self._answered:
+            return AliceMove()
+        self._answered.add(n)
+        words = self.words_meeting(ball, n)
+        if len(words) > self.kappa:
+            raise RuntimeError(
+                f"{len(words)} level-{n} balls meet the move, over the packing bound "
+                f"{self.kappa}"
+            )
+        if not words:
+            return AliceMove()
+        holes = [_hole_enclosure(self.sys, word) for word in words]
+        budget = ball.radius / self.tau
+        worst = max(h.lo for h in holes)
+        if worst > budget * (1 + 1e-9):
+            raise RuntimeError(
+                f"hole radius at least {worst:.6g} exceeds the erase budget "
+                f"{budget:.6g}; the thickness hypothesis fails here"
+            )
+        rho_erase = min(max(h.hi for h in holes), budget)
+        if rho_erase <= 0:
+            return AliceMove()
+        spheres = []
+        for word in words:
+            spheres.extend(_reference_h_sets(self.sys, word).spheres)
+        union = SphereUnion(tuple(spheres), m_bound=self.sphere_budget)
+        return AliceMove((Erasure(union, rho_erase),))
+
+
+def _meeting_only(sys, reference=False):
+    """A strategy for words_meeting alone, which reads nothing but the
+    system: built without the structure checks, so any tree will do."""
+    alice = object.__new__(_ReferenceAlice if reference else AliceStrategy)
+    alice.sys = sys
+    return alice
+
+
+def _middle_thirds(depth):
+    return from_gaps_1d(_middle_thirds_gaps(depth))
+
+
+_IFS_LINF = HomotheticIFS(
+    ((0.3, (0.65, 0.65)), (0.3, (-0.65, 0.65)), (0.3, (0.65, -0.65)), (0.3, (-0.65, -0.65)))
+)
+
+
+_IFS_LINF_1D = HomotheticIFS(((0.3, (-0.7,)), (0.3, (0.7,))))
+
+
+def _words_meeting_boards():
+    ifs = HomotheticIFS(((0.3, (-0.5, -0.4)), (0.35, (0.5, -0.4)), (0.25, (0.0, 0.6))))
+    return [
+        from_ifs(ifs, NormKind.L2),
+        from_ifs(ifs, NormKind.LINF),
+        similarity_image(from_ifs(ifs, NormKind.L2), 0.7, (0.1, 0.2)),
+        from_ifs(_IFS_LINF, NormKind.LINF),
+        from_ifs(_IFS_LINF_1D, NormKind.LINF),
+        from_gaps_1d(TestPatternSolidLeaves.GAPS),
+        translate(_middle_thirds(4), (0.25,)),
+        explicit_tree(
+            NormKind.L2,
+            2,
+            [
+                (ROOT, Ball((0.0, 0.0), 1.0)),
+                ((0,), Ball((-0.5, 0.0), 0.4)),
+                ((1,), Ball((0.5, 0.1), 0.3)),
+                ((0, 0), Ball((-0.6, 0.1), 0.1)),
+                ((0, 1), Ball((-0.3, -0.1), 0.1)),
+                ((1, 0), Ball((0.5, 0.1), 0.2)),
+            ],
+        ),
+    ]
+
+
+@st.composite
+def _corner_boards(draw):
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+    top = math.nextafter(2 / n, 0)
+    ell = draw(st.one_of(st.just(top), st.floats(0.02, 0.999).map(lambda f: f * 2 / n)))
+    base = corner_family(CornerFamilyParams(n, ell, d))
+    shift = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(d))
+    kind = draw(st.sampled_from(["family", "translate", "similarity", "chain"]))
+    if kind == "translate":
+        return translate(base, shift)
+    if kind == "similarity":
+        return similarity_image(base, draw(st.floats(0.01, 50.0)), shift)
+    if kind == "chain":
+        return translate(similarity_image(base, 0.3, shift), shift[::-1])
+    return base
+
+
+def _probe_balls(sys, data, level):
+    """Balls centred on node centres and cell corners, with radii drawn from
+    the level radii and from the distances to those points, so the test
+    dist <= r_kid + r often holds with equality."""
+    word = ROOT
+    for _ in range(data.draw(st.integers(0, level + 1))):
+        count = sys.child_count(word)
+        if not count:
+            break
+        word = word + (data.draw(st.integers(0, count - 1)),)
+    node = sys.ball(word)
+    sign = [data.draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in node.center]
+    center = tuple(c + s * node.radius for c, s in zip(node.center, sign))
+    factor = data.draw(st.sampled_from([0.5, 1.0, 2.0, 1e-3]))
+    radii = {factor * node.radius, factor * sys.root.radius}
+    kids = sys.child_block(word)
+    if kids[1]:
+        # a radius at which a child's test ties: dist(c, x) == r_kid + r
+        j = data.draw(st.integers(0, len(kids[1]) - 1))
+        gap = distance_kernel(sys.norm)(kids[0][j], center) - kids[1][j]
+        if gap > 0:
+            radii.add(gap)
+    return [Ball(center, r) for r in sorted(radii)]
+
+
+class TestAliceOverBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(sys=_corner_boards(), data=st.data())
+    def test_words_meeting_on_corner_grids(self, sys, data):
+        level = data.draw(st.integers(0, 3 if sys.dimension < 3 else 2))
+        for ball in _probe_balls(sys, data, level):
+            want = _meeting_only(sys, reference=True).words_meeting(ball, level)
+            assert _meeting_only(sys).words_meeting(ball, level) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=st.integers(0, len(_words_meeting_boards()) - 1), data=st.data())
+    def test_words_meeting_on_other_trees(self, index, data):
+        sys = _words_meeting_boards()[index]
+        level = data.draw(st.integers(0, 4))
+        for ball in _probe_balls(sys, data, level):
+            want = _meeting_only(sys, reference=True).words_meeting(ball, level)
+            assert _meeting_only(sys).words_meeting(ball, level) == want
+
+    def test_words_meeting_dimension_error_is_unchanged(self):
+        sys = quarter_corner(2)
+        with pytest.raises(ValueError) as want:
+            _meeting_only(sys, reference=True).words_meeting(Ball((0.0,), 0.5), 1)
+        with pytest.raises(ValueError) as got:
+            _meeting_only(sys).words_meeting(Ball((0.0,), 0.5), 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "make, tau, beta",
+        [
+            (lambda: quarter_corner(2), 3.0, 0.2),
+            (lambda: translate(similarity_image(ten_corner(1), 0.3, (0.5,)), (-0.1,)), 17.1, 0.1),
+            (lambda: from_ifs(_IFS_LINF, NormKind.LINF), 1.5, 0.5),
+            (lambda: _middle_thirds(5), 1.0, 0.34),
+        ],
+        ids=["corner", "corner-chain", "ifs-linf", "cantor"],
+    )
+    def test_band_at_and_around_each_level_radius(self, make, tau, beta):
+        sys = make()
+        alice = alice_strategy(sys, tau, beta)
+        reference = _ReferenceAlice(make(), tau, beta)
+        levels = [reference._reference_level_radius(n) for n in range(40)]
+        probes = [sys.root.radius * 1.5, sys.root.radius, 1e-300, 0.0]
+        for r in levels:
+            if r is not None:
+                probes += [r, math.nextafter(r, 0), math.nextafter(r, math.inf)]
+        # in order and shuffled, so the level cache is read warm and cold
+        shuffled = list(probes)
+        random.Random(0).shuffle(shuffled)
+        for r in probes + shuffled:
+            assert alice.band(r) == reference.band(r), r
+
+    @pytest.mark.parametrize(
+        "make", [lambda: quarter_corner(2), lambda: ten_corner(1), lambda: _middle_thirds(3)]
+    )
+    def test_h_sets_equal_the_reference(self, make):
+        sys = make()
+        words = [w for w, _ in sys.walk(2)]
+        for word in words:
+            try:
+                want = repr(_reference_h_sets(make(), word))
+            except ValueError as exc:  # a node too small for its hole bound
+                with pytest.raises(ValueError, match=str(exc)):
+                    alice_h_sets(sys, word)
+                continue
+            assert repr(alice_h_sets(sys, word)) == want
+
+
+def _play_both(make, bob, params, seed, max_turns):
+    """One seeded match with the current strategy and referee, then the same
+    match with the reference ones; each as a repr (or its error)."""
+
+    def one():
+        board = make()
+        try:
+            match = play(board, bob(board), params, max_turns=max_turns, seed=seed)
+        except RuntimeError as exc:
+            return repr(("error", str(exc)))
+        return repr((match.moves, match.outcome, match.classification))
+
+    got = one()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("thickgap.game.AliceStrategy", _ReferenceAlice)
+        patch.setattr("thickgap.game.referee", _reference_referee)
+        want = one()
+    return got, want
+
+
+_BOBS = [random_legal_bob, corner_seeking_bob, hole_seeking_bob]
+
+
+class TestTranscriptsEqualTheReference:
+    @settings(max_examples=60, deadline=None)
+    @given(sys=_corner_boards(), seed=st.integers(0, 2**31 - 1), bob=st.sampled_from(_BOBS))
+    def test_corner_boards(self, sys, seed, bob):
+        axis = sys.corner_axes()[0]
+        tau, beta = axis.ell / axis.g, min(max(0.2, axis.ell / 2), 0.9)
+        params = proposition_params(sys, tau, beta)
+        got, want = _play_both(lambda: sys, bob, params, seed, 200)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "make, tau, beta, max_turns",
+        [
+            (lambda: quarter_corner(2), 3.0, 0.2, 500),
+            (lambda: corner_family(CornerFamilyParams(3, 0.5, 3)), 2.0, 0.3, 500),
+            (lambda: _middle_thirds(2), 1.0, 0.34, 500),
+            (lambda: _middle_thirds(6), 1.0, 0.34, 500),
+            # a 2-D IFS answers each band with hole searches of several seconds
+            (lambda: from_ifs(_IFS_LINF_1D, NormKind.LINF), 0.75, 0.5, 60),
+        ],
+        ids=["corner4-d2", "corner3-d3", "cantor2", "cantor6", "ifs-linf-1d"],
+    )
+    def test_fixed_boards(self, make, tau, beta, max_turns):
+        params = proposition_params(make(), tau, beta)
+        for bob in _BOBS:
+            for seed in range(12):
+                got, want = _play_both(make, bob, params, seed, max_turns)
+                assert got == want, (bob.__name__, seed)
+
+    def test_referee_verdicts_equal_the_reference(self):
+        rng = random.Random(7)
+        for norm in NormKind:
+            params = GameParams(
+                alpha=1 / 3, beta=0.5, c=0.0, rho=0.3, M=5, dimension=2, norm=norm
+            )
+            for _ in range(400):
+                history = []
+                if rng.random() < 0.8:
+                    center = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    history.append(BobMove(Ball(center, rng.uniform(0.2, 1.0))))
+                    history.append(AliceMove())
+                dim = 2 if rng.random() < 0.9 else 1
+                center = tuple(rng.uniform(-1, 1) for _ in range(dim))
+                move = BobMove(Ball(center, rng.uniform(0.05, 1.0)))
+                assert referee(move, history, params) == _reference_referee(
+                    move, history, params
+                )
+            # a history ball of another dimension still fails as norm_distance did
+            history = [BobMove(Ball((0.0,), 1.0))]
+            move = BobMove(Ball((0.0, 0.0), 0.9))
+            with pytest.raises(ValueError) as want:
+                _reference_referee(move, history, params)
+            with pytest.raises(ValueError) as got:
+                referee(move, history, params)
+            assert str(got.value) == str(want.value)

@@ -434,3 +434,52 @@ def test_meet_status_builds_no_children():
     # the answer read from child counts is the one a full expansion gives
     s1.children(())
     assert gaplemma._meet_status(s1, s2, R_BENCH, 6) == status
+
+
+# the large ball case reads child blocks
+
+
+def _scale_mismatch_pair(d=1):
+    # a small copy: the located ball stays large and the bridge branch fires
+    s1 = corner_family(CornerFamilyParams(n=10, ell=0.13, d=d))
+    return s1, similarity_image(s1, 0.065 / 0.3, (0.01, -0.02)[:d])
+
+
+@pytest.mark.parametrize(
+    "make", [_scale_mismatch_pair, lambda: _scale_mismatch_pair(2)], ids=["1d", "2d"]
+)
+def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
+    bridges = []
+
+    def recording_bridge(sk, sl, r_, norm):
+        out = bridge_ball(sk, sl, r_, norm)
+        bridges.append(out)
+        return out
+
+    monkeypatch.setattr(gaplemma, "bridge_ball", recording_bridge)
+    s1, s2 = make()
+    cert = intersect(s1, s2, 0.17, 1e-6, 80)
+    # the large ball case builds no Ball tuple of children
+    assert not s1._kids and not s2._kids and not s2.generator.base._kids
+    fresh = dict(zip((1, 2), make()))
+    steps = list(zip(cert.trace, cert.trace[1:]))
+    case1 = [(prev, step) for prev, step in steps if step.case == "Case1"]
+    assert len(case1) == len(bridges) >= 1
+    for (prev, step), bridge in zip(case1, bridges):
+        parent = step.word[:-1]
+        kids = fresh[3 - step.side].children(parent)
+        want = next(i for i, kid in enumerate(kids) if ball_contains(bridge, kid, NormKind.LINF))
+        assert step.word[-1] == want
+        assert step.radius == kids[want].radius
+
+
+def test_intersect_reports_when_no_child_fits(monkeypatch):
+    def tiny_bridge(sk, sl, r_, norm):
+        return Ball(bridge_ball(sk, sl, r_, norm).center, 1e-12)
+
+    monkeypatch.setattr(gaplemma, "bridge_ball", tiny_bridge)
+    s1, s2 = _scale_mismatch_pair()
+    with pytest.raises(RuntimeError) as err:
+        intersect(s1, s2, 0.17, 1e-6, 80)
+    assert "fits in the bridge ball; the denseness hypothesis fails here" in str(err.value)
+    assert str(err.value).startswith("step ") and "no child of word" in str(err.value)

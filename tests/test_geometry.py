@@ -18,6 +18,7 @@ from thickgap.geometry import (
     distance_kernel,
     norm_distance,
     trusted_ball,
+    trusted_sphere,
 )
 
 ALL_NORMS = [NormKind.LINF, NormKind.L2, NormKind.L1]
@@ -60,6 +61,21 @@ def test_trusted_ball_equals_checked_ball():
     assert b.dimension == 2
     with pytest.raises(AttributeError):
         b.radius = 1.0
+
+
+def test_trusted_sphere_equals_checked_sphere():
+    s = trusted_sphere((0.5, -0.25), 0.125)
+    assert s == Sphere((0.5, -0.25), 0.125) and hash(s) == hash(Sphere((0.5, -0.25), 0.125))
+    assert repr(s) == repr(Sphere((0.5, -0.25), 0.125))
+    with pytest.raises(AttributeError):
+        s.radius = 1.0
+    # the radius keeps Sphere's check and error
+    for bad in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError) as want:
+            Sphere((0.0,), bad)
+        with pytest.raises(ValueError) as got:
+            trusted_sphere((0.0,), bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_norm_distance_examples():
