@@ -8,7 +8,8 @@ intersections generate a compact set C. Generators:
   homothetic IFS    node at word (i1..ik) is the composed map image of the root
   1-D gap list      finite binary tree obtained by splitting at listed gaps
   explicit tree     caller-supplied finite node table
-  transforms        translate / similarity / inflated smooth-map image of a base
+  transforms        similarity (a translate is one of scale 1) / inflated
+                    smooth-map image of a base
 
 Trees are expanded lazily and memoized. Each generator has one per-child
 formula on plain floats: the parent's center and radius in, the child's out.
@@ -107,6 +108,11 @@ class HomotheticIFS:
     def child_count(self) -> int:
         return len(self.maps)
 
+    @property
+    def child_ratios(self) -> Tuple[float, ...]:
+        """Child/parent radius ratios, the same at every node."""
+        return tuple(lam for lam, _ in self.maps)
+
     def child(self, center: Point, radius: float, j: int) -> Tuple[Point, float]:
         """Center and radius of the image of the node ball under map j."""
         lam, t = self.maps[j]
@@ -116,6 +122,11 @@ class HomotheticIFS:
         """The checked child block of the node ball, child by child."""
         child = self.child
         return _checked_block([child(center, radius, j) for j in range(len(self.maps))])
+
+
+def corner_gap(n: int, ell: float) -> float:
+    """Gap between neighbouring cells of a corner axis: n*ell + (n-1)*g = 2."""
+    return (2 - n * ell) / (n - 1)
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,16 @@ class CornerFamilyParams:
 
     @property
     def g(self) -> float:
-        # derived gap; n*ell + (n-1)*g = 2
-        return (2 - self.n * self.ell) / (self.n - 1)
+        return corner_gap(self.n, self.ell)
 
     @property
     def child_count(self) -> int:
         return self.n**self.d
+
+    @property
+    def child_ratios(self) -> Tuple[float, ...]:
+        """Child/parent radius ratios, the same at every node."""
+        return (self.ell / 2,) * self.child_count
 
     def child(self, center: Point, radius: float, j: int) -> Tuple[Point, float]:
         """Center and radius of sub-cube j of the node ball; axis i takes digit
@@ -204,7 +219,7 @@ class ExplicitTree:
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    kind: str  # translate | similarity | perturbed
+    kind: str  # similarity | perturbed
     base: "BallSystem"
     shift: Optional[Point] = None
     scale: float = 1.0
@@ -334,17 +349,12 @@ class BallSystem:
             if gen.kind == "perturbed":
                 return False
             gen = gen.base.generator
-        return isinstance(gen, (CornerFamilyParams, HomotheticIFS))
+        return hasattr(gen, "child_ratios")
 
     def child_ratios(self) -> Optional[Tuple[float, ...]]:
         """Child/parent radius ratios, identical at every node, if the system has them."""
         # transforms rescale every radius by one factor, so ratios pass through
-        gen = self.base_generator()
-        if isinstance(gen, CornerFamilyParams):
-            return (gen.ell / 2,) * (gen.n**gen.d)
-        if isinstance(gen, HomotheticIFS):
-            return tuple(lam for lam, _ in gen.maps)
-        return None
+        return getattr(self.base_generator(), "child_ratios", None)
 
     def uniform_level_ratio(self) -> Optional[float]:
         ratios = self.child_ratios()
@@ -356,14 +366,14 @@ class BallSystem:
 
     def _corner_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
         """The corner family under a Linf system that is one or an image of one
-        under translates and similarities, with those maps outermost first."""
+        under similarities, with those maps outermost first."""
         if self.norm is not NormKind.LINF:
             return None
         maps = []
         core = self
         while isinstance(core.generator, TransformedSystem):
             t = core.generator
-            if t.kind not in ("translate", "similarity"):
+            if t.kind != "similarity":
                 return None
             maps.append(t)
             core = t.base
@@ -391,8 +401,7 @@ class BallSystem:
         shift = [0.0] * self.dimension
         for t in maps:
             shift = [s + scale * v for s, v in zip(shift, t.shift)]
-            if t.kind == "similarity":
-                scale = scale * t.scale
+            scale = scale * t.scale
         gen = core.generator
         return tuple(
             CornerAxis(gen.n, gen.ell, offset=shift[i], scale=scale)
@@ -417,11 +426,8 @@ class BallSystem:
         parent = core.ball(word)
         axes, radius = core.generator.child_axes(parent.center, parent.radius)
         for t in reversed(maps):
-            if t.kind == "translate":
-                axes = [tuple(x + v for x in row) for row, v in zip(axes, t.shift)]
-            else:
-                axes = [tuple(t.scale * x + w for x in row) for row, w in zip(axes, t.shift)]
-                radius = t.scale * radius
+            axes = [tuple(t.scale * x + w for x in row) for row, w in zip(axes, t.shift)]
+            radius = t.scale * radius
         return tuple(axes), radius
 
     def siblings_disjoint_at_root(self) -> bool:
@@ -495,8 +501,6 @@ class BallSystem:
     @staticmethod
     def _map_node(center: Point, radius: float, t: TransformedSystem) -> Tuple[Point, float]:
         """The transform's image of one node ball, as center and radius."""
-        if t.kind == "translate":
-            return tuple([c + v for c, v in zip(center, t.shift)]), radius
         if t.kind == "similarity":
             return tuple([t.scale * c + w for c, w in zip(center, t.shift)]), t.scale * radius
         if t.kind == "perturbed":
@@ -543,7 +547,7 @@ class CornerAxis:
 
     @property
     def g(self) -> float:
-        return (2 - self.n * self.ell) / (self.n - 1)
+        return corner_gap(self.n, self.ell)
 
 
 def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
@@ -582,7 +586,7 @@ def _corner_block(axes: Sequence[Tuple[float, ...]], radius: float) -> Block:
 
 @functools.lru_cache(maxsize=64)
 def _corner_axis_offsets(n: int, ell: float) -> Tuple[float, ...]:
-    g = (2 - n * ell) / (n - 1)
+    g = corner_gap(n, ell)
     return tuple(-1 + ell / 2 + k * (ell + g) for k in range(n))
 
 
@@ -723,18 +727,9 @@ def explicit_tree(
 
 
 def translate(sys: BallSystem, v: Sequence[float]) -> BallSystem:
-    v = as_point(v)
-    if len(v) != sys.dimension:
-        raise ValueError("translation vector dimension mismatch")
-    gen = TransformedSystem(kind="translate", base=sys, shift=v)
-    root = BallSystem._map_ball(sys.root, gen)
-    out = BallSystem(sys.norm, sys.dimension, root, gen, sys.max_children, sys.decay)
-    out._finite_children = sys._finite_children
-    if sys._finite_children is not None:
-        out._balls.update(
-            {w: BallSystem._map_ball(b, gen) for w, b in sys._balls.items()}
-        )
-    return out
+    """The image of sys under x -> x + v, a similarity of scale 1: 1.0 * x
+    is x, so its nodes are those of a plain shift bit for bit."""
+    return similarity_image(sys, 1.0, v)
 
 
 def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> BallSystem:

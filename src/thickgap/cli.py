@@ -34,7 +34,7 @@ from .gaplemma import (
     distance_interval,
     intersect,
 )
-from .geometry import Ball, NormKind, Point
+from .geometry import Ball, NormKind, Point, vector_size
 from .dimension import dim_lower_bound
 from .metrics import thickness
 
@@ -76,7 +76,6 @@ class RunConfig:
     K1: Optional[float] = None
     K2: Optional[float] = None
     seed: int = 0
-    threads: int = 1
     out: Optional[str] = None
 
 
@@ -145,7 +144,7 @@ def _config(args: argparse.Namespace, **extra) -> RunConfig:
 
 def _cmd_thickness(args: argparse.Namespace) -> int:
     sys = _load_system(args.spec)
-    report = thickness(sys, args.depth, args.tol, threads=args.threads)
+    report = thickness(sys, args.depth, args.tol)
     payload = {
         "config": _config(args),
         "tau": {
@@ -265,12 +264,7 @@ def _direction_sample(sys: BallSystem, count: int, seed: int) -> List[Point]:
 
 
 def _normalize(v: Sequence[float], norm: NormKind) -> Point:
-    if norm is NormKind.LINF:
-        size = max(abs(x) for x in v)
-    elif norm is NormKind.L2:
-        size = math.sqrt(math.fsum(x * x for x in v))
-    else:
-        size = math.fsum(abs(x) for x in v)
+    size = vector_size(v, norm)
     return tuple(x / size for x in v)
 
 
@@ -343,9 +337,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
     rho = args.rho if args.rho is not None else base.rho
     params = dataclasses.replace(base, alpha=args.alpha, c=args.c, rho=rho)
     seeds = range(args.seed, args.seed + args.games)
-    results = play_batch(
-        sys, random_legal_bob(sys), params, seeds, threads=args.threads
-    )
+    results = play_batch(sys, random_legal_bob(sys), params, seeds)
     violations = 0
     outcomes = []
     tally: dict = {}
@@ -467,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("--spec", required=True, help="set-spec JSON path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("thickness", help="certified thickness enclosure")

@@ -15,24 +15,27 @@ used to produce it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
-from .ballsystem import ROOT, BallSystem, CornerFamilyParams, Word
+from .ballsystem import ROOT, BallSystem, Word
 from .geometry import (
     Ball,
     NormKind,
     Point,
     Sphere,
     SphereUnion,
+    balls_disjoint,
     dist_point_sphere,
     distance_kernel,
     norm_distance,
+    row_norms,
     trusted_sphere,
+    vector_size,
 )
 from .metrics import _corner1d_dist_batch, dist_to_set, hole_radius
 
@@ -285,15 +288,10 @@ class AliceStrategy:
             ratio = sys.uniform_level_ratio()
             if ratio is None:
                 raise ValueError("children radii differ within a level")
-            kids = sys.children(ROOT)
-            self.n0 = len(kids)
-            if not isinstance(sys.base_generator(), CornerFamilyParams):
-                # equal-ratio maps: first-level separation propagates down
-                for i in range(len(kids)):
-                    for j in range(i + 1, len(kids)):
-                        gap = norm_distance(kids[i].center, kids[j].center, sys.norm)
-                        if gap <= kids[i].radius + kids[j].radius:
-                            raise ValueError("first-level balls overlap")
+            self.n0 = sys.child_count(ROOT)
+            # equal-ratio maps: first-level separation propagates down
+            if not sys.siblings_disjoint_at_root():
+                raise ValueError("first-level balls overlap")
             self._ratio = ratio
             self._level_radii = [sys.root.radius]
             return ratio
@@ -311,12 +309,10 @@ class AliceStrategy:
             top = max(ball.radius for ball in level)
             if top - min(ball.radius for ball in level) > 1e-12 * top:
                 raise ValueError(f"level {depth} has unequal radii")
-            if depth > 0:
-                for i in range(len(level)):
-                    for j in range(i + 1, len(level)):
-                        gap = norm_distance(level[i].center, level[j].center, sys.norm)
-                        if gap <= level[i].radius + level[j].radius:
-                            raise ValueError(f"level {depth} balls overlap")
+            if depth > 0 and not all(
+                balls_disjoint(a, b, sys.norm) for a, b in itertools.combinations(level, 2)
+            ):
+                raise ValueError(f"level {depth} balls overlap")
             radii.append(top)
             grown: List[Tuple[Word, Ball]] = []
             for word, _ in frontier:
@@ -468,7 +464,7 @@ def _random_offset(span: float, d: int, norm: NormKind, rng: random.Random) -> P
     if norm is NormKind.LINF:
         return tuple(span * (2 * rng.random() - 1) for _ in range(d))
     raw = [rng.gauss(0.0, 1.0) for _ in range(d)]
-    size = math.sqrt(math.fsum(v * v for v in raw)) or 1.0
+    size = vector_size(raw, norm) or 1.0
     reach = span * rng.random()
     return tuple(reach * v / size for v in raw)
 
@@ -608,13 +604,9 @@ def play_batch(
     seeds: Sequence[int],
     *,
     max_turns: int = 500,
-    threads: int = 1,
 ) -> List[GameTranscript]:
     """Replayable batch: each seed yields the same transcript every time."""
-    if threads <= 1:
-        return [play(sys, bob, params, max_turns, seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: play(sys, bob, params, max_turns, s), seeds))
+    return [play(sys, bob, params, max_turns, seed) for seed in seeds]
 
 
 def transcript_to_jsonl(transcript: GameTranscript) -> str:
@@ -889,11 +881,7 @@ def _cover_upper_dist(
     out = np.empty(len(queries))
     block = max(1, 4_000_000 // max(len(centers), 1))
     for start in range(0, len(queries), block):
-        diff = np.abs(queries[start : start + block, None, :] - centers[None, :, :])
-        if norm is NormKind.LINF:
-            dist = diff.max(axis=2)
-        else:
-            dist = np.sqrt((diff**2).sum(axis=2))
+        dist = row_norms(queries[start : start + block, None, :] - centers[None, :, :], norm)
         out[start : start + block] = (dist + offset[None, :]).min(axis=1)
     # d + r > 0 for the other nodes, so the clamp changes only solid ones
     return np.maximum(out, 0.0, out=out)

@@ -65,6 +65,30 @@ def distance_kernel(norm: NormKind) -> Callable[[Sequence[float], Sequence[float
         raise ValueError(f"unsupported norm {norm!r}") from None
 
 
+def vector_size(v: Sequence[float], norm: NormKind) -> float:
+    """Size of the vector v in the norm.
+
+    The L2 form squares by x * x; the distance kernel's ** 2 differs from
+    it in the last bit on some inputs, so the two are not interchangeable.
+    """
+    if norm is NormKind.LINF:
+        return max(map(abs, v))
+    if norm is NormKind.L2:
+        return math.sqrt(math.fsum([x * x for x in v]))
+    return math.fsum(map(abs, v))
+
+
+def row_norms(arr: np.ndarray, norm: NormKind) -> np.ndarray:
+    """Norm of every vector along the last axis of a numpy array."""
+    import numpy as np
+
+    if norm is NormKind.LINF:
+        return np.abs(arr).max(axis=-1)
+    if norm is NormKind.L2:
+        return np.sqrt((arr * arr).sum(axis=-1))
+    return np.abs(arr).sum(axis=-1)
+
+
 def norm_distance(p: Sequence[float], q: Sequence[float], norm: NormKind) -> float:
     """Distance from p to q in the given norm."""
     _require_same_dim(p, q)

@@ -14,7 +14,6 @@ import heapq
 import itertools
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,6 +27,8 @@ from .geometry import (
     dist_point_ball,
     distance_kernel,
     norm_distance,
+    row_norms,
+    vector_size,
 )
 from .ballsystem import (
     DEFAULT_NODE_BUDGET,
@@ -36,6 +37,7 @@ from .ballsystem import (
     CornerAxis,
     TransformedSystem,
     Word,
+    corner_gap,
 )
 
 _MAX_RECORDS = 64
@@ -88,7 +90,7 @@ def _corner1d_dist(y: float, n: int, ell: float, max_levels: int = 80) -> Tuple[
     max_levels levels get the enclosure [0, 2*remaining scale].
     """
     half = ell / 2
-    step = ell + (2 - n * ell) / (n - 1)
+    step = ell + corner_gap(n, ell)
     scale = 1.0
     for _ in range(max_levels):
         t = math.floor((y - (-1 + half)) / step)
@@ -131,7 +133,7 @@ def _corner1d_dist_batch(
     import numpy as np
 
     half = ell / 2
-    step = ell + (2 - n * ell) / (n - 1)
+    step = ell + corner_gap(n, ell)
     ya = np.array(ys, dtype=float).ravel()
     lo = np.zeros_like(ya)
     hi = np.zeros_like(ya)
@@ -309,16 +311,6 @@ def dist_to_set(
 # -- hole radius ---------------------------------------------------------------
 
 
-def _box_corner_reach(lo: Sequence[float], hi: Sequence[float], rep: Point, norm: NormKind) -> float:
-    """max over the box of ||x - rep|| in the given norm."""
-    per_axis = [max(abs(h - r), abs(r - l)) for l, h, r in zip(lo, hi, rep)]
-    if norm is NormKind.LINF:
-        return max(per_axis)
-    if norm is NormKind.L2:
-        return math.sqrt(math.fsum(a * a for a in per_axis))
-    return math.fsum(per_axis)
-
-
 def _clamp_into_ball(q: Point, region: Ball, norm: NormKind) -> Point:
     d = norm_distance(q, region.center, norm)
     if d <= region.radius:
@@ -351,7 +343,6 @@ def _hole_bnb(
     word: Word,
     tol: float,
     node_budget: int,
-    threads: int = 1,
 ) -> IntervalBound:
     """Maximize dist(x, C) over the node ball by subdividing into sub-boxes.
 
@@ -372,8 +363,9 @@ def _hole_bnb(
                 return None  # box misses the node ball entirely
             q = _clamp_into_ball(q, region, norm)
         f = oracle.enclosure(q, ftol, node_budget)
-        ub = f.hi + _box_corner_reach(lo, hi, q, norm)
-        return f.lo, ub, f.converged
+        # the farthest box corner from q bounds how far the box reaches
+        reach = vector_size([max(abs(h - c), abs(c - l)) for l, h, c in zip(lo, hi, q)], norm)
+        return f.lo, f.hi + reach, f.converged
 
     box_lo = tuple(c - region.radius for c in region.center)
     box_hi = tuple(c + region.radius for c in region.center)
@@ -383,40 +375,24 @@ def _hole_bnb(
     # max-heap on the box upper bound; ties resolved by the smallest box corner
     heap = [(-first[1], box_lo, box_hi)]
     expansions = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while heap:
-            neg_ub, lo_t, hi_t = heap[0]
-            upper = -neg_ub
-            if upper - lower <= tol:
-                return IntervalBound(lower, upper, tol, converged_all)
-            if expansions >= node_budget:
-                return IntervalBound(lower, upper, tol, False)
-            batch = []
-            while heap and len(batch) < max(1, threads):
-                neg_ub, lo_t, hi_t = heapq.heappop(heap)
-                if -neg_ub - lower <= tol:
-                    heapq.heappush(heap, (neg_ub, lo_t, hi_t))
-                    break
-                batch.extend(_split_box(lo_t, hi_t, norm))
-                expansions += 1
-            if not batch:
+    while heap:
+        upper = -heap[0][0]
+        if upper - lower <= tol:
+            return IntervalBound(lower, upper, tol, converged_all)
+        if expansions >= node_budget:
+            return IntervalBound(lower, upper, tol, False)
+        _, lo_t, hi_t = heapq.heappop(heap)
+        expansions += 1
+        for nl, nh in _split_box(lo_t, hi_t, norm):
+            res = evaluate(nl, nh)
+            if res is None:
                 continue
-            results = pool.map(lambda b: evaluate(*b), batch) if pool else (
-                evaluate(*b) for b in batch
-            )
-            for (nl, nh), res in zip(batch, results):
-                if res is None:
-                    continue
-                flo, ub, conv = res
-                converged_all = converged_all and conv
-                if flo > lower:
-                    lower = flo
-                if ub > lower:
-                    heapq.heappush(heap, (-ub, nl, nh))
-    finally:
-        if pool:
-            pool.shutdown(wait=False)
+            flo, ub, conv = res
+            converged_all = converged_all and conv
+            if flo > lower:
+                lower = flo
+            if ub > lower:
+                heapq.heappush(heap, (-ub, nl, nh))
     return IntervalBound(lower, lower, tol, converged_all)
 
 
@@ -430,7 +406,6 @@ def hole_radius(
     tol: float,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> IntervalBound:
     """Certified enclosure of h_I = max over S_I of dist(x, C).
 
@@ -443,16 +418,23 @@ def hole_radius(
         ball = sys.ball(tuple(word))
     except KeyError as exc:
         raise ValueError(f"word {word!r} names no node") from exc
-    axes = sys.corner_axes()
-    if axes is not None:
-        return _pad_iv(axes[0].g / 2 * ball.radius, tol)
-    if sys.is_finite and sys.dimension == 1:
-        ivs = sys.leaf_intervals()
-        starts = [iv[0] for iv in ivs]
-        ends = [iv[1] for iv in ivs]
+    h = _exact_hole(sys, ball, tol)
+    if h is not None:
+        return h
+    return _hole_bnb(sys, tuple(word), tol, node_budget)
+
+
+def _exact_hole(sys: BallSystem, ball: Ball, tol: float) -> Optional[IntervalBound]:
+    """The hole radius of a node ball where a closed form gives it: g/2
+    times the radius on corner images, the farthest point from the leaf
+    intervals on finite 1-D trees; None on every other system."""
+    oracle = _oracle(sys)
+    if oracle.mode == "corner":
+        return _pad_iv(oracle.axes[0].g / 2 * ball.radius, tol)
+    if oracle.mode == "finite1d":
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
-        return _pad_iv(_finite1d_hole(starts, ends, a, b), tol)
-    return _hole_bnb(sys, tuple(word), tol, node_budget, threads=threads)
+        return _pad_iv(_finite1d_hole(oracle.starts, oracle.ends, a, b), tol)
+    return None
 
 
 # -- thickness ------------------------------------------------------------------
@@ -470,7 +452,6 @@ def thickness(
     tol: float,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> ThicknessReport:
     """Enclosure of the infimum over nodes of (min child radius)/h_I.
 
@@ -490,16 +471,16 @@ def thickness(
         return _thickness_finite(sys, depth, tol)
     gen = sys.generator
     if isinstance(gen, TransformedSystem) and gen.kind == "perturbed":
-        return _thickness_perturbed(sys, gen, depth, tol, node_budget, threads)
+        return _thickness_perturbed(sys, gen, depth, tol, node_budget)
     if sys.is_homothetic():
-        return _thickness_homothetic(sys, depth, tol, node_budget, threads)
-    return _thickness_generic(sys, depth, tol, node_budget, threads)
+        return _thickness_homothetic(sys, depth, tol, node_budget)
+    return _thickness_generic(sys, depth, tol, node_budget)
 
 
 def _thickness_corner(sys: BallSystem, axis: CornerAxis, depth: int, tol: float) -> ThicknessReport:
     tau = axis.ell / axis.g
     R = sys.root.radius
-    h = _pad_iv(axis.g / 2 * R, tol)
+    h = _exact_hole(sys, sys.root, tol)
     rec = NodeThicknessRecord(ROOT, axis.ell / 2 * R, h, _pad_iv(tau, tol))
     return ThicknessReport(
         overall=_pad_iv(tau, tol),
@@ -513,10 +494,7 @@ def _thickness_corner(sys: BallSystem, axis: CornerAxis, depth: int, tol: float)
 
 def _thickness_finite(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     if sys.dimension != 1:
-        return _thickness_generic(sys, depth, tol, DEFAULT_NODE_BUDGET, 1)
-    ivs = sys.leaf_intervals()
-    starts = [iv[0] for iv in ivs]
-    ends = [iv[1] for iv in ivs]
+        return _thickness_generic(sys, depth, tol, DEFAULT_NODE_BUDGET)
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
     deeper_internal = False
@@ -527,10 +505,7 @@ def _thickness_finite(sys: BallSystem, depth: int, tol: float) -> ThicknessRepor
         if len(word) > depth:
             deeper_internal = True
             continue
-        a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
-        h_val = _finite1d_hole(starts, ends, a, b)
-        h = _pad_iv(h_val, tol)
-        rec = _record(word, min(k.radius for k in kids), h, tol)
+        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, ball, tol), tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
         if len(records) < _MAX_RECORDS:
@@ -553,17 +528,17 @@ def _thickness_finite(sys: BallSystem, depth: int, tol: float) -> ThicknessRepor
 
 
 def _thickness_homothetic(
-    sys: BallSystem, depth: int, tol: float, node_budget: int, threads: int
+    sys: BallSystem, depth: int, tol: float, node_budget: int
 ) -> ThicknessReport:
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
-    rough = _hole_bnb(sys, ROOT, R / 64, node_budget, threads)
+    rough = _hole_bnb(sys, ROOT, R / 64, node_budget)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = _hole_bnb(sys, ROOT, target, node_budget, threads)
+            h = _hole_bnb(sys, ROOT, target, node_budget)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     return ThicknessReport(
@@ -612,7 +587,6 @@ def _thickness_perturbed(
     depth: int,
     tol: float,
     node_budget: int,
-    threads: int,
 ) -> ThicknessReport:
     base = gen.base
     eps = gen.eps
@@ -622,10 +596,10 @@ def _thickness_perturbed(
         g = base_axes[0].g
         hrel_hi = g / 2 * (1 + _REL_PAD)
     elif base.is_homothetic():
-        hb = _hole_bnb(base, ROOT, base.root.radius * 1e-3, node_budget, threads=threads)
+        hb = _hole_bnb(base, ROOT, base.root.radius * 1e-3, node_budget)
         hrel_hi = hb.hi / base.root.radius
     else:
-        return _thickness_generic(sys, depth, tol, node_budget, threads)
+        return _thickness_generic(sys, depth, tol, node_budget)
     lam_min = min(ratios)
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
     h_lo = _sample_hole_lower(sys, node_budget)
@@ -648,7 +622,7 @@ def _thickness_perturbed(
 
 
 def _thickness_generic(
-    sys: BallSystem, depth: int, tol: float, node_budget: int, threads: int
+    sys: BallSystem, depth: int, tol: float, node_budget: int
 ) -> ThicknessReport:
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
@@ -664,7 +638,7 @@ def _thickness_generic(
             truncated = True
             break
         examined += 1
-        h = _hole_bnb(sys, word, max(tol, 1e-9) * _ball.radius, node_budget, threads)
+        h = _hole_bnb(sys, word, max(tol, 1e-9) * _ball.radius, node_budget)
         converged = converged and h.converged
         rec = _record(word, min(k.radius for k in kids), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
@@ -699,7 +673,7 @@ def _dense1d_corner_decide(n: int, ell: float, r: float) -> Tuple[bool, float]:
     maxima of the distance-to-nearest-center profile, all of height
     (ell+g)/2), so the condition collapses to the closed threshold.
     """
-    g = (2 - n * ell) / (n - 1)
+    g = corner_gap(n, ell)
     if r >= ell + g / 2:
         return True, 0.0
     if r < ell / 2:
@@ -842,18 +816,18 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
         pts = np.stack([g.ravel() for g in grids], axis=1)
         if norm is not NormKind.LINF:
             # restrict to points near the feasible center region
-            norms = _np_norm(pts, norm)
+            norms = row_norms(pts, norm)
             pts = pts[norms <= avail + margin]
         contain_full = np.zeros(len(pts), dtype=bool)
         contain_margin = np.zeros(len(pts), dtype=bool)
         for i in range(len(kids)):
-            dist_i = _np_norm(pts - rel_centers[i], norm) + rel_radii[i]
+            dist_i = row_norms(pts - rel_centers[i], norm) + rel_radii[i]
             contain_full |= dist_i <= r
             contain_margin |= dist_i <= r - margin
         if not contain_full.all():
             bad = int(np.flatnonzero(~contain_full)[0])
             c_rel = pts[bad]
-            if norm is NormKind.LINF or _np_norm(c_rel[None, :], norm)[0] <= avail:
+            if norm is NormKind.LINF or row_norms(c_rel, norm) <= avail:
                 center = tuple(ball.center[i] + ball.radius * c_rel[i] for i in range(sys.dimension))
                 witness = Ball(center, r * ball.radius)
                 if _verify_refutation(sys, word, witness):
@@ -869,12 +843,3 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
             )
     return DensenessReport(r, "proven", None, grid_step, "grid")
 
-
-def _np_norm(arr: np.ndarray, norm: NormKind) -> np.ndarray:
-    import numpy as np
-
-    if norm is NormKind.LINF:
-        return np.abs(arr).max(axis=1)
-    if norm is NormKind.L2:
-        return np.sqrt((arr * arr).sum(axis=1))
-    return np.abs(arr).sum(axis=1)

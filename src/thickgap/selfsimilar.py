@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .ballsystem import DEFAULT_NODE_BUDGET, HomotheticIFS
+from .ballsystem import DEFAULT_NODE_BUDGET, CornerFamilyParams, HomotheticIFS
 from .geometry import IntervalBound, NormKind, Point, norm_distance
 
 
@@ -45,13 +45,7 @@ class HomotheticBounds:
 
 def corner_stats(n: int, ell: float, d: int = 1) -> CornerStats:
     """Gap width, thickness, and denseness radius of the corner family."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 < ell < 2 / n:
-        raise ValueError("ell must lie in (0, 2/n)")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    g = (2 - n * ell) / (n - 1)
+    g = CornerFamilyParams(n, ell, d).g  # the family's checks on n, ell and d
     tau = ell * (n - 1) / (2 - n * ell)
     r_dense = ell + g / 2
     return CornerStats(n, ell, d, g, tau, r_dense)

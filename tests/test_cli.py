@@ -330,6 +330,17 @@ class TestGameCommand:
         a["config"].pop("out"), b["config"].pop("out")
         assert a == b
 
+    def test_corner_board_with_touching_children_is_an_input_error(self, tmp_path, capsys):
+        # the largest float ell below 2/5: neighbouring float children touch
+        spec = tmp_path / "touching.json"
+        ell = math.nextafter(2 / 5, 0)
+        spec.write_text(json.dumps(
+            {"norm": "linf", "dimension": 2, "generator": {"type": "corner", "n": 5, "ell": ell}}
+        ))
+        argv = ["game", "--spec", str(spec), "--alpha", "0.5", "--beta", "0.5", "--games", "1"]
+        assert cli.main(argv) == 2
+        assert "first-level balls overlap" in capsys.readouterr().err
+
 
 class TestDims:
     def test_formula_value_and_caveat(self, tmp_path):

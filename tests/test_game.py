@@ -67,6 +67,11 @@ from thickgap.geometry import (
 )
 from thickgap.metrics import _corner1d_dist_batch, dist_to_set
 
+# 2-D L1 IFS: four maps of ratio 0.3 pushed 0.65 along each half-axis
+_IFS_L1 = HomotheticIFS(
+    ((0.3, (0.65, 0.0)), (0.3, (-0.65, 0.0)), (0.3, (0.0, 0.65)), (0.3, (0.0, -0.65)))
+)
+
 
 def quarter_corner(d: int):
     return corner_family(CornerFamilyParams(4, 2.0 / 5.0, d))
@@ -333,9 +338,10 @@ class TestPlay:
         two = play(sys, bob, params, seed=11)
         assert transcript_to_jsonl(one) == transcript_to_jsonl(two)
         assert one.classification == two.classification
-        serial = play_batch(sys, bob, params, range(8))
-        parallel = play_batch(sys, bob, params, range(8), threads=2)
-        for a, b in zip(serial, parallel):
+        batch = play_batch(sys, bob, params, range(8))
+        assert len(batch) == 8
+        for seed, a in enumerate(batch):
+            b = play(sys, bob, params, seed=seed)
             assert transcript_to_jsonl(a) == transcript_to_jsonl(b)
             assert a.classification == b.classification
 
@@ -1183,6 +1189,11 @@ class TestTranscriptsEqualTheReference:
     def test_corner_boards(self, sys, seed, bob):
         axis = sys.corner_axes()[0]
         tau, beta = axis.ell / axis.g, min(max(0.2, axis.ell / 2), 0.9)
+        if not sys.siblings_disjoint_at_root():
+            # float children that touch break the hypotheses: no match is played
+            with pytest.raises(ValueError, match="first-level balls overlap"):
+                proposition_params(sys, tau, beta)
+            return
         params = proposition_params(sys, tau, beta)
         got, want = _play_both(lambda: sys, bob, params, seed, 200)
         assert got == want
@@ -1232,3 +1243,58 @@ class TestTranscriptsEqualTheReference:
             with pytest.raises(ValueError) as got:
                 referee(move, history, params)
             assert str(got.value) == str(want.value)
+
+
+class TestL1Boards:
+    def test_pattern_witnesses_are_within_tol_in_the_l1_norm(self):
+        sys = from_ifs(_IFS_L1, NormKind.L1)
+        tol = 0.02
+        witnesses = pattern_search_oracle(sys, [(0.0, 0.0)], 0.1, 0.01, tol)
+        assert witnesses
+        for w in witnesses:
+            assert dist_to_set(w, sys, 1e-6).lo <= tol, w
+
+    def test_random_bob_moves_are_legal_in_the_l1_norm(self):
+        sys = from_ifs(_IFS_L1, NormKind.L1)
+        params = GameParams(alpha=1 / 3, beta=0.5, c=0.0, rho=0.3, M=5, dimension=2, norm=NormKind.L1)
+        bob = random_legal_bob(sys)
+        for seed in range(200):
+            rng = random.Random(seed)
+            history = []
+            prev = None
+            for _ in range(10):
+                prev = bob(prev, params, rng)
+                move = BobMove(prev)
+                assert referee(move, history, params).legal, (seed, len(history))
+                history += [move, AliceMove()]
+
+    def test_l2_draws_are_unchanged(self):
+        # the L2 offset is still the draw over sqrt(fsum(v * v))
+        sys = from_ifs(_IFS_L1, NormKind.L2)
+        params = GameParams(alpha=1 / 3, beta=0.5, c=0.0, rho=0.3, M=5, dimension=2, norm=NormKind.L2)
+        rng, mirror = random.Random(3), random.Random(3)
+        prev = None
+        for _ in range(20):
+            ball = random_legal_bob(sys)(prev, params, rng)
+            if prev is None:
+                radius = params.rho + (sys.root.radius - params.rho) * mirror.random()
+                span = (sys.root.radius - radius) * 0.999
+                base = sys.root.center
+            else:
+                radius = prev.radius * (0.5 + (0.9 - 0.5) * mirror.random())
+                span = (prev.radius - radius) * 0.999
+                base = prev.center
+            raw = [mirror.gauss(0.0, 1.0) for _ in range(2)]
+            size = math.sqrt(math.fsum(v * v for v in raw))
+            reach = span * mirror.random()
+            want = tuple(c + reach * v / size for c, v in zip(base, raw))
+            assert ball == Ball(want, radius)
+            prev = ball
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 10, 11, 12])
+def test_corner_board_with_touching_float_children_is_rejected(n):
+    sys = corner_family(CornerFamilyParams(n, math.nextafter(2 / n, 0), 2))
+    assert not sys.siblings_disjoint_at_root()
+    with pytest.raises(ValueError, match="first-level balls overlap"):
+        AliceStrategy(sys, 1.0, 0.5)

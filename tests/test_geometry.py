@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import (
@@ -159,6 +159,11 @@ def test_ball_contains_examples():
         )
     )
 )
+# subnormal directions: t * r * d rounds up to the next subnormal before the
+# division by the norm, and squares of tiny L2 components underflow, so an
+# unscaled direction can put the sample point outside the inner ball
+@example(args=((0.0,), 0.75, (0.0,), 0.75, [(1.0, 5e-324)]))
+@example(args=((0.0, 0.0), 1.0, (0.0, 0.0), 1.0, [(1.0, 1e-160, 1e-170)]))
 def test_containment_implies_membership(args):
     oc, orad, ic, irad, samples = args
     for norm in ALL_NORMS:
@@ -166,12 +171,14 @@ def test_containment_implies_membership(args):
         if not ball_contains(outer, inner, norm):
             continue
         for t, *direction in samples:
-            n = norm_distance(direction, (0.0,) * len(direction), norm)
-            if n == 0:
+            m = max(map(abs, direction))
+            if m == 0:
                 p = inner.center
             else:
+                unit = [d / m for d in direction]
+                n = norm_distance(unit, (0.0,) * len(unit), norm)
                 p = tuple(
-                    c + t * inner.radius * d / n for c, d in zip(inner.center, direction)
+                    c + t * inner.radius * (u / n) for c, u in zip(inner.center, unit)
                 )
             assert dist_point_ball(p, outer, norm) <= 1e-9 * (1 + outer.radius)
 

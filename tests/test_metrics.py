@@ -558,16 +558,6 @@ def test_dist_oracle_built_once_per_system(monkeypatch):
     assert _oracle(sys) is _oracle(sys) and _oracle(sys).mode == "finite"
 
 
-def test_thickness_threads_match_sequential_on_l2_ifs():
-    maps = ((0.3, (-0.45, -0.45)), (0.3, (-0.45, 0.45)), (0.3, (0.45, -0.45)), (0.3, (0.45, 0.45)))
-    reports = [
-        thickness(from_ifs(HomotheticIFS(maps), NormKind.L2), 3, 1e-6, threads=threads)
-        for threads in (1, 2)
-    ]
-    assert repr(reports[0]) == repr(reports[1])
-    assert reports[0].overall.converged
-
-
 def test_queried_system_is_freed_by_reference_counting():
     sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
     dist_to_set((0.1, 0.2), sys, 1e-6)
