@@ -47,6 +47,7 @@ from .geometry import (
     balls_disjoint,
     norm_distance,
     trusted_ball,
+    vector_size,
 )
 
 Word = Tuple[int, ...]
@@ -127,6 +128,17 @@ class HomotheticIFS:
 def corner_gap(n: int, ell: float) -> float:
     """Gap between neighbouring cells of a corner axis: n*ell + (n-1)*g = 2."""
     return (2 - n * ell) / (n - 1)
+
+
+def corner_tau(n: int, ell: float) -> float:
+    """Thickness of a corner family: cell radius ell/2 over hole radius g/2."""
+    return ell / corner_gap(n, ell)
+
+
+def corner_dense_radius(n: int, ell: float) -> float:
+    """Least relative radius r at which every ball of radius r * R inside a
+    corner node of radius R contains a child: ell + g/2."""
+    return ell + corner_gap(n, ell) / 2
 
 
 @dataclass(frozen=True)
@@ -211,13 +223,6 @@ class GapList1D:
 
 
 @dataclass(frozen=True)
-class ExplicitTree:
-    """Finite caller-supplied tree; adjacency derived from the word table."""
-
-    nodes: Tuple[Tuple[Word, Ball], ...]
-
-
-@dataclass(frozen=True)
 class TransformedSystem:
     kind: str  # similarity | perturbed
     base: "BallSystem"
@@ -236,14 +241,12 @@ class BallSystem:
         dimension: int,
         root: Ball,
         generator,
-        max_children: Optional[int],
         decay: Optional[float],
     ) -> None:
         self.norm = norm
         self.dimension = dimension
         self.root = root
         self.generator = generator
-        self.max_children = max_children
         self.decay = decay
         self._blocks: Dict[Word, Block] = {}
         self._kids: Dict[Word, Tuple[Ball, ...]] = {}
@@ -325,22 +328,11 @@ class BallSystem:
                 for i in range(len(kids) - 1, -1, -1):
                     stack.append((word + (i,), kids[i]))
 
-    def words_at_depth(self, depth: int) -> Iterator[Word]:
-        for word, _ in self.walk(depth):
-            if len(word) == depth:
-                yield word
-
     # -- structure queries ---------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
         return self._finite_children is not None
-
-    def base_generator(self):
-        gen = self.generator
-        while isinstance(gen, TransformedSystem):
-            gen = gen.base.generator
-        return gen
 
     def is_homothetic(self) -> bool:
         """True when every node repeats the root's relative child layout."""
@@ -354,7 +346,10 @@ class BallSystem:
     def child_ratios(self) -> Optional[Tuple[float, ...]]:
         """Child/parent radius ratios, identical at every node, if the system has them."""
         # transforms rescale every radius by one factor, so ratios pass through
-        return getattr(self.base_generator(), "child_ratios", None)
+        gen = self.generator
+        while isinstance(gen, TransformedSystem):
+            gen = gen.base.generator
+        return getattr(gen, "child_ratios", None)
 
     def uniform_level_ratio(self) -> Optional[float]:
         ratios = self.child_ratios()
@@ -590,10 +585,6 @@ def _corner_axis_offsets(n: int, ell: float) -> Tuple[float, ...]:
     return tuple(-1 + ell / 2 + k * (ell + g) for k in range(n))
 
 
-def corner_child_index(digits: Sequence[int], n: int) -> int:
-    return sum(dig * n**i for i, dig in enumerate(digits))
-
-
 # -- constructors ------------------------------------------------------------
 
 
@@ -605,7 +596,6 @@ def corner_family(params: CornerFamilyParams) -> BallSystem:
         dimension=params.d,
         root=root,
         generator=params,
-        max_children=params.n**params.d,
         decay=params.ell / 2,
     )
 
@@ -614,7 +604,7 @@ def from_ifs(ifs: HomotheticIFS, norm: NormKind) -> BallSystem:
     """System whose node at word (i1..ik) is the composed map image of the unit ball."""
     d = ifs.dimension
     for lam, t in ifs.maps:
-        reach = norm_distance(t, (0.0,) * d, norm) + lam
+        reach = vector_size(t, norm) + lam
         if reach > 1 + _CONTAIN_SLACK:
             raise ValueError(
                 f"map (lam={lam}, t={t}) escapes the unit ball by {reach - 1:.3e}"
@@ -624,7 +614,6 @@ def from_ifs(ifs: HomotheticIFS, norm: NormKind) -> BallSystem:
         dimension=d,
         root=Ball((0.0,) * d, 1.0),
         generator=ifs,
-        max_children=len(ifs.maps),
         decay=max(lam for lam, _ in ifs.maps),
     )
 
@@ -677,7 +666,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         dimension=1,
         root=balls[ROOT],
         generator=gl,
-        max_children=2,
         decay=max_ratio if max_ratio > 0 else None,
     )
     sys._balls.update(balls)
@@ -703,22 +691,19 @@ def explicit_tree(
             raise ValueError(f"node {w} has no parent entry")
         children[parent].append(w)
     fixed: Dict[Word, Tuple[Word, ...]] = {}
-    max_children = 0
     max_ratio = 0.0
     for w, kids in children.items():
         kids.sort(key=lambda k: k[-1])
         if [k[-1] for k in kids] != list(range(len(kids))):
             raise ValueError(f"children of {w} are not indexed 0..m-1")
         fixed[w] = tuple(kids)
-        max_children = max(max_children, len(kids))
         for k in kids:
             max_ratio = max(max_ratio, balls[k].radius / balls[w].radius)
     sys = BallSystem(
         norm=norm,
         dimension=dimension,
         root=balls[ROOT],
-        generator=ExplicitTree(tuple(sorted(balls.items()))),
-        max_children=max_children or None,
+        generator=None,  # every node is in the table
         decay=max_ratio if 0 < max_ratio < 1 else None,
     )
     sys._balls.update(balls)
@@ -740,7 +725,7 @@ def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> B
         raise ValueError("shift dimension mismatch")
     gen = TransformedSystem(kind="similarity", base=sys, shift=shift, scale=float(scale))
     root = BallSystem._map_ball(sys.root, gen)
-    out = BallSystem(sys.norm, sys.dimension, root, gen, sys.max_children, sys.decay)
+    out = BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
     out._finite_children = sys._finite_children
     if sys._finite_children is not None:
         out._balls.update(
@@ -764,7 +749,7 @@ def perturbed_image(
         raise ValueError("root must sit inside the unit cube")
     gen = TransformedSystem(kind="perturbed", base=sys, eps=float(eps), fmap=f)
     root = BallSystem._map_ball(sys.root, gen)
-    return BallSystem(sys.norm, sys.dimension, root, gen, sys.max_children, sys.decay)
+    return BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
 
 
 # -- classical 1-D gap quantity ----------------------------------------------

@@ -198,14 +198,18 @@ def _hypotheses_payload(report) -> dict:
     }
 
 
-def _hypotheses_verdicts(report) -> List[str]:
-    return [
+def _hypotheses_exit(report) -> int:
+    """0 when every hypothesis is proven, 4 when one is refuted, else 5."""
+    if report.all_proven:
+        return EXIT_OK
+    verdicts = (
         report.hyp_tau.status,
         report.hyp_meet.status,
         report.hyp_radii.status,
         report.hyp_dense[0].verdict,
         report.hyp_dense[1].verdict,
-    ]
+    )
+    return EXIT_REFUTED if "refuted" in verdicts else EXIT_UNKNOWN
 
 
 def _cmd_gapcheck(args: argparse.Namespace) -> int:
@@ -213,11 +217,7 @@ def _cmd_gapcheck(args: argparse.Namespace) -> int:
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
     payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
     _emit(payload, args.out)
-    if report.all_proven:
-        return EXIT_OK
-    if "refuted" in _hypotheses_verdicts(report):
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
+    return _hypotheses_exit(report)
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
@@ -226,9 +226,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
     if not report.all_proven:
         _emit(payload, args.out)
-        if "refuted" in _hypotheses_verdicts(report):
-            return EXIT_REFUTED
-        return EXIT_UNKNOWN
+        return _hypotheses_exit(report)
     cert = intersect(sys1, sys2, args.r, args.tol, args.steps)
     payload["certificate"] = {
         "witness": cert.witness,
@@ -282,9 +280,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
         payload["rows"] = []
         payload["summary"] = {"total": 0, "ok": 0, "failed": 0, "out_of_scope": 0}
         _emit(payload, args.out)
-        if "refuted" in _hypotheses_verdicts(hypotheses):
-            return EXIT_REFUTED
-        return EXIT_UNKNOWN
+        return _hypotheses_exit(hypotheses)
     directions = _direction_sample(sys, args.directions, args.seed)
     if args.steps == 1:
         ts = [0.0]

@@ -262,7 +262,6 @@ class AliceStrategy:
         sys: BallSystem,
         tau: float,
         beta: float,
-        kappa_value: Optional[int] = None,
     ) -> None:
         if not tau > 0:
             raise ValueError("tau must be positive")
@@ -277,7 +276,7 @@ class AliceStrategy:
         if not sup <= beta < 1:
             raise ValueError(f"beta must lie in [{sup:.6g}, 1)")
         self.beta = beta
-        self.kappa = kappa(sys.norm, sys.dimension, kappa_value)
+        self.kappa = kappa(sys.norm, sys.dimension)
         self.sphere_budget = (self.n0 + 1) * self.kappa
         self._answered: Set[int] = set()
 
@@ -426,26 +425,14 @@ def _corner_cells_meeting(
     return found
 
 
-def alice_strategy(
-    sys: BallSystem,
-    tau: float,
-    beta: float,
-    *,
-    kappa_value: Optional[int] = None,
-) -> AliceStrategy:
+def alice_strategy(sys: BallSystem, tau: float, beta: float) -> AliceStrategy:
     """Build the covering responder after verifying the structural hypotheses."""
-    return AliceStrategy(sys, tau, beta, kappa_value)
+    return AliceStrategy(sys, tau, beta)
 
 
-def proposition_params(
-    sys: BallSystem,
-    tau: float,
-    beta: float,
-    *,
-    kappa_value: Optional[int] = None,
-) -> GameParams:
+def proposition_params(sys: BallSystem, tau: float, beta: float) -> GameParams:
     """Parameters under which the covering strategy is a legal single-erase player."""
-    handle = AliceStrategy(sys, tau, beta, kappa_value)
+    handle = AliceStrategy(sys, tau, beta)
     return GameParams(
         alpha=1.0 / tau,
         beta=beta,

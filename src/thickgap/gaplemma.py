@@ -31,6 +31,7 @@ from .geometry import (
     ball_scale,
     distance_kernel,
     norm_distance,
+    vector_size,
 )
 from .metrics import DensenessReport, denseness_check, dist_to_set, hole_radius, thickness
 
@@ -478,7 +479,7 @@ def directional_distance_certificate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if abs(norm_distance(v, (0.0,) * len(v), sys.norm) - 1.0) > _SLACK:
+    if abs(vector_size(v, sys.norm) - 1.0) > _SLACK:
         raise ValueError("v must be a unit vector in the workspace norm")
     limit = distance_interval(r) * sys.root.radius
     if not 0 <= t <= limit * (1 + _SLACK):

@@ -37,7 +37,9 @@ from .ballsystem import (
     CornerAxis,
     TransformedSystem,
     Word,
+    corner_dense_radius,
     corner_gap,
+    corner_tau,
 )
 
 _MAX_RECORDS = 64
@@ -467,18 +469,16 @@ def thickness(
     axes = sys.corner_axes()
     if axes is not None:
         return _thickness_corner(sys, axes[0], depth, tol)
-    if sys.is_finite:
-        return _thickness_finite(sys, depth, tol)
     gen = sys.generator
     if isinstance(gen, TransformedSystem) and gen.kind == "perturbed":
         return _thickness_perturbed(sys, gen, depth, tol, node_budget)
     if sys.is_homothetic():
         return _thickness_homothetic(sys, depth, tol, node_budget)
-    return _thickness_generic(sys, depth, tol, node_budget)
+    return _thickness_nodes(sys, depth, tol, node_budget)
 
 
 def _thickness_corner(sys: BallSystem, axis: CornerAxis, depth: int, tol: float) -> ThicknessReport:
-    tau = axis.ell / axis.g
+    tau = corner_tau(axis.n, axis.ell)
     R = sys.root.radius
     h = _exact_hole(sys, sys.root, tol)
     rec = NodeThicknessRecord(ROOT, axis.ell / 2 * R, h, _pad_iv(tau, tol))
@@ -489,41 +489,6 @@ def _thickness_corner(sys: BallSystem, axis: CornerAxis, depth: int, tol: float)
         converged=True,
         valid_all_depths=sys.siblings_disjoint_at_root(),
         method="corner-exact",
-    )
-
-
-def _thickness_finite(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
-    if sys.dimension != 1:
-        return _thickness_generic(sys, depth, tol, DEFAULT_NODE_BUDGET)
-    records: List[NodeThicknessRecord] = []
-    best: Optional[NodeThicknessRecord] = None
-    deeper_internal = False
-    for word, ball in sys.walk(1_000_000):
-        kids = sys.children(word)
-        if not kids:
-            continue
-        if len(word) > depth:
-            deeper_internal = True
-            continue
-        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, ball, tol), tol)
-        if best is None or rec.ratio.lo < best.ratio.lo:
-            best = rec
-        if len(records) < _MAX_RECORDS:
-            records.append(rec)
-    if best is None:
-        # childless root: no internal nodes, the infimum is vacuous
-        overall = IntervalBound(math.inf, math.inf, tol)
-        return ThicknessReport(overall, (), depth, True, True, "finite-1d-exact")
-    if best not in records:
-        records[-1] = best
-    overall = best.ratio
-    return ThicknessReport(
-        overall=overall,
-        per_node=tuple(records),
-        depth=depth,
-        converged=True,
-        valid_all_depths=not deeper_internal,
-        method="finite-1d-exact",
     )
 
 
@@ -599,7 +564,7 @@ def _thickness_perturbed(
         hb = _hole_bnb(base, ROOT, base.root.radius * 1e-3, node_budget)
         hrel_hi = hb.hi / base.root.radius
     else:
-        return _thickness_generic(sys, depth, tol, node_budget)
+        return _thickness_nodes(sys, depth, tol, node_budget)
     lam_min = min(ratios)
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
     h_lo = _sample_hole_lower(sys, node_budget)
@@ -621,43 +586,58 @@ def _thickness_perturbed(
     )
 
 
-def _thickness_generic(
+def _thickness_nodes(
     sys: BallSystem, depth: int, tol: float, node_budget: int
 ) -> ThicknessReport:
+    """The infimum node by node over the internal nodes down to depth.
+
+    Each hole is exact where _exact_hole gives one and searched otherwise;
+    after 800 searched nodes the walk stops and the lower end drops to 0.
+    The report holds for all depths only when no hole was searched and no
+    internal node lies below depth: then it covers every node there is.
+    """
+    exact = _exact_hole(sys, sys.root, tol) is not None
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
-    truncated = False
+    truncated = deeper_internal = False
     converged = True
-    examined = 0
+    searched = 0
     cap = 800
-    for word, _ball in sys.walk(depth):
+    for word, ball in sys.walk(depth + 1):
+        if len(word) > depth:
+            # counted, not built: a generated tree is not expanded past depth
+            deeper_internal = deeper_internal or sys.child_count(word) > 0
+            continue
         kids = sys.children(word)
         if not kids:
             continue
-        if examined >= cap:
-            truncated = True
-            break
-        examined += 1
-        h = _hole_bnb(sys, word, max(tol, 1e-9) * _ball.radius, node_budget)
-        converged = converged and h.converged
+        h = _exact_hole(sys, ball, tol)
+        if h is None:
+            if searched >= cap:
+                truncated = True
+                break
+            searched += 1
+            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
+            converged = converged and h.converged
         rec = _record(word, min(k.radius for k in kids), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
         if len(records) < _MAX_RECORDS:
             records.append(rec)
+    method = "finite-1d-exact" if exact else "per-node-bnb"
     if best is None:
-        return ThicknessReport(IntervalBound(math.inf, math.inf, tol), (), depth, True, True, "per-node-bnb")
+        # childless root: no internal nodes, the infimum is vacuous
+        return ThicknessReport(IntervalBound(math.inf, math.inf, tol), (), depth, True, True, method)
     if best not in records:
         records[-1] = best
     lo = 0.0 if truncated else best.ratio.lo
-    overall = IntervalBound(lo, best.ratio.hi, tol)
     return ThicknessReport(
-        overall=overall,
+        overall=IntervalBound(lo, best.ratio.hi, tol),
         per_node=tuple(records),
         depth=depth,
         converged=converged and not truncated,
-        valid_all_depths=False,
-        method="per-node-bnb",
+        valid_all_depths=not searched and not deeper_internal,
+        method=method,
     )
 
 
@@ -673,15 +653,14 @@ def _dense1d_corner_decide(n: int, ell: float, r: float) -> Tuple[bool, float]:
     maxima of the distance-to-nearest-center profile, all of height
     (ell+g)/2), so the condition collapses to the closed threshold.
     """
-    g = corner_gap(n, ell)
-    if r >= ell + g / 2:
+    if r >= corner_dense_radius(n, ell):
         return True, 0.0
     if r < ell / 2:
         # no cell fits in the ball at all; any center works as a witness
         return False, 0.0
     # nearest midpoint of adjacent cell centers to the origin; for odd n it
     # stays feasible because r < ell + g/2 <= 1 - (ell+g)/2 for n >= 3
-    witness = 0.0 if n % 2 == 0 else (ell + g) / 2
+    witness = 0.0 if n % 2 == 0 else (ell + corner_gap(n, ell)) / 2
     return False, witness
 
 
@@ -699,8 +678,6 @@ def denseness_check(
     r: float,
     grid_step: float,
     depth: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DensenessReport:
     """Sound three-way verdict on: every ball B inside a node with
     rad(B) >= r * rad(node) contains a child of that node.

@@ -14,8 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .ballsystem import DEFAULT_NODE_BUDGET, CornerFamilyParams, HomotheticIFS
-from .geometry import IntervalBound, NormKind, Point, norm_distance
+from .ballsystem import (
+    DEFAULT_NODE_BUDGET,
+    CornerFamilyParams,
+    HomotheticIFS,
+    corner_dense_radius,
+    corner_tau,
+)
+from .geometry import IntervalBound, NormKind, Point, norm_distance, vector_size
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,7 @@ class HomotheticBounds:
 def corner_stats(n: int, ell: float, d: int = 1) -> CornerStats:
     """Gap width, thickness, and denseness radius of the corner family."""
     g = CornerFamilyParams(n, ell, d).g  # the family's checks on n, ell and d
-    tau = ell * (n - 1) / (2 - n * ell)
-    r_dense = ell + g / 2
-    return CornerStats(n, ell, d, g, tau, r_dense)
+    return CornerStats(n, ell, d, g, corner_tau(n, ell), corner_dense_radius(n, ell))
 
 
 def biebler_thickness(n: int, ell: float) -> Tuple[float, float]:
@@ -87,7 +91,6 @@ def homothetic_h0_upper(
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = len(ifs.maps[0][1])
-    zero = (0.0,) * d
     lip = max(1.0 / (1.0 - lam) for lam, _ in ifs.maps)
     best_lower = 0.0
     heap: List[Tuple[float, int, Tuple[float, ...], Tuple[float, ...]]] = []
@@ -96,15 +99,15 @@ def homothetic_h0_upper(
     def push(lo: Tuple[float, ...], hi: Tuple[float, ...]) -> None:
         nonlocal counter, best_lower
         nearest = tuple(min(max(a, 0.0), b) for a, b in zip(lo, hi))
-        if norm_distance(nearest, zero, norm) > 1.0:
+        if vector_size(nearest, norm) > 1.0:
             return
         center = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
-        rho = norm_distance(tuple(0.5 * (b - a) for a, b in zip(lo, hi)), zero, norm)
+        rho = vector_size([0.5 * (b - a) for a, b in zip(lo, hi)], norm)
         for lam, t in ifs.maps:
             if norm_distance(center, t, norm) + rho <= lam:
                 return
         point = center
-        nc = norm_distance(center, zero, norm)
+        nc = vector_size(center, norm)
         if nc > 1.0:
             if norm is NormKind.LINF:
                 point = tuple(min(1.0, max(-1.0, c)) for c in center)

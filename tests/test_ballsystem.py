@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickgap.geometry import balls_disjoint
+from thickgap.geometry import balls_disjoint, norm_distance
 from thickgap.metrics import dist_to_set
 from thickgap.ballsystem import (
     Ball,
@@ -32,6 +32,28 @@ from thickgap.ballsystem import (
     word_str,
 )
 from thickgap.ballsystem import _checked_block, _corner_block
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    norm=st.sampled_from(list(NormKind)),
+    lam=st.floats(0.01, 0.99),
+    t=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).filter(
+        lambda v: max(map(abs, v)) > 1e-3
+    ),
+    stretch=st.floats(1 - 4e-12, 1 + 4e-12),
+)
+def test_from_ifs_reach_check_matches_the_distance_form(norm, lam, t, stretch):
+    # put the map within a few ulps of the check's 1e-12 slack
+    size = norm_distance(t, (0.0,) * len(t), norm)
+    t = tuple(x / size * (1 - lam) * stretch for x in t)
+    reach = norm_distance(t, (0.0,) * len(t), norm) + lam
+    try:
+        from_ifs(HomotheticIFS(((lam, t),)), norm)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (reach <= 1 + 1e-12)
 
 
 def test_corner_axis_centers_n4():

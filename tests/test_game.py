@@ -303,6 +303,15 @@ class TestStrategy:
         assert params.M == 68
         assert params.norm is NormKind.LINF
 
+    def test_l2_boards_get_no_params(self):
+        # play builds its strategy with no packing count, so params for an
+        # L2 board would set up a match that cannot start
+        board = from_ifs(HomotheticIFS(((0.3, (-0.5, 0.0)), (0.3, (0.5, 0.0)))), NormKind.L2)
+        with pytest.raises(ValueError, match="packing count"):
+            proposition_params(board, 3.0, 0.5)
+        with pytest.raises(ValueError, match="packing count"):
+            alice_strategy(board, 3.0, 0.5)
+
 
 class TestPlay:
     def test_corner_diver_lands_on_the_set(self):

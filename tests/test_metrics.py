@@ -29,11 +29,16 @@ from thickgap.ballsystem import (
     translate,
 )
 from thickgap.metrics import (
+    _MAX_RECORDS,
     DEFAULT_NODE_BUDGET,
+    ThicknessReport,
     _corner1d_dist,
     _corner1d_dist_batch,
     _dist_bnb,
+    _exact_hole,
+    _hole_bnb,
     _oracle,
+    _record,
     denseness_check,
     dist_to_set,
     hole_radius,
@@ -571,3 +576,181 @@ def test_queried_system_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- thickness node by node -----------------------------------------------------
+
+
+def _reference_thickness_finite(sys, depth, tol):
+    """Finite trees as thickness read them before the per-node loop was one:
+    1-D trees exact over the whole tree, every other dimension through
+    _reference_thickness_generic at the default budget."""
+    if sys.dimension != 1:
+        return _reference_thickness_generic(sys, depth, tol, DEFAULT_NODE_BUDGET)
+    records = []
+    best = None
+    deeper_internal = False
+    for word, ball in sys.walk(1_000_000):
+        kids = sys.children(word)
+        if not kids:
+            continue
+        if len(word) > depth:
+            deeper_internal = True
+            continue
+        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, ball, tol), tol)
+        if best is None or rec.ratio.lo < best.ratio.lo:
+            best = rec
+        if len(records) < _MAX_RECORDS:
+            records.append(rec)
+    if best is None:
+        overall = IntervalBound(math.inf, math.inf, tol)
+        return ThicknessReport(overall, (), depth, True, True, "finite-1d-exact")
+    if best not in records:
+        records[-1] = best
+    return ThicknessReport(
+        best.ratio, tuple(records), depth, True, not deeper_internal, "finite-1d-exact"
+    )
+
+
+def _reference_thickness_generic(sys, depth, tol, node_budget):
+    """The searched per-node loop as it was, with its 800-node cap."""
+    records = []
+    best = None
+    truncated = False
+    converged = True
+    examined = 0
+    for word, ball in sys.walk(depth):
+        kids = sys.children(word)
+        if not kids:
+            continue
+        if examined >= 800:
+            truncated = True
+            break
+        examined += 1
+        h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
+        converged = converged and h.converged
+        rec = _record(word, min(k.radius for k in kids), h, tol)
+        if best is None or rec.ratio.lo < best.ratio.lo:
+            best = rec
+        if len(records) < _MAX_RECORDS:
+            records.append(rec)
+    if best is None:
+        overall = IntervalBound(math.inf, math.inf, tol)
+        return ThicknessReport(overall, (), depth, True, True, "per-node-bnb")
+    if best not in records:
+        records[-1] = best
+    lo = 0.0 if truncated else best.ratio.lo
+    return ThicknessReport(
+        IntervalBound(lo, best.ratio.hi, tol),
+        tuple(records),
+        depth,
+        converged and not truncated,
+        False,
+        "per-node-bnb",
+    )
+
+
+def _middle_thirds_gaps(levels):
+    """The middle-thirds construction's gaps down to the given level."""
+    gaps, pieces = [], [(0.0, 1.0)]
+    for _ in range(levels):
+        grown = []
+        for a, b in pieces:
+            third = (b - a) / 3
+            gaps.append((a + third, b - third))
+            grown.extend([(a, a + third), (b - third, b)])
+        pieces = grown
+    return GapList1D(hull=(0.0, 1.0), gaps=tuple(gaps))
+
+
+def _corner_tree_2d():
+    """An explicit copy of corner n=3, ell=0.5, d=2 down to depth 2."""
+    return explicit_tree(
+        NormKind.LINF, 2, list(corner_family(CornerFamilyParams(3, 0.5, 2)).walk(2))
+    )
+
+
+def _reference_battery():
+    """(name, fresh-system maker, depth, tol, reference) for each case."""
+    finite = _reference_thickness_finite
+    five = lambda: from_gaps_1d(_middle_thirds_gaps(5))  # noqa: E731
+    nine = lambda: from_gaps_1d(_middle_thirds_gaps(9))  # noqa: E731
+    cases = [(f"five-{d}", five, d, 1e-9, finite) for d in (3, 5, 9)]
+    cases += [
+        ("nine", nine, 9, 1e-9, finite),
+        # 1,023 internal nodes: the 800-node cap counts searched nodes only
+        ("ten", lambda: from_gaps_1d(_middle_thirds_gaps(10)), 10, 1e-9, finite),
+        ("nine-translate", lambda: translate(nine(), (0.1,)), 9, 1e-9, finite),
+        (
+            "explicit-1d",
+            lambda: explicit_tree(NormKind.LINF, 1, list(five().walk(10))),
+            4,
+            1e-9,
+            finite,
+        ),
+        ("explicit-2d", _corner_tree_2d, 2, 1e-6, finite),
+        ("explicit-2d-depth0", _corner_tree_2d, 0, 1e-6, finite),
+        (
+            "childless-1d",
+            lambda: explicit_tree(NormKind.LINF, 1, [((), Ball((0.0,), 1.0))]),
+            3,
+            1e-9,
+            finite,
+        ),
+        (
+            "childless-2d",
+            lambda: explicit_tree(NormKind.L2, 2, [((), Ball((0.0, 0.0), 1.0))]),
+            3,
+            1e-9,
+            finite,
+        ),
+        (
+            "gapless",
+            lambda: from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=())),
+            3,
+            1e-9,
+            finite,
+        ),
+        (
+            "perturbed-gaps",
+            lambda: perturbed_image(
+                from_gaps_1d(_middle_thirds_gaps(3)), _warp, eps=0.05
+            ),
+            2,
+            1e-3,
+            lambda sys, depth, tol: _reference_thickness_generic(
+                sys, depth, tol, DEFAULT_NODE_BUDGET
+            ),
+        ),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "make,depth,tol,reference",
+    [case[1:] for case in _reference_battery()],
+    ids=[case[0] for case in _reference_battery()],
+)
+def test_thickness_matches_the_separate_loops(make, depth, tol, reference):
+    assert repr(thickness(make(), depth, tol)) == repr(reference(make(), depth, tol))
+
+
+def test_thickness_budget_reaches_finite_trees_in_2d():
+    tree = _corner_tree_2d()
+    rep = thickness(tree, 2, 1e-6, node_budget=5)
+    root = rep.per_node[0]
+    assert root.word == () and root.h.converged is False
+    assert rep.converged is False
+    assert repr(root.h) == repr(_hole_bnb(_corner_tree_2d(), (), 1e-6, 5))
+    # the separate loop searched at the default budget whatever was asked
+    old = _reference_thickness_finite(_corner_tree_2d(), 2, 1e-6)
+    assert old.converged is True and (old.overall.lo, old.overall.hi) == (2.0, 2.0)
+
+
+def test_thickness_valid_all_depths_needs_the_whole_tree():
+    five = from_gaps_1d(_middle_thirds_gaps(5))
+    # internal nodes reach depth 4: a shallower walk covers only part of them
+    assert not thickness(five, 3, 1e-9).valid_all_depths
+    assert thickness(five, 4, 1e-9).valid_all_depths
+    ifs = middle_thirds_ifs()
+    assert not thickness(perturbed_image(ifs, _warp, eps=0.05), 1, 1e-3).valid_all_depths

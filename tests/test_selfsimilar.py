@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thickgap import selfsimilar
 from thickgap.ballsystem import CornerFamilyParams, HomotheticIFS, corner_family
-from thickgap.geometry import NormKind
-from thickgap.metrics import denseness_check, thickness
+from thickgap.geometry import NormKind, norm_distance
+from thickgap.metrics import _dense1d_corner_decide, _pad_iv, denseness_check, thickness
 from thickgap.selfsimilar import (
     biebler_thickness,
     corner_stats,
@@ -17,6 +22,7 @@ from thickgap.selfsimilar import (
     perturbation_bound,
 )
 
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 MID3 = HomotheticIFS(((1 / 3, (-2 / 3,)), (1 / 3, (2 / 3,))))
 
 
@@ -78,6 +84,20 @@ def test_corner_stats_cross_check_denseness(n, ell):
     stats = corner_stats(n, ell, 1)
     sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=1))
     assert denseness_check(sys, stats.r_dense, 1e-3, 3).verdict == "proven"
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), frac=st.floats(0.01, 0.99), d=st.integers(1, 3))
+def test_corner_stats_share_the_metrics_formulas(n, frac, d):
+    ell = frac * 2 / n
+    stats = corner_stats(n, ell, d)
+    assert stats.tau == pytest.approx(ell * (n - 1) / (2 - n * ell), rel=1e-14)
+    # one tau: the thickness report pads exactly the value corner_stats gives
+    rep = thickness(corner_family(CornerFamilyParams(n=n, ell=ell, d=d)), 1, 1e-9)
+    assert rep.overall == _pad_iv(stats.tau, 1e-9)
+    # one denseness threshold: the exact decision flips at r_dense, bit for bit
+    assert _dense1d_corner_decide(n, ell, stats.r_dense)[0]
+    assert not _dense1d_corner_decide(n, ell, math.nextafter(stats.r_dense, 0))[0]
 
 
 def test_middle_thirds_dense_radius_is_one():
@@ -151,6 +171,25 @@ def test_h0_corner_value_1d():
     assert h.lo <= expect + 1e-9
     assert h.hi >= expect - 1e-9
     assert h.hi == pytest.approx(1 / 12, abs=1e-5)
+
+
+def _bench_ifs(name: str) -> HomotheticIFS:
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    return HomotheticIFS(tuple((m["lambda"], tuple(m["t"])) for m in spec["generator"]["maps"]))
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("norm", list(NormKind))
+@pytest.mark.parametrize("name", ["ifs_l2", "ifs_linf"])
+def test_h0_sizes_match_the_distance_form(name, norm, tol, monkeypatch):
+    # sizes were distances from the origin; L2 then squared by ** 2, not x * x
+    ifs = _bench_ifs(name)
+    got = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=5000)
+    monkeypatch.setattr(
+        selfsimilar, "vector_size", lambda v, nk: norm_distance(v, (0.0,) * len(v), nk)
+    )
+    want = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=5000)
+    assert repr(got) == repr(want)
 
 
 def test_h0_l2_norm_runs():
