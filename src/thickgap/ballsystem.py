@@ -33,6 +33,7 @@ both get the one stored first.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -123,6 +124,81 @@ class HomotheticIFS:
         """The checked child block of the node ball, child by child."""
         child = self.child
         return _checked_block([child(center, radius, j) for j in range(len(self.maps))])
+
+    def axis_factors(self) -> Optional[Tuple["AxisFactor", ...]]:
+        """The attractor as a product of one 1-D attractor per axis, or None.
+
+        A 1-D system qualifies when its child hulls are pairwise disjoint. In
+        dimension d >= 2 every map must have one ratio lam and the
+        translations must be exactly the Cartesian product of their
+        per-axis values, each combination once; the attractor is then the
+        product of the attractors of y -> lam * y + t over each axis's
+        values, and each axis's child hulls must be disjoint too.
+        """
+        if self.dimension == 1:
+            factor = _axis_factor([(lam, t[0]) for lam, t in self.maps])
+            return None if factor is None else (factor,)
+        lams = {lam for lam, _ in self.maps}
+        translations = {t for _, t in self.maps}
+        if len(lams) != 1 or len(translations) != len(self.maps):
+            return None
+        lam = lams.pop()
+        values = [sorted({t[i] for t in translations}) for i in range(self.dimension)]
+        if math.prod(map(len, values)) != len(translations):
+            return None  # a proper subset of the product
+        factors = []
+        for axis in values:
+            factor = _axis_factor([(lam, t) for t in axis])
+            if factor is None:
+                return None
+            factors.append(factor)
+        return tuple(factors)
+
+
+@dataclass(frozen=True)
+class AxisFactor:
+    """One axis of an axis-product set: offset + scale * K, with K the
+    attractor of the 1-D maps y -> lams[k] * y + ts[k].
+
+    K's hull is [a, b], a = min t / (1 - lam) and b = max t / (1 - lam) over
+    the maps: the fixed points of the outermost maps, so both ends lie in
+    K. Map k sends it onto the child hull [starts[k], ends[k]] =
+    ts[k] + lams[k] * [a, b]; the maps are listed in hull order and the
+    child hulls are pairwise disjoint, so the gaps between neighbouring
+    child hulls are gaps of K. chain counts the similarity maps composed
+    into offset and scale.
+    """
+
+    ts: Tuple[float, ...]
+    lams: Tuple[float, ...]
+    a: float
+    b: float
+    starts: Tuple[float, ...]
+    ends: Tuple[float, ...]
+    offset: float = 0.0
+    scale: float = 1.0
+    chain: int = 0
+
+    @property
+    def lam_max(self) -> float:
+        return max(self.lams)
+
+    @property
+    def max_gap(self) -> float:
+        """The widest gap between neighbouring child hulls; 0 for one map."""
+        return max([s - e for e, s in zip(self.ends, self.starts[1:])], default=0.0)
+
+
+def _axis_factor(maps: Sequence[Tuple[float, float]]) -> Optional[AxisFactor]:
+    """The 1-D factor of the maps y -> lam * y + t, or None when two child
+    hulls meet."""
+    fixed = [t / (1 - lam) for lam, t in maps]
+    a, b = min(fixed), max(fixed)
+    hulls = sorted((t + lam * a, t + lam * b, t, lam) for lam, t in maps)
+    if any(s <= e for (_, e, _, _), (s, _, _, _) in zip(hulls, hulls[1:])):
+        return None
+    starts, ends, ts, lams = (tuple(column) for column in zip(*hulls))
+    return AxisFactor(ts, lams, a, b, starts, ends)
 
 
 def corner_gap(n: int, ell: float) -> float:
@@ -253,6 +329,7 @@ class BallSystem:
         self._balls: Dict[Word, Ball] = {ROOT: root}
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._corner_axes = _UNSET  # corner_axes(), computed on its first call
+        self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -359,11 +436,10 @@ class BallSystem:
             return None
         return ratios[0]
 
-    def _corner_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
-        """The corner family under a Linf system that is one or an image of one
-        under similarities, with those maps outermost first."""
-        if self.norm is not NormKind.LINF:
-            return None
+    def _similarity_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
+        """The generated system this one is an image of under similarities
+        (itself when it is generated), with those maps outermost first;
+        None past a perturbed image."""
         maps = []
         core = self
         while isinstance(core.generator, TransformedSystem):
@@ -372,9 +448,17 @@ class BallSystem:
                 return None
             maps.append(t)
             core = t.base
-        if not isinstance(core.generator, CornerFamilyParams):
-            return None
         return core, tuple(maps)
+
+    def _corner_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
+        """The corner family under a Linf system that is one or an image of one
+        under similarities, with those maps outermost first."""
+        if self.norm is not NormKind.LINF:
+            return None
+        chain = self._similarity_chain()
+        if chain is None or not isinstance(chain[0].generator, CornerFamilyParams):
+            return None
+        return chain
 
     def corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
         """Per-axis 1-D corner descriptions when the system is an axis-aligned
@@ -390,17 +474,36 @@ class BallSystem:
         if chain is None:
             return None
         core, maps = chain
-        # accumulate outermost-first: acc(y) = scale*y + shift applied on top
-        # of the transforms still to be visited
-        scale = 1.0
-        shift = [0.0] * self.dimension
-        for t in maps:
-            shift = [s + scale * v for s, v in zip(shift, t.shift)]
-            scale = scale * t.scale
+        scale, shift = _compose(maps, self.dimension)
         gen = core.generator
         return tuple(
             CornerAxis(gen.n, gen.ell, offset=shift[i], scale=scale)
             for i in range(self.dimension)
+        )
+
+    def axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
+        """Per-axis 1-D factors when the set is the product of one 1-D
+        attractor per axis: a generator that offers axis_factors(), or a
+        similarity image of one, composed as corner_axes() composes its
+        chain; None for every other system. Computed once."""
+        factors = self._axis_factors
+        if factors is _UNSET:
+            factors = self._axis_factors = self._make_axis_factors()
+        return factors
+
+    def _make_axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
+        chain = self._similarity_chain()
+        if chain is None:
+            return None
+        core, maps = chain
+        make = getattr(core.generator, "axis_factors", None)
+        factors = make() if make is not None else None
+        if factors is None:
+            return None
+        scale, shift = _compose(maps, self.dimension)
+        return tuple(
+            dataclasses.replace(f, offset=w, scale=scale, chain=len(maps))
+            for f, w in zip(factors, shift)
         )
 
     def corner_child_grid(
@@ -543,6 +646,18 @@ class CornerAxis:
     @property
     def g(self) -> float:
         return corner_gap(self.n, self.ell)
+
+
+def _compose(maps: Sequence[TransformedSystem], d: int) -> Tuple[float, List[float]]:
+    """A similarity chain, outermost first, as one map y -> scale*y + shift."""
+    # accumulate outermost-first: acc(y) = scale*y + shift applied on top
+    # of the transforms still to be visited
+    scale = 1.0
+    shift = [0.0] * d
+    for t in maps:
+        shift = [s + scale * v for s, v in zip(shift, t.shift)]
+        scale = scale * t.scale
+    return scale, shift
 
 
 def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:

@@ -2,8 +2,8 @@
 
 Every public operation returns enclosures or sound verdicts, never bare float
 estimates. Fast exact paths cover the structured generators (corner products,
-finite 1-D trees, self-similar transfer); a best-first branch-and-bound
-fallback covers everything else. Non-convergence within budget is reported by
+axis products of 1-D attractors, finite 1-D trees, self-similar transfer); a
+best-first branch-and-bound fallback covers everything else. Non-convergence within budget is reported by
 a flag on the enclosure, whose bounds stay valid either way.
 """
 
@@ -33,6 +33,7 @@ from .geometry import (
 from .ballsystem import (
     DEFAULT_NODE_BUDGET,
     ROOT,
+    AxisFactor,
     BallSystem,
     CornerAxis,
     TransformedSystem,
@@ -168,6 +169,125 @@ def _corner1d_dist_batch(
     return lo.reshape(shape), hi.reshape(shape)
 
 
+# -- exact 1-D descent on an axis factor ----------------------------------------
+
+
+def _axis1d_dist(f: AxisFactor, y: float, tol: float) -> Tuple[float, float]:
+    """Distance enclosure from y to the attractor K of f, in K's own
+    coordinates (offset 0, scale 1) and before any rounding pad.
+
+    A point in a gap between neighbouring child hulls, or outside the hull,
+    resolves exactly: the hull ends of every copy of K lie in K. A point in
+    child hull k is as far from K as its rescaled point (y - t_k) / lam_k
+    is, times lam_k, since the disjoint hulls put the nearest point of K in
+    that child's copy. A point still inside hulls stops with [0, width] once
+    its current hull's width is at most tol.
+    """
+    starts, ends, ts, lams = f.starts, f.ends, f.ts, f.lams
+    width = f.b - f.a
+    last = len(starts) - 1
+    scale = 1.0
+    while True:
+        k = bisect.bisect_right(starts, y) - 1
+        if k >= 0 and y <= ends[k]:
+            scale *= lams[k]
+            if scale * width <= tol:
+                return 0.0, scale * width
+            y = (y - ts[k]) / lams[k]
+            continue
+        left = y - ends[k] if k >= 0 else math.inf
+        right = starts[k + 1] - y if k < last else math.inf
+        out = scale * min(left, right)
+        return out, out
+
+
+def _axis1d_hole(f: AxisFactor, p: float, q: float, tol: float) -> Tuple[float, float]:
+    """Enclosure of the max over y in [p, q] of dist(y, K), in K's own
+    coordinates and before any rounding pad.
+
+    The distance grows away from the hull, so outside it the max sits at p
+    or q; inside it, at p, q or the clamped midpoint of a gap. Every gap of
+    a copy of K at scale s is at most s * max_gap wide, so a copy lying
+    wholly in [p, q] holds at most its own widest gap, which it attains,
+    and only the at most two copies per level that p or q cut are
+    descended. A copy whose widest gap cannot beat the best value found by
+    more than tol is not descended: it only bounds the upper end.
+    """
+    lo, hi = _axis1d_dist(f, p, tol)
+    end_lo, end_hi = _axis1d_dist(f, q, tol)
+    lo, hi = max(lo, end_lo), max(hi, end_hi)
+    starts, ends, ts, lams = f.starts, f.ends, f.ts, f.lams
+    half = f.max_gap / 2
+    m = len(starts)
+    stack = [(p, q, 1.0)]
+    while stack:
+        p, q, scale = stack.pop()
+        bound = scale * half
+        if bound <= lo + tol:
+            hi = max(hi, bound)
+            continue
+        for k in range(m):
+            s, e = starts[k], ends[k]
+            if k + 1 < m and e < q and starts[k + 1] > p:
+                # the gap (e, starts[k + 1]) meets [p, q]
+                mid = min(max(0.5 * (e + starts[k + 1]), p), q)
+                v = scale * min(mid - e, starts[k + 1] - mid)
+                lo, hi = max(lo, v), max(hi, v)
+            if s > q or e < p:
+                continue
+            if p <= s and e <= q:
+                v = scale * lams[k] * half  # the copy's widest gap, all inside
+                lo, hi = max(lo, v), max(hi, v)
+            else:
+                lam, t = lams[k], ts[k]
+                stack.append(((max(p, s) - t) / lam, (min(q, e) - t) / lam, scale * lam))
+    return lo, hi
+
+
+def _axis_pad(f: AxisFactor, y: float, x: float) -> float:
+    """Outward pad, in system units, for a descent answer taken at the
+    canonical coordinate y (the system coordinate x).
+
+    With u = 2**-53 and M = max(1, |y|, |a|, |b|), every translation has
+    |t| <= 2M and every float below is at most 2M in size. The hull ends
+    a, b come from one subtraction and one division, each child hull end
+    from one product and one sum: each ends within 4uM of its exact value.
+    At level k of the descent, where the current copy of K has scale s_k
+    <= lam_max**k, three errors arise, each measured in K's units through
+    the 1-Lipschitz distance: testing y against float hull ends moves the
+    answer by at most 2 * 4uM * s_k; the subtraction y - t and the division
+    by lam each add at most 2uM * s_k. The float scale is a product of k
+    ratios, off by k * u relatively, on an answer at most 2M * s_(k-1):
+    k * lam**(k-1) <= 1 / (1 - lam) keeps that below 2uM / (1 - lam), and
+    the last subtraction and product add another 4uM. The geometric sum
+    over the levels bounds the total by 18uM / (1 - lam_max) <=
+    18 ulp(M) / (1 - lam_max), which the factor 32 covers. The similarity
+    chain adds the rounding of y = (x - offset) / scale and of the composed
+    offset and scale, a few ulps of |x| + |offset| per map.
+    """
+    m = max(1.0, abs(y), abs(f.a), abs(f.b))
+    return f.scale * (32 * math.ulp(m) / (1 - f.lam_max)) + 4 * (1 + f.chain) * math.ulp(
+        abs(x) + abs(f.offset)
+    )
+
+
+def _axis_dist(f: AxisFactor, x: float, tol: float) -> Tuple[float, float]:
+    """Outward enclosure of the distance from x to the factor's set."""
+    y = (x - f.offset) / f.scale
+    lo, hi = _axis1d_dist(f, y, tol / f.scale)
+    pad = _axis_pad(f, y, x)
+    return max(0.0, f.scale * lo - pad), f.scale * hi + pad
+
+
+def _axis_hole(f: AxisFactor, p: float, q: float, tol: float) -> Tuple[float, float]:
+    """Outward enclosure of the max over [p, q] of the distance to the
+    factor's set."""
+    yp, yq = (p - f.offset) / f.scale, (q - f.offset) / f.scale
+    lo, hi = _axis1d_hole(f, yp, yq, tol / f.scale)
+    pad = _axis_pad(f, max(abs(yp), abs(yq)), max(abs(p), abs(q)))
+    return max(0.0, f.scale * lo - pad), f.scale * hi + pad
+
+
 # -- finite 1-D leaf geometry --------------------------------------------------
 
 
@@ -207,12 +327,15 @@ class _DistOracle:
         # cycle, leaving every queried tree to the cyclic collector
         self.sys = weakref.proxy(sys)
         self.axes = sys.corner_axes()
+        self.factors = None if self.axes is not None else sys.axis_factors()
         self.mode = "bnb"
         self.starts: List[float] = []
         self.ends: List[float] = []
         self.leaf_balls: List[Ball] = []
         if self.axes is not None:
             self.mode = "corner"
+        elif self.factors is not None:
+            self.mode = "product"
         elif sys.is_finite and sys.dimension == 1:
             self.mode = "finite1d"
             ivs = sys.leaf_intervals()
@@ -232,6 +355,19 @@ class _DistOracle:
                 lo = max(lo, axis.scale * yl)
                 hi = max(hi, axis.scale * yh)
             return IntervalBound(lo, max(lo, hi), tol)
+        if self.mode == "product":
+            # C is the product of the factors' sets, so dist(x, C) is the
+            # norm of the d per-axis distances; tol / d per axis keeps the
+            # width within tol in every norm
+            axis_tol = tol / len(x)
+            parts = [_axis_dist(f, xi, axis_tol) for f, xi in zip(self.factors, x)]
+            norm = self.sys.norm
+            lo = vector_size([part[0] for part in parts], norm)
+            hi = vector_size([part[1] for part in parts], norm)
+            if norm is not NormKind.LINF:
+                # a sum or a square root is off by at most 2u relatively
+                lo, hi = lo * (1 - 2**-50), hi * (1 + 2**-50)
+            return IntervalBound(lo, hi, tol)
         if self.mode == "finite1d":
             v = _finite1d_dist(self.starts, self.ends, x[0])
             return IntervalBound(v, v, tol)
@@ -429,10 +565,17 @@ def hole_radius(
 def _exact_hole(sys: BallSystem, ball: Ball, tol: float) -> Optional[IntervalBound]:
     """The hole radius of a node ball where a closed form gives it: g/2
     times the radius on corner images, the farthest point from the leaf
-    intervals on finite 1-D trees; None on every other system."""
+    intervals on finite 1-D trees, and on axis products under the Linf norm
+    (any norm in 1-D) the largest per-axis hole: the ball is the product of
+    the intervals [c_i - R, c_i + R] and the Linf distance to a product set
+    is the largest per-axis distance. None on every other system."""
     oracle = _oracle(sys)
     if oracle.mode == "corner":
         return _pad_iv(oracle.axes[0].g / 2 * ball.radius, tol)
+    if oracle.mode == "product" and (sys.norm is NormKind.LINF or sys.dimension == 1):
+        R = ball.radius
+        parts = [_axis_hole(f, c - R, c + R, tol) for f, c in zip(oracle.factors, ball.center)]
+        return IntervalBound(max(p[0] for p in parts), max(p[1] for p in parts), tol)
     if oracle.mode == "finite1d":
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
         return _pad_iv(_finite1d_hole(oracle.starts, oracle.ends, a, b), tol)
@@ -497,13 +640,18 @@ def _thickness_homothetic(
 ) -> ThicknessReport:
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
-    rough = _hole_bnb(sys, ROOT, R / 64, node_budget)
+
+    def hole(hole_tol: float) -> IntervalBound:
+        h = _exact_hole(sys, sys.root, hole_tol)
+        return h if h is not None else _hole_bnb(sys, ROOT, hole_tol, node_budget)
+
+    rough = hole(R / 64)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = _hole_bnb(sys, ROOT, target, node_budget)
+            h = hole(target)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     return ThicknessReport(
@@ -682,7 +830,8 @@ def denseness_check(
     """Sound three-way verdict on: every ball B inside a node with
     rad(B) >= r * rad(node) contains a child of that node.
 
-    Exact for corner products and finite 1-D trees; elsewhere a margin grid
+    Exact for corner products, Linf axis products of dimension >= 2 and
+    finite 1-D trees; elsewhere a margin grid
     proves, an exhaustive grid refutes with a verified witness ball, and
     anything the grid cannot decide is reported unknown.
     """
@@ -697,6 +846,8 @@ def denseness_check(
         return _dense_corner(sys, axes[0], r, grid_step)
     if sys.is_finite and sys.dimension == 1:
         return _dense_finite1d(sys, r, grid_step, depth)
+    if sys.norm is NormKind.LINF and sys.dimension >= 2 and sys.axis_factors() is not None:
+        return _dense_product(sys, r, grid_step)
     return _dense_grid(sys, r, grid_step, depth)
 
 
@@ -715,41 +866,69 @@ def _dense_corner(sys: BallSystem, axis: CornerAxis, r: float, grid_step: float)
     )
 
 
+def _uncovered_center(
+    c: float, R: float, rho: float, kids: Sequence[Tuple[float, float]]
+) -> Optional[float]:
+    """A center x with [x - rho, x + rho] inside [c - R, c + R] holding none
+    of the intervals kids, or None when every such window holds one."""
+    a, b = c - R, c + R
+    feas_lo, feas_hi = a + rho, b - rho
+    if feas_lo > feas_hi:
+        return None
+    # centers x where child i fits inside [x-rho, x+rho]
+    windows = []
+    for ka, kb in kids:
+        w_lo, w_hi = kb - rho, ka + rho
+        if w_lo <= w_hi:
+            windows.append((max(w_lo, feas_lo), min(w_hi, feas_hi)))
+    windows = sorted(w for w in windows if w[0] <= w[1])
+    # candidate uncovered centers: feasibility edges plus midpoints of
+    # gaps between coverage runs; membership is then tested directly
+    cands = [feas_lo, feas_hi]
+    run_end: Optional[float] = None
+    for w_lo, w_hi in windows:
+        if run_end is not None and w_lo > run_end:
+            cands.append(0.5 * (run_end + w_lo))
+        run_end = w_hi if run_end is None else max(run_end, w_hi)
+    return next(
+        (x for x in cands if not any(w_lo <= x <= w_hi for w_lo, w_hi in windows)),
+        None,
+    )
+
+
+def _dense_product(sys: BallSystem, r: float, grid_step: float) -> DensenessReport:
+    """Exact verdict for Linf axis products: a cube holds a child cube
+    exactly when it holds a child interval on every axis, and the child
+    cubes are every combination of per-axis intervals, so the verdict is
+    the window-cover test of each axis at the root (every node is a
+    similar copy of it). A failing axis gives the witness: its uncovered
+    center there, the root's center on the other axes."""
+    root = sys.root
+    centers, radii = sys.child_block(ROOT)
+    rho = r * root.radius
+    for i, c in enumerate(root.center):
+        kids = sorted({(k[i] - rk, k[i] + rk) for k, rk in zip(centers, radii)})
+        hole_at = _uncovered_center(c, root.radius, rho, kids)
+        if hole_at is None:
+            continue
+        witness = Ball(root.center[:i] + (hole_at,) + root.center[i + 1 :], rho)
+        if _verify_refutation(sys, ROOT, witness):
+            return DensenessReport(r, "refuted", witness, grid_step, "product-exact")
+        return DensenessReport(
+            r, "unknown", None, grid_step, "product-exact",
+            f"witness verification failed on axis {i}",
+        )
+    return DensenessReport(r, "proven", None, grid_step, "product-exact")
+
+
 def _dense_finite1d(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
     for word, ball in sys.walk(min(depth, 1_000_000)):
         kids = sys.children(word)
         if not kids or len(word) > depth:
             continue
-        a = ball.center[0] - ball.radius
-        b = ball.center[0] + ball.radius
         rho = r * ball.radius
-        feas_lo, feas_hi = a + rho, b - rho
-        if feas_lo > feas_hi:
-            continue
-        # centers c where child i fits inside [c-rho, c+rho]
-        windows = []
-        for k in kids:
-            ka, kb = k.center[0] - k.radius, k.center[0] + k.radius
-            w_lo, w_hi = kb - rho, ka + rho
-            if w_lo <= w_hi:
-                windows.append((max(w_lo, feas_lo), min(w_hi, feas_hi)))
-        windows = sorted(w for w in windows if w[0] <= w[1])
-        # candidate uncovered centers: feasibility edges plus midpoints of
-        # gaps between coverage runs; membership is then tested directly
-        cands = [feas_lo, feas_hi]
-        run_end: Optional[float] = None
-        for w_lo, w_hi in windows:
-            if run_end is not None and w_lo > run_end:
-                cands.append(0.5 * (run_end + w_lo))
-            run_end = w_hi if run_end is None else max(run_end, w_hi)
-        hole_at = next(
-            (
-                c
-                for c in cands
-                if not any(w_lo <= c <= w_hi for w_lo, w_hi in windows)
-            ),
-            None,
-        )
+        kids_1d = [(k.center[0] - k.radius, k.center[0] + k.radius) for k in kids]
+        hole_at = _uncovered_center(ball.center[0], ball.radius, rho, kids_1d)
         if hole_at is not None:
             witness = Ball((hole_at,), rho)
             if _verify_refutation(sys, word, witness):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .ballsystem import (
     DEFAULT_NODE_BUDGET,
@@ -22,6 +22,7 @@ from .ballsystem import (
     corner_tau,
 )
 from .geometry import IntervalBound, NormKind, Point, norm_distance, vector_size
+from .metrics import _finite1d_hole
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,34 @@ def _phi(x: Point, ifs: HomotheticIFS, norm: NormKind) -> float:
     )
 
 
+def _product_h0(ifs: HomotheticIFS) -> Optional[Tuple[float, float]]:
+    """homothetic_h0_upper in closed form, as (lo, hi), for Linf systems
+    whose maps share one ratio lam and factor into one 1-D system per axis
+    (any norm in 1-D); None for every other system.
+
+    There the objective is d(x, union of child cubes) / (1 - lam) outside
+    the children, and the union is the product of each axis's child
+    intervals [t - lam, t + lam]. The Linf distance to it is the largest
+    per-axis distance, so the max over the root cube [-1, 1]^d is the
+    largest over the axes of the max over [-1, 1] of the distance to that
+    axis's intervals, a finite 1-D hole; 0 when they cover the root. Each
+    value is a few roundings of floats of size at most 2, and dividing by
+    1 - lam scales their error with it.
+    """
+    factors = ifs.axis_factors()
+    if factors is None or len({lam for lam, _ in ifs.maps}) != 1:
+        return None
+    lam = ifs.maps[0][0]
+    # one ratio: the factors list their translations in increasing order,
+    # and the intervals' ends rise with them
+    value = max(
+        _finite1d_hole([t - lam for t in f.ts], [t + lam for t in f.ts], -1.0, 1.0)
+        for f in factors
+    ) / (1 - lam)
+    pad = 16 * math.ulp(2.0) / (1 - lam)
+    return value - pad, value + pad
+
+
 def homothetic_h0_upper(
     ifs: HomotheticIFS,
     tol: float,
@@ -83,14 +112,25 @@ def homothetic_h0_upper(
 
     The target is max over the root ball minus the child balls of
     min_i (dist(x, t_i) - lam_i) / (1 - lam_i), a quantity that bounds the
-    root hole radius from above. Branch-and-bound over axis boxes: a box
-    fully inside some child or fully outside the root is dropped, anything
-    else is split until the Lipschitz upper bound meets the best value
-    found at feasible box centers. An empty region yields [0, tol].
+    root hole radius from above. Linf systems that factor into one 1-D
+    system per axis with one ratio get it in closed form (_product_h0),
+    every other system by branch-and-bound (_h0_bnb).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = len(ifs.maps[0][1])
+    if norm is NormKind.LINF or ifs.dimension == 1:
+        closed = _product_h0(ifs)
+        if closed is not None:
+            return IntervalBound(max(0.0, closed[0]), closed[1], tol)
+    return _h0_bnb(ifs, tol, norm, node_budget)
+
+
+def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) -> IntervalBound:
+    """homothetic_h0_upper by branch-and-bound over axis boxes: a box fully
+    inside some child or fully outside the root is dropped, anything else is
+    split until the Lipschitz upper bound meets the best value found at
+    feasible box centers. An empty region yields [0, tol]."""
+    d = ifs.dimension
     lip = max(1.0 / (1.0 - lam) for lam, _ in ifs.maps)
     best_lower = 0.0
     heap: List[Tuple[float, int, Tuple[float, ...], Tuple[float, ...]]] = []

@@ -559,8 +559,17 @@ def test_underflowing_radius_raises_at_its_depth():
         from_ifs(ifs, NormKind.LINF).ball((1, 0))
     with pytest.raises(ValueError, match="ball radius must be positive and finite"):
         similarity_image(sys, 2.0, (0.0,)).child_block((0,))
+    # a 1-D system with disjoint child hulls is an axis product: its distance
+    # is a descent that builds no block, and the set is still well defined.
+    # 0.5 is the center of child 1's hull, so it lies midway across a level-2
+    # gap, 1e-170 * 0.5 from the set, inside the rounding pad
+    product = dist_to_set((0.5,), from_ifs(ifs, NormKind.LINF), 1e-200)
+    assert product.lo == 0.0 and 5e-171 < product.hi < 1e-14 and product.converged
+    # unequal ratios in 2-D are no product, so the search builds the blocks
+    unequal = HomotheticIFS(((1e-170, (-0.5, 0.0)), (2e-170, (0.5, 0.0))))
+    assert from_ifs(unequal, NormKind.LINF).axis_factors() is None
     with pytest.raises(ValueError, match="ball radius must be positive and finite"):
-        dist_to_set((0.5,), from_ifs(ifs, NormKind.LINF), 1e-200)
+        dist_to_set((0.5, 0.0), from_ifs(unequal, NormKind.LINF), 1e-200)
 
 
 def test_child_block_non_finite_image_raises():

@@ -53,7 +53,11 @@ def test_oracle_modes_the_tracer_names():
     tree = explicit_tree(NormKind.LINF, 2, list(corner.walk(1)))
     gaps = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),)))
     ifs = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
+    grid = HomotheticIFS(tuple((0.3, (u, v)) for u in (-0.45, 0.45) for v in (-0.45, 0.45)))
     assert _oracle(corner).mode == "corner"
     assert _oracle(gaps).mode == "finite1d"
     assert _oracle(tree).mode == "finite"
     assert _oracle(ifs).mode == "bnb"
+    # both bench IFS specs are such product grids
+    assert _oracle(from_ifs(grid, NormKind.L2)).mode == "product"
+    assert _oracle(from_ifs(grid, NormKind.LINF)).mode == "product"

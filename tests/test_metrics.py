@@ -531,7 +531,10 @@ def test_dist_bnb_matches_reference_at_every_budget(made, data):
     tol = data.draw(st.sampled_from(tols))
     x = tuple(data.draw(st.floats(-1.5, 1.5)) for _ in range(d))
     ref_sys, sys = make(), make()
-    assert _oracle(sys).mode == "bnb"
+    # 1-D systems with disjoint child hulls and 2-D product grids answer
+    # dist_to_set through the product mode; the search is called directly,
+    # so every drawn system still tests it
+    assert _oracle(sys).mode in ("bnb", "product")
     for budget in [*range(41), DEFAULT_NODE_BUDGET]:
         want = _reference_dist_bnb(ref_sys, x, tol, budget)
         got = _dist_bnb(sys, x, tol, budget)
