@@ -1,10 +1,12 @@
 """Certified distance, hole radius, thickness, and denseness verdicts.
 
 Every public operation returns enclosures or sound verdicts, never bare float
-estimates. Fast exact paths cover the structured generators (corner products,
-axis products of 1-D attractors, finite 1-D trees, self-similar transfer); a
-best-first branch-and-bound fallback covers everything else. Non-convergence within budget is reported by
-a flag on the enclosure, whose bounds stay valid either way.
+estimates. Fast exact paths cover the structured generators: axis products of
+1-D attractors, corner families among them, whose distances, Linf holes and
+thickness come from one per-axis path padded outward by a few ulps; finite
+1-D trees; the self-similar transfer. A best-first branch-and-bound covers
+everything else. Non-convergence within budget is reported by a flag on the
+enclosure, whose bounds stay valid either way.
 """
 
 from __future__ import annotations
@@ -40,16 +42,9 @@ from .ballsystem import (
     Word,
     corner_dense_radius,
     corner_gap,
-    corner_tau,
 )
 
 _MAX_RECORDS = 64
-_REL_PAD = 1e-12  # absorbs last-ulp disagreement between equivalent formulas
-
-
-def _pad_iv(value: float, tol: float) -> IntervalBound:
-    pad = _REL_PAD * max(1.0, abs(value))
-    return IntervalBound(value - pad, value + pad, tol)
 
 
 @dataclass(frozen=True)
@@ -82,44 +77,19 @@ class DensenessReport:
     detail: str = ""
 
 
-# -- exact 1-D corner-axis distance -------------------------------------------
-
-
-def _corner1d_dist(y: float, n: int, ell: float, max_levels: int = 80) -> Tuple[float, float]:
-    """Distance enclosure from y to the canonical 1-D corner set in [-1, 1].
-
-    Descends through cells; gap and exterior points resolve exactly because
-    cell corners belong to the set. Points that stay inside cells for
-    max_levels levels get the enclosure [0, 2*remaining scale].
-    """
-    half = ell / 2
-    step = ell + corner_gap(n, ell)
-    scale = 1.0
-    for _ in range(max_levels):
-        t = math.floor((y - (-1 + half)) / step)
-        best_d = math.inf
-        best_m = 0.0
-        for k in (t, t + 1):
-            k = min(n - 1, max(0, k))
-            m = -1 + half + k * step
-            d = abs(y - m)
-            if d < best_d:
-                best_d, best_m = d, m
-        if best_d <= half:
-            y = (y - best_m) / half
-            scale *= half
-            continue
-        out = scale * (best_d - half)
-        return out, out
-    return 0.0, 2 * scale
+# -- 1-D corner-axis distances for the pattern scan ---------------------------
 
 
 def _corner1d_dist_batch(
     ys: np.ndarray, n: int, ell: float, max_levels: int = 60, stop: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized _corner1d_dist over a float array; returns (lo, hi) arrays.
+    """Distance enclosures from the points ys to the canonical 1-D corner
+    set in [-1, 1]; returns (lo, hi) arrays.
 
-    All points still descending share one scale, half**k after k levels.
+    Descends through cells: gap and exterior points resolve exactly, because
+    cell corners belong to the set; points still inside cells after
+    max_levels levels get the enclosure [0, 2 * remaining scale]. All
+    points still descending share one scale, half**k after k levels.
     The descent also ends, after at least one level, once 2 * scale <= stop,
     and the points still inside cells then get [0, 2 * scale], as at
     max_levels. A caller comparing hi against a tolerance t keeps the full
@@ -130,8 +100,8 @@ def _corner1d_dist_batch(
     value a deeper exit would give are at most t / 2 and neither exceeds t;
     the factor 1/2 absorbs the rounding of t / 2 and of the product. The
     first level is never skipped: level-0 points can lie outside the root,
-    where 2 * scale bounds nothing. The default stop = 0 descends as far as
-    before (a scale that underflows to 0 gives 0 either way).
+    where 2 * scale bounds nothing. The default stop = 0 descends all
+    max_levels levels (a scale that underflows to 0 gives 0 either way).
     """
     import numpy as np
 
@@ -326,15 +296,13 @@ class _DistOracle:
         # the system keeps its oracle: a strong reference back would make a
         # cycle, leaving every queried tree to the cyclic collector
         self.sys = weakref.proxy(sys)
-        self.axes = sys.corner_axes()
-        self.factors = None if self.axes is not None else sys.axis_factors()
+        self.factors = sys.axis_factors()
+        self.hole_forms = [] if self.factors is None else [_node_hole_form(f) for f in self.factors]
         self.mode = "bnb"
         self.starts: List[float] = []
         self.ends: List[float] = []
         self.leaf_balls: List[Ball] = []
-        if self.axes is not None:
-            self.mode = "corner"
-        elif self.factors is not None:
+        if self.factors is not None:
             self.mode = "product"
         elif sys.is_finite and sys.dimension == 1:
             self.mode = "finite1d"
@@ -348,13 +316,6 @@ class _DistOracle:
             ]
 
     def enclosure(self, x: Point, tol: float, node_budget: int) -> IntervalBound:
-        if self.mode == "corner":
-            lo = hi = 0.0
-            for axis, xi in zip(self.axes, x):
-                yl, yh = _corner1d_dist((xi - axis.offset) / axis.scale, axis.n, axis.ell)
-                lo = max(lo, axis.scale * yl)
-                hi = max(hi, axis.scale * yh)
-            return IntervalBound(lo, max(lo, hi), tol)
         if self.mode == "product":
             # C is the product of the factors' sets, so dist(x, C) is the
             # norm of the d per-axis distances; tol / d per axis keeps the
@@ -548,38 +509,87 @@ def hole_radius(
     """Certified enclosure of h_I = max over S_I of dist(x, C).
 
     x ranges over the node's ball while the distance is taken to the whole
-    generated set, not only the part below the node.
+    generated set, not only the part below the node. Exact up to a few ulps
+    where _exact_hole has a closed form, searched by sub-boxes elsewhere.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    word = tuple(word)
     try:
-        ball = sys.ball(tuple(word))
+        sys.ball(word)
     except KeyError as exc:
         raise ValueError(f"word {word!r} names no node") from exc
-    h = _exact_hole(sys, ball, tol)
-    if h is not None:
-        return h
-    return _hole_bnb(sys, tuple(word), tol, node_budget)
+    return _hole(sys, word, tol, node_budget)
 
 
-def _exact_hole(sys: BallSystem, ball: Ball, tol: float) -> Optional[IntervalBound]:
-    """The hole radius of a node ball where a closed form gives it: g/2
-    times the radius on corner images, the farthest point from the leaf
-    intervals on finite 1-D trees, and on axis products under the Linf norm
-    (any norm in 1-D) the largest per-axis hole: the ball is the product of
-    the intervals [c_i - R, c_i + R] and the Linf distance to a product set
-    is the largest per-axis distance. None on every other system."""
+def _hole(sys: BallSystem, word: Word, tol: float, node_budget: int) -> IntervalBound:
+    h = _exact_hole(sys, word, tol)
+    return h if h is not None else _hole_bnb(sys, word, tol, node_budget)
+
+
+def _exact_hole(sys: BallSystem, word: Word, tol: float) -> Optional[IntervalBound]:
+    """The hole radius of the node at word where a closed form gives it, or
+    None. On axis products (corner families among them) under the Linf norm
+    (any norm in 1-D) the ball is a product of intervals and the Linf
+    distance the largest per-axis one, so the hole is the largest per-axis
+    hole: _node_hole_form's when that is at most tol wide, else that cut
+    down by the _axis_hole descent. On finite 1-D trees it is the farthest
+    point of the node from the leaf intervals."""
     oracle = _oracle(sys)
-    if oracle.mode == "corner":
-        return _pad_iv(oracle.axes[0].g / 2 * ball.radius, tol)
+    ball = sys.ball(word)
     if oracle.mode == "product" and (sys.norm is NormKind.LINF or sys.dimension == 1):
-        R = ball.radius
-        parts = [_axis_hole(f, c - R, c + R, tol) for f, c in zip(oracle.factors, ball.center)]
-        return IntervalBound(max(p[0] for p in parts), max(p[1] for p in parts), tol)
+        R, k = ball.radius, len(word)
+        lo = hi = 0.0
+        for (half, top, unit, const), f, c in zip(oracle.hole_forms, oracle.factors, ball.center):
+            pad = unit * (3 * k + const)
+            if f.chain:
+                pad += 4 * f.chain * math.ulp(abs(c) + R + abs(f.offset))
+            lo, hi = max(lo, R * half - pad), max(hi, R * top + pad)
+        if hi - lo > tol:
+            # both enclose the hole: keep what each bounds best
+            parts = [_axis_hole(f, c - R, c + R, tol) for f, c in zip(oracle.factors, ball.center)]
+            lo, hi = max(lo, max(p[0] for p in parts)), min(hi, max(p[1] for p in parts))
+        return IntervalBound(lo, hi, tol)
     if oracle.mode == "finite1d":
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
-        return _pad_iv(_finite1d_hole(oracle.starts, oracle.ends, a, b), tol)
+        v = _finite1d_hole(oracle.starts, oracle.ends, a, b)
+        pad = 1e-12 * max(1.0, v)  # absorbs last-ulp disagreement between equivalent formulas
+        return IntervalBound(v - pad, v + pad, tol)
     return None
+
+
+def _node_hole_form(f: AxisFactor) -> Tuple[float, float, float, float]:
+    """(G/2, top, unit, const): the hole on one axis of a depth-k node of
+    radius R and center coordinate c lies in [R * G/2 - pad, R * top +
+    pad], pad = unit * (3k + const) + 4 * chain * ulp(|c| + R + |offset|),
+    with G the factor's widest gap between neighbouring child hulls, [a, b]
+    its hull and top = max(G/2, a + 1, 1 - b).
+
+    In the factor's units the node is phi_I([-1, 1]), phi_I a composition
+    of k maps of ratio lam_I = R / scale. Its copy of K fills phi_I([a,
+    b]), whose ends lie in K and which no other copy enters (the hulls are
+    disjoint at every level). The copy's gaps are at most lam_I * G wide
+    (deeper ones shrink by lam_max or more); its widest lies in the node,
+    as the maps send [-1, 1] into itself, with its midpoint lam_I * G/2
+    from K; each stick-out piece of the node is within its own length,
+    lam_I * (a + 1) or lam_I * (1 - b), of a hull end. A corner node has
+    a = -1 and b = 1: there the form is exact.
+
+    With u = 2**-53 and M = max(1, |a|, |b|), so that u * M < ulp(M), the
+    pad covers, in ulp(M) times scale: the float node against phi_I(root),
+    as each level rounds the radius and the center's product and sum
+    (|t|, |c| <= 1), by at most 1.01 * k + 0.51 / (1 - lam_max)**2; R as a
+    measure of lam_I, off by (1.01 * k + chain + 1) * u relatively on a
+    hole of at most R * M; G, a + 1 and 1 - b, each within 6 * u * M (the
+    hull ends are within 4 * u * M, as in _axis_pad), with the products
+    by R; and a corner family's float cell centers, within a few ulps of 1
+    of the exact ones, which move K by at most 4 / (1 - lam_max). That is
+    at most 3k + chain + 8 + 5 / (1 - lam_max)**2. Each similarity map
+    adds a few ulps of |c| + R + |offset|, as in _axis_pad.
+    """
+    half = f.max_gap / 2
+    unit = f.scale * math.ulp(max(1.0, abs(f.a), abs(f.b)))
+    return half, max(half, f.a + 1, 1 - f.b), unit, f.chain + 8 + 5 / (1 - f.lam_max) ** 2
 
 
 # -- thickness ------------------------------------------------------------------
@@ -600,18 +610,16 @@ def thickness(
 ) -> ThicknessReport:
     """Enclosure of the infimum over nodes of (min child radius)/h_I.
 
-    Exact for corner products and finite 1-D trees. Self-similar systems use
-    the root-hole transfer, which bounds every depth at once; the report is
-    marked valid for all depths only when the depth-1 siblings are verified
-    pairwise disjoint.
+    Self-similar systems, corner families among them, use the root-hole
+    transfer, which bounds every depth at once and is exact up to a few ulps
+    where the root hole has a closed form; the report is marked valid for
+    all depths only when the depth-1 siblings are verified pairwise
+    disjoint. Finite trees and other systems go node by node.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    axes = sys.corner_axes()
-    if axes is not None:
-        return _thickness_corner(sys, axes[0], depth, tol)
     gen = sys.generator
     if isinstance(gen, TransformedSystem) and gen.kind == "perturbed":
         return _thickness_perturbed(sys, gen, depth, tol, node_budget)
@@ -620,38 +628,19 @@ def thickness(
     return _thickness_nodes(sys, depth, tol, node_budget)
 
 
-def _thickness_corner(sys: BallSystem, axis: CornerAxis, depth: int, tol: float) -> ThicknessReport:
-    tau = corner_tau(axis.n, axis.ell)
-    R = sys.root.radius
-    h = _exact_hole(sys, sys.root, tol)
-    rec = NodeThicknessRecord(ROOT, axis.ell / 2 * R, h, _pad_iv(tau, tol))
-    return ThicknessReport(
-        overall=_pad_iv(tau, tol),
-        per_node=(rec,),
-        depth=depth,
-        converged=True,
-        valid_all_depths=sys.siblings_disjoint_at_root(),
-        method="corner-exact",
-    )
-
-
 def _thickness_homothetic(
     sys: BallSystem, depth: int, tol: float, node_budget: int
 ) -> ThicknessReport:
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
 
-    def hole(hole_tol: float) -> IntervalBound:
-        h = _exact_hole(sys, sys.root, hole_tol)
-        return h if h is not None else _hole_bnb(sys, ROOT, hole_tol, node_budget)
-
-    rough = hole(R / 64)
+    rough = _hole(sys, ROOT, R / 64, node_budget)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = hole(target)
+            h = _hole(sys, ROOT, target, node_budget)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     return ThicknessReport(
@@ -703,17 +692,10 @@ def _thickness_perturbed(
 ) -> ThicknessReport:
     base = gen.base
     eps = gen.eps
-    base_axes = base.corner_axes()
-    ratios = base.child_ratios()
-    if base_axes is not None:
-        g = base_axes[0].g
-        hrel_hi = g / 2 * (1 + _REL_PAD)
-    elif base.is_homothetic():
-        hb = _hole_bnb(base, ROOT, base.root.radius * 1e-3, node_budget)
-        hrel_hi = hb.hi / base.root.radius
-    else:
+    if not base.is_homothetic():
         return _thickness_nodes(sys, depth, tol, node_budget)
-    lam_min = min(ratios)
+    hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3, node_budget).hi / base.root.radius
+    lam_min = min(base.child_ratios())
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
     h_lo = _sample_hole_lower(sys, node_budget)
     minrad_root = min(k.radius for k in sys.children(ROOT))
@@ -744,7 +726,7 @@ def _thickness_nodes(
     The report holds for all depths only when no hole was searched and no
     internal node lies below depth: then it covers every node there is.
     """
-    exact = _exact_hole(sys, sys.root, tol) is not None
+    exact = _exact_hole(sys, ROOT, tol) is not None
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
     truncated = deeper_internal = False
@@ -759,7 +741,7 @@ def _thickness_nodes(
         kids = sys.children(word)
         if not kids:
             continue
-        h = _exact_hole(sys, ball, tol)
+        h = _exact_hole(sys, word, tol)
         if h is None:
             if searched >= cap:
                 truncated = True

@@ -23,6 +23,7 @@ from thickgap.ballsystem import (
     CornerFamilyParams,
     HomotheticIFS,
     NormKind,
+    _corner_axis_offsets,
     corner_family,
     from_ifs,
     parse_set_spec,
@@ -286,7 +287,7 @@ def test_linf_hole_encloses_the_exact_value(ifs, word):
     R = Fraction(ball.radius)
     parts = [ref.hole(Fraction(c) - R, Fraction(c) + R) for ref, c in zip(_refs(ifs), ball.center)]
     want = (max(part[0] for part in parts), max(part[1] for part in parts))
-    h = _exact_hole(sys, ball, 1e-12)
+    h = _exact_hole(sys, word, 1e-12)
     assert _contains((h.lo, h.hi), *want)
     assert h.width <= 1e-12
     h = hole_radius(word, sys, 1e-6)
@@ -338,7 +339,7 @@ def test_hole_search_on_the_l2_product_board_converges_at_1e_13():
     sys = parse_set_spec(_spec("ifs_l2.json"))
     assert _oracle(sys).mode == "product"
     # the L2 hole of a product is not a per-axis one: it is searched
-    assert _exact_hole(sys, sys.root, 1e-9) is None
+    assert _exact_hole(sys, (), 1e-9) is None
     for word in [(), (0,), (3, 1), (1, 3, 0, 2, 1)]:
         h = _hole_bnb(sys, word, 1e-13, 2_000)
         assert h.converged and h.width <= 1e-13, word
@@ -388,12 +389,23 @@ def test_systems_the_capability_declines(maps):
     assert from_ifs(ifs, NormKind.LINF).axis_factors() is None
 
 
-def test_perturbed_images_and_corner_families_decline():
+def test_perturbed_images_decline_and_corner_families_factor():
     base = parse_set_spec(_spec("ifs_linf.json"))
     bumped = perturbed_image(base, lambda p: (p[0] + 1e-3 * math.sin(p[1]), p[1]), eps=0.01)
     assert bumped.axis_factors() is None and _oracle(bumped).mode == "bnb"
+    # a corner family is d copies of its n-map axis, hull [-1, 1]
     corner = corner_family(CornerFamilyParams(n=3, ell=0.5, d=2))
-    assert corner.axis_factors() is None and _oracle(corner).mode == "corner"
+    factors = corner.axis_factors()
+    assert _oracle(corner).mode == "product"
+    assert [(f.ts, f.lams, f.a, f.b) for f in factors] == [
+        (_corner_axis_offsets(3, 0.5), (0.25,) * 3, -1.0, 1.0)
+    ] * 2
+    # and its similarity images compose their chain, as the IFS ones do
+    image = similarity_image(translate(corner, (0.25, -0.5)), 2.0, (1.0, 0.0))
+    assert [(f.offset, f.scale, f.chain) for f in image.axis_factors()] == [
+        (1.5, 2.0, 2),
+        (-1.0, 2.0, 2),
+    ]
 
 
 # -- denseness and h0 ---------------------------------------------------------------

@@ -54,7 +54,8 @@ def test_oracle_modes_the_tracer_names():
     gaps = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),)))
     ifs = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
     grid = HomotheticIFS(tuple((0.3, (u, v)) for u in (-0.45, 0.45) for v in (-0.45, 0.45)))
-    assert _oracle(corner).mode == "corner"
+    # corner families are axis products
+    assert _oracle(corner).mode == "product"
     assert _oracle(gaps).mode == "finite1d"
     assert _oracle(tree).mode == "finite"
     assert _oracle(ifs).mode == "bnb"

@@ -78,18 +78,21 @@ CASES = {
 # (exit code, SHA-256 of the outputs), recorded before the `threads` option
 # was removed and the norm and gap formulas were given one home each; the
 # three IFS cases re-recorded when product IFS (both bench IFS specs) got
-# exact per-axis distances and Linf holes, which moved their digits
+# exact per-axis distances and Linf holes, which moved their digits; the
+# five corner cases and thickness-ifs_linf re-recorded when corner families
+# joined the padded axis-product path and Linf product holes took their
+# closed form, which moved their digits
 GOLDEN = {
-    "distances-corner10": (0, "0bf93022d87659c6ab9db9bc2a5e5e35c306c9f2e61cb260c3ba91849c5d94f4"),
-    "game-corner4": (0, "7d88e3093388d8e80a075e9ec33fbeaa95115a5977a5068ba19b3818bcef02e3"),
-    "gapcheck-corner10": (0, "ec1c5ccddbf62835f357ef698761aebede94522b7192f28aac6cedf0a2fdb6a6"),
+    "distances-corner10": (0, "07d41198df23cd619f274640854a92921dc287d730627c2b0350dc213dbb62ad"),
+    "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
+    "gapcheck-corner10": (0, "4fcea529be2448fffd699640cdc9f9e75b8799b748f0785b8f8cda0600ff7ba4"),
     "gapcheck-ifs_l2": (4, "333b09abb11cfafb51d2d6c6599e1976f82e00794d1d2773bec5e08e3eaae19d"),
-    "intersect-corner10": (0, "381681ff36fbc1db5851e0a189cc64c7255d3fd04610ce1a2cce0534f7a2a53c"),
+    "intersect-corner10": (0, "f8826b6cb9def2caa635924177833b60de6c113bd354f1031b4a38513b171e39"),
     "pattern-corner10d1": (0, "3b0be0ac349bf787fd6aa5b9a68771598701f53cdeae62887d26648aac955d48"),
     "render-corner4": (0, "bc099c0b0833122f0fc014acfce4d8e3d3a1262a570d5f88b9072c3147ff3411"),
-    "thickness-corner10": (0, "1a19cf3e56362c67fc49e78c4932b55ececfe2739fd777a0837907285f4dbacf"),
+    "thickness-corner10": (0, "12336168befff0fc2cf1ca1f3bc46aabc8ea747768dd722954e39a42f2b1b2ad"),
     "thickness-ifs_l2": (0, "0c03030fe3045bdfb0b0645b858006088e71b9b92f1747257c7cfd74bcc2ec54"),
-    "thickness-ifs_linf": (0, "0ede320f71037ebb895544e51ca8e5752639225e34350c942309ce9870f305f4"),
+    "thickness-ifs_linf": (0, "763389614a7d811495206e190f69c8a71bbd396ab35aed0c7ad23154ecc8489f"),
     "thickness-l1": (0, "16d700f71046409864c583b280f045cb7c0a668dd16706dd34f1e5f03c723215"),
 }
 

@@ -7,6 +7,7 @@ import heapq
 import math
 import random
 import weakref
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from thickgap.ballsystem import (
     HomotheticIFS,
     NormKind,
     corner_family,
+    corner_gap,
     explicit_tree,
     from_gaps_1d,
     from_ifs,
@@ -32,7 +34,6 @@ from thickgap.metrics import (
     _MAX_RECORDS,
     DEFAULT_NODE_BUDGET,
     ThicknessReport,
-    _corner1d_dist,
     _corner1d_dist_batch,
     _dist_bnb,
     _exact_hole,
@@ -142,6 +143,35 @@ def test_dist_soundness_against_point_cloud():
         cell8 = (ell / 2) ** depth
         assert enc.lo <= cloud + 1e-12
         assert enc.hi >= cloud - 2 * cell8 - 1e-12
+
+
+def _corner1d_dist(y: float, n: int, ell: float, max_levels: int = 80) -> Tuple[float, float]:
+    """Distance enclosure from y to the canonical 1-D corner set in [-1, 1].
+
+    Descends through cells; gap and exterior points resolve exactly because
+    cell corners belong to the set. Points that stay inside cells for
+    max_levels levels get the enclosure [0, 2*remaining scale].
+    """
+    half = ell / 2
+    step = ell + corner_gap(n, ell)
+    scale = 1.0
+    for _ in range(max_levels):
+        t = math.floor((y - (-1 + half)) / step)
+        best_d = math.inf
+        best_m = 0.0
+        for k in (t, t + 1):
+            k = min(n - 1, max(0, k))
+            m = -1 + half + k * step
+            d = abs(y - m)
+            if d < best_d:
+                best_d, best_m = d, m
+        if best_d <= half:
+            y = (y - best_m) / half
+            scale *= half
+            continue
+        out = scale * (best_d - half)
+        return out, out
+    return 0.0, 2 * scale
 
 
 def test_corner1d_batch_matches_scalar():
@@ -600,7 +630,7 @@ def _reference_thickness_finite(sys, depth, tol):
         if len(word) > depth:
             deeper_internal = True
             continue
-        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, ball, tol), tol)
+        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, word, tol), tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
         if len(records) < _MAX_RECORDS:

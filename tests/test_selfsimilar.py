@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from thickgap import selfsimilar
 from thickgap.ballsystem import CornerFamilyParams, HomotheticIFS, corner_family
 from thickgap.geometry import NormKind, norm_distance
-from thickgap.metrics import _dense1d_corner_decide, _pad_iv, denseness_check, thickness
+from thickgap.metrics import _dense1d_corner_decide, denseness_check, thickness
 from thickgap.selfsimilar import (
     biebler_thickness,
     corner_stats,
@@ -92,9 +93,11 @@ def test_corner_stats_share_the_metrics_formulas(n, frac, d):
     ell = frac * 2 / n
     stats = corner_stats(n, ell, d)
     assert stats.tau == pytest.approx(ell * (n - 1) / (2 - n * ell), rel=1e-14)
-    # one tau: the thickness report pads exactly the value corner_stats gives
+    # the thickness report encloses the exact tau = ell / g within tol
     rep = thickness(corner_family(CornerFamilyParams(n=n, ell=ell, d=d)), 1, 1e-9)
-    assert rep.overall == _pad_iv(stats.tau, 1e-9)
+    exact = Fraction(ell) * (n - 1) / (2 - n * Fraction(ell))
+    assert Fraction(rep.overall.lo) <= exact <= Fraction(rep.overall.hi)
+    assert rep.converged and rep.overall.width <= 1e-9
     # one denseness threshold: the exact decision flips at r_dense, bit for bit
     assert _dense1d_corner_decide(n, ell, stats.r_dense)[0]
     assert not _dense1d_corner_decide(n, ell, math.nextafter(stats.r_dense, 0))[0]
