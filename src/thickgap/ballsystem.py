@@ -8,8 +8,8 @@ intersections generate a compact set C. Generators:
   homothetic IFS    node at word (i1..ik) is the composed map image of the root
   1-D gap list      finite binary tree obtained by splitting at listed gaps
   explicit tree     caller-supplied finite node table
-  transforms        similarity (a translate is one of scale 1) / inflated
-                    smooth-map image of a base
+  Similarity        image of a base under x -> scale*x + shift (translates too)
+  Perturbed         image of a base: centers through a smooth map, radii * (1+eps)
 
 Trees are expanded lazily and memoized. Each generator has one per-child
 formula on plain floats: the parent's center and radius in, the child's out.
@@ -21,14 +21,15 @@ product of each axis's n coordinates, which go through the formula's own
 float operations.
 children(word) wraps a block's entries in Balls without checking them again,
 and ball(word) builds only the missing nodes on the path to word, one checked
-Ball per level and none of its siblings. A transformed system expands nothing
-itself: its node at a word is the map of the base's node at that word and its
-block the map of the base's block, so every image of one base reads and fills
-the base's memo. Finite generators (gap lists, explicit tables) store every
-node up front and read their blocks from there; they terminate in leaves and
-represent the set at that truncation, meaning C is the union of the leaf
-balls. Memo fills take no lock: two threads may build the same block, and
-both get the one stored first.
+Ball per level and none of its siblings. An image (Similarity, Perturbed)
+expands nothing itself: its node at a word is the image's node() of the
+base's node at that word and its block that of each entry of the base's
+block, so every image of one base reads and fills the base's memo. Finite
+generators (gap lists, explicit tables) store every node up front and read
+their blocks from there; they terminate in leaves and represent the set at
+that truncation, meaning C is the union of the leaf balls. Memo fills take
+no lock: two threads may build the same block, and both get the one stored
+first.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .geometry import (
     NormKind,
     Point,
     as_point,
-    ball_contains,
     balls_disjoint,
     norm_distance,
     trusted_ball,
@@ -214,8 +214,13 @@ def corner_tau(n: int, ell: float) -> float:
 
 def corner_dense_radius(n: int, ell: float) -> float:
     """Least relative radius r at which every ball of radius r * R inside a
-    corner node of radius R contains a child: ell + g/2."""
-    return ell + corner_gap(n, ell) / 2
+    corner node of radius R contains a child: the least float at or above
+    ell + g/2, taken exactly from the float ell."""
+    p, q = ell.as_integer_ratio()
+    num, den = (n - 2) * p + 2 * q, 2 * q * (n - 1)  # ell + g/2 = num / den, ell = p / q
+    r = num / den  # the nearest float: int / int division rounds correctly
+    a, b = r.as_integer_ratio()
+    return r if a * den >= num * b else math.nextafter(r, math.inf)
 
 
 @dataclass(frozen=True)
@@ -305,13 +310,35 @@ class GapList1D:
 
 
 @dataclass(frozen=True)
-class TransformedSystem:
-    kind: str  # similarity | perturbed
+class Similarity:
+    """The image of base under x -> scale * x + shift; node() maps one node
+    ball of base, given and returned as center and radius."""
+
     base: "BallSystem"
-    shift: Optional[Point] = None
-    scale: float = 1.0
-    eps: float = 0.0
-    fmap: Optional[Callable[[Point], Sequence[float]]] = None
+    scale: float
+    shift: Point
+
+    def node(self, center: Point, radius: float) -> Tuple[Point, float]:
+        return tuple([self.scale * c + w for c, w in zip(center, self.shift)]), self.scale * radius
+
+
+@dataclass(frozen=True)
+class Perturbed:
+    """The image of base with every center pushed through fmap and every
+    radius inflated by 1 + eps; node() maps one node ball, as Similarity's."""
+
+    base: "BallSystem"
+    eps: float
+    fmap: Callable[[Point], Sequence[float]]
+
+    def node(self, center: Point, radius: float) -> Tuple[Point, float]:
+        img = as_point(self.fmap(center))
+        if len(img) != len(center):
+            raise ValueError("perturbation map changed the dimension")
+        return img, (1 + self.eps) * radius
+
+
+_IMAGES = (Similarity, Perturbed)  # generators whose nodes are a base's, mapped
 
 
 class BallSystem:
@@ -334,7 +361,6 @@ class BallSystem:
         self._kids: Dict[Word, Tuple[Ball, ...]] = {}
         self._balls: Dict[Word, Ball] = {ROOT: root}
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
-        self._corner_axes = _UNSET  # corner_axes(), computed on its first call
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
@@ -350,8 +376,9 @@ class BallSystem:
         if b is not None:
             return b
         gen = self.generator
-        if isinstance(gen, TransformedSystem):
-            b = balls[word] = self._map_ball(gen.base.ball(word), gen)
+        if isinstance(gen, _IMAGES):
+            base = gen.base.ball(word)
+            b = balls[word] = Ball(*gen.node(base.center, base.radius))
             return b
         depth = len(word) - 1
         while word[:depth] not in balls:  # the root is always cached
@@ -393,7 +420,7 @@ class BallSystem:
         if self._finite_children is not None:
             return len(self._finite_children.get(word, ()))
         gen = self.generator
-        if isinstance(gen, TransformedSystem):
+        if isinstance(gen, _IMAGES):
             return gen.base.child_count(word)
         return gen.child_count
 
@@ -418,19 +445,15 @@ class BallSystem:
         return self._finite_children is not None
 
     def is_homothetic(self) -> bool:
-        """True when every node repeats the root's relative child layout."""
-        gen = self.generator
-        while isinstance(gen, TransformedSystem):
-            if gen.kind == "perturbed":
-                return False
-            gen = gen.base.generator
-        return hasattr(gen, "child_ratios")
+        """True when every node repeats the root's relative child layout: a
+        generator with child ratios, or a similarity image of one."""
+        return self._similarity_chain() is not None and self.child_ratios() is not None
 
     def child_ratios(self) -> Optional[Tuple[float, ...]]:
         """Child/parent radius ratios, identical at every node, if the system has them."""
-        # transforms rescale every radius by one factor, so ratios pass through
+        # images rescale every radius by one factor, so ratios pass through
         gen = self.generator
-        while isinstance(gen, TransformedSystem):
+        while isinstance(gen, _IMAGES):
             gen = gen.base.generator
         return getattr(gen, "child_ratios", None)
 
@@ -442,56 +465,33 @@ class BallSystem:
             return None
         return ratios[0]
 
-    def _similarity_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
+    def _similarity_chain(self) -> Optional[Tuple["BallSystem", Tuple[Similarity, ...]]]:
         """The generated system this one is an image of under similarities
         (itself when it is generated), with those maps outermost first;
         None past a perturbed image."""
         maps = []
         core = self
-        while isinstance(core.generator, TransformedSystem):
+        while isinstance(core.generator, _IMAGES):
             t = core.generator
-            if t.kind != "similarity":
+            if not isinstance(t, Similarity):
                 return None
             maps.append(t)
             core = t.base
         return core, tuple(maps)
 
-    def _corner_chain(self) -> Optional[Tuple["BallSystem", Tuple[TransformedSystem, ...]]]:
-        """The corner family under a Linf system that is one or an image of one
-        under similarities, with those maps outermost first."""
-        if self.norm is not NormKind.LINF:
-            return None
-        chain = self._similarity_chain()
-        if chain is None or not isinstance(chain[0].generator, CornerFamilyParams):
-            return None
-        return chain
-
-    def corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
-        """Per-axis 1-D corner descriptions when the system is an axis-aligned
-        affine image of a corner family under the Linf norm, else None.
-        Computed once: the system does not change after construction."""
-        axes = self._corner_axes
-        if axes is _UNSET:
-            axes = self._corner_axes = self._make_corner_axes()
-        return axes
-
-    def _make_corner_axes(self) -> Optional[Tuple["CornerAxis", ...]]:
-        chain = self._corner_chain()
-        if chain is None:
-            return None
-        core, maps = chain
-        scale, shift = _compose(maps, self.dimension)
-        gen = core.generator
-        return tuple(
-            CornerAxis(gen.n, gen.ell, offset=shift[i], scale=scale)
-            for i in range(self.dimension)
-        )
+    def corner_params(self) -> Optional[CornerFamilyParams]:
+        """The corner family's parameters when the system is a Linf corner
+        family or a similarity image of one, else None. Its axis_factors()
+        then give each axis's offset and scale."""
+        chain = self._similarity_chain() if self.norm is NormKind.LINF else None
+        gen = None if chain is None else chain[0].generator
+        return gen if isinstance(gen, CornerFamilyParams) else None
 
     def axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
         """Per-axis 1-D factors when the set is the product of one 1-D
         attractor per axis: a generator that offers axis_factors(), or a
-        similarity image of one, composed as corner_axes() composes its
-        chain; None for every other system. Computed once."""
+        similarity image of one, its chain composed into each factor's
+        offset and scale; None for every other system. Computed once."""
         factors = self._axis_factors
         if factors is _UNSET:
             factors = self._axis_factors = self._make_axis_factors()
@@ -506,7 +506,13 @@ class BallSystem:
         factors = make() if make is not None else None
         if factors is None:
             return None
-        scale, shift = _compose(maps, self.dimension)
+        # compose the chain into one map y -> scale * y + shift, outermost
+        # map first: each map applies on top of those still to be visited
+        scale = 1.0
+        shift = [0.0] * self.dimension
+        for t in maps:
+            shift = [s + scale * v for s, v in zip(shift, t.shift)]
+            scale = scale * t.scale
         return tuple(
             dataclasses.replace(f, offset=w, scale=scale, chain=len(maps))
             for f, w in zip(factors, shift)
@@ -516,17 +522,16 @@ class BallSystem:
         self, word: Word
     ) -> Optional[Tuple[Tuple[Tuple[float, ...], ...], float]]:
         """The children of the node at word as a grid, for the systems
-        corner_axes describes; None for every other system.
+        corner_params describes; None for every other system.
 
         Returns (axes, radius): child j has this radius and, on axis i, the
         coordinate axes[i][k] with k the axis-i digit of j. The values are
         bit for bit those of ball(word + (j,)): each goes through the float
         operations of the corner formula and then of every map outward.
         """
-        chain = self._corner_chain()
-        if chain is None:
+        if self.corner_params() is None:
             return None
-        core, maps = chain
+        core, maps = self._similarity_chain()
         parent = core.ball(word)
         axes, radius = core.generator.child_axes(parent.center, parent.radius)
         for t in reversed(maps):
@@ -586,9 +591,9 @@ class BallSystem:
             kids = [self._balls[w] for w in self._finite_children.get(word, ())]
             return tuple([b.center for b in kids]), tuple([b.radius for b in kids])
         gen = self.generator
-        if isinstance(gen, TransformedSystem):
+        if isinstance(gen, _IMAGES):
             centers, radii = gen.base.child_block(word)
-            return _checked_block([self._map_node(c, r, gen) for c, r in zip(centers, radii)])
+            return _checked_block([gen.node(c, r) for c, r in zip(centers, radii)])
         return gen.block(*self._node(word))
 
     def _node(self, word: Word) -> Tuple[Point, float]:
@@ -601,22 +606,6 @@ class BallSystem:
                 return block[0][j], block[1][j]
         b = self.ball(word)
         return b.center, b.radius
-
-    @staticmethod
-    def _map_node(center: Point, radius: float, t: TransformedSystem) -> Tuple[Point, float]:
-        """The transform's image of one node ball, as center and radius."""
-        if t.kind == "similarity":
-            return tuple([t.scale * c + w for c, w in zip(center, t.shift)]), t.scale * radius
-        if t.kind == "perturbed":
-            img = as_point(t.fmap(center))
-            if len(img) != len(center):
-                raise ValueError("perturbation map changed the dimension")
-            return img, (1 + t.eps) * radius
-        raise ValueError(f"unknown transform kind {t.kind}")
-
-    @staticmethod
-    def _map_ball(b: Ball, t: TransformedSystem) -> Ball:
-        return Ball(*BallSystem._map_node(b.center, b.radius, t))
 
     # -- validation ---------------------------------------------------------
 
@@ -638,32 +627,6 @@ class BallSystem:
                     self.decay + _CONTAIN_SLACK
                 ):
                     raise ValueError(f"radius decay violated at {word + (i,)}")
-
-
-@dataclass(frozen=True)
-class CornerAxis:
-    """One axis of an axis-aligned corner product: offset + scale * K(n, ell)."""
-
-    n: int
-    ell: float
-    offset: float
-    scale: float
-
-    @property
-    def g(self) -> float:
-        return corner_gap(self.n, self.ell)
-
-
-def _compose(maps: Sequence[TransformedSystem], d: int) -> Tuple[float, List[float]]:
-    """A similarity chain, outermost first, as one map y -> scale*y + shift."""
-    # accumulate outermost-first: acc(y) = scale*y + shift applied on top
-    # of the transforms still to be visited
-    scale = 1.0
-    shift = [0.0] * d
-    for t in maps:
-        shift = [s + scale * v for s, v in zip(shift, t.shift)]
-        scale = scale * t.scale
-    return scale, shift
 
 
 def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
@@ -854,13 +817,13 @@ def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> B
     shift = as_point(shift)
     if len(shift) != sys.dimension:
         raise ValueError("shift dimension mismatch")
-    gen = TransformedSystem(kind="similarity", base=sys, shift=shift, scale=float(scale))
-    root = BallSystem._map_ball(sys.root, gen)
+    gen = Similarity(sys, float(scale), shift)
+    root = Ball(*gen.node(sys.root.center, sys.root.radius))
     out = BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
     out._finite_children = sys._finite_children
     if sys._finite_children is not None:
         out._balls.update(
-            {w: BallSystem._map_ball(b, gen) for w, b in sys._balls.items()}
+            {w: Ball(*gen.node(b.center, b.radius)) for w, b in sys._balls.items()}
         )
     return out
 
@@ -878,8 +841,8 @@ def perturbed_image(
     r = sys.root.radius
     if any(abs(c) + r > 1 + _CONTAIN_SLACK for c in sys.root.center):
         raise ValueError("root must sit inside the unit cube")
-    gen = TransformedSystem(kind="perturbed", base=sys, eps=float(eps), fmap=f)
-    root = BallSystem._map_ball(sys.root, gen)
+    gen = Perturbed(sys, float(eps), f)
+    root = Ball(*gen.node(sys.root.center, sys.root.radius))
     return BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
 
 
@@ -929,15 +892,15 @@ def parse_set_spec(obj: dict) -> BallSystem:
         raise SpecError("dimension must be a positive integer")
     if not isinstance(gen, dict) or "type" not in gen:
         raise SpecError("generator must be an object with a type")
-    kind = gen["type"]
+    gen_tag = gen["type"]
     try:
-        if kind == "corner":
+        if gen_tag == "corner":
             if norm is not NormKind.LINF:
                 raise SpecError("corner generator requires the linf norm")
             return corner_family(
                 CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
             )
-        if kind == "ifs":
+        if gen_tag == "ifs":
             maps = tuple(
                 (float(m["lambda"]), tuple(float(x) for x in m["t"]))
                 for m in gen["maps"]
@@ -946,7 +909,7 @@ def parse_set_spec(obj: dict) -> BallSystem:
             if ifs.dimension != dimension:
                 raise SpecError("ifs map dimension disagrees with the spec dimension")
             return from_ifs(ifs, norm)
-        if kind == "gaps1d":
+        if gen_tag == "gaps1d":
             if dimension != 1:
                 raise SpecError("gaps1d requires dimension 1")
             hull = tuple(float(x) for x in gen["hull"])
@@ -955,5 +918,5 @@ def parse_set_spec(obj: dict) -> BallSystem:
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"invalid {kind} generator: {exc}") from exc
-    raise SpecError(f"unknown generator type {kind!r}")
+        raise SpecError(f"invalid {gen_tag} generator: {exc}") from exc
+    raise SpecError(f"unknown generator type {gen_tag!r}")

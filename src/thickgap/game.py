@@ -43,6 +43,8 @@ _REF_TOL = 1e-9
 _RADIUS_FLOOR = 1e-9
 _ERASE_SLACK = 1e-12
 _BAND_LIMIT = 10_000
+_C0_GRID = 199  # best_intersection_dim_bound tries c0 = i / 200, i = 1..199
+_COVER_NODES = 300_000  # cap on the nodes of a pattern scan's cover
 
 
 @dataclass(frozen=True)
@@ -353,19 +355,19 @@ class AliceStrategy:
         dist = distance_kernel(sys.norm)
         if dist(root.center, x) > root.radius + r:
             return []
-        axes = sys.corner_axes()
+        corner = sys.corner_params()  # its cells are tested axis by axis
         child_block = sys.child_block
         words = [ROOT]
         for _ in range(level):
             grown: List[Word] = []
             for word in words:
                 centers, radii = child_block(word)
-                if axes is None:
+                if corner is None:
                     for i, c in enumerate(centers):
                         if dist(c, x) <= radii[i] + r:
                             grown.append(word + (i,))
                 else:
-                    cells = _corner_cells_meeting(centers, radii[0] + r, x, axes[0].n)
+                    cells = _corner_cells_meeting(centers, radii[0] + r, x, corner.n)
                     grown.extend([word + (j,) for j in cells])
             words = grown
             if not words:
@@ -754,15 +756,11 @@ def best_intersection_dim_bound(
     sup_ratio: float,
     d: int,
     k: BfsConstants = BfsConstants(),
-    *,
-    grid: int = 199,
 ) -> IntersectionBound:
     """Scan c0 over a uniform grid and keep the best certified bound."""
-    if grid < 1:
-        raise ValueError("grid must be at least 1")
     best: Optional[IntersectionBound] = None
-    for i in range(1, grid + 1):
-        c0 = i / (grid + 1)
+    for i in range(1, _C0_GRID + 1):
+        c0 = i / (_C0_GRID + 1)
         report = intersection_dim_bound(taus, c0, R, ball_radius, sup_ratio, d, k)
         if report.condition_met and (best is None or report.bound > best.bound):
             best = report
@@ -874,8 +872,9 @@ def _cover_upper_dist(
     return np.maximum(out, 0.0, out=out)
 
 
-def _corner_upper_dist(queries: np.ndarray, axes, tol: float) -> np.ndarray:
-    """Upper max-norm distance to a corner product via per-axis descent.
+def _corner_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.ndarray:
+    """Upper max-norm distance to a corner product via per-axis descent, one
+    axis of sys.axis_factors() at a time.
 
     Each axis stops descending where all its remaining values are at most
     tol / 2 (see _corner1d_dist_batch). A value may then differ from the
@@ -884,12 +883,13 @@ def _corner_upper_dist(queries: np.ndarray, axes, tol: float) -> np.ndarray:
     """
     import numpy as np
 
+    corner = sys.corner_params()
     worst = np.zeros(len(queries))
-    for i, axis in enumerate(axes):
-        rel = (queries[:, i] - axis.offset) / axis.scale
-        stop = 0.5 * tol / abs(axis.scale)
-        _, hi = _corner1d_dist_batch(rel, axis.n, axis.ell, stop=stop)
-        np.maximum(worst, hi * abs(axis.scale), out=worst)
+    for i, f in enumerate(sys.axis_factors()):
+        rel = (queries[:, i] - f.offset) / f.scale
+        stop = 0.5 * tol / abs(f.scale)
+        _, hi = _corner1d_dist_batch(rel, corner.n, corner.ell, stop=stop)
+        np.maximum(worst, hi * abs(f.scale), out=worst)
     return worst
 
 
@@ -902,8 +902,6 @@ def pattern_search_oracle(
     lam: float,
     grid_step: float,
     tol: float,
-    *,
-    max_nodes: int = 300_000,
 ) -> List[Point]:
     """Grid scan for translation witnesses of a scaled point pattern.
 
@@ -932,9 +930,8 @@ def pattern_search_oracle(
     if not tol > 0:
         raise ValueError("tol must be positive")
     root = sys.root
-    axes = sys.corner_axes()
-    if axes is None:
-        centers, radii, solid = _leaf_cover(sys, tol / 8.0, max_nodes)
+    if sys.corner_params() is None:
+        centers, radii, solid = _leaf_cover(sys, tol / 8.0, _COVER_NODES)
 
         def upper(q: np.ndarray) -> np.ndarray:
             return _cover_upper_dist(q, centers, radii, sys.norm, solid)
@@ -942,7 +939,7 @@ def pattern_search_oracle(
     else:
 
         def upper(q: np.ndarray) -> np.ndarray:
-            return _corner_upper_dist(q, axes, tol)
+            return _corner_upper_dist(q, sys, tol)
 
     grid_axes = [
         np.arange(c - root.radius, c + root.radius + grid_step / 2, grid_step)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +36,12 @@ from .metrics import DensenessReport, denseness_check, dist_to_set, hole_radius,
 
 _FIND_BUDGET = 100_000
 _SLACK = 1e-12
+_HYP_TOL = 1e-3  # check_hypotheses' thickness tolerance
+_MEET_DEPTH = 6  # the last level its overlap search reaches
+_DENSE_STEP = 1e-3  # its denseness grid step
+_DENSE_DEPTH = 3  # and denseness depth
+_HOLE_REL_TOL = 1e-2  # intersect's hole enclosures, relative to the node radius
+_DIRECTIONAL_STEPS = 400  # intersect steps directional_distance_certificate allows
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,12 @@ def check_hypotheses(
     r: float,
     *,
     depth: int = 5,
-    tol: float = 1e-3,
-    meet_depth: int = 6,
-    grid_step: float = 1e-3,
-    dense_depth: int = 3,
 ) -> GapHypothesesReport:
     """Certify the four sufficient conditions for a nonempty intersection.
 
     Every sub-check is one-sided sound: "proven" is backed by enclosure
     ends or exact arithmetic, "refuted" by a verified counterexample, and
-    anything undecided at the configured depths is "unknown".
+    anything undecided at the depths searched is "unknown".
     """
     if not 0 < r < 0.5:
         raise ValueError("r must lie in (0, 1/2)")
@@ -120,12 +121,12 @@ def check_hypotheses(
         raise ValueError("systems must share a dimension")
 
     rhs = 1.0 / (1.0 - 2 * r) ** 2
-    t1 = thickness(sys1, depth, tol)
-    t2 = thickness(sys2, depth, tol)
+    t1 = thickness(sys1, depth, _HYP_TOL)
+    t2 = thickness(sys2, depth, _HYP_TOL)
     lhs = IntervalBound(
         t1.overall.lo * t2.overall.lo,
         t1.overall.hi * t2.overall.hi,
-        tol,
+        _HYP_TOL,
         t1.overall.converged and t2.overall.converged,
     )
     if lhs.lo >= rhs:
@@ -136,14 +137,14 @@ def check_hypotheses(
         tau_status = "unknown"
     hyp_tau = TauHypothesis(tau_status, lhs, rhs)
 
-    hyp_meet = _meet_status(sys1, sys2, r, meet_depth)
+    hyp_meet = _meet_status(sys1, sys2, r, _MEET_DEPTH)
 
     ok12 = sys1.root.radius >= r * sys2.root.radius
     ok21 = sys2.root.radius >= r * sys1.root.radius
     hyp_radii = RadiiHypothesis("proven" if ok12 and ok21 else "refuted", ok12, ok21)
 
-    dense1 = denseness_check(sys1, r, grid_step, dense_depth)
-    dense2 = denseness_check(sys2, r, grid_step, dense_depth)
+    dense1 = denseness_check(sys1, r, _DENSE_STEP, _DENSE_DEPTH)
+    dense2 = denseness_check(sys2, r, _DENSE_STEP, _DENSE_DEPTH)
 
     all_proven = (
         tau_status == "proven"
@@ -318,9 +319,9 @@ def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
     return _locate(sys, target, tol)[0]
 
 
-def _hole_hi(sys: BallSystem, word: Word, rel_tol: float = 1e-2) -> IntervalBound:
+def _hole_hi(sys: BallSystem, word: Word) -> IntervalBound:
     rad = sys.ball(word).radius
-    return hole_radius(word, sys, max(rel_tol * rad, 1e-12))
+    return hole_radius(word, sys, max(_HOLE_REL_TOL * rad, 1e-12))
 
 
 def intersect(
@@ -468,7 +469,7 @@ def distance_interval(r: float) -> float:
 
 
 def directional_distance_certificate(
-    sys: BallSystem, v: Point, t: float, tol: float, *, r: float, max_steps: int = 400
+    sys: BallSystem, v: Point, t: float, tol: float, *, r: float
 ) -> DirectionalDistanceCertificate:
     """Certify that distance t is realized between two points of the set along v.
 
@@ -486,7 +487,7 @@ def directional_distance_certificate(
         raise ValueError(f"t must lie in [0, {limit:.6g}] for r = {r:.6g}")
 
     shifted = translate(sys, tuple(t * c for c in v))
-    cert = intersect(sys, shifted, r, tol / 8, max_steps)
+    cert = intersect(sys, shifted, r, tol / 8, _DIRECTIONAL_STEPS)
     x = cert.witness
     e1 = find_point_in(sys, Ball(x, tol / 2), tol / 40)
     e2 = tuple(a - t * c for a, c in zip(e1, v))

@@ -17,7 +17,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .geometry import (
     Ball,
@@ -37,8 +37,7 @@ from .ballsystem import (
     ROOT,
     AxisFactor,
     BallSystem,
-    CornerAxis,
-    TransformedSystem,
+    Perturbed,
     Word,
     corner_dense_radius,
     corner_gap,
@@ -418,23 +417,59 @@ def _clamp_into_ball(q: Point, region: Ball, norm: NormKind) -> Point:
     return tuple(c + t * (qi - c) for c, qi in zip(region.center, q))
 
 
-def _split_box(
-    lo: Tuple[float, ...], hi: Tuple[float, ...], norm: NormKind
-) -> List[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
+def _box_max(box, evaluate: Callable, split: Callable, tol: float, node_budget: int):
+    """Best-first enclosure (lower, upper, converged) of a function's max over
+    box. evaluate(box) is None where the search may drop the box (never the
+    first one), else (a value reached in the box, a bound on its max there,
+    whether both met the tolerance asked); split(box) lists the sub-boxes.
+    The box with the largest bound is split first, ties going to the box that
+    compares smallest, until that bound is within tol of the best value or
+    node_budget boxes are split. With no box left, upper is lower."""
+    lower, ub, converged = evaluate(box)
+    heap = [(-ub, box)]
+    expansions = 0
+    while heap:
+        upper = -heap[0][0]
+        if upper - lower <= tol:
+            return lower, upper, converged
+        if expansions >= node_budget:
+            return lower, upper, False
+        _, box = heapq.heappop(heap)
+        expansions += 1
+        for sub in split(box):
+            res = evaluate(sub)
+            if res is None:
+                continue
+            flo, ub, conv = res
+            converged = converged and conv
+            if flo > lower:
+                lower = flo
+            if ub > lower:
+                heapq.heappush(heap, (-ub, sub))
+    return lower, lower, converged
+
+
+def _bisect_box(lo: Tuple[float, ...], hi: Tuple[float, ...]) -> list:
+    """The box's two halves across its longest axis (the first on ties)."""
     d = len(lo)
-    if norm is NormKind.LINF:
-        mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
-        out = []
-        for mask in range(2**d):
-            nl = tuple(lo[i] if not mask >> i & 1 else mids[i] for i in range(d))
-            nh = tuple(mids[i] if not mask >> i & 1 else hi[i] for i in range(d))
-            out.append((nl, nh))
-        return out
     axis = max(range(d), key=lambda i: (hi[i] - lo[i], -i))
     mid = 0.5 * (lo[axis] + hi[axis])
     nl = tuple(mid if i == axis else lo[i] for i in range(d))
     nh = tuple(mid if i == axis else hi[i] for i in range(d))
-    return [(lo, tuple(nh[i] if i == axis else hi[i] for i in range(d))), (nl, hi)]
+    return [(lo, nh), (nl, hi)]
+
+
+def _split_box(lo: Tuple[float, ...], hi: Tuple[float, ...], norm: NormKind) -> list:
+    if norm is not NormKind.LINF:
+        return _bisect_box(lo, hi)
+    d = len(lo)
+    mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
+    out = []
+    for mask in range(2**d):
+        nl = tuple(lo[i] if not mask >> i & 1 else mids[i] for i in range(d))
+        nh = tuple(mids[i] if not mask >> i & 1 else hi[i] for i in range(d))
+        out.append((nl, nh))
+    return out
 
 
 def _hole_bnb(
@@ -447,17 +482,19 @@ def _hole_bnb(
 
     On a sub-box with representative q inside the node, the max over the box
     is enclosed by [dist(q, C).lo, dist(q, C).hi + reach(box, q)] since the
-    distance function is 1-Lipschitz in the workspace norm.
+    distance function is 1-Lipschitz in the workspace norm. Boxes are
+    (lo, hi) pairs, so ties in the search go to the smallest box corner.
     """
     oracle = _oracle(sys)
     region = sys.ball(word)
     norm = sys.norm
     ftol = tol / 4
 
-    def evaluate(lo: Tuple[float, ...], hi: Tuple[float, ...]):
+    def evaluate(box):
+        lo, hi = box
         q = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
         if norm is not NormKind.LINF:
-            nearest = _clamp_box(region.center, lo, hi)
+            nearest = tuple(min(h, max(l, c)) for c, l, h in zip(region.center, lo, hi))
             if norm_distance(nearest, region.center, norm) > region.radius:
                 return None  # box misses the node ball entirely
             q = _clamp_into_ball(q, region, norm)
@@ -468,35 +505,10 @@ def _hole_bnb(
 
     box_lo = tuple(c - region.radius for c in region.center)
     box_hi = tuple(c + region.radius for c in region.center)
-    first = evaluate(box_lo, box_hi)
-    lower = first[0]
-    converged_all = first[2]
-    # max-heap on the box upper bound; ties resolved by the smallest box corner
-    heap = [(-first[1], box_lo, box_hi)]
-    expansions = 0
-    while heap:
-        upper = -heap[0][0]
-        if upper - lower <= tol:
-            return IntervalBound(lower, upper, tol, converged_all)
-        if expansions >= node_budget:
-            return IntervalBound(lower, upper, tol, False)
-        _, lo_t, hi_t = heapq.heappop(heap)
-        expansions += 1
-        for nl, nh in _split_box(lo_t, hi_t, norm):
-            res = evaluate(nl, nh)
-            if res is None:
-                continue
-            flo, ub, conv = res
-            converged_all = converged_all and conv
-            if flo > lower:
-                lower = flo
-            if ub > lower:
-                heapq.heappush(heap, (-ub, nl, nh))
-    return IntervalBound(lower, lower, tol, converged_all)
-
-
-def _clamp_box(p: Point, lo: Sequence[float], hi: Sequence[float]) -> Point:
-    return tuple(min(h, max(l, c)) for c, l, h in zip(p, lo, hi))
+    lower, upper, converged = _box_max(
+        (box_lo, box_hi), evaluate, lambda box: _split_box(*box, norm), tol, node_budget
+    )
+    return IntervalBound(lower, upper, tol, converged)
 
 
 def hole_radius(
@@ -612,16 +624,17 @@ def thickness(
 
     Self-similar systems, corner families among them, use the root-hole
     transfer, which bounds every depth at once and is exact up to a few ulps
-    where the root hole has a closed form; the report is marked valid for
-    all depths only when the depth-1 siblings are verified pairwise
-    disjoint. Finite trees and other systems go node by node.
+    where the root hole has a closed form (a similarity image whose chain
+    rounding keeps the ratio wider than tol takes its core's); the report is
+    marked valid for all depths only when the depth-1 siblings are verified
+    pairwise disjoint. Finite trees and other systems go node by node.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
     gen = sys.generator
-    if isinstance(gen, TransformedSystem) and gen.kind == "perturbed":
+    if isinstance(gen, Perturbed):
         return _thickness_perturbed(sys, gen, depth, tol, node_budget)
     if sys.is_homothetic():
         return _thickness_homothetic(sys, depth, tol, node_budget)
@@ -643,11 +656,19 @@ def _thickness_homothetic(
             h = _hole(sys, ROOT, target, node_budget)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
+    converged = h.converged and overall.width <= tol
+    core = sys._similarity_chain()[0]
+    if not converged and core is not sys:
+        # an image's hole carries a pad for the chain's rounding, which can
+        # keep its ratio wider than tol; radii and holes scale alike under
+        # similarities, so the image's ratio is also its core's
+        inner = _thickness_homothetic(core, depth, tol, node_budget)
+        overall, converged = inner.overall, inner.converged
     return ThicknessReport(
         overall=overall,
         per_node=(rec,),
         depth=depth,
-        converged=h.converged and overall.width <= tol,
+        converged=converged,
         valid_all_depths=sys.siblings_disjoint_at_root(),
         method="homothetic-promotion",
     )
@@ -685,7 +706,7 @@ def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
 
 def _thickness_perturbed(
     sys: BallSystem,
-    gen: TransformedSystem,
+    gen: Perturbed,
     depth: int,
     tol: float,
     node_budget: int,
@@ -823,9 +844,8 @@ def denseness_check(
         raise ValueError("grid_step must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    axes = sys.corner_axes()
-    if axes is not None:
-        return _dense_corner(sys, axes[0], r, grid_step)
+    if sys.corner_params() is not None:
+        return _dense_corner(sys, r, grid_step)
     if sys.is_finite and sys.dimension == 1:
         return _dense_finite1d(sys, r, grid_step, depth)
     if sys.norm is NormKind.LINF and sys.dimension >= 2 and sys.axis_factors() is not None:
@@ -833,8 +853,9 @@ def denseness_check(
     return _dense_grid(sys, r, grid_step, depth)
 
 
-def _dense_corner(sys: BallSystem, axis: CornerAxis, r: float, grid_step: float) -> DensenessReport:
-    proven, witness_c = _dense1d_corner_decide(axis.n, axis.ell, r)
+def _dense_corner(sys: BallSystem, r: float, grid_step: float) -> DensenessReport:
+    corner = sys.corner_params()
+    proven, witness_c = _dense1d_corner_decide(corner.n, corner.ell, r)
     if proven:
         return DensenessReport(r, "proven", None, grid_step, "corner-exact")
     root = sys.root

@@ -9,10 +9,10 @@ radius, and a robustness bound under small perturbations.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .ballsystem import (
     DEFAULT_NODE_BUDGET,
@@ -22,7 +22,7 @@ from .ballsystem import (
     corner_tau,
 )
 from .geometry import IntervalBound, NormKind, Point, norm_distance, vector_size
-from .metrics import _finite1d_hole
+from .metrics import _bisect_box, _box_max, _finite1d_hole
 
 
 @dataclass(frozen=True)
@@ -126,26 +126,25 @@ def homothetic_h0_upper(
 
 
 def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) -> IntervalBound:
-    """homothetic_h0_upper by branch-and-bound over axis boxes: a box fully
-    inside some child or fully outside the root is dropped, anything else is
-    split until the Lipschitz upper bound meets the best value found at
+    """homothetic_h0_upper by _box_max: a box fully inside some child or fully
+    outside the root is dropped, anything else is bisected across its longest
+    axis until the Lipschitz upper bound meets the best value found at
     feasible box centers. An empty region yields [0, tol]."""
     d = ifs.dimension
     lip = max(1.0 / (1.0 - lam) for lam, _ in ifs.maps)
-    best_lower = 0.0
-    heap: List[Tuple[float, int, Tuple[float, ...], Tuple[float, ...]]] = []
-    counter = 0
+    # a box is (serial, lo, hi): ties in the search go to the box made first
+    serial = itertools.count()
 
-    def push(lo: Tuple[float, ...], hi: Tuple[float, ...]) -> None:
-        nonlocal counter, best_lower
+    def evaluate(box):
+        _, lo, hi = box
         nearest = tuple(min(max(a, 0.0), b) for a, b in zip(lo, hi))
         if vector_size(nearest, norm) > 1.0:
-            return
+            return None
         center = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
         rho = vector_size([0.5 * (b - a) for a, b in zip(lo, hi)], norm)
         for lam, t in ifs.maps:
             if norm_distance(center, t, norm) + rho <= lam:
-                return
+                return None
         point = center
         nc = vector_size(center, norm)
         if nc > 1.0:
@@ -154,35 +153,18 @@ def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) ->
             else:
                 point = tuple(c / nc for c in center)
         # inside a child the objective is negative, so taking the max stays sound
-        best_lower = max(best_lower, _phi(point, ifs, norm))
-        upper = _phi(center, ifs, norm) + lip * rho
-        if upper > best_lower:
-            counter += 1
-            heapq.heappush(heap, (-upper, counter, lo, hi))
+        return max(0.0, _phi(point, ifs, norm)), _phi(center, ifs, norm) + lip * rho, True
 
-    push((-1.0,) * d, (1.0,) * d)
-    nodes = 0
-    converged = True
-    while heap:
-        top = -heap[0][0]
-        if top <= best_lower + tol:
-            break
-        if nodes >= node_budget:
-            converged = False
-            break
-        nodes += 1
-        _, _, lo, hi = heapq.heappop(heap)
-        axis = max(range(d), key=lambda i: hi[i] - lo[i])
-        mid = 0.5 * (lo[axis] + hi[axis])
-        push(lo, tuple(mid if i == axis else h for i, h in enumerate(hi)))
-        push(tuple(mid if i == axis else a for i, a in enumerate(lo)), hi)
-    upper_end = best_lower
-    if heap:
-        upper_end = max(upper_end, -heap[0][0])
+    def split(box):
+        return [(next(serial), lo, hi) for lo, hi in _bisect_box(box[1], box[2])]
+
+    root = (next(serial), (-1.0,) * d, (1.0,) * d)
+    lower, upper, converged = _box_max(root, evaluate, split, tol, node_budget)
+    upper = max(lower, upper)
     # absorb float rounding in the objective evaluations; the region max is
     # never negative, so the lower end stays clamped at zero
-    pad = 1e-12 * max(1.0, abs(upper_end))
-    return IntervalBound(max(0.0, best_lower - pad), upper_end + pad, tol, converged)
+    pad = 1e-12 * max(1.0, abs(upper))
+    return IntervalBound(max(0.0, lower - pad), upper + pad, tol, converged)
 
 
 def homothetic_bounds(

@@ -222,14 +222,16 @@ def test_similarity_image_scales_and_shifts():
         similarity_image(base, 0.0, (0.0,))
 
 
-def test_corner_axes_through_transform_chain():
+def test_corner_params_and_factors_through_transform_chain():
     base = corner_family(CornerFamilyParams(n=4, ell=0.4, d=2))
     chained = translate(similarity_image(base, 0.5, (1.0, 0.0)), (0.25, -0.5))
-    axes = chained.corner_axes()
-    assert axes is not None
-    assert [a.offset for a in axes] == pytest.approx([1.25, -0.5])
-    assert all(a.scale == pytest.approx(0.5) for a in axes)
-    assert all((a.n, a.ell) == (4, 0.4) for a in axes)
+    assert chained.corner_params() == CornerFamilyParams(4, 0.4, 2)
+    factors = chained.axis_factors()
+    assert [f.offset for f in factors] == pytest.approx([1.25, -0.5])
+    assert all(f.scale == pytest.approx(0.5) for f in factors)
+    # no corner family under an IFS or past a perturbed image
+    assert from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF).corner_params() is None
+    assert perturbed_image(base, _warp, eps=0.05).corner_params() is None
     # reconstructed child center along axis 0: offset + scale * (-0.8)
     assert chained.ball((0,)).center[0] == pytest.approx(1.25 + 0.5 * -0.8)
 
@@ -762,15 +764,3 @@ def test_corner_block_errors_take_the_per_child_precedence(axes, radius):
     assert _corner_block(good, 0.25) == _checked_block(
         [((good[0][j % 2], good[1][j // 2]), 0.25) for j in range(4)]
     )
-
-
-def test_corner_axes_is_computed_once():
-    for sys in (
-        _corner(),
-        translate(similarity_image(_corner(), 0.5, (0.3, -0.1)), (1e-3, 0.2)),
-        from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF),
-        perturbed_image(_corner(), _warp, eps=0.05),
-    ):
-        first = sys.corner_axes()
-        assert sys.corner_axes() is first
-        assert sys._make_corner_axes() == first

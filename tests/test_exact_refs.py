@@ -2,8 +2,8 @@
 
 A test-only `fractions.Fraction` oracle computes the exact value of each
 quantity that has a closed form: distances to corner families and their
-images, corner holes and thickness, the hole of the max-norm bench IFS
-and Newhouse thickness. Float parameters are read as the rationals they
+images, corner holes, thickness and denseness radius, the hole of the
+max-norm bench IFS and Newhouse thickness. Float parameters are read as the rationals they
 are, and every other quantity (the corner gap g, cell centers, node
 radii) is derived from them exactly. Every float enclosure must contain
 the exact value.
@@ -26,6 +26,7 @@ from thickgap.ballsystem import (
     GapList1D,
     HomotheticIFS,
     NormKind,
+    corner_dense_radius,
     corner_family,
     corner_gap,
     from_ifs,
@@ -34,7 +35,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
-from thickgap.metrics import dist_to_set, hole_radius, thickness
+from thickgap.metrics import denseness_check, dist_to_set, hole_radius, thickness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -160,11 +161,48 @@ def test_corner_hole_encloses_half_the_gap_times_the_radius(case, data, tol):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_corner_images(), tol=st.sampled_from([1e-2, 1e-6, 1e-9]))
+@example(
+    case=(
+        similarity_image(corner_family(CornerFamilyParams(4, 0.4921875, 1)), 1 / 32, (1.0,)),
+        _Corner(4, 0.4921875),
+        Fraction(1, 32),
+        (Fraction(1),),
+    ),
+    tol=1e-9,
+).via("an image whose chain rounding pad kept the ratio wider than tol")
 def test_corner_thickness_encloses_ell_over_g(case, tol):
     sys, ref, _, _ = case
     rep = thickness(sys, 3, tol)
     assert _contains(rep.overall, ref.tau, ref.tau), (rep.overall, float(ref.tau))
     assert rep.converged and rep.overall.width <= tol
+
+
+@st.composite
+def _corner_params(draw):
+    n = draw(st.integers(2, 40))
+    # ell above the subnormals, where the cell radius ell / 2 underflows
+    ell = draw(st.floats(1e-300, 2 / n, exclude_max=True))
+    return n, ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_corner_params())
+@example(case=(6, float.fromhex("0x1.4a57a769ab0b0p-2")))  # ell + g/2 in floats falls short
+@example(case=(10, 0.19))
+@example(case=(4, 0.4))
+def test_corner_dense_radius_is_the_least_float_at_or_above_ell_plus_half_g(case):
+    n, ell = case
+    ref = _Corner(n, ell)
+    exact = ref.ell + ref.g / 2
+    r = corner_dense_radius(n, ell)
+    below = math.nextafter(r, 0.0)
+    assert Fraction(below) < exact <= Fraction(r)
+    # the corner verdict flips there: never proven below the exact threshold
+    sys = corner_family(CornerFamilyParams(n, ell, 1))
+    if r < 1:
+        assert denseness_check(sys, r, 1e-3, 3).verdict == "proven"
+    if 0 < below < 1:
+        assert denseness_check(sys, below, 1e-3, 3).verdict != "proven"
 
 
 def _corner_as_ifs(n, ell, d):

@@ -573,13 +573,15 @@ def _full_descent_batch(ys, n, ell, max_levels=60):
     return lo.reshape(shape), hi.reshape(shape)
 
 
-def _full_descent_upper(axes):
+def _full_descent_upper(sys):
+    corner = sys.corner_params()
+
     def upper(q):
         worst = np.zeros(len(q))
-        for i, axis in enumerate(axes):
-            rel = (q[:, i] - axis.offset) / axis.scale
-            _, hi = _full_descent_batch(rel, axis.n, axis.ell)
-            np.maximum(worst, hi * abs(axis.scale), out=worst)
+        for i, f in enumerate(sys.axis_factors()):
+            rel = (q[:, i] - f.offset) / f.scale
+            _, hi = _full_descent_batch(rel, corner.n, corner.ell)
+            np.maximum(worst, hi * abs(f.scale), out=worst)
         return worst
 
     return upper
@@ -645,16 +647,17 @@ def corner_images(draw):
 def _set_points(sys, rng, count, depth):
     """Corners of random depth-k cells of a corner product: points of the set."""
     out = np.empty((count, sys.dimension))
-    for i, axis in enumerate(sys.corner_axes()):
-        half = axis.ell / 2
-        step = axis.ell + axis.g
+    corner = sys.corner_params()
+    for i, f in enumerate(sys.axis_factors()):
+        half = corner.ell / 2
+        step = corner.ell + corner.g
         y = np.zeros(count)
         s = 1.0
         for _ in range(depth):
-            y += s * (-1 + half + rng.integers(0, axis.n, count) * step)
+            y += s * (-1 + half + rng.integers(0, corner.n, count) * step)
             s *= half
         y += s * rng.choice([-1.0, 1.0], count)
-        out[:, i] = axis.offset + axis.scale * y
+        out[:, i] = f.offset + f.scale * y
     return out
 
 
@@ -679,7 +682,7 @@ class TestPatternDescentStop:
         tol = 10.0**tol_exp * radius
         found = pattern_search_oracle(sys, pts, lam, grid_step, tol)
         want = _reference_scan(
-            sys, pts, lam, grid_step, tol, _full_descent_upper(sys.corner_axes())
+            sys, pts, lam, grid_step, tol, _full_descent_upper(sys)
         )
         assert repr(found) == repr(want)
         assert all(type(v) is float for row in found for v in row)
@@ -697,9 +700,8 @@ class TestPatternDescentStop:
         tol = 10.0**tol_exp * sys.root.radius
         q = _set_points(sys, rng, 400, depth)
         q += tol * rng.uniform(-3.0, 3.0, q.shape)
-        axes = sys.corner_axes()
-        got = _corner_upper_dist(q, axes, tol)
-        want = _full_descent_upper(axes)(q)
+        got = _corner_upper_dist(q, sys, tol)
+        want = _full_descent_upper(sys)(q)
         assert np.array_equal(got > tol, want > tol)
         assert np.array_equal(got[want > tol], want[want > tol])
 
@@ -709,13 +711,13 @@ class TestPatternDescentStop:
         # end points push shifted rows up to 0.3 root radii outside the root
         base = corner_family(CornerFamilyParams(4, 0.4, 1))
         for sys in (base, similarity_image(base, 0.3, (0.2,)), translate(base, (-0.7,))):
-            scale = sys.corner_axes()[0].scale
+            scale = sys.axis_factors()[0].scale
             pts = [(-1.0,), (0.0,), (1.0,)]
             lam = 0.3 * scale
             step = 2 * sys.root.radius / 400
             tol = factor * abs(scale)
             found = pattern_search_oracle(sys, pts, lam, step, tol)
-            upper = _full_descent_upper(sys.corner_axes())
+            upper = _full_descent_upper(sys)
             want = _reference_scan(sys, pts, lam, step, tol, upper)
             assert repr(found) == repr(want)
             assert found
@@ -1196,8 +1198,8 @@ class TestTranscriptsEqualTheReference:
     @settings(max_examples=60, deadline=None)
     @given(sys=_corner_boards(), seed=st.integers(0, 2**31 - 1), bob=st.sampled_from(_BOBS))
     def test_corner_boards(self, sys, seed, bob):
-        axis = sys.corner_axes()[0]
-        tau, beta = axis.ell / axis.g, min(max(0.2, axis.ell / 2), 0.9)
+        corner = sys.corner_params()
+        tau, beta = corner.ell / corner.g, min(max(0.2, corner.ell / 2), 0.9)
         if not sys.siblings_disjoint_at_root():
             # float children that touch break the hypotheses: no match is played
             with pytest.raises(ValueError, match="first-level balls overlap"):

@@ -573,6 +573,69 @@ def test_dist_bnb_matches_reference_at_every_budget(made, data):
     assert repr(_dist_bnb(ref_sys, x, tol, DEFAULT_NODE_BUDGET)) == repr(want)
 
 
+def _reference_hole_bnb(sys, word, tol, node_budget):
+    """The hole search as a self-contained max-heap loop over (lo, hi)
+    boxes, ties going to the smallest box corner: the reference that
+    _hole_bnb on metrics._box_max must match bit for bit."""
+    from thickgap.metrics import _clamp_into_ball, _split_box
+    from thickgap.geometry import vector_size
+
+    oracle = _oracle(sys)
+    region = sys.ball(word)
+    norm = sys.norm
+    ftol = tol / 4
+
+    def evaluate(lo, hi):
+        q = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+        if norm is not NormKind.LINF:
+            nearest = tuple(min(h, max(l, c)) for c, l, h in zip(region.center, lo, hi))
+            if norm_distance(nearest, region.center, norm) > region.radius:
+                return None
+            q = _clamp_into_ball(q, region, norm)
+        f = oracle.enclosure(q, ftol, node_budget)
+        reach = vector_size([max(abs(h - c), abs(c - l)) for l, h, c in zip(lo, hi, q)], norm)
+        return f.lo, f.hi + reach, f.converged
+
+    box_lo = tuple(c - region.radius for c in region.center)
+    box_hi = tuple(c + region.radius for c in region.center)
+    lower, ub, converged = evaluate(box_lo, box_hi)
+    heap = [(-ub, box_lo, box_hi)]
+    expansions = 0
+    while heap:
+        upper = -heap[0][0]
+        if upper - lower <= tol:
+            return IntervalBound(lower, upper, tol, converged)
+        if expansions >= node_budget:
+            return IntervalBound(lower, upper, tol, False)
+        _, lo, hi = heapq.heappop(heap)
+        expansions += 1
+        for nl, nh in _split_box(lo, hi, norm):
+            res = evaluate(nl, nh)
+            if res is None:
+                continue
+            flo, ub, conv = res
+            converged = converged and conv
+            lower = max(lower, flo)
+            if ub > lower:
+                heapq.heappush(heap, (-ub, nl, nh))
+    return IntervalBound(lower, lower, tol, converged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    made=_bnb_systems(),
+    tol=st.sampled_from([1e-1, 1e-2, 1e-3]),
+    budgets=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+)
+def test_hole_bnb_matches_reference_at_small_budgets(made, tol, budgets):
+    make, _, _ = made
+    ref_sys, sys = make(), make()
+    for budget in budgets:
+        want = _reference_hole_bnb(ref_sys, (), tol, budget)
+        got = _hole_bnb(sys, (), tol, budget)
+        assert repr(got) == repr(want), budget
+
+
 def test_dist_bnb_builds_no_balls():
     sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
     enc = dist_to_set((0.1, -0.2), sys, 1e-9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from thickgap import selfsimilar
 from thickgap.ballsystem import CornerFamilyParams, HomotheticIFS, corner_family
-from thickgap.geometry import NormKind, norm_distance
+from thickgap.geometry import IntervalBound, NormKind, norm_distance
 from thickgap.metrics import _dense1d_corner_decide, denseness_check, thickness
 from thickgap.selfsimilar import (
     biebler_thickness,
@@ -193,6 +194,90 @@ def test_h0_sizes_match_the_distance_form(name, norm, tol, monkeypatch):
     )
     want = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=5000)
     assert repr(got) == repr(want)
+
+
+def _reference_h0_bnb(ifs, tol, norm, node_budget):
+    """The h0 search as a self-contained max-heap loop, ties going to the
+    box pushed first: the reference that selfsimilar._h0_bnb on
+    metrics._box_max must match bit for bit."""
+    vector_size = selfsimilar.vector_size
+    phi = selfsimilar._phi
+    d = ifs.dimension
+    lip = max(1.0 / (1.0 - lam) for lam, _ in ifs.maps)
+    best_lower = 0.0
+    heap = []
+    counter = 0
+
+    def push(lo, hi):
+        nonlocal counter, best_lower
+        nearest = tuple(min(max(a, 0.0), b) for a, b in zip(lo, hi))
+        if vector_size(nearest, norm) > 1.0:
+            return
+        center = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+        rho = vector_size([0.5 * (b - a) for a, b in zip(lo, hi)], norm)
+        for lam, t in ifs.maps:
+            if norm_distance(center, t, norm) + rho <= lam:
+                return
+        point = center
+        nc = vector_size(center, norm)
+        if nc > 1.0:
+            if norm is NormKind.LINF:
+                point = tuple(min(1.0, max(-1.0, c)) for c in center)
+            else:
+                point = tuple(c / nc for c in center)
+        best_lower = max(best_lower, phi(point, ifs, norm))
+        upper = phi(center, ifs, norm) + lip * rho
+        if upper > best_lower:
+            counter += 1
+            heapq.heappush(heap, (-upper, counter, lo, hi))
+
+    push((-1.0,) * d, (1.0,) * d)
+    nodes = 0
+    converged = True
+    while heap:
+        top = -heap[0][0]
+        if top <= best_lower + tol:
+            break
+        if nodes >= node_budget:
+            converged = False
+            break
+        nodes += 1
+        _, _, lo, hi = heapq.heappop(heap)
+        axis = max(range(d), key=lambda i: hi[i] - lo[i])
+        mid = 0.5 * (lo[axis] + hi[axis])
+        push(lo, tuple(mid if i == axis else h for i, h in enumerate(hi)))
+        push(tuple(mid if i == axis else a for i, a in enumerate(lo)), hi)
+    upper_end = best_lower
+    if heap:
+        upper_end = max(upper_end, -heap[0][0])
+    pad = 1e-12 * max(1.0, abs(upper_end))
+    return IntervalBound(max(0.0, best_lower - pad), upper_end + pad, tol, converged)
+
+
+# symmetric translations make equal upper bounds, where the tie order shows
+_COORD = st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5]), st.floats(-0.7, 0.7))
+
+
+@st.composite
+def _h0_ifs(draw):
+    d = draw(st.integers(1, 2))
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = draw(st.one_of(st.sampled_from([0.2, 0.25, 0.3]), st.floats(0.05, 0.6)))
+        maps.append((lam, tuple(draw(_COORD) for _ in range(d))))
+    return HomotheticIFS(tuple(maps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ifs=_h0_ifs(),
+    norm=st.sampled_from(list(NormKind)),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    node_budget=st.integers(0, 200),
+)
+def test_h0_bnb_matches_reference(ifs, norm, tol, node_budget):
+    got = selfsimilar._h0_bnb(ifs, tol, norm, node_budget)
+    assert repr(got) == repr(_reference_h0_bnb(ifs, tol, norm, node_budget))
 
 
 def test_h0_l2_norm_runs():
