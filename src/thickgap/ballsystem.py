@@ -21,7 +21,9 @@ product of each axis's n coordinates, which go through the formula's own
 float operations.
 children(word) wraps a block's entries in Balls without checking them again,
 and ball(word) builds only the missing nodes on the path to word, one checked
-Ball per level and none of its siblings. An image (Similarity, Perturbed)
+Ball per level and none of its siblings. path(word) gives the same nodes as
+plain floats and stores nothing, as corner_grid() does for the children of
+any node of a corner family or a similarity image of one. An image (Similarity, Perturbed)
 expands nothing itself: its node at a word is the image's node() of the
 base's node at that word and its block that of each entry of the base's
 block, so every image of one base reads and fills the base's memo. Finite
@@ -341,6 +343,46 @@ class Perturbed:
 _IMAGES = (Similarity, Perturbed)  # generators whose nodes are a base's, mapped
 
 
+@dataclass(frozen=True)
+class CornerGrid:
+    """The children of a corner system's nodes as grids, for searches that
+    walk the tree without building a Ball.
+
+    A node is named by its center and radius in the corner family the
+    system is a similarity image of (its core), root the core's root and
+    maps the similarities innermost first. children() gives its children
+    both in that frame and in the system's own, where each value goes
+    through the float operations of every map outward as ball() maps it,
+    so the system's values are bit for bit those of ball(word + (j,)).
+    """
+
+    params: CornerFamilyParams
+    root: Ball
+    maps: Tuple[Similarity, ...]
+
+    def children(
+        self, center: Point, radius: float
+    ) -> Tuple[Tuple[Tuple[float, ...], ...], float, Tuple[Tuple[float, ...], ...], float]:
+        """(core_axes, core_radius, axes, radius): child j of the node has, on
+        axis i, the coordinate core_axes[i][k] in the core and axes[i][k] in
+        the system, k the axis-i digit of j, and radius core_radius and radius
+        there; ValueError, as Ball's, when the radius rounds to 0."""
+        core_axes, core_radius = self.params.child_axes(center, radius)
+        axes, radius = core_axes, core_radius
+        for t in self.maps:
+            axes = tuple([tuple([t.scale * x + w for x in row]) for row, w in zip(axes, t.shift)])
+            radius = t.scale * radius
+        if not radius > 0:
+            raise ValueError("ball radius must be positive and finite")
+        return core_axes, core_radius, axes, radius
+
+    def node(self, center: Point, radius: float) -> Tuple[Point, float]:
+        """The system's center and radius of the node with this core center and radius."""
+        for t in self.maps:
+            center, radius = t.node(center, radius)
+        return center, radius
+
+
 class BallSystem:
     """Lazy, memoized, immutable-after-construction tree of closed balls."""
 
@@ -518,35 +560,49 @@ class BallSystem:
             for f, w in zip(factors, shift)
         )
 
-    def corner_child_grid(
-        self, word: Word
-    ) -> Optional[Tuple[Tuple[Tuple[float, ...], ...], float]]:
-        """The children of the node at word as a grid, for the systems
-        corner_params describes; None for every other system.
-
-        Returns (axes, radius): child j has this radius and, on axis i, the
-        coordinate axes[i][k] with k the axis-i digit of j. The values are
-        bit for bit those of ball(word + (j,)): each goes through the float
-        operations of the corner formula and then of every map outward.
-        """
+    def corner_grid(self) -> Optional[CornerGrid]:
+        """The child grids of the systems corner_params describes, read in
+        the frame of the corner family they are images of; None for every
+        other system."""
         if self.corner_params() is None:
             return None
         core, maps = self._similarity_chain()
-        parent = core.ball(word)
-        axes, radius = core.generator.child_axes(parent.center, parent.radius)
-        for t in reversed(maps):
-            axes = [tuple(t.scale * x + w for x in row) for row, w in zip(axes, t.shift)]
-            radius = t.scale * radius
-        return tuple(axes), radius
+        return CornerGrid(core.generator, core.root, maps[::-1])
+
+    def path(self, word: Word) -> Iterator[Tuple[Point, float]]:
+        """Center and radius of the node at every prefix of word, root first,
+        bit for bit those of ball(word[:i]), without building or storing a
+        Ball: a generated tree runs its per-child formula down from the root
+        and an image maps its base's path. KeyError when the tree has no
+        node at a prefix."""
+        if self._finite_children is not None:
+            for depth in range(len(word) + 1):
+                b = self._balls.get(word[:depth])
+                if b is None:
+                    raise KeyError(f"no node at word {word}")
+                yield b.center, b.radius
+            return
+        gen = self.generator
+        if isinstance(gen, _IMAGES):
+            for center, radius in gen.base.path(word):
+                yield gen.node(center, radius)
+            return
+        center, radius = self.root.center, self.root.radius
+        yield center, radius
+        for j in word:
+            if not 0 <= j < gen.child_count:
+                raise KeyError(f"no node at word {word}")
+            center, radius = gen.child(center, radius, j)
+            yield center, radius
 
     def siblings_disjoint_at_root(self) -> bool:
-        grid = self.corner_child_grid(ROOT)
+        grid = self.corner_grid()
         if grid is not None:
             # Float rounding is monotone, so coordinates never fall as the
             # digit rises and no pair of digits on an axis is closer than some
             # neighbouring pair. The closest children are thus neighbours on
             # one axis that agree on every other, where they differ by zero.
-            axes, radius = grid
+            _, _, axes, radius = grid.children(grid.root.center, grid.root.radius)
             reach = radius + radius
             return all(b - a > reach for row in axes for a, b in zip(row, row[1:]))
         kids = self.children(ROOT)
@@ -557,7 +613,11 @@ class BallSystem:
         )
 
     def leaf_intervals(self) -> Tuple[Tuple[float, float], ...]:
-        """Sorted closed intervals whose union is C, for finite 1-D systems."""
+        """Sorted closed intervals whose union is C, for finite 1-D systems.
+
+        No two overlap: leaves that do (an explicit tree may have them) are
+        merged into their union, so that the left ends and the right ends
+        both rise; gap-derived leaves are disjoint already."""
         if self._leaf_intervals is not None:
             return self._leaf_intervals
         if not (self.is_finite and self.dimension == 1):
@@ -573,7 +633,13 @@ class BallSystem:
                 b = self.ball(w)
                 leaves.append((b.center[0] - b.radius, b.center[0] + b.radius))
         leaves.sort()
-        self._leaf_intervals = tuple(leaves)
+        merged: List[Tuple[float, float]] = []
+        for lo, hi in leaves:
+            if merged and lo < merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        self._leaf_intervals = tuple(merged)
         return self._leaf_intervals
 
     def split_gap(self, word: Word) -> Optional[Tuple[float, float]]:

@@ -30,7 +30,6 @@ from .geometry import (
     Sphere,
     SphereUnion,
     balls_disjoint,
-    dist_point_sphere,
     distance_kernel,
     norm_distance,
     row_norms,
@@ -570,12 +569,14 @@ def _classify(sys: BallSystem, moves: Sequence[Move], x: Point, rho_f: float) ->
     if enclosure.lo <= 4 * rho_f:
         return "in_target"
     slack = rho_f + _ERASE_SLACK
+    # dist_point_sphere's float, |dist(x, c) - r|, without its dimension check
+    dist = distance_kernel(norm)
     for move in moves:
         if not isinstance(move, AliceMove):
             continue
         for erasure in move.erased:
             reach = min(
-                dist_point_sphere(x, sphere, norm)
+                abs(dist(x, sphere.center) - sphere.radius)
                 for sphere in erasure.spheres.spheres
             )
             if reach <= erasure.rho + slack:

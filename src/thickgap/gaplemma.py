@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .ballsystem import ROOT, BallSystem, Word, translate
+from .ballsystem import ROOT, BallSystem, CornerGrid, Word, translate
 from .geometry import (
     Ball,
     IntervalBound,
@@ -213,103 +214,209 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
 def _locate(sys: BallSystem, target: Ball, tol: float) -> Tuple[Point, Word]:
     """Point of the set inside target, as (deep node center, its word).
 
-    Best-first over how far each node ball sticks out of the target; the
-    first fully contained node is descended along one branch until its
-    radius drops to tol, so the returned center is within tol of the set.
+    Best-first over how far each node ball sticks out of the target: the
+    key of a node is |c - t| + r - R for its center c and radius r and the
+    target's t and R, ties go to the node pushed first, and the first node
+    with key <= 0 is descended along one branch until its radius drops to
+    tol, so the returned center is within tol of the set. key <= 0 is
+    ball_contains' test: the same float |c - t| + r less R, and a
+    correctly rounded difference has the sign of the exact one.
+
+    The order is that of a full expansion, which pushes every child that
+    meets the target when its parent is popped, numbering the pushes with
+    a running counter. Here a popped node pushes only its family's first
+    child in (key, counter) order, with the counter the full expansion
+    gives it, and a placeholder for the others with that child's key and
+    counter, which sorts right after the child. The placeholder is thus
+    no later than any child it stands for, so it is popped before any of
+    them would have been, and popping it pushes them with their own
+    counters: the nodes popped are those of the full expansion, in the
+    same order. Placeholders do not count against _FIND_BUDGET. A node is
+    carried as its center and radius in the frame _family reads children
+    in, so the search builds no Ball.
     """
     norm = sys.norm
     root = sys.root
-    heap: List[Tuple[float, int, Word]] = [
+    grid = sys.corner_grid()
+    frame = root if grid is None else grid.root
+    heap: List[tuple] = [
         (
             norm_distance(root.center, target.center, norm) + root.radius - target.radius,
             0,
+            0,
             ROOT,
+            frame.center,
+            frame.radius,
         )
     ]
     counter = 0
     pops = 0
     while heap:
+        entry = heapq.heappop(heap)
+        if entry[2]:
+            for kid in entry[3]:
+                heapq.heappush(heap, kid)
+            continue
         pops += 1
         if pops > _FIND_BUDGET:
             break
-        _, _, word = heapq.heappop(heap)
-        ball = sys.ball(word)
-        if ball_contains(target, ball, norm):
-            return _descend(sys, target, tol, word, ball)
-        for dist, radius, j in _meeting_children(sys, word, target):
-            counter += 1
-            heapq.heappush(heap, (dist + radius - target.radius, counter, word + (j,)))
+        key, _, _, word, center, radius = entry
+        if key <= 0:
+            return _descend(sys, grid, target, tol, word, center, radius)
+        family = _family(sys, grid, target, word, center, radius, counter)
+        if family is not None:
+            first, rest, size = family
+            heapq.heappush(heap, first)
+            if size > 1:
+                heapq.heappush(heap, (first[0], first[1], 1, rest))
+            counter += size
     raise RuntimeError(
         f"no node ball certifiably inside target B[{target.center}, {target.radius}] "
         f"at tolerance {tol}"
     )
 
 
-def _meeting_children(sys: BallSystem, word: Word, target: Ball) -> List[Tuple[float, float, int]]:
-    """(distance to the target center, radius, index) of every child of the
-    node at word that meets the target, in child order.
+def _family(
+    sys: BallSystem,
+    grid: Optional[CornerGrid],
+    target: Ball,
+    word: Word,
+    center: Point,
+    radius: float,
+    base: int,
+) -> Optional[Tuple[tuple, Iterable[tuple], int]]:
+    """The children of the node at word that meet the target, as heap
+    entries (key, counter, 0, word, center, radius) numbered base + 1, ...
+    in child order: (the first in (key, counter) order, an iterable of the
+    others, how many there are), or None when no child meets the target.
 
-    On a corner grid a child's Linf distance is the largest of its per-axis
-    deviations, so it meets the target iff each deviation is within reach;
-    only those digit combinations are visited, last axis slowest, which is
-    ascending child index.
+    On a corner grid a child's Linf distance to the target center is the
+    largest of its per-axis deviations, and its key the largest per-axis
+    key: adding r and subtracting R are monotone in floats, so they
+    commute with the max. A child meets the target iff each deviation is
+    within r + R, so only those digits are kept, and the family is their
+    product, last axis slowest, which is ascending child index and counter.
+    Its first member takes on each axis the lowest kept digit whose key is
+    at most the least child key, the largest per-axis least key; the
+    others are built only when the placeholder is popped.
     """
-    grid = sys.corner_child_grid(word)
+    t_center, t_radius = target.center, target.radius
     if grid is None:
-        out = []
-        for j, kid in enumerate(sys.children(word)):
-            dist = norm_distance(kid.center, target.center, sys.norm)
-            if dist <= kid.radius + target.radius:
-                out.append((dist, kid.radius, j))
-        return out
-    axes, radius = grid
-    reach = radius + target.radius
-    n = len(axes[0])
+        dist = distance_kernel(sys.norm)
+        centers, radii = sys.child_block(word)
+        kids = []
+        for j, (c, r) in enumerate(zip(centers, radii)):
+            d = dist(c, t_center)
+            if d <= r + t_radius:
+                kids.append((d + r - t_radius, base + 1 + len(kids), 0, word + (j,), c, r))
+        if not kids:
+            return None
+        first = min(kids)
+        return first, [kid for kid in kids if kid is not first], len(kids)
+    core_axes, core_radius, axes, radius = grid.children(center, radius)
+    reach = radius + t_radius
     rows = []
-    for row, t in zip(axes, target.center):
-        devs = [(abs(x - t), k) for k, x in enumerate(row)]
-        rows.append([dk for dk in devs if dk[0] <= reach])
-    out = []
-    for combo in itertools.product(*reversed(rows)):
-        dist, j = 0.0, 0
-        for dev, k in combo:
-            dist = max(dist, dev)
+    least = -math.inf
+    for core_row, row, t in zip(core_axes, axes, t_center):
+        kept = []
+        for k, x in enumerate(row):
+            dev = abs(x - t)
+            if dev <= reach:
+                kept.append((dev + radius - t_radius, k, core_row[k]))
+        if not kept:
+            return None
+        rows.append(kept)
+        least = max(least, min(kept)[0])
+    n = len(axes[0])
+    rank = j = 0
+    size = 1
+    firsts = []
+    for kept in rows:
+        p = 0
+        while kept[p][0] > least:
+            p += 1
+        rank += p * size
+        size *= len(kept)
+        firsts.append(kept[p])
+    for _, k, _ in reversed(firsts):
+        j = j * n + k
+    first = (least, base + 1 + rank, 0, word + (j,), tuple([x for _, _, x in firsts]), core_radius)
+    return first, _grid_siblings(rows, n, base, rank, word, core_radius), size
+
+
+def _grid_siblings(
+    rows: List[List[Tuple[float, int, float]]],
+    n: int,
+    base: int,
+    skip: int,
+    word: Word,
+    core_radius: float,
+) -> Iterator[tuple]:
+    """The heap entries of a corner family but its member of rank skip."""
+    for rank, combo in enumerate(itertools.product(*reversed(rows))):
+        if rank == skip:
+            continue
+        j = 0
+        for _, k, _ in combo:
             j = j * n + k
-        out.append((dist, radius, j))
-    return out
+        yield (
+            max([key for key, _, _ in combo]),
+            base + 1 + rank,
+            0,
+            word + (j,),
+            tuple([x for _, _, x in reversed(combo)]),
+            core_radius,
+        )
 
 
-def _descend(sys: BallSystem, target: Ball, tol: float, word: Word, ball: Ball) -> Tuple[Point, Word]:
+def _descend(
+    sys: BallSystem,
+    grid: Optional[CornerGrid],
+    target: Ball,
+    tol: float,
+    word: Word,
+    center: Point,
+    radius: float,
+) -> Tuple[Point, Word]:
     """Follow the child nearest the target center, lowest index on ties,
-    until the radius drops to tol.
+    from the node at word, given by its center and radius in _family's
+    frame, until its radius drops to tol.
 
-    On a corner grid the nearest distance is the largest per-axis minimum
-    deviation, the children at that distance are those within it on every
-    axis, and the lowest index among them takes on each axis the lowest
-    digit within it.
+    The node passed _locate's key <= 0 test, which is ball_contains', so
+    it and every node under it lie in the target. On a corner grid the
+    nearest distance is the largest per-axis minimum deviation, the
+    children at that distance are those within it on every axis, and the
+    lowest index among them takes on each axis the lowest digit within
+    it. The returned center is the system's, as ball(word) gives it.
     """
-    norm = sys.norm
-    radius = ball.radius
-    while radius > tol:
-        grid = sys.corner_child_grid(word)
-        if grid is None:
-            kids = sys.children(word)
-            if not kids:
+    t_center = target.center
+    if grid is None:
+        dist = distance_kernel(sys.norm)
+        while radius > tol:
+            centers, radii = sys.child_block(word)
+            if not radii:
                 break
-            j = min(
-                range(len(kids)),
-                key=lambda i: (norm_distance(kids[i].center, target.center, norm), i),
-            )
-            radius = kids[j].radius
-        else:
-            axes, radius = grid
-            devs = [[abs(x - t) for x in row] for row, t in zip(axes, target.center)]
-            nearest = max(min(row) for row in devs)
-            j = 0
-            for row in reversed(devs):
-                j = j * len(row) + next(k for k, dev in enumerate(row) if dev <= nearest)
+            j = min(range(len(radii)), key=lambda i: (dist(centers[i], t_center), i))
+            word, center, radius = word + (j,), centers[j], radii[j]
+        return center, word
+    point, own_radius = grid.node(center, radius)
+    while own_radius > tol:
+        core_axes, radius, axes, own_radius = grid.children(center, radius)
+        devs = [[abs(x - t) for x in row] for row, t in zip(axes, t_center)]
+        nearest = max([min(row) for row in devs])
+        digits = []
+        for row in devs:
+            k = 0
+            while row[k] > nearest:
+                k += 1
+            digits.append(k)
+        j = 0
+        for k in reversed(digits):
+            j = j * len(axes[0]) + k
         word = word + (j,)
-    return sys.ball(word).center, word
+        center = tuple([row[k] for row, k in zip(core_axes, digits)])
+        point = tuple([row[k] for row, k in zip(axes, digits)])
+    return point, word
 
 
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
@@ -374,15 +481,15 @@ def intersect(
         h_l = _hole_hi(side_b, l_word)
 
         # deepest prefix of the point's word whose shrunken ball still
-        # dominates the hole radius of the other side's current ball
-        k = 0
-        for i in range(len(point_word) + 1):
-            if shrink * side_a.ball(point_word[:i]).radius >= h_l.hi:
-                k = i
-            else:
+        # dominates the hole radius of the other side's current ball; the
+        # path is walked without building a Ball for every prefix
+        k, k_node = 0, (side_a.root.center, side_a.root.radius)
+        for i, node in enumerate(side_a.path(point_word)):
+            if shrink * node[1] < h_l.hi:
                 break
+            k, k_node = i, node
         k_word = point_word[:k]
-        k_ball = side_a.ball(k_word)
+        k_ball = Ball(*k_node)
 
         if k_ball.radius >= r * l_ball.radius:
             # large ball case: bridge into a child of the other side

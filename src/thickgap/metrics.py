@@ -275,12 +275,22 @@ def _finite1d_dist(starts: Sequence[float], ends: Sequence[float], x: float) -> 
 def _finite1d_hole(
     starts: Sequence[float], ends: Sequence[float], a: float, b: float
 ) -> float:
-    """max over [a, b] of the distance to the union of the leaf intervals."""
-    cands = [a, b]
-    for e, s in zip(ends, starts[1:]):
-        m = 0.5 * (e + s)
-        if a <= m <= b:
-            cands.append(m)
+    """max over [a, b] of the distance to the union of the leaf intervals.
+
+    The candidates are a, b and the midpoint of every gap between
+    neighbouring intervals that lies in [a, b]. starts and ends must both
+    rise, so the midpoints rise with the gap index, as their float formula
+    is monotone in both ends, and those in [a, b] are the index range found
+    by bisection on the same formula.
+    """
+
+    def mid(i: int) -> float:
+        return 0.5 * (ends[i] + starts[i + 1])
+
+    gaps = range(len(starts) - 1)
+    first = bisect.bisect_left(gaps, a, key=mid)
+    last = bisect.bisect_right(gaps, b, key=mid)
+    cands = [a, b] + [mid(i) for i in range(first, last)]
     return max(_finite1d_dist(starts, ends, c) for c in cands)
 
 

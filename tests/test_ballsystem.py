@@ -479,6 +479,43 @@ def test_single_ball_builds_only_its_path():
     assert len(base._balls) == len(word) + 1
 
 
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_path_matches_ball_and_builds_none(name):
+    make = GENERATORS[name]
+    full = make()
+    words = [w for w, _ in full.walk(3)]
+    for word in words:
+        single = make()
+        before = dict(single._balls)
+        path = list(single.path(word))
+        assert [repr(node) for node in path] == [
+            _bits(full.ball(word[:i])) for i in range(len(word) + 1)
+        ], word
+        assert single._balls == before and not single._blocks
+    for word in [w for w in words if w][:5]:
+        past = word[:-1] + (len(full.children(word[:-1])),)
+        with pytest.raises(KeyError):
+            list(make().path(past))
+
+
+@pytest.mark.parametrize("name", ["corner", "translate", "chain"])
+def test_corner_grid_matches_child_blocks(name):
+    make = GENERATORS[name]
+    full = make()
+    grid = make().corner_grid()
+    core = grid.root.center, grid.root.radius
+    for word in [(), (4,), (4, 0), (4, 0, 8)]:
+        if word:
+            core_axes, core_radius, _, _ = grid.children(*core)
+            digits = [word[-1] // 3**i % 3 for i in range(2)]
+            core = tuple(row[k] for row, k in zip(core_axes, digits)), core_radius
+        assert repr(grid.node(*core)) == _bits(full.ball(word))
+        _, _, axes, radius = grid.children(*core)
+        assert _block_bits(_corner_block(axes, radius)) == _block_bits(full.child_block(word))
+    assert GENERATORS["perturbed"]().corner_grid() is None
+    assert GENERATORS["ifs_linf"]().corner_grid() is None
+
+
 def _block_bits(block):
     return repr(block)
 

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import sys as pysys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
-from thickgap import gaplemma
+from thickgap import ballsystem, gaplemma
 from thickgap.gaplemma import (
     bridge_ball,
     check_hypotheses,
@@ -311,6 +312,142 @@ def test_locate_budget_exhaustion_matches_full_expansion(monkeypatch, budget):
         with pytest.raises(RuntimeError) as want:
             _reference_locate(ref, target, 1e-6)
         assert str(got.value) == str(want.value)
+
+
+class _HeapSpy:
+    """A heapq that records every entry pushed and popped."""
+
+    _push = staticmethod(heapq.heappush)
+    _pop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushed = []
+        self.popped = []
+
+    def heappush(self, heap, entry):
+        self.pushed.append(entry)
+        self._push(heap, entry)
+
+    def heappop(self, heap):
+        entry = self._pop(heap)
+        self.popped.append(entry)
+        return entry
+
+
+def _locate_against_reference(monkeypatch, sys, ref, target, tol):
+    """Run _locate on sys and _reference_locate on ref, a fresh copy, and
+    check that they pop the same nodes with the same keys and counters in
+    the same order and end alike. Returns the family placeholders _locate
+    popped and how many keys it pushed for children of more than one parent."""
+    fast, full = _HeapSpy(), _HeapSpy()
+    monkeypatch.setattr(gaplemma, "heapq", fast)
+    monkeypatch.setattr(pysys.modules[__name__], "heapq", full)
+    got = _outcome(gaplemma._locate, sys, target, tol)
+    expected = _outcome(_reference_locate, ref, target, tol)
+    monkeypatch.undo()
+    assert got == expected
+    assert [(e[0], e[1], e[3]) for e in fast.popped if not e[2]] == full.popped
+    parents = {}
+    for entry in fast.pushed:
+        if not entry[2]:
+            parents.setdefault(entry[0], set()).add(entry[3][:-1])
+    return [e for e in fast.popped if e[2]], sum(len(p) > 1 for p in parents.values())
+
+
+@pytest.mark.parametrize("kind", ["corner", "translate", "chain"])
+@pytest.mark.parametrize("rel", [0.05, 0.3, 0.45])
+def test_locate_pops_like_full_expansion(monkeypatch, kind, rel):
+    # targets off the lowest digits: a family's first child is then not its
+    # first member, so its counter counts the members before it on every axis
+    for word in [(10,), (10, 5), (7, 13)]:
+        ref = _corner_image(kind, 4, 0.4, 2)
+        node = ref.ball(word)
+        center = tuple(c + 0.01 * node.radius for c in node.center)
+        target = Ball(center, rel * ref.root.radius)
+        _locate_against_reference(
+            monkeypatch, _corner_image(kind, 4, 0.4, 2), ref, target, 1e-6
+        )
+
+
+@pytest.mark.parametrize("kind", ["corner", "translate"])
+def test_locate_backtracks_out_of_a_gap(monkeypatch, kind):
+    # the target sits in the gap below child 15 and touches its lower face:
+    # the first child of a family meets the target but none of its own
+    # children do, so the search falls back on the family's placeholders
+    ref = _corner_image(kind, 4, 0.4, 2)
+    kid = ref.ball((15,))
+    target = Ball(
+        (kid.center[0] + kid.radius / 2, kid.center[1] - 1.25 * kid.radius), kid.radius / 4
+    )
+    expanded, shared = _locate_against_reference(
+        monkeypatch, _corner_image(kind, 4, 0.4, 2), _corner_image(kind, 4, 0.4, 2), target, 1e-6
+    )
+    assert len(expanded) >= 5 and shared >= 1
+
+
+@pytest.mark.parametrize("kind", ["corner", "translate", "similarity"])
+def test_locate_orders_equal_keys_across_families(monkeypatch, kind):
+    # a target touching the faces of grandchildren of child 3 gives children
+    # of different parents equal keys; their counters decide the order
+    ref = _corner_image(kind, 3, 0.4, 2)
+    kid = ref.ball((3,))
+    target = Ball(
+        (kid.center[0] + kid.radius / 2, kid.center[1] - 0.9 * kid.radius), kid.radius / 10
+    )
+    expanded, shared = _locate_against_reference(
+        monkeypatch, _corner_image(kind, 3, 0.4, 2), _corner_image(kind, 3, 0.4, 2), target, 1e-6
+    )
+    assert expanded and shared >= 1
+
+
+def test_locate_finds_the_point_in_a_later_sibling(monkeypatch):
+    # child 0 is first (key 0.2 against 0.45) but its one child misses the
+    # target; the placeholder hands over to child 1, whose child fits
+    def tree():
+        return explicit_tree(
+            NormKind.LINF,
+            1,
+            [
+                ((), Ball((2.0,), 2.0)),
+                ((0,), Ball((1.6,), 0.5)),
+                ((0, 0), Ball((1.15,), 0.05)),
+                ((1,), Ball((2.6,), 0.55)),
+                ((1, 0), Ball((2.3,), 0.2)),
+            ],
+        )
+
+    target = Ball((2.0,), 0.7)
+    expanded, _ = _locate_against_reference(monkeypatch, tree(), tree(), target, 1e-6)
+    assert len(expanded) == 1
+    assert gaplemma._locate(tree(), target, 1e-6) == ((2.3,), (1, 0))
+    # four nodes are popped, the placeholder between them is not counted
+    monkeypatch.setattr(gaplemma, "_FIND_BUDGET", 4)
+    assert gaplemma._locate(tree(), target, 1e-6) == ((2.3,), (1, 0))
+    monkeypatch.setattr(gaplemma, "_FIND_BUDGET", 3)
+    with pytest.raises(RuntimeError):
+        gaplemma._locate(tree(), target, 1e-6)
+
+
+def test_corner_locate_on_a_translate_builds_no_ball(monkeypatch):
+    # the search carries node centers in the base's frame: it builds no
+    # Ball per node and adds nothing to either system's memo
+    s1, s2 = bench_pair()
+    target = ball_scale(s1.root, 1 - 2 * R_BENCH)
+    expected = _reference_locate(bench_pair()[1], target, 1e-9)
+    built = []
+    post_init = Ball.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    monkeypatch.setattr(ballsystem, "trusted_ball", lambda c, r: built.append(c))
+    sizes = len(s1._balls), len(s2._balls), len(s1._blocks)
+    assert gaplemma._locate(s2, target, 1e-9) == expected
+    assert len(expected[1]) >= 8
+    assert len(built) <= 2
+    assert (len(s1._balls), len(s2._balls), len(s1._blocks)) == sizes
 
 
 # intersection construction

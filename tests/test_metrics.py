@@ -37,6 +37,8 @@ from thickgap.metrics import (
     _corner1d_dist_batch,
     _dist_bnb,
     _exact_hole,
+    _finite1d_dist,
+    _finite1d_hole,
     _hole_bnb,
     _oracle,
     _record,
@@ -224,6 +226,55 @@ def test_hole_gap_tree():
     sys = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),)))
     assert hole_radius((), sys, 1e-9).contains(0.1)
     assert hole_radius((0,), sys, 1e-9).hi <= 1e-9  # leaf: entirely inside the set
+
+
+def _linear_finite1d_hole(starts, ends, a, b):
+    """_finite1d_hole as a scan over every gap."""
+    cands = [a, b]
+    for e, s in zip(ends, starts[1:]):
+        m = 0.5 * (e + s)
+        if a <= m <= b:
+            cands.append(m)
+    return max(_finite1d_dist(starts, ends, c) for c in cands)
+
+
+_coords = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(_coords, min_size=2, max_size=40),
+    overlap=st.floats(0.0, 3.0),
+    disjoint=st.booleans(),
+    ends=st.tuples(_coords, _coords),
+)
+def test_finite1d_hole_matches_linear_scan(points, overlap, disjoint, ends):
+    # disjoint leaf intervals from sorted pairs, or intervals of one length
+    # that may overlap (the unit intervals of one-ratio IFS maps)
+    points.sort()
+    if disjoint:
+        starts, ends_ = points[0::2][: len(points) // 2], points[1::2]
+    else:
+        starts, ends_ = points, [p + overlap for p in points]
+    a, b = sorted(ends)
+    assert _finite1d_hole(starts, ends_, a, b) == _linear_finite1d_hole(starts, ends_, a, b)
+
+
+def test_overlapping_explicit_leaves_merge():
+    # leaf (1,) nests in leaf (0,): the set is [0, 2] u [3, 4]
+    sys = explicit_tree(
+        NormKind.LINF,
+        1,
+        [
+            ((), Ball((2.0,), 2.0)),
+            ((0,), Ball((1.0,), 1.0)),
+            ((1,), Ball((1.25,), 0.25)),
+            ((2,), Ball((3.5,), 0.5)),
+        ],
+    )
+    assert sys.leaf_intervals() == ((0.0, 2.0), (3.0, 4.0))
+    assert dist_to_set((1.7,), sys, 1e-9).hi == 0.0
+    assert hole_radius((), sys, 1e-9).contains(0.5)
 
 
 # -- thickness -------------------------------------------------------------------
