@@ -428,6 +428,24 @@ def test_locate_finds_the_point_in_a_later_sibling(monkeypatch):
         gaplemma._locate(tree(), target, 1e-6)
 
 
+@pytest.mark.parametrize("tol", [1e-320, 1e-250])
+@pytest.mark.parametrize("shift", [None, (0.1, 0.0)])
+def test_corner_locate_underflow_matches_full_expansion(tol, shift):
+    # ell = 1e-100: the radius of a depth-4 node rounds to 0, which a
+    # descent to 1e-320 reaches and one to 1e-250 stops short of
+    def make():
+        base = corner_family(CornerFamilyParams(n=2, ell=1e-100, d=2))
+        return base if shift is None else translate(base, shift)
+
+    target = Ball(make().ball((0,)).center, 0.5)
+    if tol == 1e-250:
+        assert gaplemma._locate(make(), target, tol) == _reference_locate(make(), target, tol)
+        return
+    for locate in (_reference_locate, gaplemma._locate):
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            locate(make(), target, tol)
+
+
 def test_corner_locate_on_a_translate_builds_no_ball(monkeypatch):
     # the search carries node centers in the base's frame: it builds no
     # Ball per node and adds nothing to either system's memo
