@@ -238,6 +238,11 @@ class CornerFamilyParams:
             raise ValueError("corner family needs n >= 2")
         if not 0 < self.ell < 2 / self.n:
             raise ValueError("ell must lie in (0, 2/n)")
+        if not self.ell / 2 > 0:
+            # the first children of the unit root would have radius 0
+            raise ValueError(
+                f"ell = {self.ell!r} is too small: the child radius ell / 2 rounds to 0"
+            )
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
 

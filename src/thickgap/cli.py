@@ -403,23 +403,53 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
 # -- geometry dump -----------------------------------------------------------------
 
 
+class _ReprCache(dict):
+    """repr of each float, computed once per distinct nonzero value."""
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
+    """CSV rows tag,center...,radius of every node down to --depth.
+
+    A tree of n children per node has far fewer distinct floats than rows,
+    so each float is formatted through a cache that lives for this call.
+    The cache is exact because repr of a float is a function of its value,
+    except for the sign of zero: 0.0 == -0.0 and they hash alike, but
+    their reprs differ, so zeros are never stored.
+    """
     if args.depth < 0:
         raise ValueError(f"render depth must be non-negative, got {args.depth}")
     sys = _load_system(args.spec)
     block = sys.child_block
+    fmt = _ReprCache().__getitem__
+    depth = args.depth
     # depth first in child order, as BallSystem.walk, reading child blocks;
-    # each row's tag is its parent's tag plus its child index
+    # each row's tag is its parent's tag plus its child index, and the rows
+    # of a last-level block are written straight from it
     lines = []
     stack: List[Tuple[Word, str, Point, float]] = [(ROOT, "", sys.root.center, sys.root.radius)]
     while stack:
         word, tag, center, radius = stack.pop()
-        lines.append(",".join([tag, *map(repr, center), repr(radius)]))
-        if len(word) < args.depth:
-            centers, radii = block(word)
-            prefix = tag + "." if word else ""
+        lines.append(",".join([tag, *map(fmt, center), fmt(radius)]))
+        if len(word) == depth:
+            continue
+        centers, radii = block(word)
+        prefix = tag + "." if word else ""
+        if len(word) + 1 < depth:
             for i in range(len(radii) - 1, -1, -1):
                 stack.append((word + (i,), prefix + str(i), centers[i], radii[i]))
+        else:
+            lines.extend(
+                [
+                    ",".join([prefix + str(i), *map(fmt, c), fmt(r)])
+                    for i, (c, r) in enumerate(zip(centers, radii))
+                ]
+            )
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -915,6 +915,9 @@ def pattern_search_oracle(
     childless nodes count as solid balls. Any point of the set realizing
     the pattern has a grid point within half a step of it, which certifies
     whenever grid_step / 2 plus the cover fuzz stays at most tol.
+
+    Witnesses are tuples of Python floats, in grid order: the first axis
+    varies slowest.
     """
     import numpy as np
 
@@ -958,4 +961,6 @@ def pattern_search_oracle(
         keep[live[upper(shifted) > tol]] = False
         if not keep.any():
             break
-    return list(map(tuple, grid[keep].tolist()))
+    kept = grid[keep]
+    # a tolist per column, zipped: Python-float tuples with no per-row call
+    return list(zip(*[kept[:, i].tolist() for i in range(sys.dimension)]))

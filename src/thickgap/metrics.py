@@ -106,6 +106,8 @@ def _corner1d_dist_batch(
 
     half = ell / 2
     step = ell + corner_gap(n, ell)
+    first = -1 + half  # the center of cell 0
+    top = n - 1
     ya = np.array(ys, dtype=float).ravel()
     lo = np.zeros_like(ya)
     hi = np.zeros_like(ya)
@@ -114,24 +116,40 @@ def _corner1d_dist_batch(
     for level in range(max_levels):
         if not idx.size or (level and 2 * scale <= stop):
             break
-        t = np.floor((ya - (-1 + half)) / step)
-        k0 = np.clip(t, 0, n - 1)
-        k1 = np.clip(t + 1, 0, n - 1)
-        m0 = -1 + half + k0 * step
-        m1 = -1 + half + k1 * step
-        d0 = np.abs(ya - m0)
-        d1 = np.abs(ya - m1)
-        use0 = d0 <= d1
-        m = np.where(use0, m0, m1)
-        dmin = np.where(use0, d0, d1)
+        # the nearer of the centers of cells t and t + 1, clipped to the n
+        # cells, t the cell at or left of y; in place, in the same operations
+        # as the out-of-place formulas, so bit for bit their values
+        m0 = np.subtract(ya, first)
+        m0 /= step
+        np.floor(m0, out=m0)
+        m = m0 + 1
+        np.clip(m0, 0, top, out=m0)
+        np.clip(m, 0, top, out=m)
+        m0 *= step
+        m0 += first
+        m *= step
+        m += first
+        d0 = np.subtract(ya, m0)
+        np.abs(d0, out=d0)
+        dmin = np.subtract(ya, m)
+        np.abs(dmin, out=dmin)
+        use0 = d0 <= dmin
+        np.copyto(m, m0, where=use0)
+        np.copyto(dmin, d0, where=use0)
         in_cell = dmin <= half
-        out = ~in_cell
-        if out.any():
-            val = np.maximum(dmin[out] - half, 0.0) * scale
+        if not in_cell.all():
+            out = ~in_cell
+            val = dmin[out]
+            val -= half
+            np.maximum(val, 0.0, out=val)
+            val *= scale
             lo[idx[out]] = val
             hi[idx[out]] = val
-        idx = idx[in_cell]
-        ya = (ya[in_cell] - m[in_cell]) / half
+            idx = idx[in_cell]
+            ya = ya[in_cell]
+            m = m[in_cell]
+        ya -= m
+        ya /= half
         scale *= half
     hi[idx] = 2 * scale
     shape = np.asarray(ys, dtype=float).shape
@@ -556,7 +574,8 @@ def _exact_hole(sys: BallSystem, word: Word, tol: float) -> Optional[IntervalBou
     distance the largest per-axis one, so the hole is the largest per-axis
     hole: _node_hole_form's when that is at most tol wide, else that cut
     down by the _axis_hole descent. On finite 1-D trees it is the farthest
-    point of the node from the leaf intervals."""
+    point of the node from the leaf intervals. The enclosure is converged
+    only when it is at most tol wide."""
     oracle = _oracle(sys)
     ball = sys.ball(word)
     if oracle.mode == "product" and (sys.norm is NormKind.LINF or sys.dimension == 1):
@@ -571,13 +590,15 @@ def _exact_hole(sys: BallSystem, word: Word, tol: float) -> Optional[IntervalBou
             # both enclose the hole: keep what each bounds best
             parts = [_axis_hole(f, c - R, c + R, tol) for f, c in zip(oracle.factors, ball.center)]
             lo, hi = max(lo, max(p[0] for p in parts)), min(hi, max(p[1] for p in parts))
-        return IntervalBound(lo, hi, tol)
-    if oracle.mode == "finite1d":
+    elif oracle.mode == "finite1d":
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
         v = _finite1d_hole(oracle.starts, oracle.ends, a, b)
         pad = 1e-12 * max(1.0, v)  # absorbs last-ulp disagreement between equivalent formulas
-        return IntervalBound(v - pad, v + pad, tol)
-    return None
+        lo, hi = v - pad, v + pad
+    else:
+        return None
+    # the pads set a width floor that no descent removes
+    return IntervalBound(lo, hi, tol, hi - lo <= tol)
 
 
 def _node_hole_form(f: AxisFactor) -> Tuple[float, float, float, float]:

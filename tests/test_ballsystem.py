@@ -762,6 +762,11 @@ def test_corner_block_equals_the_per_child_formula(data, n, d):
 @pytest.mark.parametrize("ell", [1e-100, 1e-160, 1e-200, 5e-324])
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3)])
 def test_corner_block_underflow_errors_equal_the_per_child_formula(n, d, ell):
+    if ell / 2 == 0:
+        # the unit root's first children would have radius 0: refused up front
+        with pytest.raises(ValueError, match=r"ell = 5e-324 is too small"):
+            CornerFamilyParams(n=n, ell=ell, d=d)
+        return
     sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
     word = ()
     for depth in range(6):

@@ -10,6 +10,7 @@ from thickgap.ballsystem import (
     CornerFamilyParams,
     GapList1D,
     HomotheticIFS,
+    SpecError,
     corner_family,
     explicit_tree,
     from_gaps_1d,
@@ -142,6 +143,18 @@ class TestInputErrors:
         assert cli.main([]) == 2
         assert cli.main(["thickness"]) == 2
         assert cli.main(["gapcheck", "--spec", specs["thirds"]]) == 2
+
+    @pytest.mark.parametrize("command", ["render", "thickness"])
+    def test_corner_ell_whose_child_radius_underflows(self, command, tmp_path, capsys):
+        gen = {"type": "corner", "n": 2, "ell": 5e-324}
+        obj = {"norm": "linf", "dimension": 1, "generator": gen}
+        with pytest.raises(SpecError, match="child radius ell / 2 rounds to 0"):
+            parse_set_spec(obj)
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps(obj))
+        assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert "ell = 5e-324 is too small" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGapPair:
@@ -435,6 +448,21 @@ def _render_explicit():
     )
 
 
+def _render_signed_zeros():
+    # 0.0 == -0.0 and they hash alike, but their reprs differ
+    return explicit_tree(
+        NormKind.L2,
+        2,
+        [
+            ((), Ball((-0.0, 0.0), 1.0)),
+            ((0,), Ball((0.0, -0.0), 0.5)),
+            ((1,), Ball((-0.0, 0.75), 0.25)),
+            ((0, 0), Ball((-0.0, -0.0), 0.25)),
+            ((0, 1), Ball((0.0, 0.0), 0.25)),
+        ],
+    )
+
+
 def _warp(p):
     return tuple(x + 0.01 * math.sin(3 * x + k) for k, x in enumerate(p))
 
@@ -448,6 +476,7 @@ _RENDER_SYSTEMS = {
     "translate": lambda: translate(_render_corner(), (0.05, -0.02)),
     "similarity": lambda: similarity_image(from_ifs(_RENDER_IFS, NormKind.L2), 0.7, (0.1, 0.2)),
     "perturbed": lambda: perturbed_image(_render_corner(), _warp, eps=0.05),
+    "signed_zeros": _render_signed_zeros,
 }
 
 
@@ -525,3 +554,14 @@ class TestRender:
         ) == 0
         assert out.read_text() == _walk_dump(parse_set_spec(SPECS["corner4_d2"]), 3)
 
+
+    def test_a_repr_cache_that_stores_zeros_fails_the_walk(self, tmp_path, monkeypatch):
+        def store_every_value(cache, x):
+            text = cache[x] = repr(x)
+            return text
+
+        monkeypatch.setattr(cli._ReprCache, "__missing__", store_every_value)
+        monkeypatch.setattr(cli, "_load_system", lambda path: _render_signed_zeros())
+        out = tmp_path / "dump.csv"
+        assert cli.main(["render", "--spec", "unused", "--depth", "2", "--out", str(out)]) == 0
+        assert out.read_text() != _walk_dump(_render_signed_zeros(), 2)

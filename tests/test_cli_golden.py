@@ -72,7 +72,18 @@ CASES = {
         ],
         "out.json",
     ),
+    "pattern-corner10d1-bench": (
+        [
+            "pattern", "--spec", "{specs}/corner10d1.json", "0.05", "0", "1", "2",
+            "--grid", "1e-5", "--tol", "1e-5",
+        ],
+        "out.json",
+    ),
     "render-corner4": (["render", "--spec", "{specs}/corner4.json", "--depth", "3"], "out.csv"),
+    "render-corner4-bench": (
+        ["render", "--spec", "{specs}/corner4.json", "--depth", "4"],
+        "out.csv",
+    ),
 }
 
 # (exit code, SHA-256 of the outputs), recorded before the `threads` option
@@ -81,7 +92,9 @@ CASES = {
 # exact per-axis distances and Linf holes, which moved their digits; the
 # five corner cases and thickness-ifs_linf re-recorded when corner families
 # joined the padded axis-product path and Linf product holes took their
-# closed form, which moved their digits
+# closed form, which moved their digits; the two bench-size cases (the
+# benchmark's 121,882-witness pattern scan and 69,905-row render) recorded
+# before render and the pattern scan stopped formatting per value
 GOLDEN = {
     "distances-corner10": (0, "07d41198df23cd619f274640854a92921dc287d730627c2b0350dc213dbb62ad"),
     "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
@@ -89,7 +102,9 @@ GOLDEN = {
     "gapcheck-ifs_l2": (4, "333b09abb11cfafb51d2d6c6599e1976f82e00794d1d2773bec5e08e3eaae19d"),
     "intersect-corner10": (0, "f8826b6cb9def2caa635924177833b60de6c113bd354f1031b4a38513b171e39"),
     "pattern-corner10d1": (0, "3b0be0ac349bf787fd6aa5b9a68771598701f53cdeae62887d26648aac955d48"),
+    "pattern-corner10d1-bench": (0, "6c150cbae7a4c2b9672df67c0d27ab8ebe3f22a7c824bd41b94241b9356d669e"),
     "render-corner4": (0, "bc099c0b0833122f0fc014acfce4d8e3d3a1262a570d5f88b9072c3147ff3411"),
+    "render-corner4-bench": (0, "3e3fb54ba252b330f5fea3ff0c839653ab9679d478bf2c1e2012ac2e41d25c2e"),
     "thickness-corner10": (0, "12336168befff0fc2cf1ca1f3bc46aabc8ea747768dd722954e39a42f2b1b2ad"),
     "thickness-ifs_l2": (0, "0c03030fe3045bdfb0b0645b858006088e71b9b92f1747257c7cfd74bcc2ec54"),
     "thickness-ifs_linf": (0, "763389614a7d811495206e190f69c8a71bbd396ab35aed0c7ad23154ecc8489f"),

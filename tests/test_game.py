@@ -608,8 +608,8 @@ def _children_leaf_cover(sys, target_radius, max_nodes):
     return centers, radii, solid
 
 
-def _reference_scan(sys, points, lam, grid_step, tol, upper):
-    """The pattern grid scan building one witness tuple per kept row."""
+def _scan_mask(sys, points, lam, grid_step, tol, upper):
+    """The pattern grid and the mask of its rows that the scan keeps."""
     root = sys.root
     grid_axes = [
         np.arange(c - root.radius, c + root.radius + grid_step / 2, grid_step)
@@ -624,6 +624,12 @@ def _reference_scan(sys, points, lam, grid_step, tol, upper):
         keep[live[upper(shifted) > tol]] = False
         if not keep.any():
             break
+    return grid, keep
+
+
+def _reference_scan(sys, points, lam, grid_step, tol, upper):
+    """The pattern grid scan building one witness tuple per kept row."""
+    grid, keep = _scan_mask(sys, points, lam, grid_step, tol, upper)
     return [tuple(float(v) for v in row) for row in grid[keep]]
 
 
@@ -820,6 +826,53 @@ class TestPatternLeafCover:
         with pytest.raises(RuntimeError) as want:
             _children_leaf_cover(from_ifs(_PATTERN_IFS, NormKind.L2), 1e-3, 200)
         assert str(got.value) == str(want.value)
+
+
+def _cover_upper(sys, tol):
+    centers, radii, solid = _leaf_cover(sys, tol / 8.0, 300_000)
+    return lambda q: _cover_upper_dist(q, centers, radii, sys.norm, solid)
+
+
+class TestWitnessTuples:
+    """The scan builds its witness tuples column by column; the row-by-row
+    builder it replaced, list(map(tuple, rows.tolist())), is the reference."""
+
+    @pytest.mark.parametrize(
+        "make, pts, lam, step, tol, upper, empty",
+        [
+            (
+                lambda: ten_corner(1),
+                [(0.0,), (1.0,), (2.0,)],
+                0.05, 1e-4, 1e-4, _full_descent_upper, False,
+            ),
+            (
+                lambda: translate(quarter_corner(2), (0.3, -0.2)),
+                [(0.0, 0.0), (1.0, 0.5)],
+                0.1, 0.01, 0.01, _full_descent_upper, False,
+            ),
+            (
+                lambda: from_ifs(_PATTERN_IFS, NormKind.L2),
+                [(0.0, 0.0), (1.0, 0.5)],
+                0.1, 0.05, 0.08, lambda sys: _cover_upper(sys, 0.08), False,
+            ),
+            (
+                lambda: _middle_thirds(6),
+                [(0.0,), (1.0,), (2.0,)],
+                0.18, 1e-3, 1e-3, lambda sys: _cover_upper(sys, 1e-3), True,
+            ),
+        ],
+        ids=["corner_d1", "corner_d2", "ifs_cover", "empty"],
+    )
+    def test_witnesses_equal_the_row_builder(self, make, pts, lam, step, tol, upper, empty):
+        sys = make()
+        found = pattern_search_oracle(sys, pts, lam, step, tol)
+        grid, keep = _scan_mask(sys, pts, lam, step, tol, upper(sys))
+        want = list(map(tuple, grid[keep].tolist()))
+        assert found == want and repr(found) == repr(want)
+        assert type(found) is list and (found == []) is empty
+        for w in found:
+            assert type(w) is tuple and len(w) == sys.dimension
+            assert all(type(v) is float for v in w)
 
 
 class TestPatternSolidLeaves:

@@ -904,3 +904,17 @@ def test_thickness_valid_all_depths_needs_the_whole_tree():
     assert thickness(five, 4, 1e-9).valid_all_depths
     ifs = middle_thirds_ifs()
     assert not thickness(perturbed_image(ifs, _warp, eps=0.05), 1, 1e-3).valid_all_depths
+
+
+def test_exact_hole_is_converged_only_within_tol():
+    # the similarity chain's rounding pad keeps this enclosure ~3.8e-15 wide
+    sys = similarity_image(corner_family(CornerFamilyParams(4, 0.4921875, 1)), 1 / 32, (1.0,))
+    h = hole_radius((), sys, 1e-16)
+    assert h.width > 1e-16 and h.converged is False
+    assert repr(_exact_hole(sys, (), 1e-16)) == repr(h)
+    wide = hole_radius((), sys, 1e-14)
+    assert (wide.lo, wide.hi) == (h.lo, h.hi) and wide.converged is True
+    # finite 1-D trees: the 1e-12 pad is wider than a tol of 1e-13
+    gaps = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((1 / 3, 2 / 3),)))
+    assert _exact_hole(gaps, (), 1e-13).converged is False
+    assert _exact_hole(gaps, (), 1e-9).converged is True
