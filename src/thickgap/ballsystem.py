@@ -350,41 +350,69 @@ _IMAGES = (Similarity, Perturbed)  # generators whose nodes are a base's, mapped
 
 @dataclass(frozen=True)
 class CornerGrid:
-    """The children of a corner system's nodes as grids, for searches that
-    walk the tree without building a Ball.
+    """The children of a corner system's nodes read axis by axis, for
+    searches that walk the tree without building a Ball.
 
     A node is named by its center and radius in the corner family the
     system is a similarity image of (its core), root the core's root and
-    maps the similarities innermost first. children() gives its children
-    both in that frame and in the system's own, where each value goes
-    through the float operations of every map outward as ball() maps it,
-    so the system's values are bit for bit those of ball(word + (j,)).
+    maps the similarities innermost first. A child's core center is
+    params.child's and its system center node()'s of that, so both are bit
+    for bit those of ball(word + (j,)).
     """
 
     params: CornerFamilyParams
     root: Ball
     maps: Tuple[Similarity, ...]
+    offsets: Tuple[float, ...]  # _corner_axis_offsets(params.n, params.ell)
 
-    def children(
-        self, center: Point, radius: float
-    ) -> Tuple[Tuple[Tuple[float, ...], ...], float, Tuple[Tuple[float, ...], ...], float]:
-        """(core_axes, core_radius, axes, radius): child j of the node has, on
-        axis i, the coordinate core_axes[i][k] in the core and axes[i][k] in
-        the system, k the axis-i digit of j, and radius core_radius and radius
-        there; ValueError, as Ball's, when the radius rounds to 0."""
-        core_axes, core_radius = self.params.child_axes(center, radius)
-        axes, radius = core_axes, core_radius
-        for t in self.maps:
-            axes = tuple([tuple([t.scale * x + w for x in row]) for row, w in zip(axes, t.shift)])
-            radius = t.scale * radius
-        if not radius > 0:
+    def deviations(
+        self, center: Point, radius: float, point: Point
+    ) -> Tuple[List[List[float]], float, float]:
+        """(devs, core_radius, radius): the children of the node have radius
+        core_radius in the core and radius in the system, and on axis i the
+        children of axis-i digit k lie devs[i][k] = |x - point[i]| from point,
+        x their system coordinate. Each x is formed in one pass as ball()
+        forms it, c + r * offset and then scale * x + w per map, and only its
+        deviation is kept. ValueError, as Ball's, when the radius rounds to 0."""
+        rel = self.offsets
+        maps = self.maps
+        core_radius = own = radius * self.params.ell / 2
+        for t in maps:
+            own = t.scale * own
+        if not own > 0:
             raise ValueError("ball radius must be positive and finite")
-        return core_axes, core_radius, axes, radius
+        if not maps:
+            devs = [[abs(c + radius * x - p) for x in rel] for c, p in zip(center, point)]
+            return devs, core_radius, own
+        if len(maps) == 1:
+            s, shift = maps[0].scale, maps[0].shift
+            devs = [
+                [abs(s * (c + radius * x) + w - p) for x in rel]
+                for c, p, w in zip(center, point, shift)
+            ]
+            return devs, core_radius, own
+        devs = []
+        for i, (c, p) in enumerate(zip(center, point)):
+            row = []
+            for x in rel:
+                x = c + radius * x
+                for t in maps:
+                    x = t.scale * x + t.shift[i]
+                row.append(abs(x - p))
+            devs.append(row)
+        return devs, core_radius, own
 
     def node(self, center: Point, radius: float) -> Tuple[Point, float]:
         """The system's center and radius of the node with this core center and radius."""
         for t in self.maps:
             center, radius = t.node(center, radius)
+        return center, radius
+
+    def core(self, word: Word) -> Tuple[Point, float]:
+        """The core center and radius of the node at word."""
+        center, radius = self.root.center, self.root.radius
+        for j in word:
+            center, radius = self.params.child(center, radius, j)
         return center, radius
 
 
@@ -409,6 +437,8 @@ class BallSystem:
         self._balls: Dict[Word, Ball] = {ROOT: root}
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
+        self._corner_grid = _UNSET  # corner_grid(), alike
+        self._siblings_disjoint: Optional[bool] = None  # siblings_disjoint_at_root(), alike
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -568,11 +598,17 @@ class BallSystem:
     def corner_grid(self) -> Optional[CornerGrid]:
         """The child grids of the systems corner_params describes, read in
         the frame of the corner family they are images of; None for every
-        other system."""
-        if self.corner_params() is None:
-            return None
-        core, maps = self._similarity_chain()
-        return CornerGrid(core.generator, core.root, maps[::-1])
+        other system. Computed once."""
+        grid = self._corner_grid
+        if grid is _UNSET:
+            grid = None
+            if self.corner_params() is not None:
+                core, maps = self._similarity_chain()
+                params = core.generator
+                offsets = _corner_axis_offsets(params.n, params.ell)
+                grid = CornerGrid(params, core.root, maps[::-1], offsets)
+            self._corner_grid = grid
+        return grid
 
     def path(self, word: Word) -> Iterator[Tuple[Point, float]]:
         """Center and radius of the node at every prefix of word, root first,
@@ -601,15 +637,29 @@ class BallSystem:
             yield center, radius
 
     def siblings_disjoint_at_root(self) -> bool:
+        """Whether no two children of the root meet; computed on the first call."""
+        if self._siblings_disjoint is None:
+            self._siblings_disjoint = self._root_siblings_disjoint()
+        return self._siblings_disjoint
+
+    def _root_siblings_disjoint(self) -> bool:
         grid = self.corner_grid()
         if grid is not None:
             # Float rounding is monotone, so coordinates never fall as the
             # digit rises and no pair of digits on an axis is closer than some
             # neighbouring pair. The closest children are thus neighbours on
             # one axis that agree on every other, where they differ by zero.
-            _, _, axes, radius = grid.children(grid.root.center, grid.root.radius)
-            reach = radius + radius
-            return all(b - a > reach for row in axes for a, b in zip(row, row[1:]))
+            # The deviations from the child of digit k on every axis give,
+            # at k - 1 and k + 1, each axis's gaps next to digit k, the same
+            # floats as the differences since fl(a - b) = -fl(b - a).
+            center, radius = grid.root.center, grid.root.radius
+            n, d = grid.params.n, grid.params.d
+            for k in range(1, n, 2):
+                point = grid.node(*grid.params.child(center, radius, k * (n**d - 1) // (n - 1)))[0]
+                devs, _, own = grid.deviations(center, radius, point)
+                if any(gap <= own + own for row in devs for gap in row[k - 1 : k + 2 : 2]):
+                    return False
+            return True
         kids = self.children(ROOT)
         return all(
             balls_disjoint(kids[i], kids[j], self.norm)
@@ -788,7 +838,8 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     longest first and leftmost on ties; gapless nodes are leaves."""
 
     def interval_ball(a: float, b: float) -> Ball:
-        if not b > a:
+        # a piece narrower than two of the least subnormals has radius 0
+        if not (b - a) / 2 > 0:
             raise ValueError(
                 f"gap arrangement produces a degenerate piece [{a}, {b}]"
             )

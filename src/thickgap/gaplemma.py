@@ -33,7 +33,14 @@ from .geometry import (
     norm_distance,
     vector_size,
 )
-from .metrics import DensenessReport, denseness_check, dist_to_set, hole_radius, thickness
+from .metrics import (
+    DensenessReport,
+    _exact_hole,
+    denseness_check,
+    dist_to_set,
+    hole_radius,
+    thickness,
+)
 
 _FIND_BUDGET = 100_000
 _SLACK = 1e-12
@@ -211,7 +218,7 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
     return out
 
 
-def _locate(sys: BallSystem, target: Ball, tol: float) -> Tuple[Point, Word]:
+def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tuple[Point, Word]:
     """Point of the set inside target, as (deep node center, its word).
 
     Best-first over how far each node ball sticks out of the target: the
@@ -234,23 +241,28 @@ def _locate(sys: BallSystem, target: Ball, tol: float) -> Tuple[Point, Word]:
     same order. Placeholders do not count against _FIND_BUDGET. A node is
     carried as its center and radius in the frame _family reads children
     in, so the search builds no Ball.
+
+    On a corner grid the search resumes below the root along hint, a word
+    of sys (callers pass a node known to hold the target). _warm_start
+    follows it while each node has key > 0 and its family, as _family
+    computes it, is the hint's next child alone. From the root down to
+    the deepest such node the full expansion pops each node, pushes its
+    one child with the next counter and leaves nothing else on the heap:
+    it pops the node at depth m as its (m + 1)-th pop, with counter m, on
+    an otherwise empty heap. Starting there with counter = pops = m thus
+    continues its sequence of popped (key, counter, word) bit for bit,
+    budget included. Other systems start at the root.
     """
     norm = sys.norm
     root = sys.root
     grid = sys.corner_grid()
-    frame = root if grid is None else grid.root
-    heap: List[tuple] = [
-        (
-            norm_distance(root.center, target.center, norm) + root.radius - target.radius,
-            0,
-            0,
-            ROOT,
-            frame.center,
-            frame.radius,
-        )
-    ]
-    counter = 0
-    pops = 0
+    key = norm_distance(root.center, target.center, norm) + root.radius - target.radius
+    if grid is None:
+        word, center, radius = ROOT, root.center, root.radius
+    else:
+        key, word, center, radius = _warm_start(grid, target, hint, key)
+    counter = pops = len(word)
+    heap: List[tuple] = [(key, counter, 0, word, center, radius)]
     while heap:
         entry = heapq.heappop(heap)
         if entry[2]:
@@ -276,6 +288,40 @@ def _locate(sys: BallSystem, target: Ball, tol: float) -> Tuple[Point, Word]:
     )
 
 
+def _warm_start(
+    grid: CornerGrid, target: Ball, hint: Word, key: float
+) -> Tuple[float, Word, Point, float]:
+    """(key, word, center, radius) of the deepest node on hint's path from
+    the root, whose key is key, that _locate's search reaches with nothing
+    else on its heap: each node above it has key > 0 and, on every axis,
+    the hint's digit is the only one whose deviation is within reach.
+    Float coordinates never fall as the digit rises, so the digits within
+    reach are consecutive and the two neighbours of the hint's decide."""
+    t_center, t_radius = target.center, target.radius
+    n = grid.params.n
+    center, radius = grid.root.center, grid.root.radius
+    word = ROOT
+    for j in hint:
+        if not key > 0:
+            break
+        devs, _, own = grid.deviations(center, radius, t_center)
+        reach = own + t_radius
+        child_key = -math.inf
+        rest = j
+        for row in devs:
+            rest, k = divmod(rest, n)
+            if not (
+                row[k] <= reach
+                and (k == 0 or row[k - 1] > reach)
+                and (k == n - 1 or row[k + 1] > reach)
+            ):
+                return key, word, center, radius
+            child_key = max(child_key, row[k] + own - t_radius)
+        key, word = child_key, word + (j,)
+        center, radius = grid.params.child(center, radius, j)
+    return key, word, center, radius
+
+
 def _family(
     sys: BallSystem,
     grid: Optional[CornerGrid],
@@ -290,15 +336,16 @@ def _family(
     in child order: (the first in (key, counter) order, an iterable of the
     others, how many there are), or None when no child meets the target.
 
-    On a corner grid a child's Linf distance to the target center is the
-    largest of its per-axis deviations, and its key the largest per-axis
-    key: adding r and subtracting R are monotone in floats, so they
-    commute with the max. A child meets the target iff each deviation is
-    within r + R, so only those digits are kept, and the family is their
-    product, last axis slowest, which is ascending child index and counter.
-    Its first member takes on each axis the lowest kept digit whose key is
-    at most the least child key, the largest per-axis least key; the
-    others are built only when the placeholder is popped.
+    On a corner grid the per-axis kernel gives each axis's n deviations
+    from the target center, and a child's Linf distance is the largest of
+    its own per-axis ones, its key the largest per-axis key: adding r and
+    subtracting R are monotone in floats, so they commute with the max. A
+    child meets the target iff each deviation is within r + R, so only
+    those digits are kept, and the family is their product, last axis
+    slowest, which is ascending child index and counter. Its first member
+    takes on each axis the lowest kept digit whose key is at most the
+    least child key, the largest per-axis least key; only its core center
+    is formed here, the others' when the placeholder is popped.
     """
     t_center, t_radius = target.center, target.radius
     if grid is None:
@@ -313,59 +360,58 @@ def _family(
             return None
         first = min(kids)
         return first, [kid for kid in kids if kid is not first], len(kids)
-    core_axes, core_radius, axes, radius = grid.children(center, radius)
-    reach = radius + t_radius
+    devs, core_radius, own = grid.deviations(center, radius, t_center)
+    reach = own + t_radius
     rows = []
     least = -math.inf
-    for core_row, row, t in zip(core_axes, axes, t_center):
-        kept = []
-        for k, x in enumerate(row):
-            dev = abs(x - t)
-            if dev <= reach:
-                kept.append((dev + radius - t_radius, k, core_row[k]))
+    for row in devs:
+        kept = [(dev + own - t_radius, k) for k, dev in enumerate(row) if dev <= reach]
         if not kept:
             return None
         rows.append(kept)
         least = max(least, min(kept)[0])
-    n = len(axes[0])
+    n = grid.params.n
     rank = j = 0
     size = 1
-    firsts = []
+    digits = []
     for kept in rows:
         p = 0
         while kept[p][0] > least:
             p += 1
         rank += p * size
         size *= len(kept)
-        firsts.append(kept[p])
-    for _, k, _ in reversed(firsts):
+        digits.append(kept[p][1])
+    for k in reversed(digits):
         j = j * n + k
-    first = (least, base + 1 + rank, 0, word + (j,), tuple([x for _, _, x in firsts]), core_radius)
-    return first, _grid_siblings(rows, n, base, rank, word, core_radius), size
+    kid = grid.params.child(center, radius, j)[0]
+    first = (least, base + 1 + rank, 0, word + (j,), kid, core_radius)
+    return first, _grid_siblings(grid, rows, base, rank, word, center, radius), size
 
 
 def _grid_siblings(
-    rows: List[List[Tuple[float, int, float]]],
-    n: int,
+    grid: CornerGrid,
+    rows: List[List[Tuple[float, int]]],
     base: int,
     skip: int,
     word: Word,
-    core_radius: float,
+    center: Point,
+    radius: float,
 ) -> Iterator[tuple]:
-    """The heap entries of a corner family but its member of rank skip."""
+    """The heap entries of a corner family but its member of rank skip,
+    children of the node with this core center and radius."""
+    n = grid.params.n
     for rank, combo in enumerate(itertools.product(*reversed(rows))):
         if rank == skip:
             continue
         j = 0
-        for _, k, _ in combo:
+        for _, k in combo:
             j = j * n + k
         yield (
-            max([key for key, _, _ in combo]),
+            max([key for key, _ in combo]),
             base + 1 + rank,
             0,
             word + (j,),
-            tuple([x for _, _, x in reversed(combo)]),
-            core_radius,
+            *grid.params.child(center, radius, j),
         )
 
 
@@ -384,10 +430,12 @@ def _descend(
 
     The node passed _locate's key <= 0 test, which is ball_contains', so
     it and every node under it lie in the target. On a corner grid the
-    nearest distance is the largest per-axis minimum deviation, the
-    children at that distance are those within it on every axis, and the
-    lowest index among them takes on each axis the lowest digit within
-    it. The returned center is the system's, as ball(word) gives it.
+    nearest distance is the largest per-axis least deviation the kernel
+    gives, the children at that distance are those within it on every
+    axis, and the lowest index among them takes on each axis the lowest
+    digit within it; only that child's core center is formed, and the
+    system center of the last node. The returned center is the system's,
+    as ball(word) gives it.
     """
     t_center = target.center
     if grid is None:
@@ -399,24 +447,20 @@ def _descend(
             j = min(range(len(radii)), key=lambda i: (dist(centers[i], t_center), i))
             word, center, radius = word + (j,), centers[j], radii[j]
         return center, word
-    point, own_radius = grid.node(center, radius)
-    while own_radius > tol:
-        core_axes, radius, axes, own_radius = grid.children(center, radius)
-        devs = [[abs(x - t) for x in row] for row, t in zip(axes, t_center)]
-        nearest = max([min(row) for row in devs])
-        digits = []
-        for row in devs:
+    n = grid.params.n
+    own = grid.node(center, radius)[1]
+    while own > tol:
+        devs, _, own = grid.deviations(center, radius, t_center)
+        nearest = max(map(min, devs))
+        j = 0
+        for row in reversed(devs):
             k = 0
             while row[k] > nearest:
                 k += 1
-            digits.append(k)
-        j = 0
-        for k in reversed(digits):
-            j = j * len(axes[0]) + k
+            j = j * n + k
         word = word + (j,)
-        center = tuple([row[k] for row, k in zip(core_axes, digits)])
-        point = tuple([row[k] for row, k in zip(axes, digits)])
-    return point, word
+        center, radius = grid.params.child(center, radius, j)
+    return grid.node(center, radius)[0], word
 
 
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
@@ -426,9 +470,28 @@ def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
     return _locate(sys, target, tol)[0]
 
 
-def _hole_hi(sys: BallSystem, word: Word) -> IntervalBound:
-    rad = sys.ball(word).radius
-    return hole_radius(word, sys, max(_HOLE_REL_TOL * rad, 1e-12))
+def _hole_hi(sys: BallSystem, word: Word, ball: Ball) -> IntervalBound:
+    """The hole radius of the node at word, whose ball the caller holds:
+    from the closed form without building a Ball, else by hole_radius."""
+    tol = max(_HOLE_REL_TOL * ball.radius, 1e-12)
+    exact = _exact_hole(sys, word, tol, ball)
+    return exact if exact is not None else hole_radius(word, sys, tol)
+
+
+def _first_inside(n: int, devs: List[List[float]], radius: float, bound: float) -> Optional[int]:
+    """The lowest index of a corner child inside a ball of radius bound, by
+    ball_contains' Linf test, given the per-axis deviations devs of the
+    children, all of this radius, from the ball's center; None when there
+    is none. max(dev) + r is the largest per-axis dev + r, since float
+    addition is monotone, so a child passes iff every axis does, and the
+    lowest index takes the lowest passing digit on each axis."""
+    j = 0
+    for row in reversed(devs):
+        k = next((k for k, dev in enumerate(row) if dev + radius <= bound), None)
+        if k is None:
+            return None
+        j = j * n + k
+    return j
 
 
 def intersect(
@@ -463,7 +526,7 @@ def intersect(
     l_word: Word = ROOT
     l_ball = systems[2].root
     target = ball_scale(l_ball, shrink)
-    h0 = _hole_hi(systems[2], ROOT)
+    h0 = _hole_hi(systems[2], ROOT, l_ball)
     delta = tol / 10
     if h0.hi > 0:
         delta = min(delta, h0.hi / 2)
@@ -478,7 +541,7 @@ def intersect(
                 return IntersectionCertificate(point, res1, res2, tuple(trace))
         side_a = systems[j]
         side_b = systems[3 - j]
-        h_l = _hole_hi(side_b, l_word)
+        h_l = _hole_hi(side_b, l_word, l_ball)
 
         # deepest prefix of the point's word whose shrunken ball still
         # dominates the hole radius of the other side's current ball; the
@@ -494,31 +557,40 @@ def intersect(
         if k_ball.radius >= r * l_ball.radius:
             # large ball case: bridge into a child of the other side
             bridge = bridge_ball(k_ball, l_ball, r, norm)
-            centers, radii = side_b.child_block(l_word)
-            min_child = min(radii)
-            h_k = _hole_hi(side_a, k_word)
+            # the first child inside the bridge ball, by ball_contains' test
+            # (bridge_ball checked that the two sides share a dimension)
+            grid = side_b.corner_grid()
+            if grid is None:
+                centers, radii = side_b.child_block(l_word)
+                min_child = min(radii)
+                dist = distance_kernel(norm)
+                child_idx = next(
+                    (
+                        i
+                        for i, c in enumerate(centers)
+                        if dist(bridge.center, c) + radii[i] <= bridge.radius
+                    ),
+                    None,
+                )
+            else:
+                core = grid.core(l_word)
+                devs, _, min_child = grid.deviations(*core, bridge.center)
+                child_idx = _first_inside(grid.params.n, devs, min_child, bridge.radius)
+            h_k = _hole_hi(side_a, k_word, k_ball)
             if not h_k.hi < shrink * min_child:
                 raise RuntimeError(
                     f"step {step}: hole bound {h_k.hi:.6g} of the located ball is "
                     f"not below {shrink:.6g} * min child radius {min_child:.6g}"
                 )
-            # the first child inside the bridge ball, by ball_contains' test
-            # (bridge_ball checked that the two sides share a dimension)
-            dist = distance_kernel(norm)
-            child_idx = next(
-                (
-                    i
-                    for i, c in enumerate(centers)
-                    if dist(bridge.center, c) + radii[i] <= bridge.radius
-                ),
-                None,
-            )
             if child_idx is None:
                 raise RuntimeError(
                     f"step {step}: no child of word {l_word} fits in the bridge "
                     "ball; the denseness hypothesis fails here"
                 )
-            child_ball = side_b.ball(l_word + (child_idx,))
+            if grid is None:
+                child_ball = side_b.ball(l_word + (child_idx,))
+            else:
+                child_ball = Ball(*grid.node(*grid.params.child(*core, child_idx)))
             if child_ball.radius > r * l_ball.radius * (1 + _SLACK):
                 raise RuntimeError(
                     f"step {step}: child radius {child_ball.radius:.6g} exceeds "
@@ -527,11 +599,12 @@ def intersect(
             next_word = l_word + (child_idx,)
             target = ball_scale(child_ball, shrink)
             margin = shrink * child_ball.radius - h_k.hi
-            next_h = _hole_hi(side_b, next_word)
+            next_h = _hole_hi(side_b, next_word, child_ball)
             delta = min(tol / 10, margin / 4)
             if next_h.hi > 0:
                 delta = min(delta, next_h.hi / 2)
-            point, point_word = _locate(side_a, target, delta)
+            # target in child_ball in bridge in k_ball
+            point, point_word = _locate(side_a, target, delta, k_word)
             l_word, l_ball = next_word, child_ball
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case1"))
         else:
@@ -551,13 +624,14 @@ def intersect(
                 )
             target = ball_scale(k_ball, shrink)
             margin = shrink * k_ball.radius - h_l.hi
-            next_h = _hole_hi(side_a, k_word)
+            next_h = _hole_hi(side_a, k_word, k_ball)
             delta = tol / 10
             if margin > 0:
                 delta = min(delta, margin / 4)
             if next_h.hi > 0:
                 delta = min(delta, next_h.hi / 2)
-            point, point_word = _locate(side_b, target, delta)
+            # target in k_ball in l_ball
+            point, point_word = _locate(side_b, target, delta, l_word)
             j = 3 - j
             l_word, l_ball = k_word, k_ball
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case2"))

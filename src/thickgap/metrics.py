@@ -567,7 +567,9 @@ def _hole(sys: BallSystem, word: Word, tol: float, node_budget: int) -> Interval
     return h if h is not None else _hole_bnb(sys, word, tol, node_budget)
 
 
-def _exact_hole(sys: BallSystem, word: Word, tol: float) -> Optional[IntervalBound]:
+def _exact_hole(
+    sys: BallSystem, word: Word, tol: float, ball: Optional[Ball] = None
+) -> Optional[IntervalBound]:
     """The hole radius of the node at word where a closed form gives it, or
     None. On axis products (corner families among them) under the Linf norm
     (any norm in 1-D) the ball is a product of intervals and the Linf
@@ -575,9 +577,11 @@ def _exact_hole(sys: BallSystem, word: Word, tol: float) -> Optional[IntervalBou
     hole: _node_hole_form's when that is at most tol wide, else that cut
     down by the _axis_hole descent. On finite 1-D trees it is the farthest
     point of the node from the leaf intervals. The enclosure is converged
-    only when it is at most tol wide."""
+    only when it is at most tol wide. A caller holding the node's ball, as
+    ball(word) gives it, passes it, and none is built."""
     oracle = _oracle(sys)
-    ball = sys.ball(word)
+    if ball is None:
+        ball = sys.ball(word)
     if oracle.mode == "product" and (sys.norm is NormKind.LINF or sys.dimension == 1):
         R, k = ball.radius, len(word)
         lo = hi = 0.0

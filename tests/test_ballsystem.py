@@ -503,15 +503,21 @@ def test_corner_grid_matches_child_blocks(name):
     make = GENERATORS[name]
     full = make()
     grid = make().corner_grid()
-    core = grid.root.center, grid.root.radius
+    n = grid.params.n
     for word in [(), (4,), (4, 0), (4, 0, 8)]:
-        if word:
-            core_axes, core_radius, _, _ = grid.children(*core)
-            digits = [word[-1] // 3**i % 3 for i in range(2)]
-            core = tuple(row[k] for row, k in zip(core_axes, digits)), core_radius
+        core = grid.core(word)
         assert repr(grid.node(*core)) == _bits(full.ball(word))
-        _, _, axes, radius = grid.children(*core)
-        assert _block_bits(_corner_block(axes, radius)) == _block_bits(full.child_block(word))
+        centers, radii = full.child_block(word)
+        for point in [(0.123, -0.456), full.ball(word).center, centers[5]]:
+            devs, core_radius, radius = grid.deviations(*core, point)
+            assert repr(radius) == repr(radii[0])
+            for j, (c, r) in enumerate(zip(centers, radii)):
+                kid = grid.params.child(*core, j)
+                assert repr(kid[1]) == repr(core_radius)
+                assert repr(grid.node(*kid)) == repr((c, r))
+                # child j's deviation on axis i is that of its axis-i digit
+                got = [row[j // n**i % n] for i, row in enumerate(devs)]
+                assert repr(got) == repr([abs(x - p) for x, p in zip(c, point)])
     assert GENERATORS["perturbed"]().corner_grid() is None
     assert GENERATORS["ifs_linf"]().corner_grid() is None
 

@@ -156,6 +156,20 @@ class TestInputErrors:
         assert "ell = 5e-324 is too small" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["render", "thickness"])
+    def test_gap_piece_whose_radius_underflows(self, command, tmp_path, capsys):
+        # the piece [0, 5e-324] left of the gap has half-width 5e-324 / 2,
+        # which rounds to 0: the gap list names it, not Ball
+        gen = {"type": "gaps1d", "hull": [0.0, 1.0], "gaps": [[5e-324, 0.5]]}
+        obj = {"norm": "linf", "dimension": 1, "generator": gen}
+        with pytest.raises(SpecError, match=r"degenerate piece \[0\.0, 5e-324\]"):
+            parse_set_spec(obj)
+        spec = tmp_path / "sliver.json"
+        spec.write_text(json.dumps(obj))
+        assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert "degenerate piece [0.0, 5e-324]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGapPair:
     def test_proven_pair(self, specs, tmp_path):

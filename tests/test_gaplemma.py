@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from thickgap.ballsystem import (
     CornerFamilyParams,
     GapList1D,
+    HomotheticIFS,
     corner_family,
     explicit_tree,
     from_gaps_1d,
+    from_ifs,
     similarity_image,
     translate,
 )
@@ -239,9 +241,9 @@ def _reference_locate(sys, target, tol):
     )
 
 
-def _outcome(locate, sys, target, tol):
+def _outcome(locate, sys, target, tol, *hint):
     try:
-        return locate(sys, target, tol)
+        return locate(sys, target, tol, *hint)
     except RuntimeError as exc:
         return str(exc)
 
@@ -334,29 +336,34 @@ class _HeapSpy:
         return entry
 
 
-def _locate_against_reference(monkeypatch, sys, ref, target, tol):
-    """Run _locate on sys and _reference_locate on ref, a fresh copy, and
-    check that they pop the same nodes with the same keys and counters in
-    the same order and end alike. Returns the family placeholders _locate
-    popped and how many keys it pushed for children of more than one parent."""
+def _locate_against_reference(sys, ref, target, tol, hint=()):
+    """Run _locate on sys with hint and _reference_locate on ref, a fresh
+    copy, from the root, and check that they end alike and pop the same
+    nodes with the same keys and counters in the same order from some
+    depth m on, the m nodes _locate skips being the hint's prefixes, the
+    i-th with counter i. Returns m, the family placeholders _locate popped
+    and how many keys it pushed for children of more than one parent."""
     fast, full = _HeapSpy(), _HeapSpy()
-    monkeypatch.setattr(gaplemma, "heapq", fast)
-    monkeypatch.setattr(pysys.modules[__name__], "heapq", full)
-    got = _outcome(gaplemma._locate, sys, target, tol)
-    expected = _outcome(_reference_locate, ref, target, tol)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaplemma, "heapq", fast)
+        mp.setattr(pysys.modules[__name__], "heapq", full)
+        got = _outcome(gaplemma._locate, sys, target, tol, hint)
+        expected = _outcome(_reference_locate, ref, target, tol)
     assert got == expected
-    assert [(e[0], e[1], e[3]) for e in fast.popped if not e[2]] == full.popped
+    popped = [(e[0], e[1], e[3]) for e in fast.popped if not e[2]]
+    skipped = len(full.popped) - len(popped)
+    assert 0 <= skipped <= len(hint) and full.popped[skipped:] == popped
+    assert [e[1:] for e in full.popped[:skipped]] == [(i, hint[:i]) for i in range(skipped)]
     parents = {}
     for entry in fast.pushed:
         if not entry[2]:
             parents.setdefault(entry[0], set()).add(entry[3][:-1])
-    return [e for e in fast.popped if e[2]], sum(len(p) > 1 for p in parents.values())
+    return skipped, [e for e in fast.popped if e[2]], sum(len(p) > 1 for p in parents.values())
 
 
 @pytest.mark.parametrize("kind", ["corner", "translate", "chain"])
 @pytest.mark.parametrize("rel", [0.05, 0.3, 0.45])
-def test_locate_pops_like_full_expansion(monkeypatch, kind, rel):
+def test_locate_pops_like_full_expansion(kind, rel):
     # targets off the lowest digits: a family's first child is then not its
     # first member, so its counter counts the members before it on every axis
     for word in [(10,), (10, 5), (7, 13)]:
@@ -364,13 +371,11 @@ def test_locate_pops_like_full_expansion(monkeypatch, kind, rel):
         node = ref.ball(word)
         center = tuple(c + 0.01 * node.radius for c in node.center)
         target = Ball(center, rel * ref.root.radius)
-        _locate_against_reference(
-            monkeypatch, _corner_image(kind, 4, 0.4, 2), ref, target, 1e-6
-        )
+        _locate_against_reference(_corner_image(kind, 4, 0.4, 2), ref, target, 1e-6)
 
 
 @pytest.mark.parametrize("kind", ["corner", "translate"])
-def test_locate_backtracks_out_of_a_gap(monkeypatch, kind):
+def test_locate_backtracks_out_of_a_gap(kind):
     # the target sits in the gap below child 15 and touches its lower face:
     # the first child of a family meets the target but none of its own
     # children do, so the search falls back on the family's placeholders
@@ -379,14 +384,14 @@ def test_locate_backtracks_out_of_a_gap(monkeypatch, kind):
     target = Ball(
         (kid.center[0] + kid.radius / 2, kid.center[1] - 1.25 * kid.radius), kid.radius / 4
     )
-    expanded, shared = _locate_against_reference(
-        monkeypatch, _corner_image(kind, 4, 0.4, 2), _corner_image(kind, 4, 0.4, 2), target, 1e-6
+    _, expanded, shared = _locate_against_reference(
+        _corner_image(kind, 4, 0.4, 2), _corner_image(kind, 4, 0.4, 2), target, 1e-6
     )
     assert len(expanded) >= 5 and shared >= 1
 
 
 @pytest.mark.parametrize("kind", ["corner", "translate", "similarity"])
-def test_locate_orders_equal_keys_across_families(monkeypatch, kind):
+def test_locate_orders_equal_keys_across_families(kind):
     # a target touching the faces of grandchildren of child 3 gives children
     # of different parents equal keys; their counters decide the order
     ref = _corner_image(kind, 3, 0.4, 2)
@@ -394,8 +399,8 @@ def test_locate_orders_equal_keys_across_families(monkeypatch, kind):
     target = Ball(
         (kid.center[0] + kid.radius / 2, kid.center[1] - 0.9 * kid.radius), kid.radius / 10
     )
-    expanded, shared = _locate_against_reference(
-        monkeypatch, _corner_image(kind, 3, 0.4, 2), _corner_image(kind, 3, 0.4, 2), target, 1e-6
+    _, expanded, shared = _locate_against_reference(
+        _corner_image(kind, 3, 0.4, 2), _corner_image(kind, 3, 0.4, 2), target, 1e-6
     )
     assert expanded and shared >= 1
 
@@ -417,7 +422,7 @@ def test_locate_finds_the_point_in_a_later_sibling(monkeypatch):
         )
 
     target = Ball((2.0,), 0.7)
-    expanded, _ = _locate_against_reference(monkeypatch, tree(), tree(), target, 1e-6)
+    _, expanded, _ = _locate_against_reference(tree(), tree(), target, 1e-6)
     assert len(expanded) == 1
     assert gaplemma._locate(tree(), target, 1e-6) == ((2.3,), (1, 0))
     # four nodes are popped, the placeholder between them is not counted
@@ -444,6 +449,90 @@ def test_corner_locate_underflow_matches_full_expansion(tol, shift):
     for locate in (_reference_locate, gaplemma._locate):
         with pytest.raises(ValueError, match="ball radius must be positive and finite"):
             locate(make(), target, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 12),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["corner", "translate", "similarity", "chain"]),
+    touching=st.booleans(),
+    where=st.sampled_from(["hint", "elsewhere", "anywhere"]),
+    tol=st.floats(1e-7, 1e-2),
+)
+def test_warm_locate_pops_like_full_expansion(data, n, d, kind, touching, where, tol):
+    # ell = nextafter(2/n, 0) leaves float gaps of 0 or a few ulps, so a
+    # neighbour of a node holding the target can meet it and the walk
+    # must stop there; hints that do not hold the target stop it too
+    ell = math.nextafter(2 / n, 0) if touching else data.draw(st.floats(0.05, 0.95)) * 2 / n
+    ref = _corner_image(kind, n, ell, d)
+    digit = st.integers(0, n**d - 1)
+    hint = tuple(data.draw(st.lists(digit, min_size=1, max_size=4)))
+    if where == "anywhere":
+        center = tuple(data.draw(st.floats(-1.2, 1.2)) for _ in range(d))
+        target = Ball(center, data.draw(st.floats(1e-3, 0.6)) * ref.root.radius)
+    else:
+        word = hint
+        if where == "elsewhere":
+            # a node off the hint's path below one of its prefixes
+            i = data.draw(st.integers(0, len(hint) - 1))
+            word = hint[:i] + tuple(data.draw(st.lists(digit, min_size=1, max_size=2)))
+        node = ref.ball(word)
+        shrink = data.draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]))
+        off = [data.draw(st.floats(-1, 1)) * (1 - shrink) * node.radius for _ in range(d)]
+        target = Ball(tuple(c + o for c, o in zip(node.center, off)), shrink * node.radius)
+    fast = _corner_image(kind, n, ell, d)
+    _locate_against_reference(fast, ref, target, tol, hint)
+
+
+def test_warm_locate_stops_where_a_neighbour_meets_the_target():
+    # n = 5: the float children of ell = nextafter(2/5, 0) touch, so the
+    # neighbours of a child meet a target that fills it; the walk stops at
+    # the child's parent, whose family is the child and those neighbours
+    n = 5
+    ell = math.nextafter(2 / n, 0)
+    for kind in ("corner", "translate", "chain"):
+        ref = _corner_image(kind, n, ell, 2)
+        hint = (12, 6, 18)
+        target = ref.ball(hint)
+        skipped, _, _ = _locate_against_reference(
+            _corner_image(kind, n, ell, 2), ref, target, 1e-9, hint
+        )
+        assert skipped == len(hint) - 1
+        # a target well inside the same node lets the walk reach it
+        inner = Ball(target.center, target.radius / 2)
+        skipped, _, _ = _locate_against_reference(
+            _corner_image(kind, n, ell, 2), _corner_image(kind, n, ell, 2), inner, 1e-9, hint
+        )
+        assert skipped == len(hint)
+
+
+def test_warm_starts_cut_family_calls(monkeypatch):
+    # the bench's certificates on corner n=10, d=2, with and without hints
+    s = bench_pair()[0]
+    limit = distance_interval(R_BENCH)
+    cases = [((1.0, math.tan(0.1 + k)), limit * (k + 0.5) / 10) for k in range(10)]
+    cases = [((1.0, y) if abs(y) <= 1 else (1 / y, 1.0), t) for (_, y), t in cases]
+    locate, family = gaplemma._locate, gaplemma._family
+    calls = []
+
+    def counting_family(*args):
+        calls.append(1)
+        return family(*args)
+
+    def run():
+        calls.clear()
+        out = [directional_distance_certificate(s, v, t, 1e-7, r=R_BENCH) for v, t in cases]
+        return out, len(calls)
+
+    monkeypatch.setattr(gaplemma, "_family", counting_family)
+    warm, warm_calls = run()
+    monkeypatch.setattr(gaplemma, "_locate", lambda sys, target, tol, hint=(): locate(sys, target, tol))
+    cold, cold_calls = run()
+    assert repr(warm) == repr(cold)
+    # 6,300 -> 2,700 per 100 certificates when measured
+    assert warm_calls < 0.6 * cold_calls
 
 
 def test_corner_locate_on_a_translate_builds_no_ball(monkeypatch):
@@ -591,7 +680,7 @@ def test_meet_status_builds_no_children():
     assert gaplemma._meet_status(s1, s2, R_BENCH, 6) == status
 
 
-# the large ball case reads child blocks
+# the large ball case reads child blocks, or corner children axis by axis
 
 
 def _scale_mismatch_pair(d=1):
@@ -600,9 +689,21 @@ def _scale_mismatch_pair(d=1):
     return s1, similarity_image(s1, 0.065 / 0.3, (0.01, -0.02)[:d])
 
 
-@pytest.mark.parametrize(
-    "make", [_scale_mismatch_pair, lambda: _scale_mismatch_pair(2)], ids=["1d", "2d"]
+def _scale_mismatch_ifs_pair():
+    # the 1-D pair as IFS, which have no corner grid: the pick scans blocks
+    offsets = ballsystem._corner_axis_offsets(10, 0.13)
+    s1 = from_ifs(HomotheticIFS(tuple((0.065, (t,)) for t in offsets)), NormKind.LINF)
+    return s1, similarity_image(s1, 0.065 / 0.3, (0.01,))
+
+
+PICK_PAIRS = pytest.mark.parametrize(
+    "make",
+    [_scale_mismatch_pair, lambda: _scale_mismatch_pair(2), _scale_mismatch_ifs_pair],
+    ids=["1d", "2d", "ifs"],
 )
+
+
+@PICK_PAIRS
 def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
     bridges = []
 
@@ -614,8 +715,11 @@ def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
     monkeypatch.setattr(gaplemma, "bridge_ball", recording_bridge)
     s1, s2 = make()
     cert = intersect(s1, s2, 0.17, 1e-6, 80)
-    # the large ball case builds no Ball tuple of children
+    # the large ball case builds no Ball tuple of children, and on corner
+    # grids no child block either
     assert not s1._kids and not s2._kids and not s2.generator.base._kids
+    if s1.corner_grid() is not None:
+        assert not s1._blocks and not s2._blocks
     fresh = dict(zip((1, 2), make()))
     steps = list(zip(cert.trace, cert.trace[1:]))
     case1 = [(prev, step) for prev, step in steps if step.case == "Case1"]
@@ -626,6 +730,19 @@ def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
         want = next(i for i, kid in enumerate(kids) if ball_contains(bridge, kid, NormKind.LINF))
         assert step.word[-1] == want
         assert step.radius == kids[want].radius
+
+
+@PICK_PAIRS
+def test_intersect_picks_a_child_that_ties_the_bridge(monkeypatch, make):
+    # each bridge is replaced by the very child the pick chose from it, so
+    # that child's distance plus radius equals the bridge radius exactly
+    cert = intersect(*make(), 0.17, 1e-6, 80)
+    fresh = dict(zip((1, 2), make()))
+    chosen = [fresh[3 - step.side].ball(step.word) for step in cert.trace if step.case == "Case1"]
+    assert chosen
+    tied = iter(chosen)
+    monkeypatch.setattr(gaplemma, "bridge_ball", lambda sk, sl, r_, norm: next(tied))
+    assert repr(intersect(*make(), 0.17, 1e-6, 80)) == repr(cert)
 
 
 def test_intersect_reports_when_no_child_fits(monkeypatch):
