@@ -270,14 +270,12 @@ class CornerFamilyParams:
             out.append(c + radius * rel[dig])
         return tuple(out), radius * self.ell / 2
 
-    def child_axes(
-        self, center: Point, radius: float
-    ) -> Tuple[Tuple[Tuple[float, ...], ...], float]:
+    def child_axes(self, center: Point, radius: float) -> Tuple[List[List[float]], float]:
         """All sub-cubes of the node ball as a grid, (axes, radius): sub-cube j
         has this radius and, on axis i, the coordinate axes[i][k] with k the
         axis-i digit of j; the values are child()'s, bit for bit."""
         rel = _corner_axis_offsets(self.n, self.ell)
-        return tuple([tuple([c + radius * x for x in rel]) for c in center]), radius * self.ell / 2
+        return [[c + radius * x for x in rel] for c in center], radius * self.ell / 2
 
     def block(self, center: Point, radius: float) -> Block:
         """The checked child block of the node ball, built axis by axis."""
@@ -363,43 +361,51 @@ class CornerGrid:
     params: CornerFamilyParams
     root: Ball
     maps: Tuple[Similarity, ...]
-    offsets: Tuple[float, ...]  # _corner_axis_offsets(params.n, params.ell)
+
+    def axes(
+        self, center: Point, radius: float
+    ) -> Tuple[List[List[float]], float, float]:
+        """(rows, core_radius, radius): the children of the node have radius
+        core_radius in the core and radius in the system, and on axis i the
+        children of axis-i digit k have the system coordinate rows[i][k],
+        formed as ball() forms it: c + r * offset, then scale * x + w per
+        map. ValueError, as Ball's, when the radius rounds to 0."""
+        rows, core_radius = self.params.child_axes(center, radius)
+        own = core_radius
+        for t in self.maps:
+            s = t.scale
+            rows = [[s * x + w for x in row] for row, w in zip(rows, t.shift)]
+            own = s * own
+        if not own > 0:
+            raise ValueError("ball radius must be positive and finite")
+        return rows, core_radius, own
 
     def deviations(
         self, center: Point, radius: float, point: Point
     ) -> Tuple[List[List[float]], float, float]:
-        """(devs, core_radius, radius): the children of the node have radius
-        core_radius in the core and radius in the system, and on axis i the
-        children of axis-i digit k lie devs[i][k] = |x - point[i]| from point,
-        x their system coordinate. Each x is formed in one pass as ball()
-        forms it, c + r * offset and then scale * x + w per map, and only its
-        deviation is kept. ValueError, as Ball's, when the radius rounds to 0."""
-        rel = self.offsets
+        """(devs, core_radius, radius) with devs[i][k] = |rows[i][k] - point[i]|
+        for axes()' rows, core_radius and radius: how far the children of
+        axis-i digit k lie from point on axis i. A corner family and its
+        translates, the systems the gap-lemma search mostly reads, take one
+        comprehension per axis with the same float operations in order."""
         maps = self.maps
-        core_radius = own = radius * self.params.ell / 2
-        for t in maps:
-            own = t.scale * own
-        if not own > 0:
-            raise ValueError("ball radius must be positive and finite")
+        if len(maps) > 1:
+            rows, core_radius, own = self.axes(center, radius)
+            return [[abs(x - p) for x in row] for row, p in zip(rows, point)], core_radius, own
+        params = self.params
+        rel = _corner_axis_offsets(params.n, params.ell)
+        core_radius = own = radius * params.ell / 2
         if not maps:
             devs = [[abs(c + radius * x - p) for x in rel] for c, p in zip(center, point)]
-            return devs, core_radius, own
-        if len(maps) == 1:
+        else:
             s, shift = maps[0].scale, maps[0].shift
+            own = s * own
             devs = [
                 [abs(s * (c + radius * x) + w - p) for x in rel]
                 for c, p, w in zip(center, point, shift)
             ]
-            return devs, core_radius, own
-        devs = []
-        for i, (c, p) in enumerate(zip(center, point)):
-            row = []
-            for x in rel:
-                x = c + radius * x
-                for t in maps:
-                    x = t.scale * x + t.shift[i]
-                row.append(abs(x - p))
-            devs.append(row)
+        if not own > 0:
+            raise ValueError("ball radius must be positive and finite")
         return devs, core_radius, own
 
     def node(self, center: Point, radius: float) -> Tuple[Point, float]:
@@ -438,7 +444,6 @@ class BallSystem:
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         self._corner_grid = _UNSET  # corner_grid(), alike
-        self._siblings_disjoint: Optional[bool] = None  # siblings_disjoint_at_root(), alike
         # finite-tree adjacency, filled by the gap/explicit constructors
         self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -604,9 +609,7 @@ class BallSystem:
             grid = None
             if self.corner_params() is not None:
                 core, maps = self._similarity_chain()
-                params = core.generator
-                offsets = _corner_axis_offsets(params.n, params.ell)
-                grid = CornerGrid(params, core.root, maps[::-1], offsets)
+                grid = CornerGrid(core.generator, core.root, maps[::-1])
             self._corner_grid = grid
         return grid
 
@@ -637,29 +640,15 @@ class BallSystem:
             yield center, radius
 
     def siblings_disjoint_at_root(self) -> bool:
-        """Whether no two children of the root meet; computed on the first call."""
-        if self._siblings_disjoint is None:
-            self._siblings_disjoint = self._root_siblings_disjoint()
-        return self._siblings_disjoint
-
-    def _root_siblings_disjoint(self) -> bool:
         grid = self.corner_grid()
         if grid is not None:
             # Float rounding is monotone, so coordinates never fall as the
             # digit rises and no pair of digits on an axis is closer than some
             # neighbouring pair. The closest children are thus neighbours on
             # one axis that agree on every other, where they differ by zero.
-            # The deviations from the child of digit k on every axis give,
-            # at k - 1 and k + 1, each axis's gaps next to digit k, the same
-            # floats as the differences since fl(a - b) = -fl(b - a).
-            center, radius = grid.root.center, grid.root.radius
-            n, d = grid.params.n, grid.params.d
-            for k in range(1, n, 2):
-                point = grid.node(*grid.params.child(center, radius, k * (n**d - 1) // (n - 1)))[0]
-                devs, _, own = grid.deviations(center, radius, point)
-                if any(gap <= own + own for row in devs for gap in row[k - 1 : k + 2 : 2]):
-                    return False
-            return True
+            rows, _, radius = grid.axes(grid.root.center, grid.root.radius)
+            reach = radius + radius
+            return all(b - a > reach for row in rows for a, b in zip(row, row[1:]))
         kids = self.children(ROOT)
         return all(
             balls_disjoint(kids[i], kids[j], self.norm)
@@ -762,7 +751,7 @@ def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
     return tuple([k[0] for k in kids]), tuple([k[1] for k in kids])
 
 
-def _corner_block(axes: Sequence[Tuple[float, ...]], radius: float) -> Block:
+def _corner_block(axes: Sequence[Sequence[float]], radius: float) -> Block:
     """The block of a grid of children, child j taking on axis i the
     coordinate axes[i][k] with k the axis-i digit of j, all of one radius.
 

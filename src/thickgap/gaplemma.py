@@ -33,14 +33,7 @@ from .geometry import (
     norm_distance,
     vector_size,
 )
-from .metrics import (
-    DensenessReport,
-    _exact_hole,
-    denseness_check,
-    dist_to_set,
-    hole_radius,
-    thickness,
-)
+from .metrics import DensenessReport, denseness_check, dist_to_set, hole_radius, thickness
 
 _FIND_BUDGET = 100_000
 _SLACK = 1e-12
@@ -471,11 +464,9 @@ def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
 
 
 def _hole_hi(sys: BallSystem, word: Word, ball: Ball) -> IntervalBound:
-    """The hole radius of the node at word, whose ball the caller holds:
-    from the closed form without building a Ball, else by hole_radius."""
-    tol = max(_HOLE_REL_TOL * ball.radius, 1e-12)
-    exact = _exact_hole(sys, word, tol, ball)
-    return exact if exact is not None else hole_radius(word, sys, tol)
+    """The hole radius of the node at word, whose ball the caller holds, so
+    a closed-form hole builds no Ball."""
+    return hole_radius(word, sys, max(_HOLE_REL_TOL * ball.radius, 1e-12), ball=ball)
 
 
 def _first_inside(n: int, devs: List[List[float]], radius: float, bound: float) -> Optional[int]:

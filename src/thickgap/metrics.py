@@ -545,25 +545,31 @@ def hole_radius(
     tol: float,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    ball: Optional[Ball] = None,
 ) -> IntervalBound:
     """Certified enclosure of h_I = max over S_I of dist(x, C).
 
     x ranges over the node's ball while the distance is taken to the whole
     generated set, not only the part below the node. Exact up to a few ulps
     where _exact_hole has a closed form, searched by sub-boxes elsewhere.
+    A caller that holds the node's ball, as sys.ball(word) gives it, passes
+    it as ball, and the closed form builds none.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     word = tuple(word)
-    try:
-        sys.ball(word)
-    except KeyError as exc:
-        raise ValueError(f"word {word!r} names no node") from exc
-    return _hole(sys, word, tol, node_budget)
+    if ball is None:
+        try:
+            ball = sys.ball(word)
+        except KeyError as exc:
+            raise ValueError(f"word {word!r} names no node") from exc
+    return _hole(sys, word, tol, node_budget, ball)
 
 
-def _hole(sys: BallSystem, word: Word, tol: float, node_budget: int) -> IntervalBound:
-    h = _exact_hole(sys, word, tol)
+def _hole(
+    sys: BallSystem, word: Word, tol: float, node_budget: int, ball: Optional[Ball] = None
+) -> IntervalBound:
+    h = _exact_hole(sys, word, tol, ball)
     return h if h is not None else _hole_bnb(sys, word, tol, node_budget)
 
 

@@ -508,6 +508,10 @@ def test_corner_grid_matches_child_blocks(name):
         core = grid.core(word)
         assert repr(grid.node(*core)) == _bits(full.ball(word))
         centers, radii = full.child_block(word)
+        rows, core_radius, radius = grid.axes(*core)
+        assert repr(radius) == repr(radii[0])
+        for j, c in enumerate(centers):
+            assert repr(tuple([row[j // n**i % n] for i, row in enumerate(rows)])) == repr(c)
         for point in [(0.123, -0.456), full.ball(word).center, centers[5]]:
             devs, core_radius, radius = grid.deviations(*core, point)
             assert repr(radius) == repr(radii[0])

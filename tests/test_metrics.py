@@ -222,6 +222,25 @@ def test_hole_bad_word():
         hole_radius((99, 99), corner_family(C4), 1e-3)
 
 
+def test_hole_with_the_held_ball():
+    # a caller that holds the node's ball gets the same enclosure, and where
+    # a closed form gives the hole the ball memo does not grow
+    gaps = GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),))
+    cases = [
+        (lambda: corner_family(C4), (5, 2), True),
+        (lambda: from_gaps_1d(gaps), (0,), True),
+        (middle_thirds_ifs, (1,), False),
+    ]
+    for make, word, closed in cases:
+        want = hole_radius(word, make(), 1e-3)
+        sys = make()
+        before = len(sys._balls)
+        got = hole_radius(word, sys, 1e-3, ball=make().ball(word))
+        assert repr(got) == repr(want)
+        if closed:
+            assert len(sys._balls) == before
+
+
 def test_hole_gap_tree():
     sys = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),)))
     assert hole_radius((), sys, 1e-9).contains(0.1)
