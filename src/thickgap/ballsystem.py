@@ -824,7 +824,11 @@ def from_ifs(ifs: HomotheticIFS, norm: NormKind) -> BallSystem:
 
 def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     """Finite binary tree: each node splits at the largest listed gap it contains,
-    longest first and leftmost on ties; gapless nodes are leaves."""
+    longest first and leftmost on ties; gapless nodes are leaves.
+
+    The gaps are sorted once by that rule. Each node's gap list keeps the
+    sorted order, as the left and right filters keep it, so its first gap
+    is the one min() by the same key would pick."""
 
     def interval_ball(a: float, b: float) -> Ball:
         # a piece narrower than two of the least subnormals has radius 0
@@ -853,7 +857,7 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
             children[word] = ()
             leaf_ivs.append((a, b))
             continue
-        gap = min(inside, key=lambda g: (-(g[1] - g[0]), g[0]))
+        gap = inside[0]
         split_gaps[word] = gap
         lo, hi = gap
         left = [g for g in inside if g[1] <= lo]

@@ -13,10 +13,10 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .ballsystem import ROOT, BallSystem, Word
-from .geometry import Ball, norm_distance
+from .geometry import Ball, Point, distance_kernel, norm_distance
 
 _BISECT_LO = 1e-9
 _BISECT_ITERS = 200
@@ -112,23 +112,29 @@ def natural_measure(sys: BallSystem, depth: int) -> NaturalMeasure:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     masses: Dict[Word, float] = {ROOT: 1.0}
-    frontier: List[Word] = [ROOT]
+    frontier: List[Tuple[Word, float]] = [(ROOT, sys.root.radius)]
     for _ in range(depth):
-        nxt: List[Word] = []
-        for word in frontier:
-            kids = sys.children(word)
-            if not kids:
+        nxt: List[Tuple[Word, float]] = []
+        for word, radius in frontier:
+            radii = sys.child_block(word)[1]
+            if not radii:
                 continue
-            parent_rad = sys.ball(word).radius
-            rats = tuple(k.radius / parent_rad for k in kids)
-            s = moran_exponent(rats, sys.dimension).exponent
+            weights = _child_weights(radius, radii, sys.dimension)
             parent_mass = masses[word]
-            for j, k in enumerate(kids):
+            for j, r in enumerate(radii):
                 child = word + (j,)
-                masses[child] = parent_mass * rats[j] ** s
-                nxt.append(child)
+                masses[child] = parent_mass * weights[j]
+                nxt.append((child, r))
         frontier = nxt
     return NaturalMeasure(depth, masses)
+
+
+def _child_weights(radius: float, radii: Sequence[float], d: int) -> List[float]:
+    """Each child's share of its parent's mass: q ** s for the child/parent
+    radius ratios q, with s their Moran exponent."""
+    rats = [r / radius for r in radii]
+    s = moran_exponent(rats, d).exponent
+    return [q**s for q in rats]
 
 
 def _verify_separation(sys: BallSystem, c: float) -> None:
@@ -151,31 +157,55 @@ def _verify_separation(sys: BallSystem, c: float) -> None:
 
 def _mass_in_ball(
     sys: BallSystem,
-    word: Word,
-    node: Ball,
-    mass: float,
     query: Ball,
     cutoff: float,
-    depth_left: int,
+    depth: int,
+    dist: Callable[[Point, Point], float],
+    weights: Dict[Word, List[float]],
 ) -> float:
-    dist = norm_distance(node.center, query.center, sys.norm)
-    if dist > node.radius + query.radius:
+    """Natural measure of query, from above: the tree is walked down to
+    depth levels, and a node that meets the query there, or at radius at
+    most cutoff, counts its full mass, as does a leaf.
+
+    dist is the norm's distance kernel and weights a memo of _child_weights
+    per word, shared by the calls of one check. The floats are those of a
+    walk over children() Balls with norm_distance: blocks hold the
+    children's centers and radii bit for bit, a child's mass is its
+    parent's times rats[j] ** s, and each node's children are summed by one
+    math.fsum. fsum rounds the exact sum once, so leaving out the zeros of
+    disjoint children changes no bit.
+    """
+    qc, qr = query.center, query.radius
+    block, d = sys.child_block, sys.dimension
+
+    def split(word: Word, radius: float, mass: float, depth_left: int) -> float:
+        # the node at word meets the query, does not lie inside it and is
+        # neither at the depth limit nor at most cutoff in radius
+        centers, radii = block(word)
+        if not radii:
+            return mass
+        w = weights.get(word)
+        if w is None:
+            w = weights[word] = _child_weights(radius, radii, d)
+        parts = []
+        for j, r in enumerate(radii):
+            gap = dist(centers[j], qc)
+            if gap > r + qr:
+                continue
+            m = mass * w[j]
+            if gap + r <= qr or depth_left == 1 or r <= cutoff:
+                parts.append(m)
+            else:
+                parts.append(split(word + (j,), r, m, depth_left - 1))
+        return math.fsum(parts)
+
+    root = sys.root
+    gap = dist(root.center, qc)
+    if gap > root.radius + qr:
         return 0.0
-    if dist + node.radius <= query.radius:
-        return mass
-    if depth_left == 0 or node.radius <= cutoff:
-        return mass
-    kids = sys.children(word)
-    if not kids:
-        return mass
-    rats = tuple(k.radius / node.radius for k in kids)
-    s = moran_exponent(rats, sys.dimension).exponent
-    return math.fsum(
-        _mass_in_ball(
-            sys, word + (j,), k, mass * rats[j] ** s, query, cutoff, depth_left - 1
-        )
-        for j, k in enumerate(kids)
-    )
+    if gap + root.radius <= qr or depth == 0 or root.radius <= cutoff:
+        return 1.0
+    return split(ROOT, root.radius, 1.0, depth)
 
 
 def measure_ball_bound_check(
@@ -185,19 +215,22 @@ def measure_ball_bound_check(
 
     The mass of a ball is over-approximated by truncating the tree once
     nodes are much smaller than the ball, so a passing sample is sound.
-    Raises if the sibling separation constant c fails at the root.
+    Raises unless c and beta are positive and finite, and if the sibling
+    separation constant c fails at the root.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0 < c:
-        raise ValueError("c must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (0 < c and math.isfinite(c)):
+        raise ValueError("c must be positive and finite")
+    if not (0 < beta and math.isfinite(beta)):
+        raise ValueError("beta must be positive and finite")
     _verify_separation(sys, c)
     rng = random.Random(seed)
     root = sys.root
     exponent = sys.dimension * beta
     const = (2.0 / c) ** exponent
+    dist = distance_kernel(sys.norm)
+    weights: Dict[Word, List[float]] = {}
     violations = 0
     worst = 0.0
     for _ in range(samples):
@@ -206,9 +239,7 @@ def measure_ball_bound_check(
         )
         radius = root.radius * rng.uniform(0.05, 1.0)
         query = Ball(center, radius)
-        mass_ub = _mass_in_ball(
-            sys, ROOT, root, 1.0, query, cutoff=radius / 64.0, depth_left=12
-        )
+        mass_ub = _mass_in_ball(sys, query, radius / 64.0, 12, dist, weights)
         bound = const * radius**exponent
         ratio = mass_ub / bound if bound > 0 else math.inf
         worst = max(worst, ratio)

@@ -17,7 +17,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     Ball,
@@ -290,26 +290,37 @@ def _finite1d_dist(starts: Sequence[float], ends: Sequence[float], x: float) -> 
     return best
 
 
-def _finite1d_hole(
-    starts: Sequence[float], ends: Sequence[float], a: float, b: float
-) -> float:
+class _Leaves1D(NamedTuple):
+    """Leaf intervals, starts and ends both rising, with the midpoint of
+    the gap between each pair of neighbours and that midpoint's distance to
+    the intervals, its peak, computed once."""
+
+    starts: List[float]
+    ends: List[float]
+    mids: List[float]
+    peaks: List[float]
+
+
+def _leaves_1d(starts: List[float], ends: List[float]) -> _Leaves1D:
+    mids = [0.5 * (e + s) for e, s in zip(ends, starts[1:])]
+    return _Leaves1D(starts, ends, mids, [_finite1d_dist(starts, ends, m) for m in mids])
+
+
+def _finite1d_hole(leaves: _Leaves1D, a: float, b: float) -> float:
     """max over [a, b] of the distance to the union of the leaf intervals.
 
-    The candidates are a, b and the midpoint of every gap between
-    neighbouring intervals that lies in [a, b]. starts and ends must both
-    rise, so the midpoints rise with the gap index, as their float formula
-    is monotone in both ends, and those in [a, b] are the index range found
-    by bisection on the same formula.
+    The candidates are a, b and the gap midpoints in [a, b]. The midpoints
+    rise with the gap index, as their float formula is monotone in both
+    ends, so those in [a, b] are a slice found by bisection, and their
+    distances are the slice's precomputed peaks: the same floats as
+    evaluating each midpoint here.
     """
-
-    def mid(i: int) -> float:
-        return 0.5 * (ends[i] + starts[i + 1])
-
-    gaps = range(len(starts) - 1)
-    first = bisect.bisect_left(gaps, a, key=mid)
-    last = bisect.bisect_right(gaps, b, key=mid)
-    cands = [a, b] + [mid(i) for i in range(first, last)]
-    return max(_finite1d_dist(starts, ends, c) for c in cands)
+    first = bisect.bisect_left(leaves.mids, a)
+    last = bisect.bisect_right(leaves.mids, b)
+    starts, ends = leaves.starts, leaves.ends
+    return max(
+        _finite1d_dist(starts, ends, a), _finite1d_dist(starts, ends, b), *leaves.peaks[first:last]
+    )
 
 
 # -- distance oracle -----------------------------------------------------------
@@ -326,16 +337,14 @@ class _DistOracle:
         self.factors = sys.axis_factors()
         self.hole_forms = [] if self.factors is None else [_node_hole_form(f) for f in self.factors]
         self.mode = "bnb"
-        self.starts: List[float] = []
-        self.ends: List[float] = []
+        self.leaves: Optional[_Leaves1D] = None
         self.leaf_balls: List[Ball] = []
         if self.factors is not None:
             self.mode = "product"
         elif sys.is_finite and sys.dimension == 1:
             self.mode = "finite1d"
             ivs = sys.leaf_intervals()
-            self.starts = [iv[0] for iv in ivs]
-            self.ends = [iv[1] for iv in ivs]
+            self.leaves = _leaves_1d([iv[0] for iv in ivs], [iv[1] for iv in ivs])
         elif sys.is_finite:
             self.mode = "finite"
             self.leaf_balls = [
@@ -357,7 +366,7 @@ class _DistOracle:
                 lo, hi = lo * (1 - 2**-50), hi * (1 + 2**-50)
             return IntervalBound(lo, hi, tol)
         if self.mode == "finite1d":
-            v = _finite1d_dist(self.starts, self.ends, x[0])
+            v = _finite1d_dist(self.leaves.starts, self.leaves.ends, x[0])
             return IntervalBound(v, v, tol)
         if self.mode == "finite":
             v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
@@ -602,7 +611,7 @@ def _exact_hole(
             lo, hi = max(lo, max(p[0] for p in parts)), min(hi, max(p[1] for p in parts))
     elif oracle.mode == "finite1d":
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
-        v = _finite1d_hole(oracle.starts, oracle.ends, a, b)
+        v = _finite1d_hole(oracle.leaves, a, b)
         pad = 1e-12 * max(1.0, v)  # absorbs last-ulp disagreement between equivalent formulas
         lo, hi = v - pad, v + pad
     else:
@@ -803,7 +812,7 @@ def _thickness_nodes(
         kids = sys.children(word)
         if not kids:
             continue
-        h = _exact_hole(sys, word, tol)
+        h = _exact_hole(sys, word, tol, ball)
         if h is None:
             if searched >= cap:
                 truncated = True

@@ -22,7 +22,7 @@ from .ballsystem import (
     corner_tau,
 )
 from .geometry import IntervalBound, NormKind, Point, norm_distance, vector_size
-from .metrics import _bisect_box, _box_max, _finite1d_hole
+from .metrics import _bisect_box, _box_max, _finite1d_hole, _leaves_1d
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _product_h0(ifs: HomotheticIFS) -> Optional[Tuple[float, float]]:
     # one ratio: the factors list their translations in increasing order,
     # and the intervals' ends rise with them
     value = max(
-        _finite1d_hole([t - lam for t in f.ts], [t + lam for t in f.ts], -1.0, 1.0)
+        _finite1d_hole(_leaves_1d([t - lam for t in f.ts], [t + lam for t in f.ts]), -1.0, 1.0)
         for f in factors
     ) / (1 - lam)
     pad = 16 * math.ulp(2.0) / (1 - lam)

@@ -7,7 +7,7 @@ import sys as pysys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import balls_disjoint, norm_distance
@@ -714,6 +714,10 @@ def _recursive_gap_tree(gl):
         st.tuples(st.floats(0.01, 0.99), st.floats(0.001, 0.2)), min_size=1, max_size=12
     )
 )
+# gaps of exactly equal length, where the split order rests on the sort's
+# leftmost-first tie break at the root and again inside each piece
+@example(data=[(0.75, 0.125), (0.25, 0.125), (0.5, 0.125)])
+@example(data=[(0.8125, 0.0625), (0.25, 0.0625), (0.4375, 0.125), (0.625, 0.0625), (0.0625, 0.0625)])
 def test_gap_tree_matches_recursive_construction(data):
     gaps = []
     for pos, length in data:

@@ -22,6 +22,7 @@ from thickgap.ballsystem import (
     from_gaps_1d,
     from_ifs,
 )
+from thickgap import dimension
 from thickgap.metrics import _oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -62,3 +63,22 @@ def test_oracle_modes_the_tracer_names():
     # both bench IFS specs are such product grids
     assert _oracle(from_ifs(grid, NormKind.L2)).mode == "product"
     assert _oracle(from_ifs(grid, NormKind.LINF)).mode == "product"
+
+
+def test_tracer_counts_the_mass_walks_moran_solves(monkeypatch):
+    # the walks call moran_exponent through the dimension module's global,
+    # which the tracer replaces; an alias bound at import would go uncounted
+    corner = corner_family(CornerFamilyParams(n=4, ell=0.4, d=2))
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        dimension.natural_measure(corner, 2)
+        # the root and its 16 children split their mass once each
+        assert tracer.span_totals()["dimension.moran"][0] == 17
+        # called through the module, whose boundary the tracer wraps
+        dimension.measure_ball_bound_check(corner, 0.1, 0.6, 50, seed=1)
+    finally:
+        tracer.uninstall()
+    totals = tracer.span_totals()
+    assert totals["dimension.measure_check"][0] == 1
+    assert totals["dimension.moran"][0] > 17

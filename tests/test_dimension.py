@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,9 @@ from thickgap.ballsystem import (
     GapList1D,
     corner_family,
     from_gaps_1d,
+    parse_set_spec,
+    similarity_image,
+    translate,
 )
 from thickgap.dimension import (
     MeasureBoundReport,
@@ -23,7 +29,9 @@ from thickgap.dimension import (
     moran_exponent,
     natural_measure,
 )
-from thickgap.geometry import Ball
+from thickgap.geometry import Ball, distance_kernel, norm_distance
+
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 MID3 = CornerFamilyParams(n=2, ell=2 / 3, d=1)
 C4 = CornerFamilyParams(n=4, ell=2 / 5, d=1)
@@ -176,10 +184,11 @@ def test_measure_bound_corner_2d_no_violations():
 
 def test_measure_bound_trivial_balls():
     sys = corner_family(C4_2D)
+    dist = distance_kernel(sys.norm)
     far = Ball((10.0, 10.0), 0.5)
-    assert _mass_in_ball(sys, (), sys.root, 1.0, far, 0.01, 12) == 0.0
+    assert _mass_in_ball(sys, far, 0.01, 12, dist, {}) == 0.0
     whole = Ball((0.0, 0.0), 2.0)
-    assert _mass_in_ball(sys, (), sys.root, 1.0, whole, 0.01, 12) == 1.0
+    assert _mass_in_ball(sys, whole, 0.01, 12, dist, {}) == 1.0
     beta = moran_exponent([0.2] * 16, 2).exponent / 2
     assert (2 / (2 / 15)) ** (2 * beta) * 1.0 ** (2 * beta) >= 1.0
 
@@ -199,6 +208,15 @@ def test_measure_bound_validation():
         measure_ball_bound_check(sys, 0.0, 0.8, 5)
     with pytest.raises(ValueError):
         measure_ball_bound_check(sys, 2 / 15, 0.0, 5)
+    # a non-finite beta once passed with worst_ratio inf; an infinite c
+    # failed only at the separation check, as "c * radius = inf"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            measure_ball_bound_check(sys, 2 / 15, bad, 5)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            measure_ball_bound_check(sys, bad, 0.8, 5)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        measure_ball_bound_check(sys, 2 / 15, -math.inf, 5)
 
 
 def test_measure_bound_deterministic_seed():
@@ -228,3 +246,111 @@ def test_measure_check_solves_each_ratio_tuple_once():
     assert info.misses <= 4 < info.hits
     _moran_solve.cache_clear()
     assert measure_ball_bound_check(sys, 2 / 15, beta, 100, seed=3) == rep
+
+
+# -- the child-block walks against the Ball-and-children formulas ------------------
+
+
+def _cantor_gaps(depth):
+    gaps, pieces = [], [(0.0, 1.0)]
+    for _ in range(depth):
+        grown = []
+        for a, b in pieces:
+            third = (b - a) / 3.0
+            gaps.append((a + third, b - third))
+            grown.extend(((a, a + third), (b - third, b)))
+        pieces = grown
+    return tuple(sorted(gaps))
+
+
+def _spec(name):
+    return lambda: parse_set_spec(json.loads((SPECS / name).read_text()))
+
+
+# (system factory, separation constant c, beta)
+_WALKED = {
+    "corner_d1": (lambda: corner_family(C4), 0.1, 0.6),
+    "corner_d2": (lambda: corner_family(C4_2D), 0.1, 0.6),
+    "translate": (lambda: translate(corner_family(C4_2D), (0.3, -0.2)), 0.1, 0.6),
+    "similarity": (lambda: similarity_image(corner_family(MID3), 0.7, (1.5,)), 0.3, 0.5),
+    "ifs_linf": (_spec("ifs_linf.json"), 0.5, 0.576),
+    "ifs_l2": (_spec("ifs_l2.json"), 0.2, 0.576),
+    "cantor": (lambda: from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=_cantor_gaps(6))), 0.3, 0.63),
+}
+
+
+def _ball_mass_in_ball(sys, word, node, mass, query, cutoff, depth_left):
+    """The mass walk over children() Balls, norm_distance at every node and
+    each node's ratios solved where it is visited."""
+    dist = norm_distance(node.center, query.center, sys.norm)
+    if dist > node.radius + query.radius:
+        return 0.0
+    if dist + node.radius <= query.radius:
+        return mass
+    if depth_left == 0 or node.radius <= cutoff:
+        return mass
+    kids = sys.children(word)
+    if not kids:
+        return mass
+    rats = tuple(k.radius / node.radius for k in kids)
+    s = moran_exponent(rats, sys.dimension).exponent
+    return math.fsum(
+        _ball_mass_in_ball(
+            sys, word + (j,), k, mass * rats[j] ** s, query, cutoff, depth_left - 1
+        )
+        for j, k in enumerate(kids)
+    )
+
+
+def _ball_measure_check(sys, c, beta, samples, seed):
+    """measure_ball_bound_check's sampling loop around _ball_mass_in_ball;
+    also gives each sample's query and mass."""
+    rng = random.Random(seed)
+    root = sys.root
+    exponent = sys.dimension * beta
+    const = (2.0 / c) ** exponent
+    violations, worst, sampled = 0, 0.0, []
+    for _ in range(samples):
+        center = tuple(rc + root.radius * rng.uniform(-1.0, 1.0) for rc in root.center)
+        radius = root.radius * rng.uniform(0.05, 1.0)
+        query = Ball(center, radius)
+        mass_ub = _ball_mass_in_ball(sys, (), root, 1.0, query, radius / 64.0, 12)
+        sampled.append((query, mass_ub))
+        bound = const * radius**exponent
+        worst = max(worst, mass_ub / bound if bound > 0 else math.inf)
+        if mass_ub > bound * (1 + 1e-9):
+            violations += 1
+    return MeasureBoundReport(c, beta, samples, violations, worst), sampled
+
+
+@pytest.mark.parametrize("name", sorted(_WALKED))
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_measure_check_matches_ball_walk(name, seed):
+    make, c, beta = _WALKED[name]
+    want, sampled = _ball_measure_check(make(), c, beta, 150, seed)
+    got = measure_ball_bound_check(make(), c, beta, 150, seed=seed)
+    assert repr(got) == repr(want)
+    sys, weights = make(), {}
+    dist = distance_kernel(sys.norm)
+    for query, mass in sampled:
+        assert _mass_in_ball(sys, query, query.radius / 64.0, 12, dist, weights) == mass
+
+
+@pytest.mark.parametrize("name", sorted(_WALKED))
+def test_natural_measure_matches_ball_formula(name):
+    sys = _WALKED[name][0]()
+    want = {(): 1.0}
+    frontier = [()]
+    for _ in range(4):
+        nxt = []
+        for word in frontier:
+            kids = sys.children(word)
+            if not kids:
+                continue
+            rats = tuple(k.radius / sys.ball(word).radius for k in kids)
+            s = moran_exponent(rats, sys.dimension).exponent
+            for j in range(len(kids)):
+                want[word + (j,)] = want[word] * rats[j] ** s
+                nxt.append(word + (j,))
+        frontier = nxt
+    assert natural_measure(_WALKED[name][0](), 4).masses == want

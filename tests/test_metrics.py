@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import gc
 import heapq
 import math
@@ -11,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import Ball, IntervalBound, dist_point_ball, norm_distance
@@ -40,6 +41,7 @@ from thickgap.metrics import (
     _finite1d_dist,
     _finite1d_hole,
     _hole_bnb,
+    _leaves_1d,
     _oracle,
     _record,
     denseness_check,
@@ -276,7 +278,44 @@ def test_finite1d_hole_matches_linear_scan(points, overlap, disjoint, ends):
     else:
         starts, ends_ = points, [p + overlap for p in points]
     a, b = sorted(ends)
-    assert _finite1d_hole(starts, ends_, a, b) == _linear_finite1d_hole(starts, ends_, a, b)
+    got = _finite1d_hole(_leaves_1d(starts, ends_), a, b)
+    assert got == _linear_finite1d_hole(starts, ends_, a, b)
+
+
+def _candidate_scan_finite1d_hole(starts, ends, a, b):
+    """_finite1d_hole as it was before the gap peaks were precomputed: a
+    bisection keyed by the midpoint formula, then each candidate's distance."""
+
+    def mid(i):
+        return 0.5 * (ends[i] + starts[i + 1])
+
+    gaps = range(len(starts) - 1)
+    first = bisect.bisect_left(gaps, a, key=mid)
+    last = bisect.bisect_right(gaps, b, key=mid)
+    cands = [a, b] + [mid(i) for i in range(first, last)]
+    return max(_finite1d_dist(starts, ends, c) for c in cands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(_coords, min_size=2, max_size=40),
+    touch=st.lists(st.booleans(), max_size=20),
+    ends=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+)
+@example(points=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], touch=[True, True], ends=(-20.0, 20.0))
+@example(points=[0.0, 1.0, 2.0, 3.0], touch=[False], ends=(3.5, 20.0))
+@example(points=[0.0, 1.0, 2.0, 3.0], touch=[True], ends=(1.0, 1.0))
+def test_finite1d_hole_matches_candidate_scan(points, touch, ends):
+    # disjoint leaf intervals from sorted pairs; touch[i] closes the gap
+    # after interval i to zero width; [a, b] may reach past the hull
+    points.sort()
+    starts, ends_ = points[0::2][: len(points) // 2], points[1::2]
+    for i, closed in enumerate(touch[: len(starts) - 1]):
+        if closed:
+            starts[i + 1] = ends_[i]
+    a, b = sorted(ends)
+    got = _finite1d_hole(_leaves_1d(starts, ends_), a, b)
+    assert got == _candidate_scan_finite1d_hole(starts, ends_, a, b)
 
 
 def test_overlapping_explicit_leaves_merge():
