@@ -11,24 +11,28 @@ intersections generate a compact set C. Generators:
   Similarity        image of a base under x -> scale*x + shift (translates too)
   Perturbed         image of a base: centers through a smooth map, radii * (1+eps)
 
-Trees are expanded lazily and memoized. Each generator has one per-child
-formula on plain floats: the parent's center and radius in, the child's out.
-child_block(word) applies it to every child of a node (the generator's
-block()) and memoizes the result as the node's child block, (centers, radii)
-of plain floats, checked once with the checks Ball makes; branch-and-bound
-searches read blocks and build no Ball. A corner family's block is the
-product of each axis's n coordinates, which go through the formula's own
-float operations.
-children(word) wraps a block's entries in Balls without checking them again,
-and ball(word) builds only the missing nodes on the path to word, one checked
-Ball per level and none of its siblings. path(word) gives the same nodes as
-plain floats and stores nothing, as corner_grid() does for the children of
-any node of a corner family or a similarity image of one. An image (Similarity, Perturbed)
-expands nothing itself: its node at a word is the image's node() of the
-base's node at that word and its block that of each entry of the base's
-block, so every image of one base reads and fills the base's memo. Finite
-generators (gap lists, explicit tables) store every node up front and read
-their blocks from there; they terminate in leaves and represent the set at
+Trees are expanded lazily and memoized in two node stores. Each generator
+has one per-child formula on plain floats: the parent's center and radius
+in, the child's out. child_block(word) applies it to every child of a node
+(the generator's block()) and memoizes the result as the node's child
+block, (centers, radii) of plain floats, checked once with the checks Ball
+makes. Blocks are every tree's one adjacency: every walk of the tree reads
+them, and branch-and-bound searches build no Ball from them. A corner
+family's block is the product of each axis's n coordinates, which go
+through the formula's own float operations.
+children(word) and walk() wrap a block's entries in fresh Balls, equal to
+ball()'s, without checking them again or storing them; ball(word) builds
+only the missing nodes on the path to word, one checked Ball per level and
+none of its siblings, into the second store. path(word) gives the same
+nodes as plain floats and stores nothing, as corner_grid() does for the
+children of any node of a corner family or a similarity image of one. An
+image (Similarity, Perturbed) expands nothing itself: its node at a word
+is the image's node() of the base's node at that word and its block that
+of each entry of the base's block, so every image of one base reads and
+fills the base's memo. Finite generators (gap lists, explicit tables) keep
+every node in a node table, the Ball store, and read a block from it on
+first use: the children of word are word + (j,) for j = 0, 1, ... while
+the table holds them. They terminate in leaves and represent the set at
 that truncation, meaning C is the union of the leaf balls. Memo fills take
 no lock: two threads may build the same block, and both get the one stored
 first.
@@ -438,14 +442,14 @@ class BallSystem:
         self.root = root
         self.generator = generator
         self.decay = decay
+        # the two node stores: child blocks, and the Balls ball() builds (a
+        # finite tree's node table)
         self._blocks: Dict[Word, Block] = {}
-        self._kids: Dict[Word, Tuple[Ball, ...]] = {}
         self._balls: Dict[Word, Ball] = {ROOT: root}
+        self._finite = False  # set by the finite constructors and their similarity images
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         self._corner_grid = _UNSET  # corner_grid(), alike
-        # finite-tree adjacency, filled by the gap/explicit constructors
-        self._finite_children: Optional[Dict[Word, Tuple[Word, ...]]] = None
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
         self._split_gaps: Optional[Dict[Word, Tuple[float, float]]] = None
 
@@ -477,54 +481,50 @@ class BallSystem:
     def child_block(self, word: Word) -> Block:
         """The children of the node at word as plain floats, (centers, radii):
         child j has center centers[j] and radius radii[j], bit for bit those
-        of ball(word + (j,)). Built and checked once, then memoized. KeyError
-        when a generated tree has no node at word; a finite tree gives no
-        children for a word it lacks, as children() does."""
+        of ball(word + (j,)). Built and checked once, then memoized: the one
+        adjacency every tree walk reads. KeyError when a generated tree has
+        no node at word; a finite tree gives no children for a word it lacks."""
         block = self._blocks.get(word)
         if block is None:
             block = self._blocks.setdefault(word, self._make_children(word))
         return block
 
     def children(self, word: Word) -> Tuple[Ball, ...]:
-        kids = self._kids.get(word)
-        if kids is None:
-            # the block is checked already, so its Balls skip the checks
-            keep = self._balls.setdefault
-            built = [
-                keep(word + (j,), trusted_ball(c, r))
-                for j, (c, r) in enumerate(zip(*self.child_block(word)))
-            ]
-            kids = self._kids.setdefault(word, tuple(built))
-        return kids
+        """The children of the node at word as fresh Balls, equal to
+        ball(word + (j,))'s; the block is checked already, so they skip the
+        checks. Stores nothing."""
+        return tuple(map(trusted_ball, *self.child_block(word)))
 
     def child_count(self, word: Word) -> int:
-        """How many children the node at word has, without building them."""
-        if self._finite_children is not None:
-            return len(self._finite_children.get(word, ()))
+        """How many children the node at word has; a generated tree builds none."""
         gen = self.generator
         if isinstance(gen, _IMAGES):
             return gen.base.child_count(word)
+        if self._finite:
+            return len(self.child_block(word)[1])
         return gen.child_count
 
     def is_leaf(self, word: Word) -> bool:
-        return len(self.children(word)) == 0
+        return self.child_count(word) == 0
 
     def walk(self, max_depth: int) -> Iterator[Tuple[Word, Ball]]:
-        """Depth-first, child-order traversal down to max_depth inclusive."""
+        """Depth-first, child-order traversal down to max_depth inclusive:
+        the root itself, then fresh Balls from each expanded node's block."""
         stack: List[Tuple[Word, Ball]] = [(ROOT, self.root)]
+        block = self.child_block
         while stack:
             word, ball = stack.pop()
             yield word, ball
             if len(word) < max_depth:
-                kids = self.children(word)
-                for i in range(len(kids) - 1, -1, -1):
-                    stack.append((word + (i,), kids[i]))
+                centers, radii = block(word)
+                for j in range(len(radii) - 1, -1, -1):
+                    stack.append((word + (j,), trusted_ball(centers[j], radii[j])))
 
     # -- structure queries ---------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self._finite_children is not None
+        return self._finite
 
     def is_homothetic(self) -> bool:
         """True when every node repeats the root's relative child layout: a
@@ -619,17 +619,17 @@ class BallSystem:
         Ball: a generated tree runs its per-child formula down from the root
         and an image maps its base's path. KeyError when the tree has no
         node at a prefix."""
-        if self._finite_children is not None:
+        gen = self.generator
+        if isinstance(gen, _IMAGES):
+            for center, radius in gen.base.path(word):
+                yield gen.node(center, radius)
+            return
+        if self._finite:
             for depth in range(len(word) + 1):
                 b = self._balls.get(word[:depth])
                 if b is None:
                     raise KeyError(f"no node at word {word}")
                 yield b.center, b.radius
-            return
-        gen = self.generator
-        if isinstance(gen, _IMAGES):
-            for center, radius in gen.base.path(word):
-                yield gen.node(center, radius)
             return
         center, radius = self.root.center, self.root.radius
         yield center, radius
@@ -649,7 +649,7 @@ class BallSystem:
             rows, _, radius = grid.axes(grid.root.center, grid.root.radius)
             reach = radius + radius
             return all(b - a > reach for row in rows for a, b in zip(row, row[1:]))
-        kids = self.children(ROOT)
+        kids = list(map(trusted_ball, *self.child_block(ROOT)))
         return all(
             balls_disjoint(kids[i], kids[j], self.norm)
             for i in range(len(kids))
@@ -666,17 +666,11 @@ class BallSystem:
             return self._leaf_intervals
         if not (self.is_finite and self.dimension == 1):
             raise ValueError("leaf intervals exist only for finite 1-D systems")
-        leaves = []
-        stack = [ROOT]
-        while stack:
-            w = stack.pop()
-            kids = self._finite_children.get(w, ())
-            if kids:
-                stack.extend(kids)
-            else:
-                b = self.ball(w)
-                leaves.append((b.center[0] - b.radius, b.center[0] + b.radius))
-        leaves.sort()
+        leaves = sorted(
+            (b.center[0] - b.radius, b.center[0] + b.radius)
+            for w, b in self.walk(1_000_000)
+            if self.is_leaf(w)
+        )
         merged: List[Tuple[float, float]] = []
         for lo, hi in leaves:
             if merged and lo < merged[-1][1]:
@@ -696,14 +690,17 @@ class BallSystem:
 
     def _make_children(self, word: Word) -> Block:
         """Build the child block of the node at word."""
-        if self._finite_children is not None:
-            # finite trees store every node, each checked as a Ball already
-            kids = [self._balls[w] for w in self._finite_children.get(word, ())]
-            return tuple([b.center for b in kids]), tuple([b.radius for b in kids])
         gen = self.generator
         if isinstance(gen, _IMAGES):
             centers, radii = gen.base.child_block(word)
             return _checked_block([gen.node(c, r) for c, r in zip(centers, radii)])
+        if self._finite:
+            # the node table holds children word + (j,) for j = 0, 1, ...,
+            # each checked as a Ball already
+            balls, kids = self._balls, []
+            while (b := balls.get(word + (len(kids),))) is not None:
+                kids.append(b)
+            return tuple([b.center for b in kids]), tuple([b.radius for b in kids])
         return gen.block(*self._node(word))
 
     def _node(self, word: Word) -> Tuple[Point, float]:
@@ -725,15 +722,16 @@ class BallSystem:
         for word, ball in self.walk(depth):
             if len(word) >= depth:
                 continue
-            for i, child in enumerate(self.children(word)):
+            centers, radii = self.child_block(word)
+            for i, (center, radius) in enumerate(zip(centers, radii)):
                 slack = _CONTAIN_SLACK * ball.radius
-                d = norm_distance(ball.center, child.center, self.norm)
-                if d + child.radius > ball.radius + slack:
+                d = norm_distance(ball.center, center, self.norm)
+                if d + radius > ball.radius + slack:
                     raise ValueError(
                         f"child {word + (i,)} escapes its parent by "
-                        f"{d + child.radius - ball.radius:.3e}"
+                        f"{d + radius - ball.radius:.3e}"
                     )
-                if self.decay is not None and child.radius > ball.radius * (
+                if self.decay is not None and radius > ball.radius * (
                     self.decay + _CONTAIN_SLACK
                 ):
                     raise ValueError(f"radius decay violated at {word + (i,)}")
@@ -839,7 +837,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         return Ball(((a + b) / 2,), (b - a) / 2)
 
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
-    children: Dict[Word, Tuple[Word, ...]] = {}
     balls: Dict[Word, Ball] = {}
     split_gaps: Dict[Word, Tuple[float, float]] = {}
     leaf_ivs: List[Tuple[float, float]] = []
@@ -854,7 +851,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         word, a, b, inside = stack.pop()
         balls[word] = interval_ball(a, b)
         if not inside:
-            children[word] = ()
             leaf_ivs.append((a, b))
             continue
         gap = inside[0]
@@ -864,7 +860,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         right = [g for g in inside if g[0] >= hi]
         if len(left) + len(right) != len(inside) - 1:
             raise ValueError("inconsistent gap containment")  # unreachable for valid input
-        children[word] = (word + (0,), word + (1,))
         for piece in ((a, lo), (hi, b)):
             max_ratio = max(max_ratio, (piece[1] - piece[0]) / (b - a))
         stack.append((word + (1,), hi, b, right))
@@ -878,7 +873,7 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         decay=max_ratio if max_ratio > 0 else None,
     )
     sys._balls.update(balls)
-    sys._finite_children = children
+    sys._finite = True
     sys._split_gaps = split_gaps
     sys._leaf_intervals = tuple(sorted(leaf_ivs))
     return sys
@@ -891,23 +886,18 @@ def explicit_tree(
     balls = dict(entries)
     if ROOT not in balls:
         raise ValueError("explicit tree needs a root entry at the empty word")
-    children: Dict[Word, List[Word]] = {w: [] for w in balls}
     for w in balls:
-        if w == ROOT:
-            continue
-        parent = w[:-1]
-        if parent not in balls:
+        if w and w[:-1] not in balls:
             raise ValueError(f"node {w} has no parent entry")
-        children[parent].append(w)
-    fixed: Dict[Word, Tuple[Word, ...]] = {}
     max_ratio = 0.0
-    for w, kids in children.items():
-        kids.sort(key=lambda k: k[-1])
-        if [k[-1] for k in kids] != list(range(len(kids))):
-            raise ValueError(f"children of {w} are not indexed 0..m-1")
-        fixed[w] = tuple(kids)
-        for k in kids:
-            max_ratio = max(max_ratio, balls[k].radius / balls[w].radius)
+    for w, b in balls.items():
+        if not w:
+            continue
+        # indices 0..m-1 hold exactly when each index has its predecessor
+        j, parent = w[-1], w[:-1]
+        if j < 0 or (j > 0 and parent + (j - 1,) not in balls):
+            raise ValueError(f"children of {parent} are not indexed 0..m-1")
+        max_ratio = max(max_ratio, b.radius / balls[parent].radius)
     sys = BallSystem(
         norm=norm,
         dimension=dimension,
@@ -916,7 +906,7 @@ def explicit_tree(
         decay=max_ratio if 0 < max_ratio < 1 else None,
     )
     sys._balls.update(balls)
-    sys._finite_children = fixed
+    sys._finite = True
     return sys
 
 
@@ -935,11 +925,7 @@ def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> B
     gen = Similarity(sys, float(scale), shift)
     root = Ball(*gen.node(sys.root.center, sys.root.radius))
     out = BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
-    out._finite_children = sys._finite_children
-    if sys._finite_children is not None:
-        out._balls.update(
-            {w: Ball(*gen.node(b.center, b.radius)) for w, b in sys._balls.items()}
-        )
+    out._finite = sys._finite
     return out
 
 
@@ -988,6 +974,10 @@ def newhouse_thickness(gl: GapList1D) -> float:
 # -- JSON set-spec ------------------------------------------------------------
 
 _NORMS = {"linf": NormKind.LINF, "l2": NormKind.L2, "l1": NormKind.L1}
+# most children per node, n**d, a corner spec may ask for: one child block
+# of this many holds about 70 MB of tuples in d = 2, and searches that list
+# a node's children (the gap lemma's meet frontier) list this many words
+MAX_CORNER_CHILDREN = 1_000_000
 
 
 def parse_set_spec(obj: dict) -> BallSystem:
@@ -1012,9 +1002,14 @@ def parse_set_spec(obj: dict) -> BallSystem:
         if gen_tag == "corner":
             if norm is not NormKind.LINF:
                 raise SpecError("corner generator requires the linf norm")
-            return corner_family(
-                CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
-            )
+            params = CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
+            # n >= 2, so n**d passes the cap by d = 20 and no huge power is formed
+            if params.n ** min(dimension, 20) > MAX_CORNER_CHILDREN:
+                raise SpecError(
+                    f"corner generator with n = {params.n} in dimension {dimension} has "
+                    f"more than {MAX_CORNER_CHILDREN:,} children per node"
+                )
+            return corner_family(params)
         if gen_tag == "ifs":
             maps = tuple(
                 (float(m["lambda"]), tuple(float(x) for x in m["t"]))

@@ -139,15 +139,11 @@ def _child_weights(radius: float, radii: Sequence[float], d: int) -> List[float]
 
 def _verify_separation(sys: BallSystem, c: float) -> None:
     root = sys.root
-    kids = sys.children(ROOT)
+    centers, radii = sys.child_block(ROOT)
     slack = 1e-12 * root.radius
-    for i in range(len(kids)):
-        for j in range(i + 1, len(kids)):
-            gap = (
-                norm_distance(kids[i].center, kids[j].center, sys.norm)
-                - kids[i].radius
-                - kids[j].radius
-            )
+    for i in range(len(radii)):
+        for j in range(i + 1, len(radii)):
+            gap = norm_distance(centers[i], centers[j], sys.norm) - radii[i] - radii[j]
             if gap < c * root.radius - slack:
                 raise ValueError(
                     f"separation hypothesis fails at the root: gap {gap:.6g} "
@@ -169,7 +165,7 @@ def _mass_in_ball(
 
     dist is the norm's distance kernel and weights a memo of _child_weights
     per word, shared by the calls of one check. The floats are those of a
-    walk over children() Balls with norm_distance: blocks hold the
+    walk over the children's Balls with norm_distance: blocks hold the
     children's centers and radii bit for bit, a child's mass is its
     parent's times rats[j] ** s, and each node's children are summed by one
     math.fsum. fsum rounds the exact sum once, so leaving out the zeros of

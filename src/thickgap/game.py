@@ -33,6 +33,7 @@ from .geometry import (
     distance_kernel,
     norm_distance,
     row_norms,
+    trusted_ball,
     trusted_sphere,
     vector_size,
 )
@@ -316,9 +317,10 @@ class AliceStrategy:
             radii.append(top)
             grown: List[Tuple[Word, Ball]] = []
             for word, _ in frontier:
-                kids = sys.children(word)
-                self.n0 = max(self.n0, len(kids))
-                grown.extend((word + (i,), kid) for i, kid in enumerate(kids))
+                centers, kid_radii = sys.child_block(word)
+                self.n0 = max(self.n0, len(kid_radii))
+                kids = map(trusted_ball, centers, kid_radii)
+                grown.extend((word + (j,), kid) for j, kid in enumerate(kids))
             frontier = grown
             depth += 1
         ratios = [b / a for a, b in zip(radii, radii[1:])]

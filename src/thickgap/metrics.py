@@ -30,6 +30,7 @@ from .geometry import (
     distance_kernel,
     norm_distance,
     row_norms,
+    trusted_ball,
     vector_size,
 )
 from .ballsystem import (
@@ -769,7 +770,7 @@ def _thickness_perturbed(
     lam_min = min(base.child_ratios())
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
     h_lo = _sample_hole_lower(sys, node_budget)
-    minrad_root = min(k.radius for k in sys.children(ROOT))
+    minrad_root = min(sys.child_block(ROOT)[1])
     h_hi_abs = (2 * eps + (1 + eps) * hrel_hi) * base.root.radius
     upper = minrad_root / h_lo if h_lo > 0 else math.inf
     upper = max(upper, lower)
@@ -809,8 +810,8 @@ def _thickness_nodes(
             # counted, not built: a generated tree is not expanded past depth
             deeper_internal = deeper_internal or sys.child_count(word) > 0
             continue
-        kids = sys.children(word)
-        if not kids:
+        radii = sys.child_block(word)[1]
+        if not radii:
             continue
         h = _exact_hole(sys, word, tol, ball)
         if h is None:
@@ -820,7 +821,7 @@ def _thickness_nodes(
             searched += 1
             h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
             converged = converged and h.converged
-        rec = _record(word, min(k.radius for k in kids), h, tol)
+        rec = _record(word, min(radii), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
         if len(records) < _MAX_RECORDS:
@@ -869,9 +870,8 @@ def _verify_refutation(sys: BallSystem, word: Word, witness: Ball) -> bool:
     node = sys.ball(word)
     if not ball_contains(node, witness, sys.norm):
         return False
-    return not any(
-        ball_contains(witness, child, sys.norm) for child in sys.children(word)
-    )
+    kids = map(trusted_ball, *sys.child_block(word))
+    return not any(ball_contains(witness, child, sys.norm) for child in kids)
 
 
 def denseness_check(
@@ -976,11 +976,11 @@ def _dense_product(sys: BallSystem, r: float, grid_step: float) -> DensenessRepo
 
 def _dense_finite1d(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
     for word, ball in sys.walk(min(depth, 1_000_000)):
-        kids = sys.children(word)
-        if not kids or len(word) > depth:
+        centers, radii = sys.child_block(word)
+        if not radii or len(word) > depth:
             continue
         rho = r * ball.radius
-        kids_1d = [(k.center[0] - k.radius, k.center[0] + k.radius) for k in kids]
+        kids_1d = [(c[0] - rk, c[0] + rk) for c, rk in zip(centers, radii)]
         hole_at = _uncovered_center(ball.center[0], ball.radius, rho, kids_1d)
         if hole_at is not None:
             witness = Ball((hole_at,), rho)
@@ -996,24 +996,26 @@ def _dense_finite1d(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
 def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
     import numpy as np
 
-    homothetic = sys.is_homothetic()
-    nodes = [ROOT] if homothetic else [
-        w for w, _ in sys.walk(depth) if sys.children(w) and len(w) <= depth
-    ]
-    if not homothetic and len(nodes) > 5000:
-        return DensenessReport(
-            r, "unknown", None, grid_step, "grid", "node budget exceeded"
-        )
+    nodes = [(ROOT, sys.root)]
+    if not sys.is_homothetic():
+        # the internal nodes down to depth, counted as the walk reaches them
+        nodes = []
+        for word, ball in sys.walk(depth):
+            if sys.child_count(word):
+                nodes.append((word, ball))
+                if len(nodes) > 5000:
+                    return DensenessReport(
+                        r, "unknown", None, grid_step, "grid", "node budget exceeded"
+                    )
     norm = sys.norm
     factor = {NormKind.LINF: 1.0, NormKind.L2: math.sqrt(sys.dimension), NormKind.L1: float(sys.dimension)}[norm]
     margin = grid_step * factor
-    for word in nodes:
-        ball = sys.ball(word)
-        kids = sys.children(word)
+    for word, ball in nodes:
+        centers, radii = sys.child_block(word)
         rel_centers = np.array(
-            [[(k.center[i] - ball.center[i]) / ball.radius for i in range(sys.dimension)] for k in kids]
+            [[(c[i] - ball.center[i]) / ball.radius for i in range(sys.dimension)] for c in centers]
         )
-        rel_radii = np.array([k.radius / ball.radius for k in kids])
+        rel_radii = np.array([rk / ball.radius for rk in radii])
         avail = 1 - r
         m = max(2, int(math.ceil(avail / grid_step)) + 1)
         if m**sys.dimension > 2_000_000:
@@ -1029,7 +1031,7 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
             pts = pts[norms <= avail + margin]
         contain_full = np.zeros(len(pts), dtype=bool)
         contain_margin = np.zeros(len(pts), dtype=bool)
-        for i in range(len(kids)):
+        for i in range(len(radii)):
             dist_i = row_norms(pts - rel_centers[i], norm) + rel_radii[i]
             contain_full |= dist_i <= r
             contain_margin |= dist_i <= r - margin

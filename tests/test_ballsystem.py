@@ -471,7 +471,7 @@ def test_single_ball_builds_only_its_path():
     # the base holds the path's nodes, the translate the root and the node
     assert sorted(base._balls) == [word[:k] for k in range(len(word) + 1)]
     assert sorted(moved._balls) == [(), word]
-    assert not base._kids and not moved._kids
+    # and no child block: children live in blocks alone
     assert not base._blocks and not moved._blocks
     # a second image of the same base reads the base's nodes
     again = translate(base, (0.1, 0.1))
@@ -551,7 +551,9 @@ def test_child_block_is_memoized_and_shared_by_images():
     moved = translate(base, (0.05, -0.02))
     block = moved.child_block((4,))
     assert moved.child_block((4,)) is block
-    assert list(base._blocks) == [(4,)] and not base._kids
+    assert list(base._blocks) == [(4,)]
+    # the block stores no Ball of a child, only the node's own path
+    assert sorted(base._balls) == [(), (4,)] and sorted(moved._balls) == [()]
     assert translate(base, (0.1, 0.1)).child_block((4,))[1] == base._blocks[(4,)][1]
     assert len(base._blocks) == 1
     # children() wraps the block's own floats
@@ -588,9 +590,12 @@ def test_memo_fills_from_threads_agree():
     finally:
         pysys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers) and len(results) == 4
-    # every reader gets the one block and the one Ball tuple stored first
+    # every reader gets the one block stored first, and Balls of its own floats
     for k in range(1, 4):
-        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(results[k], results[0]))
+        assert all(a[0] is b[0] for a, b in zip(results[k], results[0]))
+    for k in range(4):
+        for (centers, radii), kids in results[k]:
+            assert all(b.center is c and b.radius == r for b, c, r in zip(kids, centers, radii))
     fresh = from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.L2)
     assert [repr(fresh.child_block(w)) for w in words] == [repr(r[0]) for r in results[0]]
 
@@ -734,7 +739,8 @@ def test_gap_tree_matches_recursive_construction(data):
     sys = from_gaps_1d(gl)
     balls, children, split_gaps, leaf_ivs, decay = expected
     assert list(sys._balls.items()) == list(balls.items())
-    assert list(sys._finite_children.items()) == list(children.items())
+    # the node table is the adjacency: word + (j,) for j below the child count
+    assert {w: tuple(w + (j,) for j in range(sys.child_count(w))) for w in balls} == children
     assert list(sys._split_gaps.items()) == list(split_gaps.items())
     assert sys.leaf_intervals() == leaf_ivs
     assert sys.decay == decay

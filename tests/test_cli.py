@@ -7,6 +7,8 @@ import pytest
 
 from thickgap import cli
 from thickgap.ballsystem import (
+    MAX_CORNER_CHILDREN,
+    BallSystem,
     CornerFamilyParams,
     GapList1D,
     HomotheticIFS,
@@ -169,6 +171,34 @@ class TestInputErrors:
         assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert "degenerate piece [0.0, 5e-324]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, n, d, ok",
+        [
+            ("thickness", 1000, 2, True),  # n**d at the cap
+            ("thickness", 100, 3, True),
+            ("thickness", 1001, 2, False),  # one row past it
+            ("thickness", 101, 3, False),
+            ("thickness", 2, 10**9, False),  # no 2**(10**9) is formed
+            ("gapcheck --r 0.2", 100_000, 2, False),  # 10**10 children per node
+        ],
+    )
+    def test_corner_children_per_node_cap(self, command, n, d, ok, tmp_path, capsys, monkeypatch):
+        def no_block(self, word):
+            raise AssertionError("a child block was built")
+
+        monkeypatch.setattr(BallSystem, "_make_children", no_block)
+        assert (n ** min(d, 20) <= MAX_CORNER_CHILDREN) == ok
+        obj = {"norm": "linf", "dimension": d, "generator": {"type": "corner", "n": n, "ell": 1 / n}}
+        spec, out = tmp_path / "big.json", tmp_path / "out.json"
+        spec.write_text(json.dumps(obj))
+        code = cli.main([*command.split(), "--spec", str(spec), "--out", str(out)])
+        if ok:
+            assert code == 0 and json.loads(out.read_text())["tau"]["converged"]
+        else:
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert f"more than {MAX_CORNER_CHILDREN:,} children per node" in err
 
 
 class TestGapPair:

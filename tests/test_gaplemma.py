@@ -674,7 +674,8 @@ def test_meet_status_builds_no_children():
     s1, s2 = bench_pair()
     status = gaplemma._meet_status(s1, s2, R_BENCH, 6)
     assert status.status == "proven" and len(status.word) >= 1
-    assert not s1._kids and not s1._blocks
+    # no child block, and not all of the root's children as Balls
+    assert not s1._blocks and len(s1._balls) < 1 + s1.child_count(())
     # the answer read from child counts is the one a full expansion gives
     s1.children(())
     assert gaplemma._meet_status(s1, s2, R_BENCH, 6) == status
@@ -715,9 +716,10 @@ def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
     monkeypatch.setattr(gaplemma, "bridge_ball", recording_bridge)
     s1, s2 = make()
     cert = intersect(s1, s2, 0.17, 1e-6, 80)
-    # the large ball case builds no Ball tuple of children, and on corner
-    # grids no child block either
-    assert not s1._kids and not s2._kids and not s2.generator.base._kids
+    # the large ball case builds no Ball of a node's children, only one Ball
+    # per level in each system, and on corner grids no child block either
+    for s in (s1, s2, s2.generator.base):
+        assert len({len(w) for w in s._balls}) == len(s._balls)
     if s1.corner_grid() is not None:
         assert not s1._blocks and not s2._blocks
     fresh = dict(zip((1, 2), make()))

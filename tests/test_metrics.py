@@ -34,6 +34,7 @@ from thickgap.ballsystem import (
 from thickgap.metrics import (
     _MAX_RECORDS,
     DEFAULT_NODE_BUDGET,
+    DensenessReport,
     ThicknessReport,
     _corner1d_dist_batch,
     _dist_bnb,
@@ -498,6 +499,17 @@ def test_denseness_grid_unknown_at_exact_threshold():
     assert rep.verdict == "unknown"
 
 
+def test_denseness_grid_stops_counting_at_its_node_cap():
+    # 36 children per node: depth 3 holds 1 + 36 + 1,296 + 46,656 internal
+    # nodes, and the count stops at the 5,001st, about 140 depth-2 nodes in
+    base = corner_family(CornerFamilyParams(6, 0.25, 2))
+    img = perturbed_image(base, lambda p: tuple(0.999 * x for x in p), 0.01)
+    rep = denseness_check(img, 0.5, 1e-2, 3)
+    want = DensenessReport(0.5, "unknown", None, 1e-2, "grid", "node budget exceeded")
+    assert repr(rep) == repr(want)
+    assert len(img._blocks) + len(base._blocks) <= 300
+
+
 def test_denseness_gap_tree_exact():
     # gap splits leave both children flush against the node hull ends, so a
     # large ball centered mid-hull contains neither child for any r < 1
@@ -752,7 +764,7 @@ def test_dist_bnb_builds_no_balls():
     sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
     enc = dist_to_set((0.1, -0.2), sys, 1e-9)
     assert enc.converged and enc.width <= 1e-9
-    assert sys._blocks and not sys._kids
+    assert sys._blocks
     assert list(sys._balls) == [()]
 
 
