@@ -1003,8 +1003,9 @@ def parse_set_spec(obj: dict) -> BallSystem:
             if norm is not NormKind.LINF:
                 raise SpecError("corner generator requires the linf norm")
             params = CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
-            # n >= 2, so n**d passes the cap by d = 20 and no huge power is formed
-            if params.n ** min(dimension, 20) > MAX_CORNER_CHILDREN:
+            # n >= 2, so n**d passes the cap once d reaches the cap's bit
+            # length, and no huge power is formed
+            if params.n ** min(dimension, MAX_CORNER_CHILDREN.bit_length()) > MAX_CORNER_CHILDREN:
                 raise SpecError(
                     f"corner generator with n = {params.n} in dimension {dimension} has "
                     f"more than {MAX_CORNER_CHILDREN:,} children per node"

@@ -188,7 +188,7 @@ class TestInputErrors:
             raise AssertionError("a child block was built")
 
         monkeypatch.setattr(BallSystem, "_make_children", no_block)
-        assert (n ** min(d, 20) <= MAX_CORNER_CHILDREN) == ok
+        assert (n ** min(d, MAX_CORNER_CHILDREN.bit_length()) <= MAX_CORNER_CHILDREN) == ok
         obj = {"norm": "linf", "dimension": d, "generator": {"type": "corner", "n": n, "ell": 1 / n}}
         spec, out = tmp_path / "big.json", tmp_path / "out.json"
         spec.write_text(json.dumps(obj))

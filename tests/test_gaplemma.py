@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickgap.ballsystem import (
+    BallSystem,
     CornerFamilyParams,
     GapList1D,
     HomotheticIFS,
@@ -713,11 +714,18 @@ def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
         bridges.append(out)
         return out
 
+    def no_balls(self, *args):
+        raise AssertionError("Balls of a node's children were built")
+
     monkeypatch.setattr(gaplemma, "bridge_ball", recording_bridge)
     s1, s2 = make()
-    cert = intersect(s1, s2, 0.17, 1e-6, 80)
-    # the large ball case builds no Ball of a node's children, only one Ball
-    # per level in each system, and on corner grids no child block either
+    # the large ball case builds no Ball of a node's children: children() and
+    # walk() store none, so they are refused while it runs; it keeps one Ball
+    # per level in each system, and on corner grids builds no child block
+    with monkeypatch.context() as m:
+        m.setattr(BallSystem, "children", no_balls)
+        m.setattr(BallSystem, "walk", no_balls)
+        cert = intersect(s1, s2, 0.17, 1e-6, 80)
     for s in (s1, s2, s2.generator.base):
         assert len({len(w) for w in s._balls}) == len(s._balls)
     if s1.corner_grid() is not None:

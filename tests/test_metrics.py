@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from thickgap.geometry import Ball, IntervalBound, dist_point_ball, norm_distance
 from thickgap.ballsystem import (
+    BallSystem,
     CornerFamilyParams,
     GapList1D,
     HomotheticIFS,
@@ -760,7 +761,13 @@ def test_hole_bnb_matches_reference_at_small_budgets(made, tol, budgets):
         assert repr(got) == repr(want), budget
 
 
-def test_dist_bnb_builds_no_balls():
+def test_dist_bnb_builds_no_balls(monkeypatch):
+    def no_balls(self, *args):
+        raise AssertionError("Balls of a node's children were built")
+
+    # children() and walk() store no Ball, so the store alone cannot see them
+    monkeypatch.setattr(BallSystem, "children", no_balls)
+    monkeypatch.setattr(BallSystem, "walk", no_balls)
     sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
     enc = dist_to_set((0.1, -0.2), sys, 1e-9)
     assert enc.converged and enc.width <= 1e-9
