@@ -974,10 +974,11 @@ def newhouse_thickness(gl: GapList1D) -> float:
 # -- JSON set-spec ------------------------------------------------------------
 
 _NORMS = {"linf": NormKind.LINF, "l2": NormKind.L2, "l1": NormKind.L1}
-# most children per node, n**d, a corner spec may ask for: one child block
-# of this many holds about 70 MB of tuples in d = 2, and searches that list
-# a node's children (the gap lemma's meet frontier) list this many words
-MAX_CORNER_CHILDREN = 1_000_000
+# most children per node a spec may ask for, n**d corner cells or ifs maps:
+# one child block of this many holds about 70 MB of tuples in d = 2, and
+# searches that list a node's children (the gap lemma's meet frontier)
+# list this many words
+MAX_CHILDREN = 1_000_000
 
 
 def parse_set_spec(obj: dict) -> BallSystem:
@@ -1005,13 +1006,18 @@ def parse_set_spec(obj: dict) -> BallSystem:
             params = CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
             # n >= 2, so n**d passes the cap once d reaches the cap's bit
             # length, and no huge power is formed
-            if params.n ** min(dimension, MAX_CORNER_CHILDREN.bit_length()) > MAX_CORNER_CHILDREN:
+            if params.n ** min(dimension, MAX_CHILDREN.bit_length()) > MAX_CHILDREN:
                 raise SpecError(
                     f"corner generator with n = {params.n} in dimension {dimension} has "
-                    f"more than {MAX_CORNER_CHILDREN:,} children per node"
+                    f"more than {MAX_CHILDREN:,} children per node"
                 )
             return corner_family(params)
         if gen_tag == "ifs":
+            if len(gen["maps"]) > MAX_CHILDREN:
+                raise SpecError(
+                    f"ifs generator with {len(gen['maps']):,} maps has "
+                    f"more than {MAX_CHILDREN:,} children per node"
+                )
             maps = tuple(
                 (float(m["lambda"]), tuple(float(x) for x in m["t"]))
                 for m in gen["maps"]

@@ -9,34 +9,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
-import random
 import sys as _sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+# only what every subcommand needs loads with the module; each handler
+# imports its analysis modules itself, so a process loads what it runs
 from .ballsystem import ROOT, BallSystem, SpecError, Word, parse_set_spec, translate, word_str
-from .game import (
-    BfsConstants,
-    pattern_search_oracle,
-    play_batch,
-    proposition_params,
-    random_legal_bob,
-    referee,
-    transcript_to_jsonl,
-    winning_dim_bound,
-)
-from .gaplemma import (
-    check_hypotheses,
-    directional_distance_certificate,
-    distance_interval,
-    intersect,
-)
 from .geometry import Ball, NormKind, Point, vector_size
-from .dimension import dim_lower_bound
-from .metrics import thickness
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -143,6 +127,8 @@ def _config(args: argparse.Namespace, **extra) -> RunConfig:
 
 
 def _cmd_thickness(args: argparse.Namespace) -> int:
+    from .metrics import thickness
+
     sys = _load_system(args.spec)
     report = thickness(sys, args.depth, args.tol)
     payload = {
@@ -213,6 +199,8 @@ def _hypotheses_exit(report) -> int:
 
 
 def _cmd_gapcheck(args: argparse.Namespace) -> int:
+    from .gaplemma import check_hypotheses
+
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
     payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
@@ -221,6 +209,8 @@ def _cmd_gapcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
+    from .gaplemma import check_hypotheses, intersect
+
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
     payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
@@ -244,6 +234,8 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
 def _direction_sample(sys: BallSystem, count: int, seed: int) -> List[Point]:
     """Unit directions in the system norm: signs in 1-D, an angle grid in 2-D,
     seeded draws above."""
+    import random
+
     d = sys.dimension
     if d == 1:
         return [(1.0,), (-1.0,)]
@@ -267,6 +259,8 @@ def _normalize(v: Sequence[float], norm: NormKind) -> Point:
 
 
 def _cmd_distances(args: argparse.Namespace) -> int:
+    from .gaplemma import check_hypotheses, directional_distance_certificate, distance_interval
+
     sys = _load_system(args.spec)
     limit = distance_interval(args.r) * sys.root.radius
     tmax = args.tmax if args.tmax is not None else limit
@@ -328,6 +322,14 @@ def _transcript_path(out: str, seed: int) -> str:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    from .game import (
+        play_batch,
+        proposition_params,
+        random_legal_bob,
+        referee,
+        transcript_to_jsonl,
+    )
+
     sys = _load_system(args.spec)
     base = proposition_params(sys, 1.0 / args.alpha, args.beta)
     rho = args.rho if args.rho is not None else base.rho
@@ -371,6 +373,8 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
+    from .dimension import dim_lower_bound
+
     value = dim_lower_bound(args.d, args.tau, args.m0)
     payload = {
         "config": _config(args),
@@ -378,6 +382,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         "caveat": _D2_CAVEAT if args.d >= 2 else None,
     }
     if args.alpha is not None and args.beta is not None and args.c is not None:
+        from .game import BfsConstants, winning_dim_bound
+
         k = BfsConstants(args.K1, args.K2)
         payload["winning"] = winning_dim_bound(args.alpha, args.beta, args.c, args.d, k)
     _emit(payload, args.out)
@@ -388,6 +394,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
+    from .game import pattern_search_oracle
+
     sys = _load_system(args.spec)
     points = tuple(_parse_point(text) for text in args.points)
     witnesses = pattern_search_oracle(sys, points, args.lam, args.grid, args.tol)
@@ -474,7 +482,14 @@ def system_from_render_csv(text: str, norm: NormKind, dimension: int) -> BallSys
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Callers share it: parse_args returns a fresh Namespace and leaves the
+    parser as it was, so calls cannot leak values into each other; do not
+    add arguments to the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="thickgap",
         description="Certified geometry of recursive ball systems.",
@@ -555,9 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

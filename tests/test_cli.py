@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from thickgap import cli
+from thickgap import ballsystem, cli
 from thickgap.ballsystem import (
-    MAX_CORNER_CHILDREN,
+    MAX_CHILDREN,
     BallSystem,
     CornerFamilyParams,
     GapList1D,
@@ -188,7 +188,7 @@ class TestInputErrors:
             raise AssertionError("a child block was built")
 
         monkeypatch.setattr(BallSystem, "_make_children", no_block)
-        assert (n ** min(d, MAX_CORNER_CHILDREN.bit_length()) <= MAX_CORNER_CHILDREN) == ok
+        assert (n ** min(d, MAX_CHILDREN.bit_length()) <= MAX_CHILDREN) == ok
         obj = {"norm": "linf", "dimension": d, "generator": {"type": "corner", "n": n, "ell": 1 / n}}
         spec, out = tmp_path / "big.json", tmp_path / "out.json"
         spec.write_text(json.dumps(obj))
@@ -198,7 +198,51 @@ class TestInputErrors:
         else:
             assert code == 2 and not out.exists()
             err = capsys.readouterr().err
-            assert f"more than {MAX_CORNER_CHILDREN:,} children per node" in err
+            assert f"more than {MAX_CHILDREN:,} children per node" in err
+
+    def test_ifs_maps_per_node_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ballsystem, "MAX_CHILDREN", 3)
+        maps = [{"lambda": 0.15, "t": [x]} for x in (-0.6, -0.2, 0.2, 0.6)]
+        obj = {"norm": "linf", "dimension": 1, "generator": {"type": "ifs", "maps": maps[:3]}}
+        assert len(parse_set_spec(obj).child_block(())[1]) == 3
+        obj["generator"]["maps"] = maps
+        spec, out = tmp_path / "big.json", tmp_path / "out.json"
+        spec.write_text(json.dumps(obj))
+        assert cli.main(["thickness", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ifs generator with 4 maps has more than 3 children per node" in err
+        assert not out.exists()
+        # the count is checked before any map is read
+        obj["generator"]["maps"] = [None] * 4
+        with pytest.raises(SpecError, match="more than 3 children per node"):
+            parse_set_spec(obj)
+
+
+class TestParserReuse:
+    def test_shared_parser_matches_a_fresh_one(self, specs, capsys, monkeypatch):
+        """One process, one parser: each call prints exactly what a freshly
+        built parser would, and no value of one call reaches the next."""
+        calls = [
+            ["gapcheck", "--spec", specs["corner10_d2"], "--shift2", "0.05,0.02", "--r", "0.2"],
+            ["render", "--spec", specs["corner4_d2"]],
+            ["thickness", "--spec", specs["corner4_d2"], "--depth", "2", "--tol", "1e-4"],
+            ["thickness", "--spec", specs["corner4_d2"], "--depth", "2"],
+            ["thickness", "--spec", specs["corner4_d2"], "--depth", "two"],
+            ["--help"],
+        ]
+
+        def outputs():
+            return [(cli.main(argv), *capsys.readouterr()) for argv in calls]
+
+        cli.build_parser.cache_clear()
+        shared = outputs()
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert outputs() == shared
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+        assert json.loads(shared[2][1])["config"]["tol"] == 1e-4
+        assert json.loads(shared[3][1])["config"]["tol"] == 1e-9
 
 
 class TestGapPair:
