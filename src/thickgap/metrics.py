@@ -12,6 +12,7 @@ enclosure, whose bounds stay valid either way.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -25,12 +26,10 @@ from .geometry import (
     NormKind,
     Point,
     as_point,
-    ball_contains,
     dist_point_ball,
     distance_kernel,
     norm_distance,
     row_norms,
-    trusted_ball,
     vector_size,
 )
 from .ballsystem import (
@@ -756,11 +755,7 @@ def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
 
 
 def _thickness_perturbed(
-    sys: BallSystem,
-    gen: Perturbed,
-    depth: int,
-    tol: float,
-    node_budget: int,
+    sys: BallSystem, gen: Perturbed, depth: int, tol: float, node_budget: int
 ) -> ThicknessReport:
     base = gen.base
     eps = gen.eps
@@ -774,18 +769,11 @@ def _thickness_perturbed(
     h_hi_abs = (2 * eps + (1 + eps) * hrel_hi) * base.root.radius
     upper = minrad_root / h_lo if h_lo > 0 else math.inf
     upper = max(upper, lower)
+    converged = upper - lower <= tol
     h_iv = IntervalBound(min(h_lo, h_hi_abs), h_hi_abs, tol)
-    rec = NodeThicknessRecord(
-        ROOT, minrad_root, h_iv, IntervalBound(lower, upper, tol)
-    )
-    return ThicknessReport(
-        overall=IntervalBound(lower, upper, tol),
-        per_node=(rec,),
-        depth=depth,
-        converged=math.isfinite(upper),
-        valid_all_depths=False,
-        method="perturbed-transfer",
-    )
+    rec = NodeThicknessRecord(ROOT, minrad_root, h_iv, IntervalBound(lower, upper, tol))
+    overall = IntervalBound(lower, upper, tol, converged)
+    return ThicknessReport(overall, (rec,), depth, converged, False, "perturbed-transfer")
 
 
 def _thickness_nodes(
@@ -845,6 +833,9 @@ def _thickness_nodes(
 
 # -- denseness -------------------------------------------------------------------
 
+_MAX_DENSE_NODES = 5000  # internal nodes a node-by-node verdict visits
+_MAX_BOX_CELLS = 2_000_000  # cells a box coverage decision may have
+
 
 def _dense1d_corner_decide(n: int, ell: float, r: float) -> Tuple[bool, float]:
     """Exact 1-D decision: every closed sub-ball of relative radius r swallows
@@ -866,27 +857,45 @@ def _dense1d_corner_decide(n: int, ell: float, r: float) -> Tuple[bool, float]:
     return False, witness
 
 
-def _verify_refutation(sys: BallSystem, word: Word, witness: Ball) -> bool:
-    node = sys.ball(word)
-    if not ball_contains(node, witness, sys.norm):
-        return False
-    kids = map(trusted_ball, *sys.child_block(word))
-    return not any(ball_contains(witness, child, sys.norm) for child in kids)
-
-
-def denseness_check(
-    sys: BallSystem,
-    r: float,
-    grid_step: float,
-    depth: int,
+def _verify_refutation(
+    sys: BallSystem, word: Word, center: Point, r: float, grid_step: float, method: str, fail: str
 ) -> DensenessReport:
+    """refuted, with the witness ball about center whose radius is the least
+    float at or above r * rad(node), if an exact check on the rationals its
+    floats are finds it in the node and holding no child (L2 compared
+    through squares); else unknown, with the detail fail and the reason."""
+    from fractions import Fraction
+
+    def within(p: Point, q: Point, s: Fraction) -> bool:  # |p - q| <= s
+        gaps = [abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q)]
+        if sys.norm is NormKind.L2:
+            return s >= 0 and sum(g * g for g in gaps) <= s * s
+        return (max(gaps) if sys.norm is NormKind.LINF else sum(gaps)) <= s
+
+    node = sys.ball(word)
+    rho = Fraction(r) * Fraction(node.radius)
+    radius = float(rho) if float(rho) >= rho else math.nextafter(float(rho), math.inf)
+    rho = Fraction(radius)
+    kids = enumerate(zip(*sys.child_block(word)))
+    fits = (k for k, (c, rk) in kids if within(c, center, rho - Fraction(rk)))
+    why = next((f"it holds child {k}" for k in fits), None)
+    if not within(center, node.center, Fraction(node.radius) - rho):
+        why = "it leaves the node"
+    if why is None:
+        return DensenessReport(r, "refuted", Ball(tuple(center), radius), grid_step, method)
+    return DensenessReport(r, "unknown", None, grid_step, method, f"{fail}: {why}")
+
+
+def denseness_check(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
     """Sound three-way verdict on: every ball B inside a node with
     rad(B) >= r * rad(node) contains a child of that node.
 
-    Exact for corner products, Linf axis products of dimension >= 2 and
-    finite 1-D trees; elsewhere a margin grid
-    proves, an exhaustive grid refutes with a verified witness ball, and
-    anything the grid cannot decide is reported unknown.
+    Three routes, named by the report's method: "corner-exact", the closed
+    form for corner families and their similarity images; "box-exact",
+    exact box coverage (_dense_box) for every other Linf system and every
+    1-D system; "grid", a margin grid (_dense_grid) for L2 and L1 in
+    dimension 2 or more, which leaves unknown what it cannot decide. Every
+    witness ball of a refutation passes _verify_refutation.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
@@ -894,163 +903,153 @@ def denseness_check(
         raise ValueError("grid_step must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if sys.corner_params() is not None:
-        return _dense_corner(sys, r, grid_step)
-    if sys.is_finite and sys.dimension == 1:
-        return _dense_finite1d(sys, r, grid_step, depth)
-    if sys.norm is NormKind.LINF and sys.dimension >= 2 and sys.axis_factors() is not None:
-        return _dense_product(sys, r, grid_step)
-    return _dense_grid(sys, r, grid_step, depth)
-
-
-def _dense_corner(sys: BallSystem, r: float, grid_step: float) -> DensenessReport:
     corner = sys.corner_params()
+    if corner is None:
+        if sys.norm is NormKind.LINF or sys.dimension == 1:
+            return _dense_box(sys, r, grid_step, depth)
+        return _dense_grid(sys, r, grid_step, depth)
     proven, witness_c = _dense1d_corner_decide(corner.n, corner.ell, r)
     if proven:
         return DensenessReport(r, "proven", None, grid_step, "corner-exact")
-    root = sys.root
-    center = tuple(c + root.radius * witness_c for c in root.center)
-    witness = Ball(center, r * root.radius)
-    if _verify_refutation(sys, ROOT, witness):
-        return DensenessReport(r, "refuted", witness, grid_step, "corner-exact")
+    center = [c + sys.root.radius * witness_c for c in sys.root.center]
     # the exact decision and the witness check disagree only on float edges
-    return DensenessReport(
-        r, "unknown", None, grid_step, "corner-exact", "witness verification failed"
-    )
+    failed = "witness verification failed"
+    return _verify_refutation(sys, ROOT, center, r, grid_step, "corner-exact", failed)
 
 
-def _uncovered_center(
-    c: float, R: float, rho: float, kids: Sequence[Tuple[float, float]]
-) -> Optional[float]:
-    """A center x with [x - rho, x + rho] inside [c - R, c + R] holding none
-    of the intervals kids, or None when every such window holds one."""
-    a, b = c - R, c + R
-    feas_lo, feas_hi = a + rho, b - rho
-    if feas_lo > feas_hi:
+def _dense_nodes(sys: BallSystem, depth: int) -> Optional[List[Tuple[Word, Ball]]]:
+    """The internal nodes down to depth; None once the walk meets more than _MAX_DENSE_NODES."""
+    internal = ((word, ball) for word, ball in sys.walk(depth) if sys.child_count(word))
+    nodes = list(itertools.islice(internal, _MAX_DENSE_NODES + 1))
+    return None if len(nodes) > _MAX_DENSE_NODES else nodes
+
+
+def _uncovered_box(lo: Sequence, hi: Sequence, windows) -> Optional[Tuple]:
+    """A point of the closed box [lo, hi] (lo < hi) in none of the closed
+    windows, (low, high) corner pairs, or None when they cover it; exact on
+    rationals. Coordinate compression (Klee's measure problem): the ends of
+    the box and windows cut each axis into open intervals, and a window
+    holds each open cell, a product of those, wholly or not at all. An
+    uncovered point has an uncovered neighbourhood in the box, which meets
+    an open cell. A difference array, +-1 at each window corner summed
+    along every axis, counts the windows on each cell. The point returned
+    is the midpoint of the uncovered cell whose narrowest side is widest."""
+    import numpy as np
+
+    d = len(lo)
+    clipped = ((tuple(map(max, w_lo, lo)), tuple(map(min, w_hi, hi))) for w_lo, w_hi in windows)
+    boxes = [(a, b) for a, b in clipped if all(x <= y for x, y in zip(a, b))]
+    axes = [sorted({lo[i], hi[i]} | {end[i] for box in boxes for end in box}) for i in range(d)]
+    shape = tuple(len(xs) - 1 for xs in axes)
+    counts = np.zeros([n + 1 for n in shape], dtype=int)
+    for mask in range(2**d):  # the corners with the high end on the axes of mask's bits
+        at = [
+            np.array([bisect.bisect_left(xs, box[mask >> i & 1][i]) for box in boxes], int)
+            for i, xs in enumerate(axes)
+        ]
+        np.add.at(counts, tuple(at), (-1) ** bin(mask).count("1"))
+    for i in range(d):
+        np.cumsum(counts, axis=i, out=counts)
+    free = counts[tuple(slice(n) for n in shape)] == 0
+    if not free.any():
         return None
-    # centers x where child i fits inside [x-rho, x+rho]
-    windows = []
-    for ka, kb in kids:
-        w_lo, w_hi = kb - rho, ka + rho
-        if w_lo <= w_hi:
-            windows.append((max(w_lo, feas_lo), min(w_hi, feas_hi)))
-    windows = sorted(w for w in windows if w[0] <= w[1])
-    # candidate uncovered centers: feasibility edges plus midpoints of
-    # gaps between coverage runs; membership is then tested directly
-    cands = [feas_lo, feas_hi]
-    run_end: Optional[float] = None
-    for w_lo, w_hi in windows:
-        if run_end is not None and w_lo > run_end:
-            cands.append(0.5 * (run_end + w_lo))
-        run_end = w_hi if run_end is None else max(run_end, w_hi)
-    return next(
-        (x for x in cands if not any(w_lo <= x <= w_hi for w_lo, w_hi in windows)),
-        None,
-    )
+    widths = np.ix_(*[[float(y - x) for x, y in zip(xs, xs[1:])] for xs in axes])
+    narrowest = np.where(free, functools.reduce(np.minimum, widths), -1.0)
+    cell = np.unravel_index(np.argmax(narrowest), shape)
+    return tuple((xs[j] + xs[j + 1]) / 2 for xs, j in zip(axes, cell))
 
 
-def _dense_product(sys: BallSystem, r: float, grid_step: float) -> DensenessReport:
-    """Exact verdict for Linf axis products: a cube holds a child cube
-    exactly when it holds a child interval on every axis, and the child
-    cubes are every combination of per-axis intervals, so the verdict is
-    the window-cover test of each axis at the root (every node is a
-    similar copy of it). A failing axis gives the witness: its uncovered
-    center there, the root's center on the other axes."""
-    root = sys.root
-    centers, radii = sys.child_block(ROOT)
-    rho = r * root.radius
-    for i, c in enumerate(root.center):
-        kids = sorted({(k[i] - rk, k[i] + rk) for k, rk in zip(centers, radii)})
-        hole_at = _uncovered_center(c, root.radius, rho, kids)
-        if hole_at is None:
-            continue
-        witness = Ball(root.center[:i] + (hole_at,) + root.center[i + 1 :], rho)
-        if _verify_refutation(sys, ROOT, witness):
-            return DensenessReport(r, "refuted", witness, grid_step, "product-exact")
-        return DensenessReport(
-            r, "unknown", None, grid_step, "product-exact",
-            f"witness verification failed on axis {i}",
-        )
-    return DensenessReport(r, "proven", None, grid_step, "product-exact")
+def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
+    """Exact verdict for Linf and 1-D systems. A ball of radius rho = r * R
+    about x in a node of radius R about c holds the child (c_k, r_k) exactly
+    when |x_i - c_k,i| <= rho - r_k on every axis, so the node is dense when
+    these windows cover the feasible centers, |x_i - c_i| <= R - rho.
+    Homothetic systems and their similarity images are decided at the root
+    of their similarity core, whose layout every node repeats up to a
+    similarity (an axis product axis by axis, as its windows are every
+    combination of per-axis ones); other systems node by node to depth."""
+    from fractions import Fraction
 
-
-def _dense_finite1d(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
-    for word, ball in sys.walk(min(depth, 1_000_000)):
-        centers, radii = sys.child_block(word)
-        if not radii or len(word) > depth:
-            continue
-        rho = r * ball.radius
-        kids_1d = [(c[0] - rk, c[0] + rk) for c, rk in zip(centers, radii)]
-        hole_at = _uncovered_center(ball.center[0], ball.radius, rho, kids_1d)
-        if hole_at is not None:
-            witness = Ball((hole_at,), rho)
-            if _verify_refutation(sys, word, witness):
-                return DensenessReport(r, "refuted", witness, grid_step, "finite-1d-exact")
-            return DensenessReport(
-                r, "unknown", None, grid_step, "finite-1d-exact",
-                f"witness verification failed at node {word}",
-            )
-    return DensenessReport(r, "proven", None, grid_step, "finite-1d-exact")
+    unknown = functools.partial(DensenessReport, r, "unknown", None, grid_step, "box-exact")
+    if sys.is_homothetic():
+        core, maps = sys._similarity_chain()
+        nodes = [(ROOT, core.root)]
+    else:
+        core, maps, nodes = sys, (), _dense_nodes(sys, depth)
+        if nodes is None:
+            return unknown("node budget exceeded")
+    d = sys.dimension
+    groups = [(i,) for i in range(d)] if core.axis_factors() else [tuple(range(d))]
+    for word, ball in nodes:
+        c, R = [Fraction(x) for x in ball.center], Fraction(ball.radius)
+        rho = Fraction(r) * R
+        block = zip(*core.child_block(word))
+        kids = [([Fraction(x) for x in k], rho - Fraction(kr)) for k, kr in block if kr <= rho]
+        for axes in groups:
+            windows = {tuple(zip(*[(k[i] - e, k[i] + e) for i in axes])) for k, e in kids}
+            cells = (2 * len(windows) + 1) ** len(axes)  # at most, from the window ends
+            if cells > _MAX_BOX_CELLS:
+                return unknown(f"{cells:,} cells exceed the cap of {_MAX_BOX_CELLS:,}")
+            box = [c[i] - R + rho for i in axes], [c[i] + R - rho for i in axes]
+            hole = _uncovered_box(*box, windows)
+            if hole is None:
+                continue
+            point = [dict(zip(axes, hole)).get(i, x) for i, x in enumerate(c)]
+            for t in reversed(maps):  # out of the core's frame, innermost map first
+                point = [Fraction(t.scale) * x + Fraction(w) for x, w in zip(point, t.shift)]
+            failed = f"witness verification failed at node {word}"
+            point = [float(x) for x in point]
+            return _verify_refutation(sys, word, point, r, grid_step, "box-exact", failed)
+    return DensenessReport(r, "proven", None, grid_step, "box-exact")
 
 
 def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
+    """Grid verdict in any norm; denseness_check sends it L2 and L1 in
+    dimension 2 or more. Each node's relative centers are tested on the
+    grid linspace(-a, a, m) per axis, a = 1 - r and m - 1 >= a / grid_step.
+    Its spacing is 2a / (m - 1) <= 2 * grid_step, so every feasible center
+    y (|y| <= a) lies within grid_step per axis of a grid point p: within
+    margin = f * grid_step of it, with f = 1 for Linf, sqrt(d) for L2 and d
+    for L1. Then |p| <= a + margin, so p is tested, and a child in the ball
+    of radius r - margin about p lies in the ball of radius r about y. The
+    margin does not cover float error. Through linspace, the relative
+    centers and radii, row_norms and the margin itself, a compared distance
+    takes at most 10d + 10 roundings, each of a value at most 2d + 1 in
+    size, so the outward slack (10d + 10)(2d + 1) * 2**-53 bounds their
+    sum. A grid ball of radius r holding no child is a refutation's witness.
+    """
     import numpy as np
 
-    nodes = [(ROOT, sys.root)]
-    if not sys.is_homothetic():
-        # the internal nodes down to depth, counted as the walk reaches them
-        nodes = []
-        for word, ball in sys.walk(depth):
-            if sys.child_count(word):
-                nodes.append((word, ball))
-                if len(nodes) > 5000:
-                    return DensenessReport(
-                        r, "unknown", None, grid_step, "grid", "node budget exceeded"
-                    )
-    norm = sys.norm
-    factor = {NormKind.LINF: 1.0, NormKind.L2: math.sqrt(sys.dimension), NormKind.L1: float(sys.dimension)}[norm]
-    margin = grid_step * factor
+    unknown = functools.partial(DensenessReport, r, "unknown", None, grid_step, "grid")
+    nodes = [(ROOT, sys.root)] if sys.is_homothetic() else _dense_nodes(sys, depth)
+    if nodes is None:
+        return unknown("node budget exceeded")
+    norm, d, avail = sys.norm, sys.dimension, 1 - r
+    factor = {NormKind.LINF: 1.0, NormKind.L2: math.sqrt(d), NormKind.L1: float(d)}[norm]
+    margin, slack = grid_step * factor, (10 * d + 10) * (2 * d + 1) * 2.0**-53
+    m = max(2, int(math.ceil(avail / grid_step)) + 1)
+    if nodes and m**d > 2_000_000:
+        return unknown("grid too large at this step")
+    axis = np.linspace(-avail, avail, m)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+    if norm is not NormKind.LINF:
+        # restrict to points near the feasible center region
+        pts = pts[row_norms(pts, norm) <= avail + margin + slack]
     for word, ball in nodes:
         centers, radii = sys.child_block(word)
-        rel_centers = np.array(
-            [[(c[i] - ball.center[i]) / ball.radius for i in range(sys.dimension)] for c in centers]
-        )
-        rel_radii = np.array([rk / ball.radius for rk in radii])
-        avail = 1 - r
-        m = max(2, int(math.ceil(avail / grid_step)) + 1)
-        if m**sys.dimension > 2_000_000:
-            return DensenessReport(
-                r, "unknown", None, grid_step, "grid", "grid too large at this step"
-            )
-        axis = np.linspace(-avail, avail, m)
-        grids = np.meshgrid(*([axis] * sys.dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        if norm is not NormKind.LINF:
-            # restrict to points near the feasible center region
-            norms = row_norms(pts, norm)
-            pts = pts[norms <= avail + margin]
-        contain_full = np.zeros(len(pts), dtype=bool)
-        contain_margin = np.zeros(len(pts), dtype=bool)
-        for i in range(len(radii)):
-            dist_i = row_norms(pts - rel_centers[i], norm) + rel_radii[i]
-            contain_full |= dist_i <= r
-            contain_margin |= dist_i <= r - margin
-        if not contain_full.all():
-            bad = int(np.flatnonzero(~contain_full)[0])
-            c_rel = pts[bad]
-            if norm is NormKind.LINF or row_norms(c_rel, norm) <= avail:
-                center = tuple(ball.center[i] + ball.radius * c_rel[i] for i in range(sys.dimension))
-                witness = Ball(center, r * ball.radius)
-                if _verify_refutation(sys, word, witness):
-                    return DensenessReport(r, "refuted", witness, grid_step, "grid")
-            return DensenessReport(
-                r, "unknown", None, grid_step, "grid",
-                f"grid ball at node {word} contains no child but verification failed",
-            )
-        if r - margin <= 0 or not contain_margin.all():
-            return DensenessReport(
-                r, "unknown", None, grid_step, "grid",
-                "full-radius balls pass but the margin grid cannot certify",
-            )
+        full, sure = np.zeros((2, len(pts)), dtype=bool)  # held at radius r, r - margin - slack
+        rel_centers = (np.array(centers) - ball.center) / ball.radius
+        for c, rk in zip(rel_centers, np.array(radii) / ball.radius):
+            dist = row_norms(pts - c, norm) + rk
+            full |= dist <= r
+            sure |= dist <= r - margin - slack
+        if not full.all():
+            c_rel = pts[int(np.argmin(full))]
+            failed = f"grid ball at node {word} contains no child but verification failed"
+            if norm is not NormKind.LINF and row_norms(c_rel, norm) > avail:
+                return unknown(failed)
+            center = [ball.center[i] + ball.radius * c_rel[i] for i in range(d)]
+            return _verify_refutation(sys, word, center, r, grid_step, "grid", failed)
+        if r - margin - slack <= 0 or not sure.all():
+            return unknown("full-radius balls pass but the margin grid cannot certify")
     return DensenessReport(r, "proven", None, grid_step, "grid")
-

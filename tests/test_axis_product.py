@@ -416,7 +416,7 @@ def test_perturbed_images_decline_and_corner_families_factor():
 def test_product_denseness_agrees_with_the_grid(ifs, r):
     sys = from_ifs(ifs, NormKind.LINF)
     exact = denseness_check(sys, r, 1e-2, 2)
-    assert exact.method == "product-exact"
+    assert exact.method == "box-exact"
     grid = _dense_grid(from_ifs(ifs, NormKind.LINF), r, 1e-2, 2)
     if grid.verdict != "unknown":
         assert exact.verdict == grid.verdict
@@ -434,7 +434,7 @@ def test_product_denseness_agrees_with_the_grid(ifs, r):
 def test_ifs_linf_denseness_is_refuted_exactly():
     sys = parse_set_spec(_spec("ifs_linf.json"))
     rep = denseness_check(sys, 0.5, 1e-3, 3)
-    assert (rep.verdict, rep.method) == ("refuted", "product-exact")
+    assert (rep.verdict, rep.method) == ("refuted", "box-exact")
     assert rep.witness.center == (0.0, 0.0) and rep.witness.radius == 0.5
 
 

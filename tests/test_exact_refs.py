@@ -6,29 +6,37 @@ images, corner holes, thickness and denseness radius, the hole of the
 max-norm bench IFS and Newhouse thickness. Float parameters are read as the rationals they
 are, and every other quantity (the corner gap g, cell centers, node
 radii) is derived from them exactly. Every float enclosure must contain
-the exact value.
+the exact value. Max-norm denseness verdicts are checked against a
+brute force over candidate centers in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
+import itertools
 import json
 import math
+import operator
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from thickgap.geometry import Ball
 from thickgap.ballsystem import (
     CornerFamilyParams,
     GapList1D,
     HomotheticIFS,
     NormKind,
+    _corner_axis_offsets,
     corner_dense_radius,
     corner_family,
     corner_gap,
+    explicit_tree,
     from_ifs,
     newhouse_thickness,
     parse_set_spec,
@@ -148,15 +156,30 @@ def test_corner_distance_encloses_the_exact_value(case, data):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_corner_images(), data=st.data(), tol=st.sampled_from([1e-3, 1e-9, 1e-12]))
+@example(
+    case=(
+        similarity_image(
+            translate(corner_family(CornerFamilyParams(2, 0.9637783263070814, 1)), (-2.0,)),
+            43.0,
+            (2.0,),
+        ),
+        _Corner(2, 0.9637783263070814),
+        Fraction(43),
+        (Fraction(-84),),
+    ),
+    data=None,
+    tol=1e-12,
+).via("an image whose chain rounding pad keeps the root hole wider than tol")
 def test_corner_hole_encloses_half_the_gap_times_the_radius(case, data, tol):
     sys, ref, scale, _ = case
     m = ref.n ** sys.dimension
-    word = tuple(data.draw(st.lists(st.integers(0, m - 1), max_size=3)))
+    word = () if data is None else tuple(data.draw(st.lists(st.integers(0, m - 1), max_size=3)))
     # the node is the image of the root under len(word) maps of ratio ell/2
     R = scale * ref.half ** len(word)
     h = hole_radius(word, sys, tol)
     assert _contains(h, ref.g / 2 * R, ref.g / 2 * R), (word, h, float(ref.g / 2 * R))
-    assert h.converged and h.width <= max(tol, 1e-13 * float(scale))
+    assert h.width <= max(tol, 1e-13 * float(scale))
+    assert h.converged == (h.width <= tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,3 +294,218 @@ def test_newhouse_thickness_of_the_bench_cantor_gaps_is_exact():
     assert len(gaps) == 2**9 - 1
     tau = newhouse_thickness(GapList1D(hull=(0.0, 1.0), gaps=tuple(gaps)))
     assert tau == float(_newhouse_exact((0.0, 1.0), gaps))
+
+
+# -- denseness by box coverage ---------------------------------------------------------
+
+
+def _ref_dense_at(center, radius, kids, rho):
+    """A center (exact rationals) of a Linf ball of radius rho inside the
+    node that holds no child, or None when there is none. The candidates are
+    every breakpoint and every mid-breakpoint of each axis, and each
+    candidate tests containment child by child; a Linf ball holds a child
+    exactly when it does on every axis, so the per-axis tests are kept as
+    bitmasks over the children."""
+    c, R = [Fraction(x) for x in center], Fraction(radius)
+    kids = [([Fraction(x) for x in kc], Fraction(kr)) for kc, kr in kids]
+    lo, hi = [x - R + rho for x in c], [x + R - rho for x in c]
+    masks = []
+    for i in range(len(c)):
+        cuts = {lo[i], hi[i]} | {kc[i] + s * (rho - kr) for kc, kr in kids for s in (-1, 1)}
+        cuts = sorted(x for x in cuts if lo[i] <= x <= hi[i])
+        xs = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        fits = [
+            (x, sum(1 << k for k, (kc, kr) in enumerate(kids) if abs(x - kc[i]) + kr <= rho))
+            for x in xs
+        ]
+        masks.append(fits)
+    for combo in itertools.product(*masks):
+        if not functools.reduce(operator.and_, (m for _, m in combo)):
+            return tuple(x for x, _ in combo)
+    return None
+
+
+def _ref_nodes(sys, depth):
+    """The nodes the verdict rests on, as (center, radius, children): the
+    root of the similarity core for homothetic systems, else every internal
+    node down to depth."""
+    if sys.is_homothetic():
+        core = sys._similarity_chain()[0]
+        words, sys = [()], core
+    else:
+        words = [w for w, _ in sys.walk(depth) if sys.child_count(w)]
+    out = []
+    for w in words:
+        b = sys.ball(w)
+        out.append((b.center, b.radius, list(zip(*sys.child_block(w)))))
+    return out
+
+
+def _ref_witness_ok(sys, depth, witness, r):
+    """The witness lies in some node, has radius at least r times its
+    radius and holds none of its children, in exact arithmetic."""
+    rho, x = Fraction(witness.radius), [Fraction(v) for v in witness.center]
+
+    def inside(c, s):
+        return max(abs(a - Fraction(b)) for a, b in zip(x, c)) <= s
+
+    words = [w for w, _ in sys.walk(depth) if sys.child_count(w)]
+    for w in words:
+        b = sys.ball(w)
+        if rho >= Fraction(r) * Fraction(b.radius) and inside(b.center, Fraction(b.radius) - rho):
+            kids = zip(*sys.child_block(w))
+            if not any(inside(kc, rho - Fraction(kr)) for kc, kr in kids):
+                return True
+    return False
+
+
+def _ref_threshold_1d(nodes):
+    """The least r at which every 1-D node is dense: per node, the least
+    rho among the values where two breakpoints meet at which the reference
+    finds no hole (denseness only grows with rho), over the node radius."""
+    worst = Fraction(0)
+    for (c,), R, kids in nodes:
+        c, R = Fraction(c), Fraction(R)
+        # breakpoints as a + b * rho
+        lines = [(c - R, Fraction(1)), (c + R, Fraction(-1))]
+        for (kc,), kr in kids:
+            kc, kr = Fraction(kc), Fraction(kr)
+            lines += [(kc + kr, Fraction(-1)), (kc - kr, Fraction(1))]
+        rhos = {Fraction(kr) for _, kr in kids} | {R}
+        for (a1, b1), (a2, b2) in itertools.combinations(lines, 2):
+            if b1 != b2 and 0 < (a2 - a1) / (b1 - b2) <= R:
+                rhos.add((a2 - a1) / (b1 - b2))
+        rhos = sorted(rhos)
+        lo, hi = 0, len(rhos) - 1  # rho = R is dense: the ball is the node
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _ref_dense_at((c,), R, [((kc,), kr) for (kc,), kr in kids], rhos[mid]) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+        worst = max(worst, rhos[lo] / R)
+    return worst
+
+
+@st.composite
+def _linf_ifs(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # an axis product: one ratio, a grid of translations
+        lam = draw(st.floats(0.05, 0.45))
+        values = [
+            draw(st.lists(st.floats(-(1 - lam), 1 - lam), min_size=1, max_size=2 if d == 3 else 3))
+            for _ in range(d)
+        ]
+        maps = [(lam, t) for t in itertools.product(*values)]
+    else:
+        maps = []
+        for _ in range(draw(st.integers(1, 8))):
+            lam = draw(st.floats(0.05, 0.6))
+            maps.append((lam, tuple(draw(st.floats(-(1 - lam), 1 - lam)) for _ in range(d))))
+    return from_ifs(HomotheticIFS(tuple(maps)), NormKind.LINF)
+
+
+@st.composite
+def _linf_tree(draw):
+    """An explicit Linf tree two levels deep, each child a box inside its parent."""
+    d = draw(st.integers(1, 3))
+    root = Ball(tuple(draw(st.floats(-2, 2)) for _ in range(d)), draw(st.floats(0.5, 2)))
+    entries = [((), root)]
+    frontier = [((), root)]
+    for _ in range(2):
+        nxt = []
+        for word, ball in frontier:
+            for j in range(draw(st.integers(0, 4))):
+                rad = ball.radius * draw(st.floats(0.05, 0.6))
+                room = ball.radius - rad
+                center = tuple(c + room * draw(st.floats(-1, 1)) for c in ball.center)
+                kid = Ball(center, rad)
+                if max(abs(a - b) for a, b in zip(center, ball.center)) + rad > ball.radius:
+                    break  # rounding pushed it out; keep the indices 0..j-1
+                entries.append((word + (j,), kid))
+                nxt.append((word + (j,), kid))
+        frontier = nxt
+    return explicit_tree(NormKind.LINF, d, entries)
+
+
+@st.composite
+def _box_systems(draw):
+    sys = draw(st.one_of(_linf_ifs(), _linf_tree()))
+    if draw(st.booleans()):
+        d = sys.dimension
+        sys = similarity_image(
+            sys, draw(st.floats(0.1, 10)), tuple(draw(st.floats(-3, 3)) for _ in range(d))
+        )
+    return sys
+
+
+@settings(max_examples=300, deadline=None)
+@given(sys=_box_systems(), data=st.data())
+def test_box_denseness_matches_a_brute_force_reference(sys, data):
+    depth = 2
+    nodes = _ref_nodes(sys, depth)
+    if sys.dimension == 1 and data.draw(st.booleans()):
+        exact = _ref_threshold_1d(nodes)
+        up = float(exact)
+        up = up if up >= exact else math.nextafter(up, 1.0)
+        r = data.draw(st.sampled_from([math.nextafter(up, 0.0), up, math.nextafter(up, 1.0)]))
+        assume(0 < r < 1)
+    else:
+        r = data.draw(st.floats(0.01, 0.99))
+    rep = denseness_check(sys, r, 1e-3, depth)
+    dense = all(
+        _ref_dense_at(c, R, kids, Fraction(r) * Fraction(R)) is None for c, R, kids in nodes
+    )
+    assert rep.method == "box-exact"
+    assert (rep.verdict == "proven") == dense, rep
+    if rep.verdict == "refuted":
+        assert _ref_witness_ok(sys, depth, rep.witness, r), rep
+    if rep.verdict == "unknown":
+        assert rep.detail.startswith("witness verification failed"), rep
+
+
+def test_box_denseness_refuses_the_corner_threshold_on_the_product_ifs():
+    # the float maps of corner n=4, ell=0.4 put the exact threshold above
+    # the corner family's: a ball of this radius about (8/15, 0) in the
+    # root misses the nearest child by about 5.6e-17
+    sys = _corner_as_ifs(4, 0.4, 2)
+    r = corner_dense_radius(4, 0.4)
+    rep = denseness_check(sys, r, 1e-3, 3)
+    assert rep.verdict != "proven"
+    rho = Fraction(r)
+    assert _ref_dense_at((0.0, 0.0), 1.0, list(zip(*sys.child_block(()))), rho) is not None
+    if rep.verdict == "refuted":
+        assert _ref_witness_ok(sys, 0, rep.witness, r)
+
+
+def _jittered_grid():
+    """A thick max-norm set that is not an axis product: a 6 x 6 grid of
+    maps of ratio 0.15, each translation jittered by up to g/16."""
+    rng = random.Random(0)
+    g, offs = corner_gap(6, 0.3), _corner_axis_offsets(6, 0.3)
+    jitter = [(rng.uniform(-g / 16, g / 16), rng.uniform(-g / 16, g / 16)) for _ in range(36)]
+    ts = [(0.99 * a + u, 0.99 * b + v) for (a, b), (u, v) in zip(itertools.product(offs, offs), jitter)]
+    return from_ifs(HomotheticIFS(tuple((0.15, t) for t in ts)), NormKind.LINF)
+
+
+@pytest.mark.parametrize(
+    "case, r, verdict",
+    [("grid", 0.34, "proven"), ("grid", 0.2, "refuted"), ("three", 0.5, "refuted")],
+)
+def test_box_denseness_decides_non_product_linf_sets(case, r, verdict):
+    if case == "grid":
+        sys = _jittered_grid()
+        assert sys.axis_factors() is None
+    else:
+        maps = ((0.3, (-0.55, -0.4)), (0.3, (0.55, -0.4)), (0.3, (0.0, 0.65)))
+        sys = from_ifs(HomotheticIFS(maps), NormKind.LINF)
+    rep = denseness_check(sys, r, 1e-3, 2)
+    assert (rep.method, rep.verdict) == ("box-exact", verdict)
+    nodes = _ref_nodes(sys, 2)
+    assert all(
+        (_ref_dense_at(c, R, kids, Fraction(r) * Fraction(R)) is None) == (verdict == "proven")
+        for c, R, kids in nodes
+    )
+    if verdict == "refuted":
+        assert _ref_witness_ok(sys, 0, rep.witness, r)

@@ -38,6 +38,7 @@ from thickgap.metrics import (
     DensenessReport,
     ThicknessReport,
     _corner1d_dist_batch,
+    _dense_grid,
     _dist_bnb,
     _exact_hole,
     _finite1d_dist,
@@ -432,6 +433,13 @@ def test_thickness_perturbed_corner():
     assert math.isfinite(rep.overall.hi)
 
 
+def test_thickness_perturbed_is_converged_only_within_tol():
+    sys = perturbed_image(corner_family(C4), lambda p: tuple(0.999 * x for x in p), 0.01)
+    rep = thickness(sys, 3, 1e-6)
+    assert rep.overall.width > 0.5  # the transfer bounds stay apart
+    assert not rep.converged and not rep.overall.converged
+
+
 def test_thickness_validation():
     with pytest.raises(ValueError):
         thickness(corner_family(C4), -1, 0.1)
@@ -481,23 +489,27 @@ def test_denseness_grid_proves_ifs():
     maps = tuple((0.2, (c,)) for c in (-0.8, -4 / 15, 4 / 15, 0.8))
     sys = from_ifs(HomotheticIFS(maps), NormKind.LINF)
     rep = denseness_check(sys, 0.6, 1e-3, 2)
-    assert rep.method == "grid"
+    assert rep.method == "box-exact"
     assert rep.verdict == "proven"
 
 
 def test_denseness_grid_refutes_ifs():
     rep = denseness_check(middle_thirds_ifs(), 0.5, 1e-3, 2)
-    assert rep.method == "grid"
+    assert rep.method == "box-exact"
     assert rep.verdict == "refuted"
     assert rep.witness is not None
 
 
 def test_denseness_grid_unknown_at_exact_threshold():
-    maps = tuple((0.2, (c,)) for c in (-0.8, -4 / 15, 4 / 15, 0.8))
-    sys = from_ifs(HomotheticIFS(maps), NormKind.LINF)
-    rep = denseness_check(sys, 7 / 15, 1e-3, 2)
-    assert rep.verdict in ("proven", "unknown")  # margin grid cannot certify exactly
-    assert rep.verdict == "unknown"
+    # four L2 disks of radius 0.3 about (+-0.45, +-0.45): a ball about the
+    # origin holds one from radius 0.3 + 0.45 * sqrt(2) on, and the margin
+    # grid cannot certify that threshold itself
+    maps = tuple((0.3, (a, b)) for a in (-0.45, 0.45) for b in (-0.45, 0.45))
+    sys = from_ifs(HomotheticIFS(maps), NormKind.L2)
+    rep = denseness_check(sys, 0.3 + 0.45 * math.sqrt(2), 1e-3, 2)
+    assert (rep.method, rep.verdict) == ("grid", "unknown")
+    assert denseness_check(sys, 0.93, 1e-3, 2).verdict == "refuted"
+    assert denseness_check(sys, 0.94, 1e-3, 2).verdict == "proven"
 
 
 def test_denseness_grid_stops_counting_at_its_node_cap():
@@ -506,9 +518,11 @@ def test_denseness_grid_stops_counting_at_its_node_cap():
     base = corner_family(CornerFamilyParams(6, 0.25, 2))
     img = perturbed_image(base, lambda p: tuple(0.999 * x for x in p), 0.01)
     rep = denseness_check(img, 0.5, 1e-2, 3)
-    want = DensenessReport(0.5, "unknown", None, 1e-2, "grid", "node budget exceeded")
+    want = DensenessReport(0.5, "unknown", None, 1e-2, "box-exact", "node budget exceeded")
     assert repr(rep) == repr(want)
     assert len(img._blocks) + len(base._blocks) <= 300
+    # the grid counts the same nodes under the same cap
+    assert _dense_grid(img, 0.5, 1e-2, 3).detail == "node budget exceeded"
 
 
 def test_denseness_gap_tree_exact():
