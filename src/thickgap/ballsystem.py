@@ -24,12 +24,22 @@ children(word) and walk() wrap a block's entries in fresh Balls, equal to
 ball()'s, without checking them again or storing them; ball(word) builds
 only the missing nodes on the path to word, one checked Ball per level and
 none of its siblings, into the second store. path(word) gives the same
-nodes as plain floats and stores nothing, as corner_grid() does for the
-children of any node of a corner family or a similarity image of one. An
-image (Similarity, Perturbed) expands nothing itself: its node at a word
-is the image's node() of the base's node at that word and its block that
-of each entry of the base's block, so every image of one base reads and
-fills the base's memo. Finite generators (gap lists, explicit tables) keep
+nodes as plain floats and stores nothing, as the corner_grid field does
+for the children of any node of a corner family or a similarity image of
+one. An image (Similarity, Perturbed) expands nothing itself: its node at
+a word is the image's node() of the base's node at that word and its
+block that of each entry of the base's block, so every image of one base
+reads and fills the base's memo.
+
+A system records its shape once, when it is built, from its generator:
+base, the system an image maps (None for a generated or finite system);
+core, the generated or finite system under all of its images;
+similarities, the Similarity maps from core to the system, outermost
+first, () when there are none and None past a perturbed image; and
+corner_grid, the CornerGrid of a Linf corner family or of a similarity
+image of one, else None. A field that would name the system itself holds
+None, so that no system refers back to itself and each is freed by
+reference counting. Finite generators (gap lists, explicit tables) keep
 every node in a node table, the Ball store, and read a block from it on
 first use: the children of word are word + (j,) for j = 0, 1, ... while
 the table holds them. They terminate in leaves and represent the set at
@@ -347,9 +357,6 @@ class Perturbed:
         return img, (1 + self.eps) * radius
 
 
-_IMAGES = (Similarity, Perturbed)  # generators whose nodes are a base's, mapped
-
-
 @dataclass(frozen=True)
 class CornerGrid:
     """The children of a corner system's nodes read axis by axis, for
@@ -449,7 +456,25 @@ class BallSystem:
         self._finite = False  # set by the finite constructors and their similarity images
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
-        self._corner_grid = _UNSET  # corner_grid(), alike
+        # the shape, read from the generator once; None stands for this
+        # system itself, so that no field refers back to it
+        base = self.base = getattr(generator, "base", None)  # an image's base
+        # the generated or finite system under all of this one's images
+        self.core = None if base is None else base.core or base
+        # the similarities from core to this system, outermost first; None
+        # past a perturbed image
+        maps: Optional[Tuple[Similarity, ...]] = ()
+        if base is not None:
+            inner = base.similarities
+            similar = inner is not None and isinstance(generator, Similarity)
+            maps = (generator,) + inner if similar else None
+        self.similarities = maps
+        # the child grids of a Linf corner family or a similarity image of one
+        core = self.core or self
+        self.corner_grid: Optional[CornerGrid] = None
+        if norm is NormKind.LINF and maps is not None:
+            if isinstance(core.generator, CornerFamilyParams):
+                self.corner_grid = CornerGrid(core.generator, core.root, maps[::-1])
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
         self._split_gaps: Optional[Dict[Word, Tuple[float, float]]] = None
 
@@ -462,9 +487,9 @@ class BallSystem:
         if b is not None:
             return b
         gen = self.generator
-        if isinstance(gen, _IMAGES):
-            base = gen.base.ball(word)
-            b = balls[word] = Ball(*gen.node(base.center, base.radius))
+        if self.base is not None:
+            b = self.base.ball(word)
+            b = balls[word] = Ball(*gen.node(b.center, b.radius))
             return b
         depth = len(word) - 1
         while word[:depth] not in balls:  # the root is always cached
@@ -497,12 +522,11 @@ class BallSystem:
 
     def child_count(self, word: Word) -> int:
         """How many children the node at word has; a generated tree builds none."""
-        gen = self.generator
-        if isinstance(gen, _IMAGES):
-            return gen.base.child_count(word)
+        if self.base is not None:
+            return self.base.child_count(word)
         if self._finite:
             return len(self.child_block(word)[1])
-        return gen.child_count
+        return self.generator.child_count
 
     def is_leaf(self, word: Word) -> bool:
         return self.child_count(word) == 0
@@ -529,15 +553,12 @@ class BallSystem:
     def is_homothetic(self) -> bool:
         """True when every node repeats the root's relative child layout: a
         generator with child ratios, or a similarity image of one."""
-        return self._similarity_chain() is not None and self.child_ratios() is not None
+        return self.similarities is not None and self.child_ratios() is not None
 
     def child_ratios(self) -> Optional[Tuple[float, ...]]:
         """Child/parent radius ratios, identical at every node, if the system has them."""
         # images rescale every radius by one factor, so ratios pass through
-        gen = self.generator
-        while isinstance(gen, _IMAGES):
-            gen = gen.base.generator
-        return getattr(gen, "child_ratios", None)
+        return getattr((self.core or self).generator, "child_ratios", None)
 
     def uniform_level_ratio(self) -> Optional[float]:
         ratios = self.child_ratios()
@@ -546,28 +567,6 @@ class BallSystem:
         if max(ratios) - min(ratios) > 1e-15:
             return None
         return ratios[0]
-
-    def _similarity_chain(self) -> Optional[Tuple["BallSystem", Tuple[Similarity, ...]]]:
-        """The generated system this one is an image of under similarities
-        (itself when it is generated), with those maps outermost first;
-        None past a perturbed image."""
-        maps = []
-        core = self
-        while isinstance(core.generator, _IMAGES):
-            t = core.generator
-            if not isinstance(t, Similarity):
-                return None
-            maps.append(t)
-            core = t.base
-        return core, tuple(maps)
-
-    def corner_params(self) -> Optional[CornerFamilyParams]:
-        """The corner family's parameters when the system is a Linf corner
-        family or a similarity image of one, else None. Its axis_factors()
-        then give each axis's offset and scale."""
-        chain = self._similarity_chain() if self.norm is NormKind.LINF else None
-        gen = None if chain is None else chain[0].generator
-        return gen if isinstance(gen, CornerFamilyParams) else None
 
     def axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
         """Per-axis 1-D factors when the set is the product of one 1-D
@@ -580,11 +579,10 @@ class BallSystem:
         return factors
 
     def _make_axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
-        chain = self._similarity_chain()
-        if chain is None:
+        maps = self.similarities
+        if maps is None:
             return None
-        core, maps = chain
-        make = getattr(core.generator, "axis_factors", None)
+        make = getattr((self.core or self).generator, "axis_factors", None)
         factors = make() if make is not None else None
         if factors is None:
             return None
@@ -600,19 +598,6 @@ class BallSystem:
             for f, w in zip(factors, shift)
         )
 
-    def corner_grid(self) -> Optional[CornerGrid]:
-        """The child grids of the systems corner_params describes, read in
-        the frame of the corner family they are images of; None for every
-        other system. Computed once."""
-        grid = self._corner_grid
-        if grid is _UNSET:
-            grid = None
-            if self.corner_params() is not None:
-                core, maps = self._similarity_chain()
-                grid = CornerGrid(core.generator, core.root, maps[::-1])
-            self._corner_grid = grid
-        return grid
-
     def path(self, word: Word) -> Iterator[Tuple[Point, float]]:
         """Center and radius of the node at every prefix of word, root first,
         bit for bit those of ball(word[:i]), without building or storing a
@@ -620,8 +605,8 @@ class BallSystem:
         and an image maps its base's path. KeyError when the tree has no
         node at a prefix."""
         gen = self.generator
-        if isinstance(gen, _IMAGES):
-            for center, radius in gen.base.path(word):
+        if self.base is not None:
+            for center, radius in self.base.path(word):
                 yield gen.node(center, radius)
             return
         if self._finite:
@@ -640,7 +625,7 @@ class BallSystem:
             yield center, radius
 
     def siblings_disjoint_at_root(self) -> bool:
-        grid = self.corner_grid()
+        grid = self.corner_grid
         if grid is not None:
             # Float rounding is monotone, so coordinates never fall as the
             # digit rises and no pair of digits on an axis is closer than some
@@ -691,8 +676,8 @@ class BallSystem:
     def _make_children(self, word: Word) -> Block:
         """Build the child block of the node at word."""
         gen = self.generator
-        if isinstance(gen, _IMAGES):
-            centers, radii = gen.base.child_block(word)
+        if self.base is not None:
+            centers, radii = self.base.child_block(word)
             return _checked_block([gen.node(c, r) for c, r in zip(centers, radii)])
         if self._finite:
             # the node table holds children word + (j,) for j = 0, 1, ...,

@@ -356,19 +356,19 @@ class AliceStrategy:
         dist = distance_kernel(sys.norm)
         if dist(root.center, x) > root.radius + r:
             return []
-        corner = sys.corner_params()  # its cells are tested axis by axis
+        grid = sys.corner_grid  # its cells are tested axis by axis
         child_block = sys.child_block
         words = [ROOT]
         for _ in range(level):
             grown: List[Word] = []
             for word in words:
                 centers, radii = child_block(word)
-                if corner is None:
+                if grid is None:
                     for i, c in enumerate(centers):
                         if dist(c, x) <= radii[i] + r:
                             grown.append(word + (i,))
                 else:
-                    cells = _corner_cells_meeting(centers, radii[0] + r, x, corner.n)
+                    cells = _corner_cells_meeting(centers, radii[0] + r, x, grid.params.n)
                     grown.extend([word + (j,) for j in cells])
             words = grown
             if not words:
@@ -886,7 +886,7 @@ def _corner_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.n
     """
     import numpy as np
 
-    corner = sys.corner_params()
+    corner = sys.corner_grid.params
     worst = np.zeros(len(queries))
     for i, f in enumerate(sys.axis_factors()):
         rel = (queries[:, i] - f.offset) / f.scale
@@ -936,7 +936,7 @@ def pattern_search_oracle(
     if not tol > 0:
         raise ValueError("tol must be positive")
     root = sys.root
-    if sys.corner_params() is None:
+    if sys.corner_grid is None:
         centers, radii, solid = _leaf_cover(sys, tol / 8.0, _COVER_NODES)
 
         def upper(q: np.ndarray) -> np.ndarray:

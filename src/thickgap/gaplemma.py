@@ -248,7 +248,7 @@ def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tup
     """
     norm = sys.norm
     root = sys.root
-    grid = sys.corner_grid()
+    grid = sys.corner_grid
     key = norm_distance(root.center, target.center, norm) + root.radius - target.radius
     if grid is None:
         word, center, radius = ROOT, root.center, root.radius
@@ -517,10 +517,11 @@ def intersect(
     l_word: Word = ROOT
     l_ball = systems[2].root
     target = ball_scale(l_ball, shrink)
-    h0 = _hole_hi(systems[2], ROOT, l_ball)
+    # the hole bound of the other side's current ball, carried from step to step
+    h_l = _hole_hi(systems[2], ROOT, l_ball)
     delta = tol / 10
-    if h0.hi > 0:
-        delta = min(delta, h0.hi / 2)
+    if h_l.hi > 0:
+        delta = min(delta, h_l.hi / 2)
     point, point_word = _locate(systems[1], target, delta)
     trace: List[TraceStep] = [TraceStep(0, 1, ROOT, l_ball.radius, "Init")]
 
@@ -532,7 +533,6 @@ def intersect(
                 return IntersectionCertificate(point, res1, res2, tuple(trace))
         side_a = systems[j]
         side_b = systems[3 - j]
-        h_l = _hole_hi(side_b, l_word, l_ball)
 
         # deepest prefix of the point's word whose shrunken ball still
         # dominates the hole radius of the other side's current ball; the
@@ -550,7 +550,7 @@ def intersect(
             bridge = bridge_ball(k_ball, l_ball, r, norm)
             # the first child inside the bridge ball, by ball_contains' test
             # (bridge_ball checked that the two sides share a dimension)
-            grid = side_b.corner_grid()
+            grid = side_b.corner_grid
             if grid is None:
                 centers, radii = side_b.child_block(l_word)
                 min_child = min(radii)
@@ -596,7 +596,7 @@ def intersect(
                 delta = min(delta, next_h.hi / 2)
             # target in child_ball in bridge in k_ball
             point, point_word = _locate(side_a, target, delta, k_word)
-            l_word, l_ball = next_word, child_ball
+            l_word, l_ball, h_l = next_word, child_ball, next_h
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case1"))
         else:
             # small ball case: hand the point over to the other side
@@ -624,7 +624,7 @@ def intersect(
             # target in k_ball in l_ball
             point, point_word = _locate(side_b, target, delta, l_word)
             j = 3 - j
-            l_word, l_ball = k_word, k_ball
+            l_word, l_ball, h_l = k_word, k_ball, next_h
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case2"))
 
     raise RuntimeError(

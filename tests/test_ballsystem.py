@@ -225,13 +225,13 @@ def test_similarity_image_scales_and_shifts():
 def test_corner_params_and_factors_through_transform_chain():
     base = corner_family(CornerFamilyParams(n=4, ell=0.4, d=2))
     chained = translate(similarity_image(base, 0.5, (1.0, 0.0)), (0.25, -0.5))
-    assert chained.corner_params() == CornerFamilyParams(4, 0.4, 2)
+    assert chained.corner_grid.params == CornerFamilyParams(4, 0.4, 2)
     factors = chained.axis_factors()
     assert [f.offset for f in factors] == pytest.approx([1.25, -0.5])
     assert all(f.scale == pytest.approx(0.5) for f in factors)
     # no corner family under an IFS or past a perturbed image
-    assert from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF).corner_params() is None
-    assert perturbed_image(base, _warp, eps=0.05).corner_params() is None
+    assert from_ifs(HomotheticIFS(_IFS_MAPS), NormKind.LINF).corner_grid is None
+    assert perturbed_image(base, _warp, eps=0.05).corner_grid is None
     # reconstructed child center along axis 0: offset + scale * (-0.8)
     assert chained.ball((0,)).center[0] == pytest.approx(1.25 + 0.5 * -0.8)
 
@@ -502,7 +502,7 @@ def test_path_matches_ball_and_builds_none(name):
 def test_corner_grid_matches_child_blocks(name):
     make = GENERATORS[name]
     full = make()
-    grid = make().corner_grid()
+    grid = make().corner_grid
     n = grid.params.n
     for word in [(), (4,), (4, 0), (4, 0, 8)]:
         core = grid.core(word)
@@ -522,8 +522,8 @@ def test_corner_grid_matches_child_blocks(name):
                 # child j's deviation on axis i is that of its axis-i digit
                 got = [row[j // n**i % n] for i, row in enumerate(devs)]
                 assert repr(got) == repr([abs(x - p) for x, p in zip(c, point)])
-    assert GENERATORS["perturbed"]().corner_grid() is None
-    assert GENERATORS["ifs_linf"]().corner_grid() is None
+    assert GENERATORS["perturbed"]().corner_grid is None
+    assert GENERATORS["ifs_linf"]().corner_grid is None
 
 
 def _block_bits(block):

@@ -94,12 +94,15 @@ CASES = {
 # joined the padded axis-product path and Linf product holes took their
 # closed form, which moved their digits; the two bench-size cases (the
 # benchmark's 121,882-witness pattern scan and 69,905-row render) recorded
-# before render and the pattern scan stopped formatting per value
+# before render and the pattern scan stopped formatting per value;
+# gapcheck-ifs_l2 re-recorded when the L2 grid check began refuting from
+# its most interior childless grid ball, which turned both its unknown
+# denseness verdicts into refuted ones
 GOLDEN = {
     "distances-corner10": (0, "07d41198df23cd619f274640854a92921dc287d730627c2b0350dc213dbb62ad"),
     "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
     "gapcheck-corner10": (0, "4fcea529be2448fffd699640cdc9f9e75b8799b748f0785b8f8cda0600ff7ba4"),
-    "gapcheck-ifs_l2": (4, "333b09abb11cfafb51d2d6c6599e1976f82e00794d1d2773bec5e08e3eaae19d"),
+    "gapcheck-ifs_l2": (4, "b8c37b960e7c62e3734a4951d48cdc0dd9b3051c4b6663ab8746a1cd49531edb"),
     "intersect-corner10": (0, "f8826b6cb9def2caa635924177833b60de6c113bd354f1031b4a38513b171e39"),
     "pattern-corner10d1": (0, "3b0be0ac349bf787fd6aa5b9a68771598701f53cdeae62887d26648aac955d48"),
     "pattern-corner10d1-bench": (0, "6c150cbae7a4c2b9672df67c0d27ab8ebe3f22a7c824bd41b94241b9356d669e"),

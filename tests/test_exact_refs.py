@@ -330,8 +330,7 @@ def _ref_nodes(sys, depth):
     root of the similarity core for homothetic systems, else every internal
     node down to depth."""
     if sys.is_homothetic():
-        core = sys._similarity_chain()[0]
-        words, sys = [()], core
+        words, sys = [()], sys.core or sys
     else:
         words = [w for w, _ in sys.walk(depth) if sys.child_count(w)]
     out = []

@@ -574,7 +574,7 @@ def _full_descent_batch(ys, n, ell, max_levels=60):
 
 
 def _full_descent_upper(sys):
-    corner = sys.corner_params()
+    corner = sys.corner_grid.params
 
     def upper(q):
         worst = np.zeros(len(q))
@@ -653,7 +653,7 @@ def corner_images(draw):
 def _set_points(sys, rng, count, depth):
     """Corners of random depth-k cells of a corner product: points of the set."""
     out = np.empty((count, sys.dimension))
-    corner = sys.corner_params()
+    corner = sys.corner_grid.params
     for i, f in enumerate(sys.axis_factors()):
         half = corner.ell / 2
         step = corner.ell + corner.g
@@ -1251,7 +1251,7 @@ class TestTranscriptsEqualTheReference:
     @settings(max_examples=60, deadline=None)
     @given(sys=_corner_boards(), seed=st.integers(0, 2**31 - 1), bob=st.sampled_from(_BOBS))
     def test_corner_boards(self, sys, seed, bob):
-        corner = sys.corner_params()
+        corner = sys.corner_grid.params
         tau, beta = corner.ell / corner.g, min(max(0.2, corner.ell / 2), 0.9)
         if not sys.siblings_disjoint_at_root():
             # float children that touch break the hypotheses: no match is played

@@ -728,7 +728,7 @@ def test_intersect_picks_the_first_child_inside_the_bridge(monkeypatch, make):
         cert = intersect(s1, s2, 0.17, 1e-6, 80)
     for s in (s1, s2, s2.generator.base):
         assert len({len(w) for w in s._balls}) == len(s._balls)
-    if s1.corner_grid() is not None:
+    if s1.corner_grid is not None:
         assert not s1._blocks and not s2._blocks
     fresh = dict(zip((1, 2), make()))
     steps = list(zip(cert.trace, cert.trace[1:]))

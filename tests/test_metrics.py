@@ -32,6 +32,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
+from thickgap.gaplemma import _locate
 from thickgap.metrics import (
     _MAX_RECORDS,
     DEFAULT_NODE_BUDGET,
@@ -512,6 +513,17 @@ def test_denseness_grid_unknown_at_exact_threshold():
     assert denseness_check(sys, 0.94, 1e-3, 2).verdict == "proven"
 
 
+def test_denseness_grid_refutes_from_the_most_interior_grid_ball():
+    # the same four disks: no ball of radius 0.2 holds a child of radius
+    # 0.3, and the first grid point in scan order lies outside the feasible
+    # disk, so the witness is the childless grid ball about the origin
+    maps = tuple((0.3, (a, b)) for a in (-0.45, 0.45) for b in (-0.45, 0.45))
+    sys = from_ifs(HomotheticIFS(maps), NormKind.L2)
+    rep = denseness_check(sys, 0.2, 1e-3, 2)
+    assert (rep.method, rep.verdict) == ("grid", "refuted")
+    assert rep.witness == Ball((0.0, 0.0), 0.2)
+
+
 def test_denseness_grid_stops_counting_at_its_node_cap():
     # 36 children per node: depth 3 holds 1 + 36 + 1,296 + 46,656 internal
     # nodes, and the count stops at the 5,001st, about 140 depth-2 nodes in
@@ -804,16 +816,50 @@ def test_dist_oracle_built_once_per_system(monkeypatch):
     assert _oracle(sys) is _oracle(sys) and _oracle(sys).mode == "finite"
 
 
-def test_queried_system_is_freed_by_reference_counting():
-    sys = from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2)
-    dist_to_set((0.1, 0.2), sys, 1e-6)
-    assert _oracle(sys).mode == "bnb"
-    gone = weakref.ref(sys)
+# a system of every shape, each with the distance oracle its query builds
+_FREED = {
+    "ifs_l2": (
+        lambda: from_ifs(HomotheticIFS(((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)))), NormKind.L2),
+        "bnb",
+    ),
+    "corner": (lambda: corner_family(C4), "product"),
+    "translate": (lambda: translate(corner_family(C4), (0.05, 0.02)), "product"),
+    "chain": (
+        lambda: translate(similarity_image(corner_family(C4), 0.5, (0.25, 0.0)), (0.0, -0.1)),
+        "product",
+    ),
+    "perturbed": (
+        lambda: perturbed_image(corner_family(C4), lambda p: (p[0] + 0.01 * p[1], p[1]), 0.05),
+        "bnb",
+    ),
+    "gaps": (lambda: from_gaps_1d(GapList1D((0.0, 1.0), ((1 / 3, 2 / 3),))), "finite1d"),
+    "table": (
+        lambda: explicit_tree(
+            NormKind.L2,
+            2,
+            [((), Ball((0.0, 0.0), 1.0)), ((0,), Ball((-0.5, 0.0), 0.3)), ((1,), Ball((0.5, 0.1), 0.2))],
+        ),
+        "finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FREED))
+def test_queried_system_is_freed_by_reference_counting(name):
+    make, mode = _FREED[name]
+    sys = make()
+    dist_to_set(tuple(c + 0.1 * (i + 1) for i, c in enumerate(sys.root.center)), sys, 1e-6)
+    assert _oracle(sys).mode == mode
+    if sys.corner_grid is not None:
+        _locate(sys, Ball(sys.root.center, sys.root.radius / 2), 1e-6)
+    # the system, its base and its core: a field naming its own system
+    # would keep it alive until the cycle collector ran
+    gone = [weakref.ref(s) for s in (sys, sys.base, sys.core) if s is not None]
     enabled = gc.isenabled()
     gc.disable()
     try:
         del sys
-        assert gone() is None
+        assert [ref() for ref in gone] == [None] * len(gone)
     finally:
         if enabled:
             gc.enable()
