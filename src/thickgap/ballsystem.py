@@ -309,7 +309,7 @@ class GapList1D:
     gaps: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        a, b = (float(self.hull[0]), float(self.hull[1]))
+        a, b = map(float, self.hull)
         if not a < b:
             raise ValueError("hull must be a nondegenerate interval")
         object.__setattr__(self, "hull", (a, b))
@@ -966,6 +966,11 @@ _NORMS = {"linf": NormKind.LINF, "l2": NormKind.L2, "l1": NormKind.L1}
 MAX_CHILDREN = 1_000_000
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; a bool is an int to Python but not to JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_set_spec(obj: dict) -> BallSystem:
     """Build a system from the JSON set-spec wire format."""
     if not isinstance(obj, dict):
@@ -976,11 +981,11 @@ def parse_set_spec(obj: dict) -> BallSystem:
         gen = obj["generator"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"missing set-spec field: {exc}") from exc
-    if norm_tag not in _NORMS:
+    if not isinstance(norm_tag, str) or norm_tag not in _NORMS:
         raise SpecError(f"unknown norm {norm_tag!r}")
     norm = _NORMS[norm_tag]
-    if not isinstance(dimension, int) or dimension < 1:
-        raise SpecError("dimension must be a positive integer")
+    if not _is_json_int(dimension) or dimension < 1:
+        raise SpecError(f"dimension must be a positive integer, got {dimension!r}")
     if not isinstance(gen, dict) or "type" not in gen:
         raise SpecError("generator must be an object with a type")
     gen_tag = gen["type"]
@@ -988,7 +993,9 @@ def parse_set_spec(obj: dict) -> BallSystem:
         if gen_tag == "corner":
             if norm is not NormKind.LINF:
                 raise SpecError("corner generator requires the linf norm")
-            params = CornerFamilyParams(n=int(gen["n"]), ell=float(gen["ell"]), d=dimension)
+            if not _is_json_int(gen["n"]):
+                raise SpecError(f"corner n must be an integer, got {gen['n']!r}")
+            params = CornerFamilyParams(n=gen["n"], ell=float(gen["ell"]), d=dimension)
             # n >= 2, so n**d passes the cap once d reaches the cap's bit
             # length, and no huge power is formed
             if params.n ** min(dimension, MAX_CHILDREN.bit_length()) > MAX_CHILDREN:

@@ -1,8 +1,11 @@
 """Command-line surface: parse set-specs, run analyses, emit JSON/CSV reports.
 
 Exit codes: 0 success or proven, 2 input error, 3 non-convergence,
-4 refuted, 5 unknown. Every JSON report embeds the resolved run
-configuration so a rerun can be reproduced bit for bit.
+4 refuted, 5 unknown. Every JSON report embeds its `config`: the parsed
+command line, every argument of the subcommand under its parser name, with
+the defaults a handler resolves at run time filled in (`distances --tmax`,
+`game --rho`, `pattern`'s parsed points). Passing those values back as
+arguments reruns the report bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,34 +35,6 @@ _D2_CAVEAT = (
     "concrete systems; report it alongside a certified per-system bound "
     "rather than in place of one"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved inputs of one invocation, embedded in every report."""
-
-    command: str
-    spec: Optional[str] = None
-    spec2: Optional[str] = None
-    shift2: Optional[Tuple[float, ...]] = None
-    depth: Optional[int] = None
-    tol: Optional[float] = None
-    r: Optional[float] = None
-    directions: Optional[int] = None
-    steps: Optional[int] = None
-    tmax: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    c: Optional[float] = None
-    rho: Optional[float] = None
-    games: Optional[int] = None
-    lam: Optional[float] = None
-    points: Optional[Tuple[Tuple[float, ...], ...]] = None
-    grid: Optional[float] = None
-    K1: Optional[float] = None
-    K2: Optional[float] = None
-    seed: int = 0
-    out: Optional[str] = None
 
 
 def _jsonable(obj):
@@ -113,16 +87,6 @@ def _parse_point(text: str) -> Tuple[float, ...]:
         raise SpecError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _config(args: argparse.Namespace, **extra) -> RunConfig:
-    values = {}
-    for field in dataclasses.fields(RunConfig):
-        if field.name in extra:
-            values[field.name] = extra[field.name]
-        elif hasattr(args, field.name):
-            values[field.name] = getattr(args, field.name)
-    return RunConfig(**values)
-
-
 # -- thickness ----------------------------------------------------------------
 
 
@@ -132,7 +96,7 @@ def _cmd_thickness(args: argparse.Namespace) -> int:
     sys = _load_system(args.spec)
     report = thickness(sys, args.depth, args.tol)
     payload = {
-        "config": _config(args),
+        "config": vars(args),
         "tau": {
             "lo": report.overall.lo,
             "hi": report.overall.hi,
@@ -203,7 +167,7 @@ def _cmd_gapcheck(args: argparse.Namespace) -> int:
 
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
-    payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
+    payload = {"config": vars(args), "hypotheses": _hypotheses_payload(report)}
     _emit(payload, args.out)
     return _hypotheses_exit(report)
 
@@ -213,7 +177,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
 
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
-    payload = {"config": _config(args), "hypotheses": _hypotheses_payload(report)}
+    payload = {"config": vars(args), "hypotheses": _hypotheses_payload(report)}
     if not report.all_proven:
         _emit(payload, args.out)
         return _hypotheses_exit(report)
@@ -263,10 +227,11 @@ def _cmd_distances(args: argparse.Namespace) -> int:
 
     sys = _load_system(args.spec)
     limit = distance_interval(args.r) * sys.root.radius
-    tmax = args.tmax if args.tmax is not None else limit
+    if args.tmax is None:
+        args.tmax = limit
     hypotheses = check_hypotheses(sys, sys, args.r)
     payload = {
-        "config": _config(args, tmax=tmax),
+        "config": vars(args),
         "hypotheses": _hypotheses_payload(hypotheses),
         "t_limit": limit,
     }
@@ -279,7 +244,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     if args.steps == 1:
         ts = [0.0]
     else:
-        ts = [tmax * i / (args.steps - 1) for i in range(args.steps)]
+        ts = [args.tmax * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
     counts = {"ok": 0, "failed": 0, "out_of_scope": 0}
     for v in directions:
@@ -330,10 +295,13 @@ def _cmd_game(args: argparse.Namespace) -> int:
         transcript_to_jsonl,
     )
 
+    if not args.alpha > 0:
+        raise ValueError(f"alpha must be positive, got {args.alpha!r}")
     sys = _load_system(args.spec)
     base = proposition_params(sys, 1.0 / args.alpha, args.beta)
-    rho = args.rho if args.rho is not None else base.rho
-    params = dataclasses.replace(base, alpha=args.alpha, c=args.c, rho=rho)
+    if args.rho is None:
+        args.rho = base.rho
+    params = dataclasses.replace(base, alpha=args.alpha, c=args.c, rho=args.rho)
     seeds = range(args.seed, args.seed + args.games)
     results = play_batch(sys, random_legal_bob(sys), params, seeds)
     violations = 0
@@ -358,7 +326,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
             with open(_transcript_path(args.out, seed), "w") as fh:
                 fh.write(transcript_to_jsonl(result))
     payload = {
-        "config": _config(args, rho=rho),
+        "config": vars(args),
         "params": params,
         "classifications": tally,
         "violations": violations,
@@ -377,7 +345,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
     value = dim_lower_bound(args.d, args.tau, args.m0)
     payload = {
-        "config": _config(args),
+        "config": vars(args),
         "formula_bound": value,
         "caveat": _D2_CAVEAT if args.d >= 2 else None,
     }
@@ -397,10 +365,10 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     from .game import pattern_search_oracle
 
     sys = _load_system(args.spec)
-    points = tuple(_parse_point(text) for text in args.points)
-    witnesses = pattern_search_oracle(sys, points, args.lam, args.grid, args.tol)
+    args.points = tuple(_parse_point(text) for text in args.points)
+    witnesses = pattern_search_oracle(sys, args.points, args.lam, args.grid, args.tol)
     payload = {
-        "config": _config(args, points=points),
+        "config": vars(args),
         "count": len(witnesses),
         "witnesses": witnesses,
     }
@@ -574,11 +542,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the namespace less its handler is the report's config
+    handler = vars(args).pop("handler")
     try:
-        return args.handler(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

@@ -64,8 +64,8 @@ class GameParams:
             raise ValueError("alpha must be positive")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("c must be nonnegative and finite")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
         if self.M < 1:
@@ -185,8 +185,12 @@ def referee(move: Move, history: Sequence[Move], params: GameParams) -> Verdict:
                     f"erase radius {move.erased[0].rho:.6g} exceeds the budget {budget:.6g}",
                 )
             return _LEGAL
-        total = math.fsum(e.rho**params.c for e in move.erased)
-        cap = budget**params.c
+        total = math.fsum(_power(e.rho, params.c) for e in move.erased)
+        cap = _power(budget, params.c)
+        if cap == math.inf:
+            # the same test in units of the budget, whose c-power is 1
+            total = math.fsum(_power(e.rho / budget, params.c) for e in move.erased)
+            cap = 1.0
         if total > cap * (1 + _REF_TOL):
             return Verdict(
                 False,
@@ -195,6 +199,14 @@ def referee(move: Move, history: Sequence[Move], params: GameParams) -> Verdict:
         return _LEGAL
 
     return Verdict(False, f"unrecognized move {type(move).__name__}")
+
+
+def _power(x: float, c: float) -> float:
+    """x**c for x >= 0, or inf where the float power overflows."""
+    try:
+        return x**c
+    except OverflowError:
+        return math.inf
 
 
 def _last_ball(history: Sequence[Move]) -> Optional[Ball]:

@@ -217,6 +217,26 @@ class TestInputErrors:
         with pytest.raises(SpecError, match="more than 3 children per node"):
             parse_set_spec(obj)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", math.inf, "corner n must be an integer, got inf"),
+            ("n", 4.9, "corner n must be an integer, got 4.9"),
+            ("dimension", True, "dimension must be a positive integer, got True"),
+        ],
+    )
+    def test_non_integer_counts(self, field, value, message, tmp_path, capsys):
+        obj = {"norm": "linf", "dimension": 2, "generator": {"type": "corner", "n": 4, "ell": 0.4}}
+        if field == "n":
+            obj["generator"]["n"] = value
+        else:
+            obj[field] = value
+        spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps(obj))
+        assert cli.main(["render", "--spec", str(spec), "--depth", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParserReuse:
     def test_shared_parser_matches_a_fresh_one(self, specs, capsys, monkeypatch):
@@ -441,6 +461,20 @@ class TestGameCommand:
         argv = ["game", "--spec", str(spec), "--alpha", "0.5", "--beta", "0.5", "--games", "1"]
         assert cli.main(argv) == 2
         assert "first-level balls overlap" in capsys.readouterr().err
+
+    def test_zero_alpha_is_an_input_error(self, specs, capsys):
+        argv = ["game", "--spec", specs["corner4_d2"], "--alpha", "0", "--beta", "0.2", "--games", "1"]
+        assert cli.main(argv) == 2
+        assert "alpha must be positive, got 0.0" in capsys.readouterr().err
+
+    def test_erase_budget_whose_power_overflows(self, specs, tmp_path):
+        argv = [
+            "game", "--spec", specs["corner4_d2"], "--alpha", "1e300", "--beta", "0.5",
+            "--c", "2", "--games", "1",
+        ]
+        code, report = run(argv, tmp_path / "game.json")
+        assert code == 0
+        assert report["violations"] == 0 and report["params"]["c"] == 2.0
 
 
 class TestDims:

@@ -5,8 +5,13 @@ of what it wrote (the JSON report without its `config` block, CSV text or
 JSONL transcripts) and its exit code against values recorded from an
 earlier release. A refactor that keeps the maths must keep every digest.
 Run this file as a script to print the digests of the current code.
+
+Each JSON report's `config` is checked too: it holds exactly the arguments
+its subcommand's parser declares, and the command line rebuilt from it
+reproduces the report.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -120,12 +125,16 @@ def run_case(name, tmp):
     tmp = Path(tmp)
     (tmp / "l1.json").write_text(json.dumps(L1_BOARD))
     argv, out_name = CASES[name]
-    out = tmp / out_name
-    argv = [a.format(specs=SPECS, tmp=tmp) for a in argv] + ["--out", str(out)]
+    return run_argv([a.format(specs=SPECS, tmp=tmp) for a in argv], tmp / out_name)
+
+
+def run_argv(argv, out):
+    """Run argv with --out out; returns (exit code, digest, config)."""
+    argv = [*argv, "--out", str(out)]
     code = cli.main(argv)
     digest = hashlib.sha256()
     config = None
-    if out_name.endswith(".json"):
+    if out.suffix == ".json":
         report = json.loads(out.read_text())
         config = report.pop("config")
         digest.update(json.dumps(report, sort_keys=True).encode())
@@ -143,6 +152,87 @@ def test_cli_output_matches_recorded_digest(name, tmp_path):
     assert (code, digest) == GOLDEN[name]
     if config is not None:
         assert "threads" not in config
+
+
+def subcommand_parsers():
+    """Subcommand name -> its parser, read from the one CLI parser."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def parsed_dests(command):
+    """The names the parser of command stores arguments under, plus `command`."""
+    actions = subcommand_parsers()[command]._actions
+    return {"command"} | {a.dest for a in actions if not isinstance(a, argparse._HelpAction)}
+
+
+def argv_from_config(config):
+    """The command line that config records, without --out."""
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    argv = [config["command"]]
+    for action in subcommand_parsers()[config["command"]]._actions:
+        value = config.get(action.dest)
+        if action.dest == "out" or value is None:
+            continue
+        values = value if action.nargs == "+" else [value]
+        if action.option_strings:
+            argv += [f"{action.option_strings[0]}={text(v)}" for v in values]
+        else:
+            argv += [text(v) for v in values]
+    return argv
+
+
+# one cheap command per subcommand that writes JSON
+CONFIG_ARGV = {
+    "thickness": ["thickness", "--spec", "{specs}/corner4.json", "--depth", "1"],
+    "gapcheck": ["gapcheck", "--spec", "{specs}/corner10.json", *PAIR, "--depth", "1"],
+    "intersect": ["intersect", "--spec", "{specs}/corner10.json", *PAIR, "--depth", "1"],
+    "distances": [
+        "distances", "--spec", "{specs}/corner10.json", "--r", "0.19556",
+        "--directions", "2", "--steps", "2",
+    ],
+    "game": ["game", "--spec", "{specs}/corner4.json", "--alpha", "0.5", "--beta", "0.5", "--games", "1"],
+    "dims": ["dims", "2", "17.1", "256", "--alpha", "0.1", "--beta", "0.25", "--c", "0.5"],
+    "pattern": ["pattern", "--spec", "{specs}/corner10d1.json", "0.05", "0", "1", "2", "--grid", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
+def test_config_holds_exactly_the_parsed_arguments(command, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [a.format(specs=SPECS) for a in CONFIG_ARGV[command]]
+    assert cli.main([*argv, "--out", str(out)]) in (0, 4, 5)
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == parsed_dests(command)
+    assert config["command"] == command and config["out"] == str(out)
+    # the defaults a handler resolves are recorded as resolved
+    resolved = {"distances": "tmax", "game": "rho", "pattern": "points"}.get(command)
+    if resolved:
+        assert config[resolved] is not None
+    if command == "pattern":
+        assert config["points"] == [[0.0], [1.0], [2.0]]
+    if command == "dims":
+        assert (config["d"], config["tau"], config["m0"]) == (2, 17.1, 256)
+
+
+# every JSON case, and dims, whose positional arguments are all it reads
+REPLAYED = sorted({n for n, (_, out) in CASES.items() if out.endswith(".json")} | {"dims"})
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_config_replays_the_report(name, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    if name in CASES:
+        code, digest, config = run_case(name, first)
+    else:
+        code, digest, config = run_argv(CONFIG_ARGV[name], first / "out.json")
+    replay = run_argv(argv_from_config(config), again / "out.json")
+    assert replay[:2] == (code, digest)
+    assert {**replay[2], "out": None} == {**config, "out": None}
 
 
 if __name__ == "__main__":

@@ -100,8 +100,9 @@ class TestParams:
             GameParams(0.0, 0.5, 0.0, 0.3, 5, 1)
         with pytest.raises(ValueError):
             GameParams(0.5, 1.0, 0.0, 0.3, 5, 1)
-        with pytest.raises(ValueError):
-            GameParams(0.5, 0.5, -0.1, 0.3, 5, 1)
+        for c in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be nonnegative and finite"):
+                GameParams(0.5, 0.5, c, 0.3, 5, 1)
         with pytest.raises(ValueError):
             GameParams(0.5, 0.5, 0.0, 0.0, 5, 1)
         with pytest.raises(ValueError):
@@ -134,6 +135,22 @@ class TestReferee:
         assert math.fsum(math.sqrt(0.5) for _ in range(2)) == approx(1.41421, abs=1e-5)
         verdict = referee(move, history, params)
         assert not verdict.legal
+
+    def test_power_cap_past_the_float_range(self):
+        # the budget 5e299 squared overflows: the sum is compared in units
+        # of the budget, where 2 * 0.6**2 is legal and 2 * 0.8**2 is not
+        params = GameParams(alpha=1e300, beta=0.5, c=2.0, rho=0.5, M=5, dimension=1)
+        history = [BobMove(Ball((0.0,), 0.5))]
+
+        def pair(rho):
+            spheres = SphereUnion((Sphere((0.1,), 0.05),), 1)
+            return AliceMove((Erasure(spheres, rho), Erasure(spheres, rho)))
+
+        assert referee(pair(0.5), history, params).legal
+        assert referee(pair(3e299), history, params).legal
+        verdict = referee(pair(4e299), history, params)
+        assert not verdict.legal and "over the cap" in verdict.reason
+        assert not referee(pair(1.7e308), history, params).legal
 
     def test_flags_escape_from_previous_ball(self):
         history = [BobMove(Ball((0.0,), 0.5)), AliceMove()]
