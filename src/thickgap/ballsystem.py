@@ -971,6 +971,13 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_float(value) -> float:
+    """A JSON number as a float; a string, a bool or any other value is a TypeError."""
+    if not (_is_json_int(value) or isinstance(value, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def parse_set_spec(obj: dict) -> BallSystem:
     """Build a system from the JSON set-spec wire format."""
     if not isinstance(obj, dict):
@@ -995,7 +1002,7 @@ def parse_set_spec(obj: dict) -> BallSystem:
                 raise SpecError("corner generator requires the linf norm")
             if not _is_json_int(gen["n"]):
                 raise SpecError(f"corner n must be an integer, got {gen['n']!r}")
-            params = CornerFamilyParams(n=gen["n"], ell=float(gen["ell"]), d=dimension)
+            params = CornerFamilyParams(n=gen["n"], ell=_json_float(gen["ell"]), d=dimension)
             # n >= 2, so n**d passes the cap once d reaches the cap's bit
             # length, and no huge power is formed
             if params.n ** min(dimension, MAX_CHILDREN.bit_length()) > MAX_CHILDREN:
@@ -1011,7 +1018,7 @@ def parse_set_spec(obj: dict) -> BallSystem:
                     f"more than {MAX_CHILDREN:,} children per node"
                 )
             maps = tuple(
-                (float(m["lambda"]), tuple(float(x) for x in m["t"]))
+                (_json_float(m["lambda"]), tuple(map(_json_float, m["t"])))
                 for m in gen["maps"]
             )
             ifs = HomotheticIFS(maps)
@@ -1021,8 +1028,8 @@ def parse_set_spec(obj: dict) -> BallSystem:
         if gen_tag == "gaps1d":
             if dimension != 1:
                 raise SpecError("gaps1d requires dimension 1")
-            hull = tuple(float(x) for x in gen["hull"])
-            gaps = tuple((float(a), float(b)) for a, b in gen["gaps"])
+            hull = tuple(map(_json_float, gen["hull"]))
+            gaps = tuple((_json_float(a), _json_float(b)) for a, b in gen["gaps"])
             return from_gaps_1d(GapList1D(hull=hull, gaps=gaps), norm)
     except SpecError:
         raise

@@ -152,44 +152,26 @@ def _hypotheses_exit(report) -> int:
     """0 when every hypothesis is proven, 4 when one is refuted, else 5."""
     if report.all_proven:
         return EXIT_OK
-    verdicts = (
-        report.hyp_tau.status,
-        report.hyp_meet.status,
-        report.hyp_radii.status,
-        report.hyp_dense[0].verdict,
-        report.hyp_dense[1].verdict,
-    )
-    return EXIT_REFUTED if "refuted" in verdicts else EXIT_UNKNOWN
+    return EXIT_REFUTED if "refuted" in report.statuses else EXIT_UNKNOWN
 
 
 def _cmd_gapcheck(args: argparse.Namespace) -> int:
-    from .gaplemma import check_hypotheses
-
-    sys1, sys2 = _load_pair(args)
-    report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
-    payload = {"config": vars(args), "hypotheses": _hypotheses_payload(report)}
-    _emit(payload, args.out)
-    return _hypotheses_exit(report)
-
-
-def _cmd_intersect(args: argparse.Namespace) -> int:
+    """gapcheck; intersect adds a certificate when every hypothesis is proven."""
     from .gaplemma import check_hypotheses, intersect
 
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
     payload = {"config": vars(args), "hypotheses": _hypotheses_payload(report)}
-    if not report.all_proven:
-        _emit(payload, args.out)
-        return _hypotheses_exit(report)
-    cert = intersect(sys1, sys2, args.r, args.tol, args.steps)
-    payload["certificate"] = {
-        "witness": cert.witness,
-        "residual1": cert.residual1,
-        "residual2": cert.residual2,
-        "trace": cert.trace,
-    }
+    if args.command == "intersect" and report.all_proven:
+        cert = intersect(sys1, sys2, args.r, args.tol, args.steps)
+        payload["certificate"] = {
+            "witness": cert.witness,
+            "residual1": cert.residual1,
+            "residual2": cert.residual2,
+            "trace": cert.trace,
+        }
     _emit(payload, args.out)
-    return EXIT_OK
+    return _hypotheses_exit(report)
 
 
 # -- directional distances -----------------------------------------------------
@@ -225,6 +207,9 @@ def _normalize(v: Sequence[float], norm: NormKind) -> Point:
 def _cmd_distances(args: argparse.Namespace) -> int:
     from .gaplemma import check_hypotheses, directional_distance_certificate, distance_interval
 
+    if min(args.directions, args.steps) < 1:
+        # a run with no direction or no step would check nothing
+        raise ValueError("--directions and --steps must be at least 1")
     sys = _load_system(args.spec)
     limit = distance_interval(args.r) * sys.root.radius
     if args.tmax is None:
@@ -235,31 +220,22 @@ def _cmd_distances(args: argparse.Namespace) -> int:
         "hypotheses": _hypotheses_payload(hypotheses),
         "t_limit": limit,
     }
-    if not hypotheses.all_proven:
-        payload["rows"] = []
-        payload["summary"] = {"total": 0, "ok": 0, "failed": 0, "out_of_scope": 0}
-        _emit(payload, args.out)
-        return _hypotheses_exit(hypotheses)
-    directions = _direction_sample(sys, args.directions, args.seed)
+    # no row is certified unless every hypothesis is proven
+    directions = _direction_sample(sys, args.directions, args.seed) if hypotheses.all_proven else []
     if args.steps == 1:
         ts = [0.0]
     else:
         ts = [args.tmax * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
-    counts = {"ok": 0, "failed": 0, "out_of_scope": 0}
     for v in directions:
         for t in ts:
             if t > limit * (1 + 1e-12):
                 rows.append({"direction": v, "t": t, "status": "out_of_scope"})
-                counts["out_of_scope"] += 1
                 continue
             try:
                 cert = directional_distance_certificate(sys, v, t, args.tol, r=args.r)
             except RuntimeError as exc:
-                rows.append(
-                    {"direction": v, "t": t, "status": "failed", "error": str(exc)}
-                )
-                counts["failed"] += 1
+                rows.append({"direction": v, "t": t, "status": "failed", "error": str(exc)})
                 continue
             rows.append(
                 {
@@ -271,10 +247,12 @@ def _cmd_distances(args: argparse.Namespace) -> int:
                     "e2": cert.e2,
                 }
             )
-            counts["ok"] += 1
+    counts = {k: sum(row["status"] == k for row in rows) for k in ("ok", "failed", "out_of_scope")}
     payload["rows"] = rows
     payload["summary"] = {"total": len(rows), **counts}
     _emit(payload, args.out)
+    if not hypotheses.all_proven:
+        return _hypotheses_exit(hypotheses)
     return EXIT_OK if counts["failed"] == 0 else EXIT_UNKNOWN
 
 
@@ -297,6 +275,8 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
     if not args.alpha > 0:
         raise ValueError(f"alpha must be positive, got {args.alpha!r}")
+    if args.games < 1:
+        raise ValueError(f"--games must be at least 1, got {args.games}")
     sys = _load_system(args.spec)
     base = proposition_params(sys, 1.0 / args.alpha, args.beta)
     if args.rho is None:
@@ -379,6 +359,20 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
 # -- geometry dump -----------------------------------------------------------------
 
 
+MAX_RENDER_ROWS = 1_000_000  # 14x the benchmark's 69,905-row render; ~100 MB of text
+
+
+def _render_rows(sys: BallSystem, depth: int) -> int:
+    """The rows render writes down to depth, counted without writing one;
+    past MAX_RENDER_ROWS the count may stop short."""
+    if (sys.core or sys).is_finite:
+        return sum(1 for _ in sys.walk(depth))  # the whole tree is in memory already
+    # every node of a generated tree has the root's m children; for m >= 2
+    # the levels down to k = the cap's bit length already pass the cap
+    m, k = sys.child_count(ROOT), min(depth, MAX_RENDER_ROWS.bit_length())
+    return depth + 1 if m < 2 else (m ** (k + 1) - 1) // (m - 1)
+
+
 class _ReprCache(dict):
     """repr of each float, computed once per distinct nonzero value."""
 
@@ -401,6 +395,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.depth < 0:
         raise ValueError(f"render depth must be non-negative, got {args.depth}")
     sys = _load_system(args.spec)
+    if _render_rows(sys, args.depth) > MAX_RENDER_ROWS:
+        raise ValueError(f"render to depth {args.depth} writes more than {MAX_RENDER_ROWS:,} rows")
     block = sys.child_block
     fmt = _ReprCache().__getitem__
     depth = args.depth
@@ -467,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, spec: bool = True) -> None:
         if spec:
             p.add_argument("--spec", required=True, help="set-spec JSON path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("thickness", help="certified thickness enclosure")
@@ -476,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_thickness)
 
-    for name, handler in (("gapcheck", _cmd_gapcheck), ("intersect", _cmd_intersect)):
+    for name in ("gapcheck", "intersect"):
         p = sub.add_parser(name, help=f"{name} on a pair of systems")
         common(p)
         p.add_argument("--spec2", help="second set-spec (default: first)")
@@ -487,12 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--r", type=float, required=True)
         p.add_argument("--depth", type=int, default=5)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--steps", type=int, default=200, help="construction step cap")
-        p.set_defaults(handler=handler)
+        if name == "intersect":
+            p.add_argument("--tol", type=float, default=1e-6)
+            p.add_argument("--steps", type=int, default=200, help="construction step cap")
+        p.set_defaults(handler=_cmd_gapcheck)
 
     p = sub.add_parser("distances", help="directional distance certificates")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--directions", type=int, default=16)
     p.add_argument("--steps", type=int, default=8)
@@ -502,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="seeded erase-and-shrink matches")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--c", type=float, default=0.0)

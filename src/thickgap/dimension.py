@@ -63,7 +63,7 @@ def dim_lower_bound(d: int, tau: float, m0: int) -> float:
     d >= 2 the value can exceed the Moran exponent of concrete systems,
     so callers comparing the two should surface that caveat.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if m0 < 2:
         raise ValueError("m0 must be >= 2")

@@ -743,7 +743,7 @@ def intersection_dim_bound(
 ) -> IntersectionBound:
     """Dimension lower bound for the intersection of thick sets sharing a ball."""
     values = [float(t) for t in taus]
-    if not values or any(t <= 0 for t in values):
+    if not values or not all(t > 0 for t in values):
         raise ValueError("thickness values must be positive")
     if not 0 < c0 < 1:
         raise ValueError("c0 must lie in (0, 1)")

@@ -72,7 +72,16 @@ class GapHypothesesReport:
     hyp_meet: MeetHypothesis
     hyp_radii: RadiiHypothesis
     hyp_dense: Tuple[DensenessReport, DensenessReport]
-    all_proven: bool
+
+    @property
+    def statuses(self) -> Tuple[str, ...]:
+        """The five verdicts: thickness product, meet, radii, both denseness."""
+        hyps = (self.hyp_tau, self.hyp_meet, self.hyp_radii)
+        return tuple(h.status for h in hyps) + tuple(d.verdict for d in self.hyp_dense)
+
+    @property
+    def all_proven(self) -> bool:
+        return all(status == "proven" for status in self.statuses)
 
 
 @dataclass(frozen=True)
@@ -124,12 +133,9 @@ def check_hypotheses(
     rhs = 1.0 / (1.0 - 2 * r) ** 2
     t1 = thickness(sys1, depth, _HYP_TOL)
     t2 = thickness(sys2, depth, _HYP_TOL)
-    lhs = IntervalBound(
-        t1.overall.lo * t2.overall.lo,
-        t1.overall.hi * t2.overall.hi,
-        _HYP_TOL,
-        t1.overall.converged and t2.overall.converged,
-    )
+    a, b = t1.overall, t2.overall
+    # 0 * inf (a childless root's [inf, inf]) is NaN; thickness is never negative
+    lhs = IntervalBound(a.lo * b.lo if a.lo and b.lo else 0.0, a.hi * b.hi, _HYP_TOL)
     if lhs.lo >= rhs:
         tau_status = "proven"
     elif lhs.hi < rhs:
@@ -146,15 +152,7 @@ def check_hypotheses(
 
     dense1 = denseness_check(sys1, r, _DENSE_STEP, _DENSE_DEPTH)
     dense2 = denseness_check(sys2, r, _DENSE_STEP, _DENSE_DEPTH)
-
-    all_proven = (
-        tau_status == "proven"
-        and hyp_meet.status == "proven"
-        and hyp_radii.status == "proven"
-        and dense1.verdict == "proven"
-        and dense2.verdict == "proven"
-    )
-    return GapHypothesesReport(r, hyp_tau, hyp_meet, hyp_radii, (dense1, dense2), all_proven)
+    return GapHypothesesReport(r, hyp_tau, hyp_meet, hyp_radii, (dense1, dense2))
 
 
 def _meet_status(sys1: BallSystem, sys2: BallSystem, r: float, meet_depth: int) -> MeetHypothesis:
@@ -458,7 +456,7 @@ def _descend(
 
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
     """Point inside target and within tol of the set; raises on exhaustion."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return _locate(sys, target, tol)[0]
 
@@ -504,7 +502,7 @@ def intersect(
     """
     if not 0 < r < 0.5:
         raise ValueError("r must lie in (0, 1/2)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -650,7 +648,7 @@ def directional_distance_certificate(
     point e1 of the set; e2 = e1 - t*v is checked against the set as well,
     so the pair realizes the distance t in direction v up to the residual.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if abs(vector_size(v, sys.norm) - 1.0) > _SLACK:
         raise ValueError("v must be a unit vector in the workspace norm")

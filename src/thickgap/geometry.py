@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -175,20 +175,25 @@ class SphereUnion:
 class IntervalBound:
     """Certified enclosure [lo, hi] with the tolerance it was produced at.
 
-    converged=False marks an enclosure whose producer ran out of budget;
-    the bounds are still valid, only wider than requested.
+    converged is worked out, never passed: not (hi - lo > tol), so [inf, inf]
+    counts as exact. An enclosure wider than tol (a search out of budget, or
+    a rounding pad wider than tol) has converged=False and still valid
+    bounds. A NaN lo, hi or tol is refused.
     """
 
     lo: float
     hi: float
     tol: float
-    converged: bool = True
+    converged: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"invalid enclosure [{self.lo}, {self.hi}]")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        lo, hi, tol = self.lo, self.hi, self.tol
+        # every comparison with NaN is false, so both tests refuse it
+        if not lo <= hi:
+            raise ValueError(f"invalid enclosure [{lo}, {hi}]")
+        if not tol >= 0:
+            raise ValueError(f"tolerance must be nonnegative, got {tol}")
+        object.__setattr__(self, "converged", not hi - lo > tol)
 
     @property
     def width(self) -> float:

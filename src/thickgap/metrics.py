@@ -5,8 +5,8 @@ estimates. Fast exact paths cover the structured generators: axis products of
 1-D attractors, corner families among them, whose distances, Linf holes and
 thickness come from one per-axis path padded outward by a few ulps; finite
 1-D trees; the self-similar transfer. A best-first branch-and-bound covers
-everything else. Non-convergence within budget is reported by a flag on the
-enclosure, whose bounds stay valid either way.
+everything else. An enclosure wider than its tolerance, out of budget or
+padded past it, says so in its converged flag; its bounds stay valid.
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ class ThicknessReport:
     overall: IntervalBound
     per_node: Tuple[NodeThicknessRecord, ...]
     depth: int
-    converged: bool
     valid_all_depths: bool
     method: str
+
+    @property
+    def converged(self) -> bool:
+        """The overall enclosure's flag: whether it is at most tol wide."""
+        return self.overall.converged
 
 
 @dataclass(frozen=True)
@@ -397,13 +401,9 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> Interv
     best_exact = math.inf  # exact distances contributed by leaf balls
     heap: List[Tuple[float, Word]] = [(max(0.0, d_root - root.radius), ROOT)]
     expansions = 0
-    converged = True
     while heap:
         cur_hi = min(upper, best_exact)
-        if cur_hi - min(heap[0][0], best_exact) <= tol:
-            break
-        if expansions >= node_budget:
-            converged = False
+        if cur_hi - min(heap[0][0], best_exact) <= tol or expansions >= node_budget:
             break
         dlo, word = pop(heap)
         centers, radii = child_block(word)
@@ -424,7 +424,7 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> Interv
     hi = min(upper, best_exact)
     lo = min(heap[0][0], hi) if heap else hi
     lo = min(lo, best_exact)
-    return IntervalBound(max(lo, 0.0), hi, tol, converged)
+    return IntervalBound(max(lo, 0.0), hi, tol)
 
 
 def dist_to_set(
@@ -455,13 +455,15 @@ def _clamp_into_ball(q: Point, region: Ball, norm: NormKind) -> Point:
 
 
 def _box_max(box, evaluate: Callable, split: Callable, tol: float, node_budget: int):
-    """Best-first enclosure (lower, upper, converged) of a function's max over
-    box. evaluate(box) is None where the search may drop the box (never the
-    first one), else (a value reached in the box, a bound on its max there,
-    whether both met the tolerance asked); split(box) lists the sub-boxes.
-    The box with the largest bound is split first, ties going to the box that
-    compares smallest, until that bound is within tol of the best value or
-    node_budget boxes are split. With no box left, upper is lower.
+    """Best-first enclosure (lower, upper) of a function's max over box.
+    evaluate(box) is None where the search may drop the box (never the first
+    one), else (a value reached in the box, a bound on its max there);
+    split(box) lists the sub-boxes. The box with the largest bound is split
+    first, ties going to the box that compares smallest, until that bound is
+    within tol of the best value or node_budget boxes are split. upper is
+    never below lower: a box whose bound fell below a value found later can
+    top the heap, and with no box left upper is lower. Whether the search
+    converged is not returned: the caller's IntervalBound works it out.
 
     Two tree searches stay outside it. _dist_bnb, a min-search over nodes,
     gave repr-identical enclosures when driven through a per-child evaluate
@@ -470,28 +472,25 @@ def _box_max(box, evaluate: Callable, split: Callable, tol: float, node_budget: 
     in L2 at tol 1e-9). gaplemma._locate pushes one child per family
     lazily and numbers its pushes as a full expansion would, which a
     split that lists every sub-box cannot do."""
-    lower, ub, converged = evaluate(box)
+    lower, ub = evaluate(box)
     heap = [(-ub, box)]
     expansions = 0
     while heap:
         upper = -heap[0][0]
-        if upper - lower <= tol:
-            return lower, upper, converged
-        if expansions >= node_budget:
-            return lower, upper, False
+        if upper - lower <= tol or expansions >= node_budget:
+            return lower, max(lower, upper)
         _, box = heapq.heappop(heap)
         expansions += 1
         for sub in split(box):
             res = evaluate(sub)
             if res is None:
                 continue
-            flo, ub, conv = res
-            converged = converged and conv
+            flo, ub = res
             if flo > lower:
                 lower = flo
             if ub > lower:
                 heapq.heappush(heap, (-ub, sub))
-    return lower, lower, converged
+    return lower, lower
 
 
 def _bisect_box(lo: Tuple[float, ...], hi: Tuple[float, ...]) -> list:
@@ -546,14 +545,14 @@ def _hole_bnb(
         f = oracle.enclosure(q, ftol, node_budget)
         # the farthest box corner from q bounds how far the box reaches
         reach = vector_size([max(abs(h - c), abs(c - l)) for l, h, c in zip(lo, hi, q)], norm)
-        return f.lo, f.hi + reach, f.converged
+        return f.lo, f.hi + reach
 
     box_lo = tuple(c - region.radius for c in region.center)
     box_hi = tuple(c + region.radius for c in region.center)
-    lower, upper, converged = _box_max(
+    lower, upper = _box_max(
         (box_lo, box_hi), evaluate, lambda box: _split_box(*box, norm), tol, node_budget
     )
-    return IntervalBound(lower, upper, tol, converged)
+    return IntervalBound(lower, upper, tol)
 
 
 def hole_radius(
@@ -599,9 +598,8 @@ def _exact_hole(
     distance the largest per-axis one, so the hole is the largest per-axis
     hole: _node_hole_form's when that is at most tol wide, else that cut
     down by the _axis_hole descent. On finite 1-D trees it is the farthest
-    point of the node from the leaf intervals. The enclosure is converged
-    only when it is at most tol wide. A caller holding the node's ball, as
-    ball(word) gives it, passes it, and none is built."""
+    point of the node from the leaf intervals. A caller holding the node's
+    ball, as ball(word) gives it, passes it, and none is built."""
     oracle = _oracle(sys)
     if ball is None:
         ball = sys.ball(word)
@@ -625,7 +623,7 @@ def _exact_hole(
     else:
         return None
     # the pads set a width floor that no descent removes
-    return IntervalBound(lo, hi, tol, hi - lo <= tol)
+    return IntervalBound(lo, hi, tol)
 
 
 def _node_hole_form(f: AxisFactor) -> Tuple[float, float, float, float]:
@@ -714,19 +712,15 @@ def _thickness_homothetic(
             h = _hole(sys, ROOT, target, node_budget)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
-    converged = h.converged and overall.width <= tol
-    core = sys.core
-    if not converged and core is not None:
+    if not overall.converged and sys.core is not None:
         # an image's hole carries a pad for the chain's rounding, which can
         # keep its ratio wider than tol; radii and holes scale alike under
         # similarities, so the image's ratio is also its core's
-        inner = _thickness_homothetic(core, depth, tol, node_budget)
-        overall, converged = inner.overall, inner.converged
+        overall = _thickness_homothetic(sys.core, depth, tol, node_budget).overall
     return ThicknessReport(
         overall=overall,
         per_node=(rec,),
         depth=depth,
-        converged=converged,
         valid_all_depths=sys.siblings_disjoint_at_root(),
         method="homothetic-promotion",
     )
@@ -777,11 +771,10 @@ def _thickness_perturbed(
     h_hi_abs = (2 * eps + (1 + eps) * hrel_hi) * base.root.radius
     upper = minrad_root / h_lo if h_lo > 0 else math.inf
     upper = max(upper, lower)
-    converged = upper - lower <= tol
     h_iv = IntervalBound(min(h_lo, h_hi_abs), h_hi_abs, tol)
-    rec = NodeThicknessRecord(ROOT, minrad_root, h_iv, IntervalBound(lower, upper, tol))
-    overall = IntervalBound(lower, upper, tol, converged)
-    return ThicknessReport(overall, (rec,), depth, converged, False, "perturbed-transfer")
+    overall = IntervalBound(lower, upper, tol)
+    rec = NodeThicknessRecord(ROOT, minrad_root, h_iv, overall)
+    return ThicknessReport(overall, (rec,), depth, False, "perturbed-transfer")
 
 
 def _thickness_nodes(
@@ -798,7 +791,6 @@ def _thickness_nodes(
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
     truncated = deeper_internal = False
-    converged = True
     searched = 0
     cap = 800
     for word, ball in sys.walk(depth + 1):
@@ -816,7 +808,6 @@ def _thickness_nodes(
                 break
             searched += 1
             h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
-            converged = converged and h.converged
         rec = _record(word, min(radii), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
@@ -825,7 +816,7 @@ def _thickness_nodes(
     method = "finite-1d-exact" if exact else "per-node-bnb"
     if best is None:
         # childless root: no internal nodes, the infimum is vacuous
-        return ThicknessReport(IntervalBound(math.inf, math.inf, tol), (), depth, True, True, method)
+        return ThicknessReport(IntervalBound(math.inf, math.inf, tol), (), depth, True, method)
     if best not in records:
         records[-1] = best
     lo = 0.0 if truncated else best.ratio.lo
@@ -833,7 +824,6 @@ def _thickness_nodes(
         overall=IntervalBound(lo, best.ratio.hi, tol),
         per_node=tuple(records),
         depth=depth,
-        converged=converged and not truncated,
         valid_all_depths=not searched and not deeper_internal,
         method=method,
     )

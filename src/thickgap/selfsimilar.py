@@ -116,7 +116,7 @@ def homothetic_h0_upper(
     system per axis with one ratio get it in closed form (_product_h0),
     every other system by branch-and-bound (_h0_bnb).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if norm is NormKind.LINF or ifs.dimension == 1:
         closed = _product_h0(ifs)
@@ -153,18 +153,17 @@ def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) ->
             else:
                 point = tuple(c / nc for c in center)
         # inside a child the objective is negative, so taking the max stays sound
-        return max(0.0, _phi(point, ifs, norm)), _phi(center, ifs, norm) + lip * rho, True
+        return max(0.0, _phi(point, ifs, norm)), _phi(center, ifs, norm) + lip * rho
 
     def split(box):
         return [(next(serial), lo, hi) for lo, hi in _bisect_box(box[1], box[2])]
 
     root = (next(serial), (-1.0,) * d, (1.0,) * d)
-    lower, upper, converged = _box_max(root, evaluate, split, tol, node_budget)
-    upper = max(lower, upper)
+    lower, upper = _box_max(root, evaluate, split, tol, node_budget)
     # absorb float rounding in the objective evaluations; the region max is
     # never negative, so the lower end stays clamped at zero
     pad = 1e-12 * max(1.0, abs(upper))
-    return IntervalBound(max(0.0, lower - pad), upper + pad, tol, converged)
+    return IntervalBound(max(0.0, lower - pad), upper + pad, tol)
 
 
 def homothetic_bounds(
@@ -188,7 +187,7 @@ def perturbation_bound(tau: float, eps: float, lam: float) -> float:
     lam is the smallest child-to-parent radius ratio of the undistorted
     system; the bound degrades continuously and returns tau at eps = 0.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")

@@ -208,7 +208,7 @@ def test_1d_descent_and_distance_enclose_the_exact_value(ifs, data):
     assert raw[1] - raw[0] <= tol
     iv = dist_to_set((y,), from_ifs(ifs, NormKind.LINF), tol)
     assert _contains((iv.lo, iv.hi), lo, hi)
-    assert iv.converged and iv.width <= tol + 1e-13
+    assert iv.converged == (not iv.hi - iv.lo > tol) and iv.width <= tol + 1e-13
 
 
 @settings(max_examples=120, deadline=None)

@@ -618,7 +618,8 @@ def test_underflowing_radius_raises_at_its_depth():
     # 0.5 is the center of child 1's hull, so it lies midway across a level-2
     # gap, 1e-170 * 0.5 from the set, inside the rounding pad
     product = dist_to_set((0.5,), from_ifs(ifs, NormKind.LINF), 1e-200)
-    assert product.lo == 0.0 and 5e-171 < product.hi < 1e-14 and product.converged
+    assert product.lo == 0.0 and 5e-171 < product.hi < 1e-14
+    assert product.converged == (not product.hi - product.lo > 1e-200)
     # unequal ratios in 2-D are no product, so the search builds the blocks
     unequal = HomotheticIFS(((1e-170, (-0.5, 0.0)), (2e-170, (0.5, 0.0))))
     assert from_ifs(unequal, NormKind.LINF).axis_factors() is None

@@ -238,6 +238,61 @@ class TestInputErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "generator, got",
+        [
+            ({"type": "corner", "n": 4, "ell": "0.4"}, "'0.4'"),
+            ({"type": "corner", "n": 4, "ell": True}, "True"),
+            ({"type": "ifs", "maps": [{"lambda": "0.2", "t": [0.5]}]}, "'0.2'"),
+            ({"type": "ifs", "maps": [{"lambda": 0.2, "t": [False]}]}, "False"),
+            ({"type": "ifs", "maps": [{"lambda": 0.2, "t": "5"}]}, "'5'"),
+            ({"type": "gaps1d", "hull": ["0", True], "gaps": []}, "'0'"),
+            ({"type": "gaps1d", "hull": [0, 1], "gaps": [[0.2, False]]}, "False"),
+        ],
+    )
+    def test_non_number_floats(self, generator, got, tmp_path, capsys):
+        obj = {"norm": "linf", "dimension": 1, "generator": generator}
+        message = f"invalid {generator['type']} generator: expected a JSON number, got {got}"
+        with pytest.raises(SpecError, match="expected a JSON number"):
+            parse_set_spec(obj)
+        spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps(obj))
+        assert cli.main(["render", "--spec", str(spec), "--depth", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "thickness --spec {corner4_d2} --seed 1",
+            "gapcheck --spec {corner10_d2} --r 0.19556 --seed 1",
+            "gapcheck --spec {corner10_d2} --r 0.19556 --tol 1e-6",
+            "gapcheck --spec {corner10_d2} --r 0.19556 --steps 3",
+            "intersect --spec {corner10_d2} --r 0.19556 --seed 1",
+            "dims 2 17.1 256 --seed 1",
+            "pattern --spec {corner10_d1} 0.05 0 1 2 --seed 1",
+            "render --spec {corner4_d2} --seed 1",
+        ],
+    )
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, argv, specs, capsys):
+        assert cli.main(argv.format(**specs).split()) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("distances --spec {corner10_d2} --r 0.19556 --directions -2", "--steps must be"),
+            ("distances --spec {corner10_d2} --r 0.19556 --steps 0", "--steps must be"),
+            ("game --spec {corner4_d2} --alpha 0.5 --beta 0.2 --games -1", "--games must be"),
+        ],
+    )
+    def test_counts_below_one_are_input_errors(self, argv, message, specs, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert cli.main([*argv.format(**specs).split(), "--out", str(out)]) == 2
+        assert f"{message} at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestParserReuse:
     def test_shared_parser_matches_a_fresh_one(self, specs, capsys, monkeypatch):
         """One process, one parser: each call prints exactly what a freshly
@@ -668,6 +723,33 @@ class TestRender:
         out = tmp_path / "dump.csv"
         assert cli.main(["render", "--spec", "unused", "--depth", str(depth), "--out", str(out)]) == 0
         assert out.read_text() == _walk_dump(make(), depth)
+        assert cli._render_rows(make(), depth) == out.read_text().count("\n")
+
+    @pytest.mark.parametrize(
+        "name, depth, cap, ok",
+        [
+            ("corner4_d2", 1, 17, True),  # 1 + 16 rows, at the cap
+            ("corner4_d2", 2, 17, False),  # 1 + 16 + 256
+            ("corner4_d2", 100, None, False),  # 16**100 rows at the real cap
+            ("thirds", 1, 3, True),  # the root and its two pieces
+            ("thirds", 1, 2, False),
+            ("thirds", 10**9, 3, True),  # a finite tree ends
+        ],
+    )
+    def test_row_cap_is_checked_before_any_row(
+        self, name, depth, cap, ok, specs, tmp_path, capsys, monkeypatch
+    ):
+        if cap is not None:
+            monkeypatch.setattr(cli, "MAX_RENDER_ROWS", cap)
+        if not ok:
+            monkeypatch.setattr(cli, "_ReprCache", None)  # formats no row
+        out = tmp_path / "dump.csv"
+        code = cli.main(["render", "--spec", specs[name], "--depth", str(depth), "--out", str(out)])
+        if ok:
+            assert code == 0 and len(out.read_text().splitlines()) == cap
+        else:
+            assert code == 2 and not out.exists()
+            assert f"writes more than {cli.MAX_RENDER_ROWS:,} rows" in capsys.readouterr().err
 
     def test_dump_from_spec_equals_the_walk(self, specs, tmp_path):
         out = tmp_path / "dump.csv"

@@ -3,7 +3,8 @@ traceback.
 
 A drawn spec is well formed but for some of its fields, which are missing
 or hold ints, bools, floats (the infinities, NaN and subnormals among
-them), strings, nulls or lists. `game` flags are drawn as a shell
+them), strings, nulls or lists; each number inside a float field (`ell`,
+`lambda`, `t`, `hull`, `gaps`) may also be a string or a bool. `game` flags are drawn as a shell
 would hand them over. Sizes stay small: a corner family has
 at most 12 points per axis in at most 3 dimensions, and a spec has at most
 6 maps or gaps. Larger counts are exercised through a lowered
@@ -36,6 +37,12 @@ _JUNK = st.one_of(
     st.lists(_NUMBERS, max_size=3),
 )
 _MISSING = object()
+_NOT_NUMBER = st.one_of(_NUMBERS.map(repr), st.text(max_size=3), st.booleans())
+
+
+def _number(valid):
+    """valid, or one time in eight a string or a bool in a JSON number's place."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else _NOT_NUMBER)
 
 
 @st.composite
@@ -55,9 +62,13 @@ def _specs(draw):
     d = 1 if kind == "gaps1d" else draw(st.integers(1, 3))
     n = draw(st.integers(2, 12))
     ends = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=12)))
-    point = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    pairs = [
+        st.tuples(_number(st.just(a)), _number(st.just(b))).map(list)
+        for a, b in zip(ends[::2], ends[1::2])
+    ]
+    point = st.lists(_number(st.floats(-1.0, 1.0)), min_size=d, max_size=d)
     maps = [
-        obj(**{"lambda": field(st.floats(0.0, 0.5)), "t": field(point)})
+        obj(**{"lambda": field(_number(st.floats(0.0, 0.5))), "t": field(point)})
         for _ in range(draw(st.integers(1, 6)))
     ]
     norms = ["linf"] if kind == "corner" else ["linf", "l2", "l1"]
@@ -67,10 +78,10 @@ def _specs(draw):
         generator=obj(
             type=field(st.just(kind)),
             n=field(st.just(n)),
-            ell=field(st.floats(0.0, 2 / n)),
+            ell=field(_number(st.floats(0.0, 2 / n))),
             maps=field(st.just(maps)),
-            hull=field(st.just([0.0, 1.0])),
-            gaps=field(st.just([list(pair) for pair in zip(ends[::2], ends[1::2])])),
+            hull=field(st.tuples(_number(st.just(0.0)), _number(st.just(1.0))).map(list)),
+            gaps=field(st.tuples(*pairs).map(list)),
         ),
     )
 

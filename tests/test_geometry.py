@@ -189,7 +189,7 @@ def test_interval_bound_invariants():
     assert e.mid == 1.25
     with pytest.raises(ValueError):
         IntervalBound(2.0, 1.0, 0.1)
-    flagged = IntervalBound(0.0, 10.0, 0.1, converged=False)
+    flagged = IntervalBound(0.0, 10.0, 0.1)
     assert not flagged.converged
 
 

@@ -640,7 +640,7 @@ def _reference_dist_bnb(sys, x, tol, node_budget):
     hi = min(upper, best_exact)
     lo = min(heap[0][0], hi) if heap else hi
     lo = min(lo, best_exact)
-    return IntervalBound(max(lo, 0.0), hi, tol, converged)
+    return IntervalBound(max(lo, 0.0), hi, tol)
 
 
 def _warp(p):
@@ -755,9 +755,9 @@ def _reference_hole_bnb(sys, word, tol, node_budget):
     while heap:
         upper = -heap[0][0]
         if upper - lower <= tol:
-            return IntervalBound(lower, upper, tol, converged)
+            return IntervalBound(lower, upper, tol)
         if expansions >= node_budget:
-            return IntervalBound(lower, upper, tol, False)
+            return IntervalBound(lower, upper, tol)
         _, lo, hi = heapq.heappop(heap)
         expansions += 1
         for nl, nh in _split_box(lo, hi, norm):
@@ -769,7 +769,7 @@ def _reference_hole_bnb(sys, word, tol, node_budget):
             lower = max(lower, flo)
             if ub > lower:
                 heapq.heappush(heap, (-ub, nl, nh))
-    return IntervalBound(lower, lower, tol, converged)
+    return IntervalBound(lower, lower, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -891,11 +891,11 @@ def _reference_thickness_finite(sys, depth, tol):
             records.append(rec)
     if best is None:
         overall = IntervalBound(math.inf, math.inf, tol)
-        return ThicknessReport(overall, (), depth, True, True, "finite-1d-exact")
+        return ThicknessReport(overall, (), depth, True, "finite-1d-exact")
     if best not in records:
         records[-1] = best
     return ThicknessReport(
-        best.ratio, tuple(records), depth, True, not deeper_internal, "finite-1d-exact"
+        best.ratio, tuple(records), depth, not deeper_internal, "finite-1d-exact"
     )
 
 
@@ -923,7 +923,7 @@ def _reference_thickness_generic(sys, depth, tol, node_budget):
             records.append(rec)
     if best is None:
         overall = IntervalBound(math.inf, math.inf, tol)
-        return ThicknessReport(overall, (), depth, True, True, "per-node-bnb")
+        return ThicknessReport(overall, (), depth, True, "per-node-bnb")
     if best not in records:
         records[-1] = best
     lo = 0.0 if truncated else best.ratio.lo
@@ -931,7 +931,6 @@ def _reference_thickness_generic(sys, depth, tol, node_budget):
         IntervalBound(lo, best.ratio.hi, tol),
         tuple(records),
         depth,
-        converged and not truncated,
         False,
         "per-node-bnb",
     )

@@ -251,7 +251,7 @@ def _reference_h0_bnb(ifs, tol, norm, node_budget):
     if heap:
         upper_end = max(upper_end, -heap[0][0])
     pad = 1e-12 * max(1.0, abs(upper_end))
-    return IntervalBound(max(0.0, best_lower - pad), upper_end + pad, tol, converged)
+    return IntervalBound(max(0.0, best_lower - pad), upper_end + pad, tol)
 
 
 # symmetric translations make equal upper bounds, where the tie order shows
