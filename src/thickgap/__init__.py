@@ -19,7 +19,7 @@ import importlib
 _HOMES = {
     "geometry": """
         Ball IntervalBound NormKind Point Sphere SphereUnion ball_contains ball_scale
-        balls_disjoint balls_intersect dist_point_ball dist_point_sphere norm_distance
+        balls_disjoint dist_point_ball dist_point_sphere norm_distance
     """,
     "ballsystem": """
         BallSystem CornerFamilyParams GapList1D HomotheticIFS SpecError Word corner_family

@@ -76,8 +76,6 @@ ROOT: Word = ()
 _UNSET = object()  # marks a memo not filled yet where None is a value
 
 _CONTAIN_SLACK = 1e-12  # relative float allowance in validation-only containment
-# default cap on the nodes or cells one search over a tree may examine
-DEFAULT_NODE_BUDGET = 200_000
 
 
 class SpecError(ValueError):
@@ -86,13 +84,6 @@ class SpecError(ValueError):
 
 def word_str(word: Word) -> str:
     return ".".join(str(i) for i in word)
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split("."))
 
 
 @dataclass(frozen=True)
@@ -442,13 +433,11 @@ class BallSystem:
         dimension: int,
         root: Ball,
         generator,
-        decay: Optional[float],
     ) -> None:
         self.norm = norm
         self.dimension = dimension
         self.root = root
         self.generator = generator
-        self.decay = decay
         # the two node stores: child blocks, and the Balls ball() builds (a
         # finite tree's node table)
         self._blocks: Dict[Word, Block] = {}
@@ -702,8 +691,7 @@ class BallSystem:
     # -- validation ---------------------------------------------------------
 
     def validate(self, depth: int) -> None:
-        """Hard-errors unless every expanded child sits inside its parent and
-        radii decay by the recorded factor along paths."""
+        """Hard-errors unless every expanded child sits inside its parent."""
         for word, ball in self.walk(depth):
             if len(word) >= depth:
                 continue
@@ -716,10 +704,6 @@ class BallSystem:
                         f"child {word + (i,)} escapes its parent by "
                         f"{d + radius - ball.radius:.3e}"
                     )
-                if self.decay is not None and radius > ball.radius * (
-                    self.decay + _CONTAIN_SLACK
-                ):
-                    raise ValueError(f"radius decay violated at {word + (i,)}")
 
 
 def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
@@ -783,7 +767,6 @@ def corner_family(params: CornerFamilyParams) -> BallSystem:
         dimension=params.d,
         root=root,
         generator=params,
-        decay=params.ell / 2,
     )
 
 
@@ -801,7 +784,6 @@ def from_ifs(ifs: HomotheticIFS, norm: NormKind) -> BallSystem:
         dimension=d,
         root=Ball((0.0,) * d, 1.0),
         generator=ifs,
-        decay=max(lam for lam, _ in ifs.maps),
     )
 
 
@@ -825,7 +807,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     balls: Dict[Word, Ball] = {}
     split_gaps: Dict[Word, Tuple[float, float]] = {}
     leaf_ivs: List[Tuple[float, float]] = []
-    max_ratio = 0.0
 
     # preorder with an explicit stack, left piece first: nesting depth is
     # bounded only by the gap list's length
@@ -845,18 +826,10 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         right = [g for g in inside if g[0] >= hi]
         if len(left) + len(right) != len(inside) - 1:
             raise ValueError("inconsistent gap containment")  # unreachable for valid input
-        for piece in ((a, lo), (hi, b)):
-            max_ratio = max(max_ratio, (piece[1] - piece[0]) / (b - a))
         stack.append((word + (1,), hi, b, right))
         stack.append((word + (0,), a, lo, left))
 
-    sys = BallSystem(
-        norm=norm,
-        dimension=1,
-        root=balls[ROOT],
-        generator=gl,
-        decay=max_ratio if max_ratio > 0 else None,
-    )
+    sys = BallSystem(norm=norm, dimension=1, root=balls[ROOT], generator=gl)
     sys._balls.update(balls)
     sys._finite = True
     sys._split_gaps = split_gaps
@@ -874,22 +847,15 @@ def explicit_tree(
     for w in balls:
         if w and w[:-1] not in balls:
             raise ValueError(f"node {w} has no parent entry")
-    max_ratio = 0.0
-    for w, b in balls.items():
+    for w in balls:
         if not w:
             continue
         # indices 0..m-1 hold exactly when each index has its predecessor
         j, parent = w[-1], w[:-1]
         if j < 0 or (j > 0 and parent + (j - 1,) not in balls):
             raise ValueError(f"children of {parent} are not indexed 0..m-1")
-        max_ratio = max(max_ratio, b.radius / balls[parent].radius)
-    sys = BallSystem(
-        norm=norm,
-        dimension=dimension,
-        root=balls[ROOT],
-        generator=None,  # every node is in the table
-        decay=max_ratio if 0 < max_ratio < 1 else None,
-    )
+    # generator None: every node is in the table
+    sys = BallSystem(norm=norm, dimension=dimension, root=balls[ROOT], generator=None)
     sys._balls.update(balls)
     sys._finite = True
     return sys
@@ -909,7 +875,7 @@ def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> B
         raise ValueError("shift dimension mismatch")
     gen = Similarity(sys, float(scale), shift)
     root = Ball(*gen.node(sys.root.center, sys.root.radius))
-    out = BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
+    out = BallSystem(sys.norm, sys.dimension, root, gen)
     out._finite = sys._finite
     return out
 
@@ -929,7 +895,7 @@ def perturbed_image(
         raise ValueError("root must sit inside the unit cube")
     gen = Perturbed(sys, float(eps), f)
     root = Ball(*gen.node(sys.root.center, sys.root.radius))
-    return BallSystem(sys.norm, sys.dimension, root, gen, sys.decay)
+    return BallSystem(sys.norm, sys.dimension, root, gen)
 
 
 # -- classical 1-D gap quantity ----------------------------------------------

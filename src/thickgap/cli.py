@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 # only what every subcommand needs loads with the module; each handler
 # imports its analysis modules itself, so a process loads what it runs
 from .ballsystem import ROOT, BallSystem, SpecError, Word, parse_set_spec, translate, word_str
-from .geometry import Ball, NormKind, Point, vector_size
+from .geometry import NormKind, Point, vector_size
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -424,23 +424,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
             )
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
-
-
-def system_from_render_csv(text: str, norm: NormKind, dimension: int) -> BallSystem:
-    """Rebuild a finite system from render output; inverse of the render dump."""
-    from .ballsystem import explicit_tree
-
-    entries = []
-    for line in text.strip().split("\n"):
-        cells = line.split(",")
-        if len(cells) != dimension + 2:
-            raise SpecError(f"render row has {len(cells)} cells, need {dimension + 2}")
-        word: Word = (
-            tuple(int(i) for i in cells[0].split(".")) if cells[0] else ROOT
-        )
-        center = tuple(float(c) for c in cells[1 : 1 + dimension])
-        entries.append((word, Ball(center, float(cells[-1]))))
-    return explicit_tree(norm, dimension, entries)
 
 
 # -- parser ------------------------------------------------------------------------

@@ -216,21 +216,17 @@ def _last_ball(history: Sequence[Move]) -> Optional[Ball]:
     return None
 
 
-def kappa(norm: NormKind, d: int, configured: Optional[int] = None) -> int:
+def kappa(norm: NormKind, d: int) -> int:
     """Most disjoint equal balls one ball of no larger radius can meet.
 
     For the max norm the per-axis interval argument gives 2 per axis,
-    hence 2**d. Other norms must supply a configured value.
+    hence 2**d. Other norms have no built-in count.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if norm is NormKind.LINF:
         return 2**d
-    if configured is None:
-        raise ValueError("no built-in packing count for this norm; pass one")
-    if configured < 1:
-        raise ValueError("configured packing count must be at least 1")
-    return configured
+    raise ValueError("no built-in packing count for this norm")
 
 
 def _hole_enclosure(sys: BallSystem, word: Word):
@@ -931,7 +927,8 @@ def pattern_search_oracle(
     whenever grid_step / 2 plus the cover fuzz stays at most tol.
 
     Witnesses are tuples of Python floats, in grid order: the first axis
-    varies slowest.
+    varies slowest. A grid of more than _GRID_CAP points, or of no finite
+    count, is a ValueError raised before any array is built.
     """
     import numpy as np
 
@@ -948,6 +945,16 @@ def pattern_search_oracle(
     if not tol > 0:
         raise ValueError("tol must be positive")
     root = sys.root
+    # each axis's point count as np.arange works it out
+    spans = [(c - root.radius, c + root.radius + grid_step / 2) for c in root.center]
+    counts = [(hi - lo) / grid_step for lo, hi in spans]
+    if not all(math.isfinite(n) for n in counts):
+        raise ValueError(f"pattern grid at step {grid_step!r} has no finite point count")
+    total = math.prod(math.ceil(n) for n in counts)
+    if total > _GRID_CAP:
+        raise ValueError(
+            f"pattern grid of {total:,} points exceeds the cap of {_GRID_CAP:,}; coarsen grid_step"
+        )
     if sys.corner_grid is None:
         centers, radii, solid = _leaf_cover(sys, tol / 8.0, _COVER_NODES)
 
@@ -959,13 +966,7 @@ def pattern_search_oracle(
         def upper(q: np.ndarray) -> np.ndarray:
             return _corner_upper_dist(q, sys, tol)
 
-    grid_axes = [
-        np.arange(c - root.radius, c + root.radius + grid_step / 2, grid_step)
-        for c in root.center
-    ]
-    total = math.prod(len(a) for a in grid_axes)
-    if total > _GRID_CAP:
-        raise RuntimeError("pattern grid exceeds the size cap; coarsen grid_step")
+    grid_axes = [np.arange(lo, hi, grid_step) for lo, hi in spans]
     mesh = np.meshgrid(*grid_axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.ones(len(grid), dtype=bool)

@@ -255,14 +255,15 @@ def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tup
     counter = pops = len(word)
     heap: List[tuple] = [(key, counter, 0, word, center, radius)]
     while heap:
+        # stop before popping the node past the budget, as a full expansion does
+        if not heap[0][2] and pops >= _FIND_BUDGET:
+            break
         entry = heapq.heappop(heap)
         if entry[2]:
             for kid in entry[3]:
                 heapq.heappush(heap, kid)
             continue
         pops += 1
-        if pops > _FIND_BUDGET:
-            break
         key, _, _, word, center, radius = entry
         if key <= 0:
             return _descend(sys, grid, target, tol, word, center, radius)

@@ -232,12 +232,6 @@ def ball_contains(outer: Ball, inner: Ball, norm: NormKind) -> bool:
     return norm_distance(outer.center, inner.center, norm) + inner.radius <= outer.radius
 
 
-def balls_intersect(a: Ball, b: Ball, norm: NormKind) -> bool:
-    """True iff the closed balls share at least one point."""
-    _require_same_dim(a.center, b.center)
-    return norm_distance(a.center, b.center, norm) <= a.radius + b.radius
-
-
 def balls_disjoint(a: Ball, b: Ball, norm: NormKind) -> bool:
     """Strict separation; touching closed balls are not disjoint."""
     return norm_distance(a.center, b.center, norm) > a.radius + b.radius

@@ -5,8 +5,9 @@ estimates. Fast exact paths cover the structured generators: axis products of
 1-D attractors, corner families among them, whose distances, Linf holes and
 thickness come from one per-axis path padded outward by a few ulps; finite
 1-D trees; the self-similar transfer. A best-first branch-and-bound covers
-everything else. An enclosure wider than its tolerance, out of budget or
-padded past it, says so in its converged flag; its bounds stay valid.
+everything else; each of its searches, _dist_bnb and _box_max, stops after
+NODE_BUDGET node pops. An enclosure wider than its tolerance, out of budget
+or padded past it, says so in its converged flag; its bounds stay valid.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import (
     vector_size,
 )
 from .ballsystem import (
-    DEFAULT_NODE_BUDGET,
     ROOT,
     AxisFactor,
     BallSystem,
@@ -44,6 +44,9 @@ from .ballsystem import (
 )
 
 _MAX_RECORDS = 64
+# the node pops one _dist_bnb or _box_max search may make; a hole search's
+# boxes and each box's distance search count apart
+NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -355,7 +358,7 @@ class _DistOracle:
                 ball for word, ball in sys.walk(1_000_000) if sys.is_leaf(word)
             ]
 
-    def enclosure(self, x: Point, tol: float, node_budget: int) -> IntervalBound:
+    def enclosure(self, x: Point, tol: float) -> IntervalBound:
         if self.mode == "product":
             # C is the product of the factors' sets, so dist(x, C) is the
             # norm of the d per-axis distances; tol / d per axis keeps the
@@ -375,7 +378,7 @@ class _DistOracle:
         if self.mode == "finite":
             v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
             return IntervalBound(v, v, tol)
-        return _dist_bnb(self.sys, x, tol, node_budget)
+        return _dist_bnb(self.sys, x, tol)
 
 
 def _oracle(sys: BallSystem) -> _DistOracle:
@@ -386,12 +389,14 @@ def _oracle(sys: BallSystem) -> _DistOracle:
     return oracle
 
 
-def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> IntervalBound:
+def _dist_bnb(sys: BallSystem, x: Point, tol: float) -> IntervalBound:
     """Best-first frontier refinement: lower = min distance to the frontier
     balls, upper = min over the frontier of (distance to center + radius).
 
     Reads each node's children as a child block and takes one norm
-    evaluation per child for both of its bounds."""
+    evaluation per child for both of its bounds. Stops after NODE_BUDGET
+    pops."""
+    budget = NODE_BUDGET
     dist = distance_kernel(sys.norm)
     child_block = sys.child_block
     push, pop = heapq.heappush, heapq.heappop
@@ -403,7 +408,7 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> Interv
     expansions = 0
     while heap:
         cur_hi = min(upper, best_exact)
-        if cur_hi - min(heap[0][0], best_exact) <= tol or expansions >= node_budget:
+        if cur_hi - min(heap[0][0], best_exact) <= tol or expansions >= budget:
             break
         dlo, word = pop(heap)
         centers, radii = child_block(word)
@@ -427,20 +432,14 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float, node_budget: int) -> Interv
     return IntervalBound(max(lo, 0.0), hi, tol)
 
 
-def dist_to_set(
-    x: Point,
-    sys: BallSystem,
-    tol: float,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> IntervalBound:
+def dist_to_set(x: Point, sys: BallSystem, tol: float) -> IntervalBound:
     """Certified enclosure of dist(x, C) for the set C generated by sys."""
     x = as_point(x)
     if len(x) != sys.dimension:
         raise ValueError(f"point dimension {len(x)} vs system dimension {sys.dimension}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    return _oracle(sys).enclosure(x, tol, node_budget)
+    return _oracle(sys).enclosure(x, tol)
 
 
 # -- hole radius ---------------------------------------------------------------
@@ -454,13 +453,13 @@ def _clamp_into_ball(q: Point, region: Ball, norm: NormKind) -> Point:
     return tuple(c + t * (qi - c) for c, qi in zip(region.center, q))
 
 
-def _box_max(box, evaluate: Callable, split: Callable, tol: float, node_budget: int):
+def _box_max(box, evaluate: Callable, split: Callable, tol: float):
     """Best-first enclosure (lower, upper) of a function's max over box.
     evaluate(box) is None where the search may drop the box (never the first
     one), else (a value reached in the box, a bound on its max there);
     split(box) lists the sub-boxes. The box with the largest bound is split
     first, ties going to the box that compares smallest, until that bound is
-    within tol of the best value or node_budget boxes are split. upper is
+    within tol of the best value or NODE_BUDGET boxes are split. upper is
     never below lower: a box whose bound fell below a value found later can
     top the heap, and with no box left upper is lower. Whether the search
     converged is not returned: the caller's IntervalBound works it out.
@@ -472,12 +471,13 @@ def _box_max(box, evaluate: Callable, split: Callable, tol: float, node_budget: 
     in L2 at tol 1e-9). gaplemma._locate pushes one child per family
     lazily and numbers its pushes as a full expansion would, which a
     split that lists every sub-box cannot do."""
+    budget = NODE_BUDGET
     lower, ub = evaluate(box)
     heap = [(-ub, box)]
     expansions = 0
     while heap:
         upper = -heap[0][0]
-        if upper - lower <= tol or expansions >= node_budget:
+        if upper - lower <= tol or expansions >= budget:
             return lower, max(lower, upper)
         _, box = heapq.heappop(heap)
         expansions += 1
@@ -516,12 +516,7 @@ def _split_box(lo: Tuple[float, ...], hi: Tuple[float, ...], norm: NormKind) -> 
     return out
 
 
-def _hole_bnb(
-    sys: BallSystem,
-    word: Word,
-    tol: float,
-    node_budget: int,
-) -> IntervalBound:
+def _hole_bnb(sys: BallSystem, word: Word, tol: float) -> IntervalBound:
     """Maximize dist(x, C) over the node ball by subdividing into sub-boxes.
 
     On a sub-box with representative q inside the node, the max over the box
@@ -542,16 +537,14 @@ def _hole_bnb(
             if norm_distance(nearest, region.center, norm) > region.radius:
                 return None  # box misses the node ball entirely
             q = _clamp_into_ball(q, region, norm)
-        f = oracle.enclosure(q, ftol, node_budget)
+        f = oracle.enclosure(q, ftol)
         # the farthest box corner from q bounds how far the box reaches
         reach = vector_size([max(abs(h - c), abs(c - l)) for l, h, c in zip(lo, hi, q)], norm)
         return f.lo, f.hi + reach
 
     box_lo = tuple(c - region.radius for c in region.center)
     box_hi = tuple(c + region.radius for c in region.center)
-    lower, upper = _box_max(
-        (box_lo, box_hi), evaluate, lambda box: _split_box(*box, norm), tol, node_budget
-    )
+    lower, upper = _box_max((box_lo, box_hi), evaluate, lambda box: _split_box(*box, norm), tol)
     return IntervalBound(lower, upper, tol)
 
 
@@ -560,7 +553,6 @@ def hole_radius(
     sys: BallSystem,
     tol: float,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     ball: Optional[Ball] = None,
 ) -> IntervalBound:
     """Certified enclosure of h_I = max over S_I of dist(x, C).
@@ -579,14 +571,12 @@ def hole_radius(
             ball = sys.ball(word)
         except KeyError as exc:
             raise ValueError(f"word {word!r} names no node") from exc
-    return _hole(sys, word, tol, node_budget, ball)
+    return _hole(sys, word, tol, ball)
 
 
-def _hole(
-    sys: BallSystem, word: Word, tol: float, node_budget: int, ball: Optional[Ball] = None
-) -> IntervalBound:
+def _hole(sys: BallSystem, word: Word, tol: float, ball: Optional[Ball] = None) -> IntervalBound:
     h = _exact_hole(sys, word, tol, ball)
-    return h if h is not None else _hole_bnb(sys, word, tol, node_budget)
+    return h if h is not None else _hole_bnb(sys, word, tol)
 
 
 def _exact_hole(
@@ -669,13 +659,7 @@ def _record(word: Word, min_rad: float, h: IntervalBound, tol: float) -> NodeThi
     return NodeThicknessRecord(word, min_rad, h, IntervalBound(lo, hi, tol))
 
 
-def thickness(
-    sys: BallSystem,
-    depth: int,
-    tol: float,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ThicknessReport:
+def thickness(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     """Enclosure of the infimum over nodes of (min child radius)/h_I.
 
     Self-similar systems, corner families among them, use the root-hole
@@ -691,32 +675,30 @@ def thickness(
         raise ValueError("tol must be positive")
     gen = sys.generator
     if isinstance(gen, Perturbed):
-        return _thickness_perturbed(sys, gen, depth, tol, node_budget)
+        return _thickness_perturbed(sys, gen, depth, tol)
     if sys.is_homothetic():
-        return _thickness_homothetic(sys, depth, tol, node_budget)
-    return _thickness_nodes(sys, depth, tol, node_budget)
+        return _thickness_homothetic(sys, depth, tol)
+    return _thickness_nodes(sys, depth, tol)
 
 
-def _thickness_homothetic(
-    sys: BallSystem, depth: int, tol: float, node_budget: int
-) -> ThicknessReport:
+def _thickness_homothetic(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
 
-    rough = _hole(sys, ROOT, R / 64, node_budget)
+    rough = _hole(sys, ROOT, R / 64)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = _hole(sys, ROOT, target, node_budget)
+            h = _hole(sys, ROOT, target)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     if not overall.converged and sys.core is not None:
         # an image's hole carries a pad for the chain's rounding, which can
         # keep its ratio wider than tol; radii and holes scale alike under
         # similarities, so the image's ratio is also its core's
-        overall = _thickness_homothetic(sys.core, depth, tol, node_budget).overall
+        overall = _thickness_homothetic(sys.core, depth, tol).overall
     return ThicknessReport(
         overall=overall,
         per_node=(rec,),
@@ -726,7 +708,7 @@ def _thickness_homothetic(
     )
 
 
-def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
+def _sample_hole_lower(sys: BallSystem) -> float:
     """Sound lower bound on the root hole radius from a few sample points."""
     import numpy as np
 
@@ -750,23 +732,23 @@ def _sample_hole_lower(sys: BallSystem, node_budget: int) -> float:
     for p in pts:
         if sys.norm is not NormKind.LINF:
             p = _clamp_into_ball(p, region, sys.norm)
-        enc = oracle.enclosure(p, ftol, node_budget)
+        enc = oracle.enclosure(p, ftol)
         if enc.lo > best:
             best = enc.lo
     return best
 
 
 def _thickness_perturbed(
-    sys: BallSystem, gen: Perturbed, depth: int, tol: float, node_budget: int
+    sys: BallSystem, gen: Perturbed, depth: int, tol: float
 ) -> ThicknessReport:
     base = gen.base
     eps = gen.eps
     if not base.is_homothetic():
-        return _thickness_nodes(sys, depth, tol, node_budget)
-    hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3, node_budget).hi / base.root.radius
+        return _thickness_nodes(sys, depth, tol)
+    hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3).hi / base.root.radius
     lam_min = min(base.child_ratios())
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
-    h_lo = _sample_hole_lower(sys, node_budget)
+    h_lo = _sample_hole_lower(sys)
     minrad_root = min(sys.child_block(ROOT)[1])
     h_hi_abs = (2 * eps + (1 + eps) * hrel_hi) * base.root.radius
     upper = minrad_root / h_lo if h_lo > 0 else math.inf
@@ -777,9 +759,7 @@ def _thickness_perturbed(
     return ThicknessReport(overall, (rec,), depth, False, "perturbed-transfer")
 
 
-def _thickness_nodes(
-    sys: BallSystem, depth: int, tol: float, node_budget: int
-) -> ThicknessReport:
+def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     """The infimum node by node over the internal nodes down to depth.
 
     Each hole is exact where _exact_hole gives one and searched otherwise;
@@ -807,7 +787,7 @@ def _thickness_nodes(
                 truncated = True
                 break
             searched += 1
-            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
+            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius)
         rec = _record(word, min(radii), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
@@ -1023,11 +1003,15 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
     nodes = [(ROOT, sys.root)] if sys.is_homothetic() else _dense_nodes(sys, depth)
     if nodes is None:
         return unknown("node budget exceeded")
+    if not nodes:  # no internal node: nothing to refute, and no grid to build
+        return DensenessReport(r, "proven", None, grid_step, "grid")
     norm, d, avail = sys.norm, sys.dimension, 1 - r
     factor = {NormKind.LINF: 1.0, NormKind.L2: math.sqrt(d), NormKind.L1: float(d)}[norm]
     margin, slack = grid_step * factor, (10 * d + 10) * (2 * d + 1) * 2.0**-53
-    m = max(2, int(math.ceil(avail / grid_step)) + 1)
-    if nodes and m**d > 2_000_000:
+    # past the cap per axis (an infinite quotient too) the grid is past it
+    steps = avail / grid_step
+    m = max(2, math.ceil(steps) + 1) if steps < 2_000_000 else math.inf
+    if m**d > 2_000_000:
         return unknown("grid too large at this step")
     axis = np.linspace(-avail, avail, m)
     pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)

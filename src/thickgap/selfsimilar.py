@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .ballsystem import (
-    DEFAULT_NODE_BUDGET,
     CornerFamilyParams,
     HomotheticIFS,
     corner_dense_radius,
@@ -106,7 +105,6 @@ def homothetic_h0_upper(
     tol: float,
     *,
     norm: NormKind = NormKind.LINF,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> IntervalBound:
     """Certified enclosure of the normalized farthest point outside the children.
 
@@ -122,10 +120,10 @@ def homothetic_h0_upper(
         closed = _product_h0(ifs)
         if closed is not None:
             return IntervalBound(max(0.0, closed[0]), closed[1], tol)
-    return _h0_bnb(ifs, tol, norm, node_budget)
+    return _h0_bnb(ifs, tol, norm)
 
 
-def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) -> IntervalBound:
+def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind) -> IntervalBound:
     """homothetic_h0_upper by _box_max: a box fully inside some child or fully
     outside the root is dropped, anything else is bisected across its longest
     axis until the Lipschitz upper bound meets the best value found at
@@ -159,7 +157,7 @@ def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind, node_budget: int) ->
         return [(next(serial), lo, hi) for lo, hi in _bisect_box(box[1], box[2])]
 
     root = (next(serial), (-1.0,) * d, (1.0,) * d)
-    lower, upper = _box_max(root, evaluate, split, tol, node_budget)
+    lower, upper = _box_max(root, evaluate, split, tol)
     # absorb float rounding in the objective evaluations; the region max is
     # never negative, so the lower end stays clamped at zero
     pad = 1e-12 * max(1.0, abs(upper))
@@ -171,10 +169,9 @@ def homothetic_bounds(
     tol: float,
     *,
     norm: NormKind = NormKind.LINF,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomotheticBounds:
     """Thickness lower bound and denseness radius from the root hole estimate."""
-    h0 = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=node_budget)
+    h0 = homothetic_h0_upper(ifs, tol, norm=norm)
     lam_min = min(lam for lam, _ in ifs.maps)
     lam_max = max(lam for lam, _ in ifs.maps)
     tau_lower = lam_min / h0.hi if h0.hi > 0 else math.inf

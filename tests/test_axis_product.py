@@ -31,6 +31,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
+from thickgap import metrics
 from thickgap.metrics import (
     _axis1d_dist,
     _axis_hole,
@@ -325,23 +326,24 @@ def test_product_enclosures_meet_the_branch_and_bound(ifs, norm, image, data):
     c, R = sys.root.center, sys.root.radius
     x = tuple(ci + R * data.draw(st.floats(-1.3, 1.3)) for ci in c)
     fast = dist_to_set(x, sys, 1e-9)
-    slow = _dist_bnb(sys, x, 1e-4 * R, 200_000)
+    slow = _dist_bnb(sys, x, 1e-4 * R)
     assert fast.lo <= slow.hi and slow.lo <= fast.hi
     if norm is NormKind.LINF:
         h = hole_radius((), sys, 1e-9)
-        hb = _hole_bnb(sys, (), 1e-3 * R, 200_000)
+        hb = _hole_bnb(sys, (), 1e-3 * R)
         assert h.lo <= hb.hi and hb.lo <= h.hi
 
 
-def test_hole_search_on_the_l2_product_board_converges_at_1e_13():
+def test_hole_search_on_the_l2_product_board_converges_at_1e_13(monkeypatch):
     # the per-axis pad is a few ulps: a fixed 1e-12 pad would keep every
     # box of the hole search apart by more than 1e-13, and it would never stop
     sys = parse_set_spec(_spec("ifs_l2.json"))
     assert _oracle(sys).mode == "product"
     # the L2 hole of a product is not a per-axis one: it is searched
     assert _exact_hole(sys, (), 1e-9) is None
+    monkeypatch.setattr(metrics, "NODE_BUDGET", 2_000)
     for word in [(), (0,), (3, 1), (1, 3, 0, 2, 1)]:
-        h = _hole_bnb(sys, word, 1e-13, 2_000)
+        h = _hole_bnb(sys, word, 1e-13)
         assert h.converged and h.width <= 1e-13, word
 
 
@@ -448,7 +450,7 @@ def test_h0_closed_form_on_the_bench_maps(name, exact):
     h0 = homothetic_h0_upper(_maps_of(name), 1e-9, norm=NormKind.LINF)
     assert _contains((h0.lo, h0.hi), exact, exact)
     assert h0.converged and h0.width < 1e-13
-    slow = _h0_bnb(_maps_of(name), 1e-3, NormKind.LINF, 200_000)
+    slow = _h0_bnb(_maps_of(name), 1e-3, NormKind.LINF)
     assert slow.lo <= h0.hi and h0.lo <= slow.hi
 
 
@@ -456,5 +458,7 @@ def test_h0_closed_form_on_the_bench_maps(name, exact):
 @given(ifs=_product_2d())
 def test_h0_closed_form_meets_the_branch_and_bound(ifs):
     closed = homothetic_h0_upper(ifs, 1e-9, norm=NormKind.LINF)
-    slow = _h0_bnb(ifs, 1e-2, NormKind.LINF, 50_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "NODE_BUDGET", 50_000)
+        slow = _h0_bnb(ifs, 1e-2, NormKind.LINF)
     assert closed.lo <= slow.hi and slow.lo <= closed.hi

@@ -25,7 +25,6 @@ from thickgap.ballsystem import (
     from_ifs,
     newhouse_thickness,
     parse_set_spec,
-    parse_word,
     perturbed_image,
     similarity_image,
     translate,
@@ -288,8 +287,6 @@ def test_siblings_disjoint_probe():
 def test_word_string_roundtrip():
     assert word_str(()) == ""
     assert word_str((3, 0, 12)) == "3.0.12"
-    assert parse_word("3.0.12") == (3, 0, 12)
-    assert parse_word("") == ()
 
 
 def test_parse_set_spec_corner():
@@ -690,10 +687,8 @@ def _recursive_gap_tree(gl):
     """The depth-first construction from_gaps_1d makes, written recursively."""
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
     balls, children, split_gaps, leaf_ivs = {}, {}, {}, []
-    max_ratio = 0.0
 
     def build(word, a, b, inside):
-        nonlocal max_ratio
         if not b > a:
             raise ValueError("degenerate piece")
         balls[word] = Ball(((a + b) / 2,), (b - a) / 2)
@@ -705,13 +700,11 @@ def _recursive_gap_tree(gl):
         split_gaps[word] = gap
         lo, hi = gap
         children[word] = (word + (0,), word + (1,))
-        for piece in ((a, lo), (hi, b)):
-            max_ratio = max(max_ratio, (piece[1] - piece[0]) / (b - a))
         build(word + (0,), a, lo, [g for g in inside if g[1] <= lo])
         build(word + (1,), hi, b, [g for g in inside if g[0] >= hi])
 
     build((), gl.hull[0], gl.hull[1], order)
-    return balls, children, split_gaps, tuple(sorted(leaf_ivs)), max_ratio or None
+    return balls, children, split_gaps, tuple(sorted(leaf_ivs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -738,13 +731,12 @@ def test_gap_tree_matches_recursive_construction(data):
             from_gaps_1d(gl)
         return
     sys = from_gaps_1d(gl)
-    balls, children, split_gaps, leaf_ivs, decay = expected
+    balls, children, split_gaps, leaf_ivs = expected
     assert list(sys._balls.items()) == list(balls.items())
     # the node table is the adjacency: word + (j,) for j below the child count
     assert {w: tuple(w + (j,) for j in range(sys.child_count(w))) for w in balls} == children
     assert list(sys._split_gaps.items()) == list(split_gaps.items())
     assert sys.leaf_intervals() == leaf_ivs
-    assert sys.decay == decay
 
 
 # -- corner blocks built axis by axis -------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thickgap import cli
+from thickgap import cli, metrics
 from thickgap.ballsystem import (
     CornerFamilyParams,
     GapList1D,
@@ -146,14 +146,16 @@ def test_every_enclosure_is_converged_exactly_within_its_tolerance(case):
     sys = _build(base, image)
     root = sys.root
     x = tuple(c + root.radius * o for c, o in zip(root.center, offset))
-    _obeys(dist_to_set(x, sys, tol, node_budget=BUDGET), tol)
-    _obeys(hole_radius((), sys, tol, node_budget=BUDGET), tol)
-    report = thickness(sys, DEPTH, tol, node_budget=BUDGET)
-    _obeys(report.overall, tol)
-    assert report.converged == report.overall.converged
-    if base[0] == "ifs":
-        ifs = HomotheticIFS(base[2])
-        _obeys(homothetic_h0_upper(ifs, tol, norm=NormKind(base[1]), node_budget=BUDGET), tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "NODE_BUDGET", BUDGET)
+        _obeys(dist_to_set(x, sys, tol), tol)
+        _obeys(hole_radius((), sys, tol), tol)
+        report = thickness(sys, DEPTH, tol)
+        _obeys(report.overall, tol)
+        assert report.converged == report.overall.converged
+        if base[0] == "ifs":
+            ifs = HomotheticIFS(base[2])
+            _obeys(homothetic_h0_upper(ifs, tol, norm=NormKind(base[1])), tol)
     hypotheses = check_hypotheses(sys, sys, r, depth=DEPTH)
     _obeys(hypotheses.hyp_tau.lhs, 1e-3)
     assert hypotheses.all_proven == (set(hypotheses.statuses) == {"proven"})

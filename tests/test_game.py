@@ -228,7 +228,6 @@ class TestPacking:
         assert kappa(NormKind.LINF, 1) == 2
         assert kappa(NormKind.LINF, 2) == 4
         assert kappa(NormKind.LINF, 3) == 8
-        assert kappa(NormKind.L2, 2, configured=7) == 7
         with pytest.raises(ValueError):
             kappa(NormKind.L2, 2)
 
@@ -541,6 +540,10 @@ class TestPatterns:
             pattern_search_oracle(sys, pattern, 0.05, 0.01, 0.0)
         with pytest.raises(ValueError):
             pattern_search_oracle(sys, [], 0.05, 0.01, 1e-3)
+        # span / step is inf at the least subnormal step, nan at an infinite one
+        for step in (5e-324, math.inf):
+            with pytest.raises(ValueError, match="no finite point count"):
+                pattern_search_oracle(sys, pattern, 0.05, step, 1e-3)
 
 
 # -- pattern scan against the full descent -------------------------------------

@@ -487,6 +487,22 @@ def test_warm_locate_pops_like_full_expansion(data, n, d, kind, touching, where,
     _locate_against_reference(fast, ref, target, tol, hint)
 
 
+def test_warm_locate_exhausts_its_budget_like_full_expansion(monkeypatch):
+    # no node lies certifiably inside this target, so both searches run out
+    # of budget after skipping the hint's first two nodes; _locate must stop
+    # before the node that would pass the budget, as the full expansion does
+    monkeypatch.setattr(gaplemma, "_FIND_BUDGET", 1_000)
+    ref = _corner_image("chain", 2, 0.5, 3)
+    node = ref.ball((3, 0, 3, 0))
+    center = (node.center[0], node.center[1], node.center[2] + 0.2279 * 0.5 * node.radius)
+    target = Ball(center, 0.5 * node.radius)
+    fast = _corner_image("chain", 2, 0.5, 3)
+    skipped, _, _ = _locate_against_reference(fast, ref, target, 1.192092896e-07, (3, 0, 0))
+    assert skipped == 2
+    with pytest.raises(RuntimeError, match="no node ball certifiably inside"):
+        gaplemma._locate(_corner_image("chain", 2, 0.5, 3), target, 1.192092896e-07, (3, 0, 0))
+
+
 def test_warm_locate_stops_where_a_neighbour_meets_the_target():
     # n = 5: the float children of ell = nextafter(2/5, 0) touch, so the
     # neighbours of a child meet a target that fills it; the walk stops at

@@ -32,10 +32,11 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
+from thickgap import metrics
 from thickgap.gaplemma import _locate
 from thickgap.metrics import (
     _MAX_RECORDS,
-    DEFAULT_NODE_BUDGET,
+    NODE_BUDGET,
     DensenessReport,
     ThicknessReport,
     _corner1d_dist_batch,
@@ -115,11 +116,13 @@ def test_dist_translated_corner_exact_path():
     assert enc.mid == pytest.approx(1 / 15, abs=1e-12)
 
 
-def test_dist_monotone_in_budget():
+def test_dist_monotone_in_budget(monkeypatch):
     sys = middle_thirds_ifs()
     x = (0.123,)
-    small = dist_to_set(x, sys, 1e-9, node_budget=12)
-    large = dist_to_set(x, sys, 1e-9, node_budget=5000)
+    monkeypatch.setattr(metrics, "NODE_BUDGET", 12)
+    small = dist_to_set(x, sys, 1e-9)
+    monkeypatch.setattr(metrics, "NODE_BUDGET", 5000)
+    large = dist_to_set(x, sys, 1e-9)
     assert small.lo <= large.lo + 1e-15
     assert small.hi >= large.hi - 1e-15
     assert large.width <= small.width + 1e-15
@@ -215,11 +218,12 @@ def test_hole_middle_thirds_root():
     assert enc.width <= 0.01
 
 
-def test_hole_single_map_chain():
+def test_hole_single_map_chain(monkeypatch):
     # one nested map: the generated set is the single fixed point, so the
     # root hole radius equals the root radius
     sys = from_ifs(HomotheticIFS(((0.99, (0.0,)),)), NormKind.LINF)
-    enc = hole_radius((), sys, 0.05, node_budget=300_000)
+    monkeypatch.setattr(metrics, "NODE_BUDGET", 300_000)
+    enc = hole_radius((), sys, 0.05)
     assert enc.contains(1.0)
 
 
@@ -524,6 +528,18 @@ def test_denseness_grid_refutes_from_the_most_interior_grid_ball():
     assert rep.witness == Ball((0.0, 0.0), 0.2)
 
 
+def test_denseness_grid_too_fine_to_count_is_unknown():
+    # 0.8 / 1e-320 overflows to inf: the grid is refused before it is sized
+    maps = tuple((0.3, (a, b)) for a in (-0.45, 0.45) for b in (-0.45, 0.45))
+    sys = from_ifs(HomotheticIFS(maps), NormKind.L2)
+    rep = denseness_check(sys, 0.2, 1e-320, 2)
+    want = DensenessReport(0.2, "unknown", None, 1e-320, "grid", "grid too large at this step")
+    assert repr(rep) == repr(want)
+    # a childless root has no ball to refute and needs no grid at all
+    lone = explicit_tree(NormKind.L2, 2, [((), Ball((0.0, 0.0), 1.0))])
+    assert denseness_check(lone, 0.2, 1e-320, 2).verdict == "proven"
+
+
 def test_denseness_grid_stops_counting_at_its_node_cap():
     # 36 children per node: depth 3 holds 1 + 36 + 1,296 + 46,656 internal
     # nodes, and the count stops at the 5,001st, about 140 depth-2 nodes in
@@ -716,18 +732,21 @@ def test_dist_bnb_matches_reference_at_every_budget(made, data):
     # dist_to_set through the product mode; the search is called directly,
     # so every drawn system still tests it
     assert _oracle(sys).mode in ("bnb", "product")
-    for budget in [*range(41), DEFAULT_NODE_BUDGET]:
-        want = _reference_dist_bnb(ref_sys, x, tol, budget)
-        got = _dist_bnb(sys, x, tol, budget)
-        assert repr(got) == repr(want), budget
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in [*range(41), NODE_BUDGET]:
+            want = _reference_dist_bnb(ref_sys, x, tol, budget)
+            mp.setattr(metrics, "NODE_BUDGET", budget)
+            got = _dist_bnb(sys, x, tol)
+            assert repr(got) == repr(want), budget
     # a system whose blocks the reference already built answers alike
-    assert repr(_dist_bnb(ref_sys, x, tol, DEFAULT_NODE_BUDGET)) == repr(want)
+    assert repr(_dist_bnb(ref_sys, x, tol)) == repr(want)
 
 
 def _reference_hole_bnb(sys, word, tol, node_budget):
     """The hole search as a self-contained max-heap loop over (lo, hi)
     boxes, ties going to the smallest box corner: the reference that
-    _hole_bnb on metrics._box_max must match bit for bit."""
+    _hole_bnb on metrics._box_max must match bit for bit. Its distance
+    searches read the cap from metrics.NODE_BUDGET, as _hole_bnb's do."""
     from thickgap.metrics import _clamp_into_ball, _split_box
     from thickgap.geometry import vector_size
 
@@ -743,7 +762,7 @@ def _reference_hole_bnb(sys, word, tol, node_budget):
             if norm_distance(nearest, region.center, norm) > region.radius:
                 return None
             q = _clamp_into_ball(q, region, norm)
-        f = oracle.enclosure(q, ftol, node_budget)
+        f = oracle.enclosure(q, ftol)
         reach = vector_size([max(abs(h - c), abs(c - l)) for l, h, c in zip(lo, hi, q)], norm)
         return f.lo, f.hi + reach, f.converged
 
@@ -781,10 +800,12 @@ def _reference_hole_bnb(sys, word, tol, node_budget):
 def test_hole_bnb_matches_reference_at_small_budgets(made, tol, budgets):
     make, _, _ = made
     ref_sys, sys = make(), make()
-    for budget in budgets:
-        want = _reference_hole_bnb(ref_sys, (), tol, budget)
-        got = _hole_bnb(sys, (), tol, budget)
-        assert repr(got) == repr(want), budget
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in budgets:
+            mp.setattr(metrics, "NODE_BUDGET", budget)
+            want = _reference_hole_bnb(ref_sys, (), tol, budget)
+            got = _hole_bnb(sys, (), tol)
+            assert repr(got) == repr(want), budget
 
 
 def test_dist_bnb_builds_no_balls(monkeypatch):
@@ -873,7 +894,7 @@ def _reference_thickness_finite(sys, depth, tol):
     1-D trees exact over the whole tree, every other dimension through
     _reference_thickness_generic at the default budget."""
     if sys.dimension != 1:
-        return _reference_thickness_generic(sys, depth, tol, DEFAULT_NODE_BUDGET)
+        return _reference_thickness_generic(sys, depth, tol)
     records = []
     best = None
     deeper_internal = False
@@ -899,7 +920,7 @@ def _reference_thickness_finite(sys, depth, tol):
     )
 
 
-def _reference_thickness_generic(sys, depth, tol, node_budget):
+def _reference_thickness_generic(sys, depth, tol):
     """The searched per-node loop as it was, with its 800-node cap."""
     records = []
     best = None
@@ -914,7 +935,7 @@ def _reference_thickness_generic(sys, depth, tol, node_budget):
             truncated = True
             break
         examined += 1
-        h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, node_budget)
+        h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius)
         converged = converged and h.converged
         rec = _record(word, min(k.radius for k in kids), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
@@ -1004,9 +1025,7 @@ def _reference_battery():
             ),
             2,
             1e-3,
-            lambda sys, depth, tol: _reference_thickness_generic(
-                sys, depth, tol, DEFAULT_NODE_BUDGET
-            ),
+            _reference_thickness_generic,
         ),
     ]
     return cases
@@ -1023,11 +1042,13 @@ def test_thickness_matches_the_separate_loops(make, depth, tol, reference):
 
 def test_thickness_budget_reaches_finite_trees_in_2d():
     tree = _corner_tree_2d()
-    rep = thickness(tree, 2, 1e-6, node_budget=5)
-    root = rep.per_node[0]
-    assert root.word == () and root.h.converged is False
-    assert rep.converged is False
-    assert repr(root.h) == repr(_hole_bnb(_corner_tree_2d(), (), 1e-6, 5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "NODE_BUDGET", 5)
+        rep = thickness(tree, 2, 1e-6)
+        root = rep.per_node[0]
+        assert root.word == () and root.h.converged is False
+        assert rep.converged is False
+        assert repr(root.h) == repr(_hole_bnb(_corner_tree_2d(), (), 1e-6))
     # the separate loop searched at the default budget whatever was asked
     old = _reference_thickness_finite(_corner_tree_2d(), 2, 1e-6)
     assert old.converged is True and (old.overall.lo, old.overall.hi) == (2.0, 2.0)

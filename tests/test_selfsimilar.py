@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickgap import selfsimilar
+from thickgap import metrics, selfsimilar
 from thickgap.ballsystem import CornerFamilyParams, HomotheticIFS, corner_family
 from thickgap.geometry import IntervalBound, NormKind, norm_distance
 from thickgap.metrics import _dense1d_corner_decide, denseness_check, thickness
@@ -188,11 +188,12 @@ def _bench_ifs(name: str) -> HomotheticIFS:
 def test_h0_sizes_match_the_distance_form(name, norm, tol, monkeypatch):
     # sizes were distances from the origin; L2 then squared by ** 2, not x * x
     ifs = _bench_ifs(name)
-    got = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=5000)
+    monkeypatch.setattr(metrics, "NODE_BUDGET", 5000)
+    got = homothetic_h0_upper(ifs, tol, norm=norm)
     monkeypatch.setattr(
         selfsimilar, "vector_size", lambda v, nk: norm_distance(v, (0.0,) * len(v), nk)
     )
-    want = homothetic_h0_upper(ifs, tol, norm=norm, node_budget=5000)
+    want = homothetic_h0_upper(ifs, tol, norm=norm)
     assert repr(got) == repr(want)
 
 
@@ -276,7 +277,9 @@ def _h0_ifs(draw):
     node_budget=st.integers(0, 200),
 )
 def test_h0_bnb_matches_reference(ifs, norm, tol, node_budget):
-    got = selfsimilar._h0_bnb(ifs, tol, norm, node_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "NODE_BUDGET", node_budget)
+        got = selfsimilar._h0_bnb(ifs, tol, norm)
     assert repr(got) == repr(_reference_h0_bnb(ifs, tol, norm, node_budget))
 
 
