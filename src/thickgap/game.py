@@ -883,25 +883,26 @@ def _cover_upper_dist(
     return np.maximum(out, 0.0, out=out)
 
 
-def _corner_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.ndarray:
-    """Upper max-norm distance to a corner product via per-axis descent, one
-    axis of sys.axis_factors() at a time.
+def _axis_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.ndarray:
+    """Upper distance to an axis product whose factors each have one ratio:
+    per axis by the batch descent, the axes combined in the system's norm.
 
     Each axis stops descending where all its remaining values are at most
-    tol / 2 (see _corner1d_dist_batch). A value may then differ from the
-    full descent's only while both are at most tol, so every comparison
-    against tol comes out as the full descent's.
+    tol / 2 (in the axis's own units, stop = tol / 2 / scale): a point
+    still inside a child hull of width w <= tol / 2 is at most w / 2 from
+    the set, whose hull ends it lies between, so the stopped value and the
+    full descent's are both at most tol / 2, and the factor 1/2 absorbs
+    the rounding of the stop and of the rescaling. In Linf the norm is the
+    largest axis value, so every comparison against tol comes out as the
+    full descent's; in L2 and L1 a stopped value can only raise the bound.
     """
     import numpy as np
 
-    corner = sys.corner_grid.params
-    worst = np.zeros(len(queries))
+    parts = np.empty_like(queries)
     for i, f in enumerate(sys.axis_factors()):
         rel = (queries[:, i] - f.offset) / f.scale
-        stop = 0.5 * tol / abs(f.scale)
-        _, hi = _corner1d_dist_batch(rel, corner.n, corner.ell, stop=stop)
-        np.maximum(worst, hi * abs(f.scale), out=worst)
-    return worst
+        parts[:, i] = _corner1d_dist_batch(rel, f, 0.5 * tol / f.scale) * f.scale
+    return row_norms(parts, sys.norm)
 
 
 _GRID_CAP = 8_000_000
@@ -919,12 +920,13 @@ def pattern_search_oracle(
     A grid point x is accepted only when, for every pattern point b, the
     certified distance from x + lam * b to the set is at most tol, so a
     witness never depends on sampling luck and an empty list is a valid
-    result. Corner products are measured by exact per-axis descent, which
-    stops once the distances still open are certified below tol / 2;
-    other systems use a node cover refined to radius tol / 8, whose
-    childless nodes count as solid balls. Any point of the set realizing
-    the pattern has a grid point within half a step of it, which certifies
-    whenever grid_step / 2 plus the cover fuzz stays at most tol.
+    result. Axis products of one ratio per axis are measured by exact
+    per-axis descent, which stops once the distances still open are
+    certified below tol / 2; other systems use a node cover refined to
+    radius tol / 8, whose childless nodes count as solid balls. Any point
+    of the set realizing the pattern has a grid point within half a step
+    of it, which certifies whenever grid_step / 2 plus the cover fuzz
+    stays at most tol.
 
     Witnesses are tuples of Python floats, in grid order: the first axis
     varies slowest. A grid of more than _GRID_CAP points, or of no finite
@@ -955,16 +957,17 @@ def pattern_search_oracle(
         raise ValueError(
             f"pattern grid of {total:,} points exceeds the cap of {_GRID_CAP:,}; coarsen grid_step"
         )
-    if sys.corner_grid is None:
+    factors = sys.axis_factors()
+    if factors is not None and all(min(f.lams) == f.lam_max for f in factors):
+
+        def upper(q: np.ndarray) -> np.ndarray:
+            return _axis_upper_dist(q, sys, tol)
+
+    else:
         centers, radii, solid = _leaf_cover(sys, tol / 8.0, _COVER_NODES)
 
         def upper(q: np.ndarray) -> np.ndarray:
             return _cover_upper_dist(q, centers, radii, sys.norm, solid)
-
-    else:
-
-        def upper(q: np.ndarray) -> np.ndarray:
-            return _corner_upper_dist(q, sys, tol)
 
     grid_axes = [np.arange(lo, hi, grid_step) for lo, hi in spans]
     mesh = np.meshgrid(*grid_axes, indexing="ij")

@@ -83,86 +83,6 @@ class DensenessReport:
     detail: str = ""
 
 
-# -- 1-D corner-axis distances for the pattern scan ---------------------------
-
-
-def _corner1d_dist_batch(
-    ys: np.ndarray, n: int, ell: float, max_levels: int = 60, stop: float = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Distance enclosures from the points ys to the canonical 1-D corner
-    set in [-1, 1]; returns (lo, hi) arrays.
-
-    Descends through cells: gap and exterior points resolve exactly, because
-    cell corners belong to the set; points still inside cells after
-    max_levels levels get the enclosure [0, 2 * remaining scale]. All
-    points still descending share one scale, half**k after k levels.
-    The descent also ends, after at least one level, once 2 * scale <= stop,
-    and the points still inside cells then get [0, 2 * scale], as at
-    max_levels. A caller comparing hi against a tolerance t keeps the full
-    descent's verdict with stop = t / 2 (in the same units): a point still
-    inside a level-k cell (k >= 1) lies in a copy of [-1, 1] scaled by
-    half**k, whose points are at most g/2 * half**k < 2 * half**k from the
-    set (g = step - ell < 2 is the gap), so both the stopped value and the
-    value a deeper exit would give are at most t / 2 and neither exceeds t;
-    the factor 1/2 absorbs the rounding of t / 2 and of the product. The
-    first level is never skipped: level-0 points can lie outside the root,
-    where 2 * scale bounds nothing. The default stop = 0 descends all
-    max_levels levels (a scale that underflows to 0 gives 0 either way).
-    """
-    import numpy as np
-
-    half = ell / 2
-    step = ell + corner_gap(n, ell)
-    first = -1 + half  # the center of cell 0
-    top = n - 1
-    ya = np.array(ys, dtype=float).ravel()
-    lo = np.zeros_like(ya)
-    hi = np.zeros_like(ya)
-    idx = np.arange(ya.size)  # the points still descending, and their y in ya
-    scale = 1.0
-    for level in range(max_levels):
-        if not idx.size or (level and 2 * scale <= stop):
-            break
-        # the nearer of the centers of cells t and t + 1, clipped to the n
-        # cells, t the cell at or left of y; in place, in the same operations
-        # as the out-of-place formulas, so bit for bit their values
-        m0 = np.subtract(ya, first)
-        m0 /= step
-        np.floor(m0, out=m0)
-        m = m0 + 1
-        np.clip(m0, 0, top, out=m0)
-        np.clip(m, 0, top, out=m)
-        m0 *= step
-        m0 += first
-        m *= step
-        m += first
-        d0 = np.subtract(ya, m0)
-        np.abs(d0, out=d0)
-        dmin = np.subtract(ya, m)
-        np.abs(dmin, out=dmin)
-        use0 = d0 <= dmin
-        np.copyto(m, m0, where=use0)
-        np.copyto(dmin, d0, where=use0)
-        in_cell = dmin <= half
-        if not in_cell.all():
-            out = ~in_cell
-            val = dmin[out]
-            val -= half
-            np.maximum(val, 0.0, out=val)
-            val *= scale
-            lo[idx[out]] = val
-            hi[idx[out]] = val
-            idx = idx[in_cell]
-            ya = ya[in_cell]
-            m = m[in_cell]
-        ya -= m
-        ya /= half
-        scale *= half
-    hi[idx] = 2 * scale
-    shape = np.asarray(ys, dtype=float).shape
-    return lo.reshape(shape), hi.reshape(shape)
-
-
 # -- exact 1-D descent on an axis factor ----------------------------------------
 
 
@@ -193,6 +113,50 @@ def _axis1d_dist(f: AxisFactor, y: float, tol: float) -> Tuple[float, float]:
         right = starts[k + 1] - y if k < last else math.inf
         out = scale * min(left, right)
         return out, out
+
+
+def _corner1d_dist_batch(ys: np.ndarray, f: AxisFactor, stop: float = 0.0) -> np.ndarray:
+    """_axis1d_dist(f, y, stop)[1] at every y of ys, bit for bit, for a
+    factor whose maps share one ratio; an array of ys's shape.
+
+    The same float operations on arrays: np.searchsorted(..., side="right")
+    in place of bisect, the same hull test, exit value and rescaling. With
+    one ratio every point still descending shares one scale, so the stop
+    test scale * width <= stop ends the descent for all of them at once.
+    The name, from the corner families it first served, stays while the
+    bench tracer wraps this function by name and counts its points from
+    ys (ROADMAP item 1 gives the tracer its own names).
+    """
+    import numpy as np
+
+    lam = f.lam_max
+    if min(f.lams) != lam:
+        raise ValueError("the batch descent needs one ratio for all maps")
+    starts, ends, ts = np.array(f.starts), np.array(f.ends), np.array(f.ts)
+    width = f.b - f.a
+    last = len(starts) - 1
+    y = np.array(ys, dtype=float).ravel()
+    out = np.empty_like(y)
+    idx = np.arange(y.size)  # the points still descending, and their place in out
+    scale = 1.0
+    while idx.size:
+        k = np.searchsorted(starts, y, side="right") - 1
+        inside = (k >= 0) & (y <= ends[k])
+        if not inside.all():
+            done = ~inside
+            yd, kd = y[done], k[done]
+            left = np.where(kd >= 0, yd - ends[kd], np.inf)
+            right = np.where(kd < last, starts[np.minimum(kd + 1, last)] - yd, np.inf)
+            out[idx[done]] = scale * np.where(right < left, right, left)  # min(left, right)
+            y, k, idx = y[inside], k[inside], idx[inside]
+            if not idx.size:
+                break
+        scale *= lam
+        if scale * width <= stop:
+            out[idx] = scale * width
+            break
+        y = (y - ts[k]) / lam
+    return out.reshape(np.shape(ys))
 
 
 def _axis1d_hole(f: AxisFactor, p: float, q: float, tol: float) -> Tuple[float, float]:
@@ -343,9 +307,10 @@ class _DistOracle:
         self.sys = weakref.proxy(sys)
         self.factors = sys.axis_factors()
         self.hole_forms = [] if self.factors is None else [_node_hole_form(f) for f in self.factors]
+        # dispatch reads which field is set; mode only labels it for the tracer
         self.mode = "bnb"
         self.leaves: Optional[_Leaves1D] = None
-        self.leaf_balls: List[Ball] = []
+        self.leaf_balls: Optional[List[Ball]] = None
         if self.factors is not None:
             self.mode = "product"
         elif sys.is_finite and sys.dimension == 1:
@@ -359,7 +324,7 @@ class _DistOracle:
             ]
 
     def enclosure(self, x: Point, tol: float) -> IntervalBound:
-        if self.mode == "product":
+        if self.factors is not None:
             # C is the product of the factors' sets, so dist(x, C) is the
             # norm of the d per-axis distances; tol / d per axis keeps the
             # width within tol in every norm
@@ -372,10 +337,10 @@ class _DistOracle:
                 # a sum or a square root is off by at most 2u relatively
                 lo, hi = lo * (1 - 2**-50), hi * (1 + 2**-50)
             return IntervalBound(lo, hi, tol)
-        if self.mode == "finite1d":
+        if self.leaves is not None:
             v = _finite1d_dist(self.leaves.starts, self.leaves.ends, x[0])
             return IntervalBound(v, v, tol)
-        if self.mode == "finite":
+        if self.leaf_balls is not None:
             v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
             return IntervalBound(v, v, tol)
         return _dist_bnb(self.sys, x, tol)
@@ -593,7 +558,7 @@ def _exact_hole(
     oracle = _oracle(sys)
     if ball is None:
         ball = sys.ball(word)
-    if oracle.mode == "product" and (sys.norm is NormKind.LINF or sys.dimension == 1):
+    if oracle.factors is not None and (sys.norm is NormKind.LINF or sys.dimension == 1):
         R, k = ball.radius, len(word)
         lo = hi = 0.0
         for (half, top, unit, const), f, c in zip(oracle.hole_forms, oracle.factors, ball.center):
@@ -605,7 +570,7 @@ def _exact_hole(
             # both enclose the hole: keep what each bounds best
             parts = [_axis_hole(f, c - R, c + R, tol) for f, c in zip(oracle.factors, ball.center)]
             lo, hi = max(lo, max(p[0] for p in parts)), min(hi, max(p[1] for p in parts))
-    elif oracle.mode == "finite1d":
+    elif oracle.leaves is not None:
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
         v = _finite1d_hole(oracle.leaves, a, b)
         pad = 1e-12 * max(1.0, v)  # absorbs last-ulp disagreement between equivalent formulas

@@ -8,7 +8,6 @@ import heapq
 import math
 import random
 import weakref
-from typing import Tuple
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from thickgap.ballsystem import (
     HomotheticIFS,
     NormKind,
     corner_family,
-    corner_gap,
     explicit_tree,
     from_gaps_1d,
     from_ifs,
@@ -39,6 +37,7 @@ from thickgap.metrics import (
     NODE_BUDGET,
     DensenessReport,
     ThicknessReport,
+    _axis1d_dist,
     _corner1d_dist_batch,
     _dense_grid,
     _dist_bnb,
@@ -156,43 +155,48 @@ def test_dist_soundness_against_point_cloud():
         assert enc.hi >= cloud - 2 * cell8 - 1e-12
 
 
-def _corner1d_dist(y: float, n: int, ell: float, max_levels: int = 80) -> Tuple[float, float]:
-    """Distance enclosure from y to the canonical 1-D corner set in [-1, 1].
-
-    Descends through cells; gap and exterior points resolve exactly because
-    cell corners belong to the set. Points that stay inside cells for
-    max_levels levels get the enclosure [0, 2*remaining scale].
-    """
-    half = ell / 2
-    step = ell + corner_gap(n, ell)
-    scale = 1.0
-    for _ in range(max_levels):
-        t = math.floor((y - (-1 + half)) / step)
-        best_d = math.inf
-        best_m = 0.0
-        for k in (t, t + 1):
-            k = min(n - 1, max(0, k))
-            m = -1 + half + k * step
-            d = abs(y - m)
-            if d < best_d:
-                best_d, best_m = d, m
-        if best_d <= half:
-            y = (y - best_m) / half
-            scale *= half
-            continue
-        out = scale * (best_d - half)
-        return out, out
-    return 0.0, 2 * scale
+@st.composite
+def _one_ratio_factors(draw):
+    """A corner axis's factor or a 1-D IFS factor whose maps share one ratio."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 10))
+        ell = draw(st.floats(1e-7, 0.999)) * 2 / n
+        return corner_family(CornerFamilyParams(n, ell, 1)).axis_factors()[0]
+    lam = draw(st.floats(1e-3, 0.6))
+    ts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5, unique=True))
+    factors = HomotheticIFS(tuple((lam, (t,)) for t in ts)).axis_factors()
+    assume(factors is not None)
+    return factors[0]
 
 
-def test_corner1d_batch_matches_scalar():
-    n, ell = 4, 0.4
-    xs = np.linspace(-1.4, 1.4, 257)
-    blo, bhi = _corner1d_dist_batch(xs, n, ell)
-    for x, l, h in zip(xs, blo, bhi):
-        sl, sh = _corner1d_dist(float(x), n, ell)
-        assert l == pytest.approx(sl, abs=1e-15)
-        assert h == pytest.approx(sh, abs=1e-14)
+@settings(max_examples=100, deadline=None)
+@given(factor=_one_ratio_factors(), seed=st.integers(0, 2**32 - 1), mid=st.floats(-12.0, -1.0))
+def test_corner1d_batch_matches_scalar(factor, seed, mid):
+    f = factor
+    rng = np.random.default_rng(seed)
+    width = f.b - f.a
+    # points of K too, where only the stop or an underflowed scale ends the descent
+    deep = np.zeros(20)
+    s = 1.0
+    for _ in range(8):
+        deep += s * np.array(f.ts)[rng.integers(0, len(f.ts), 20)]
+        s *= f.lam_max
+    ys = np.concatenate(
+        [
+            rng.uniform(f.a - 0.5 * width - 1, f.b + 0.5 * width + 1, 200),
+            deep + s * rng.choice([f.a, f.b], 20),
+            f.starts,
+            f.ends,
+            [f.a, f.b, 0.0, -0.0, np.inf, -np.inf, np.nan],
+        ]
+    ).reshape(-1, 1)
+    # a stop of 0, the least positive one, one that fires mid-descent, and
+    # ones at or above the width, which fire on the first level inside a hull
+    for stop in (0.0, 5e-324, 10.0**mid * width, 1.0, 1.0 + width):
+        got = _corner1d_dist_batch(ys, f, stop)
+        want = np.array([[_axis1d_dist(f, y, stop)[1]] for y in ys.ravel().tolist()])
+        assert got.shape == ys.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # -- hole_radius ----------------------------------------------------------------
