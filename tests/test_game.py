@@ -739,6 +739,45 @@ class TestPatternDescentStop:
                 _reference_scan(sys, pts, lam, step, tol, upper)
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        ell_frac=st.floats(1e-7, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_default_stop_is_the_full_descent_bit_for_bit(self, n, ell_frac, seed):
+        ell = ell_frac * 2 / n
+        (f,) = corner_family(CornerFamilyParams(n, ell, 1)).axis_factors()
+        rng = np.random.default_rng(seed)
+        ys = np.concatenate(
+            [
+                rng.uniform(f.a, f.b, 200),
+                rng.uniform(-5.0, 5.0, 50),
+                np.array(f.ts)[rng.integers(0, len(f.ts), 20)],
+                [f.a, f.b, 0.0, -0.0, np.inf, -np.inf, np.nan],
+            ]
+        ).reshape(-1, 1)
+        # the full descent: a stop of 0 fires only where the scale underflows
+        want = np.array([[_axis1d_dist(f, y, 0.0)[1]] for y in ys.ravel().tolist()])
+        for kwargs in ({}, {"stop": 0.0}):
+            got = _corner1d_dist_batch(ys, f, **kwargs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_descent_stops_at_the_tolerance(self):
+        # ell = 0.19: six levels reach 2 * 0.095**6 < 5e-6, five do not
+        (f,) = corner_family(CornerFamilyParams(10, 0.19, 1)).axis_factors()
+        ys = np.linspace(-1.0, 1.0, 1001)
+        hi = _corner1d_dist_batch(ys, f, stop=5e-6)
+        full = _corner1d_dist_batch(ys, f)
+        scale = 1.0
+        for _ in range(6):
+            scale *= f.lam_max
+        stopped = hi != full
+        assert stopped.any()
+        assert np.all(hi[stopped] == scale * (f.b - f.a))
+        assert np.all(full[stopped] < hi[stopped])
+
 
 _PATTERN_IFS = HomotheticIFS(((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6))))
 
