@@ -465,7 +465,6 @@ class BallSystem:
             if isinstance(core.generator, CornerFamilyParams):
                 self.corner_grid = CornerGrid(core.generator, core.root, maps[::-1])
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
-        self._split_gaps: Optional[Dict[Word, Tuple[float, float]]] = None
 
     # -- tree access -------------------------------------------------------
 
@@ -654,12 +653,6 @@ class BallSystem:
         self._leaf_intervals = tuple(merged)
         return self._leaf_intervals
 
-    def split_gap(self, word: Word) -> Optional[Tuple[float, float]]:
-        """The gap a finite 1-D node splits at, None for leaves."""
-        if self._split_gaps is None:
-            raise ValueError("split gaps exist only for gap-derived systems")
-        return self._split_gaps.get(word)
-
     # -- expansion ----------------------------------------------------------
 
     def _make_children(self, word: Word) -> Block:
@@ -805,7 +798,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
 
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
     balls: Dict[Word, Ball] = {}
-    split_gaps: Dict[Word, Tuple[float, float]] = {}
     leaf_ivs: List[Tuple[float, float]] = []
 
     # preorder with an explicit stack, left piece first: nesting depth is
@@ -819,9 +811,7 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         if not inside:
             leaf_ivs.append((a, b))
             continue
-        gap = inside[0]
-        split_gaps[word] = gap
-        lo, hi = gap
+        lo, hi = inside[0]
         left = [g for g in inside if g[1] <= lo]
         right = [g for g in inside if g[0] >= hi]
         if len(left) + len(right) != len(inside) - 1:
@@ -832,7 +822,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     sys = BallSystem(norm=norm, dimension=1, root=balls[ROOT], generator=gl)
     sys._balls.update(balls)
     sys._finite = True
-    sys._split_gaps = split_gaps
     sys._leaf_intervals = tuple(sorted(leaf_ivs))
     return sys
 

@@ -39,8 +39,6 @@ from .ballsystem import (
     BallSystem,
     Perturbed,
     Word,
-    corner_dense_radius,
-    corner_gap,
 )
 
 _MAX_RECORDS = 64
@@ -780,26 +778,6 @@ _MAX_DENSE_NODES = 5000  # internal nodes a node-by-node verdict visits
 _MAX_BOX_CELLS = 2_000_000  # cells a box coverage decision may have
 
 
-def _dense1d_corner_decide(n: int, ell: float, r: float) -> Tuple[bool, float]:
-    """Exact 1-D decision: every closed sub-ball of relative radius r swallows
-    a child cell iff r >= ell + g/2. Returns (proven, witness center) with the
-    witness in canonical [-1, 1] coordinates when refuted.
-
-    The worst feasible centers are midpoints of adjacent cell centers (local
-    maxima of the distance-to-nearest-center profile, all of height
-    (ell+g)/2), so the condition collapses to the closed threshold.
-    """
-    if r >= corner_dense_radius(n, ell):
-        return True, 0.0
-    if r < ell / 2:
-        # no cell fits in the ball at all; any center works as a witness
-        return False, 0.0
-    # nearest midpoint of adjacent cell centers to the origin; for odd n it
-    # stays feasible because r < ell + g/2 <= 1 - (ell+g)/2 for n >= 3
-    witness = 0.0 if n % 2 == 0 else (ell + corner_gap(n, ell)) / 2
-    return False, witness
-
-
 def _verify_refutation(
     sys: BallSystem, word: Word, center: Point, r: float, grid_step: float, method: str, fail: str
 ) -> DensenessReport:
@@ -833,12 +811,11 @@ def denseness_check(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
     """Sound three-way verdict on: every ball B inside a node with
     rad(B) >= r * rad(node) contains a child of that node.
 
-    Three routes, named by the report's method: "corner-exact", the closed
-    form for corner families and their similarity images; "box-exact",
-    exact box coverage (_dense_box) for every other Linf system and every
-    1-D system; "grid", a margin grid (_dense_grid) for L2 and L1 in
-    dimension 2 or more, which leaves unknown what it cannot decide. Every
-    witness ball of a refutation passes _verify_refutation.
+    Two routes, named by the report's method: "box-exact", exact box
+    coverage (_dense_box) for every Linf system and every 1-D system;
+    "grid", a margin grid (_dense_grid) for L2 and L1 in dimension 2 or
+    more, which leaves unknown what it cannot decide. Every witness ball of
+    a refutation passes _verify_refutation.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
@@ -846,18 +823,9 @@ def denseness_check(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
         raise ValueError("grid_step must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    grid = sys.corner_grid
-    if grid is None:
-        if sys.norm is NormKind.LINF or sys.dimension == 1:
-            return _dense_box(sys, r, grid_step, depth)
-        return _dense_grid(sys, r, grid_step, depth)
-    proven, witness_c = _dense1d_corner_decide(grid.params.n, grid.params.ell, r)
-    if proven:
-        return DensenessReport(r, "proven", None, grid_step, "corner-exact")
-    center = [c + sys.root.radius * witness_c for c in sys.root.center]
-    # the exact decision and the witness check disagree only on float edges
-    failed = "witness verification failed"
-    return _verify_refutation(sys, ROOT, center, r, grid_step, "corner-exact", failed)
+    if sys.norm is NormKind.LINF or sys.dimension == 1:
+        return _dense_box(sys, r, grid_step, depth)
+    return _dense_grid(sys, r, grid_step, depth)
 
 
 def _dense_nodes(sys: BallSystem, depth: int) -> Optional[List[Tuple[Word, Ball]]]:
@@ -902,6 +870,38 @@ def _uncovered_box(lo: Sequence, hi: Sequence, windows) -> Optional[Tuple]:
     return tuple((xs[j] + xs[j + 1]) / 2 for xs, j in zip(axes, cell))
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_gap(ts: Tuple[float, ...], lams: Tuple[float, ...], r: float) -> Optional[float]:
+    """The midpoint of the widest stretch of [-1 + r, 1 - r] left uncovered
+    by the windows [t - (r - lam), t + (r - lam)] of the maps y -> lam * y
+    + t with lam <= r, or None when they cover all of it.
+
+    Every end is a sum of at most three floats and is kept as those floats.
+    diff rounds the exact difference of two such sums once, in one
+    math.fsum, so its sign is exact and ends compare exactly. The sweep
+    takes the windows by exact left end, which rises with t when the maps
+    share one ratio. The widest stretch gives the witness the most room: a
+    midpoint of a stretch one ulp wide may round onto a window.
+    """
+    fsum = math.fsum
+
+    def diff(p: tuple, q: tuple) -> float:
+        return fsum(p + tuple(-x for x in q))
+
+    wins = [((t, -r, lam), (t, r, -lam)) for t, lam in zip(ts, lams) if lam <= r]
+    if min(lams) != max(lams):
+        wins.sort(key=functools.cmp_to_key(lambda u, v: diff(u[0], v[0])))
+    end = (1.0, -r)
+    reach, widest, mid = (-1.0, r), 0.0, None
+    for lo, hi in wins + [(end, end)]:
+        lo = end if diff(lo, end) > 0 else lo
+        width = diff(lo, reach)  # > 0 when no window meets the stretch from reach to lo
+        if width > widest:
+            widest, mid = width, fsum(lo + reach) / 2
+        reach = hi if diff(hi, reach) > 0 else reach
+    return mid
+
+
 def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
     """Exact verdict for Linf and 1-D systems. A ball of radius rho = r * R
     about x in a node of radius R about c holds the child (c_k, r_k) exactly
@@ -909,8 +909,13 @@ def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dense
     these windows cover the feasible centers, |x_i - c_i| <= R - rho.
     Homothetic systems and their similarity images are decided at the root
     of their similarity core, whose layout every node repeats up to a
-    similarity (an axis product axis by axis, as its windows are every
-    combination of per-axis ones); other systems node by node to depth."""
+    similarity; other systems node by node to depth, in exact rationals.
+    An axis product's windows are every combination of per-axis ones, so
+    _axis_gap decides it axis by axis from its factors: the generated cores
+    root at B(0, 1), so each child's coordinate on an axis and its radius
+    are its factor's t and lam bit for bit (0.0 + 1.0 * t and 1.0 * lam),
+    and rho = r. A refutation's witness takes _axis_gap's midpoint on the
+    first uncovered axis and the core's center on the others."""
     from fractions import Fraction
 
     unknown = functools.partial(DensenessReport, r, "unknown", None, grid_step, "box-exact")
@@ -921,28 +926,31 @@ def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dense
         core, maps, nodes = sys, (), _dense_nodes(sys, depth)
         if nodes is None:
             return unknown("node budget exceeded")
-    d = sys.dimension
-    groups = [(i,) for i in range(d)] if core.axis_factors() else [tuple(range(d))]
+    d, factors = sys.dimension, core.axis_factors()
     for word, ball in nodes:
-        c, R = [Fraction(x) for x in ball.center], Fraction(ball.radius)
-        rho = Fraction(r) * R
-        block = zip(*core.child_block(word))
-        kids = [([Fraction(x) for x in k], rho - Fraction(kr)) for k, kr in block if kr <= rho]
-        for axes in groups:
-            windows = {tuple(zip(*[(k[i] - e, k[i] + e) for i in axes])) for k, e in kids}
-            cells = (2 * len(windows) + 1) ** len(axes)  # at most, from the window ends
-            if cells > _MAX_BOX_CELLS:
-                return unknown(f"{cells:,} cells exceed the cap of {_MAX_BOX_CELLS:,}")
-            box = [c[i] - R + rho for i in axes], [c[i] + R - rho for i in axes]
-            hole = _uncovered_box(*box, windows)
+        if factors is not None:
+            mids = (_axis_gap(f.ts, f.lams, r) for f in factors)
+            hole = next(((i, m) for i, m in enumerate(mids) if m is not None), None)
             if hole is None:
                 continue
-            point = [dict(zip(axes, hole)).get(i, x) for i, x in enumerate(c)]
-            for t in reversed(maps):  # out of the core's frame, innermost map first
-                point = [Fraction(t.scale) * x + Fraction(w) for x, w in zip(point, t.shift)]
-            failed = f"witness verification failed at node {word}"
-            point = [float(x) for x in point]
-            return _verify_refutation(sys, word, point, r, grid_step, "box-exact", failed)
+            point = [Fraction(hole[1] if i == hole[0] else x) for i, x in enumerate(ball.center)]
+        else:
+            c, R = [Fraction(x) for x in ball.center], Fraction(ball.radius)
+            rho = Fraction(r) * R
+            block = zip(*core.child_block(word))
+            kids = [([Fraction(x) for x in k], rho - Fraction(kr)) for k, kr in block if kr <= rho]
+            windows = {(tuple(x - e for x in k), tuple(x + e for x in k)) for k, e in kids}
+            cells = (2 * len(windows) + 1) ** d  # at most, from the window ends
+            if cells > _MAX_BOX_CELLS:
+                return unknown(f"{cells:,} cells exceed the cap of {_MAX_BOX_CELLS:,}")
+            point = _uncovered_box([x - R + rho for x in c], [x + R - rho for x in c], windows)
+            if point is None:
+                continue
+        for t in reversed(maps):  # out of the core's frame, innermost map first
+            point = [Fraction(t.scale) * x + Fraction(w) for x, w in zip(point, t.shift)]
+        failed = f"witness verification failed at node {word}"
+        point = [float(x) for x in point]
+        return _verify_refutation(sys, word, point, r, grid_step, "box-exact", failed)
     return DensenessReport(r, "proven", None, grid_step, "box-exact")
 
 

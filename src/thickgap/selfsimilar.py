@@ -26,7 +26,9 @@ from .metrics import _bisect_box, _box_max, _finite1d_hole, _leaves_1d
 
 @dataclass(frozen=True)
 class CornerStats:
-    """Exact statistics of the corner family with n blocks of width ell."""
+    """Exact statistics of the corner family with n blocks of width ell.
+    r_dense is the exact family's denseness threshold, not a verdict on the
+    float tree, which can need a few ulps more: 1 for (4, 0.4), 2 for (10, 0.19)."""
 
     n: int
     ell: float
@@ -50,7 +52,8 @@ class HomotheticBounds:
 
 
 def corner_stats(n: int, ell: float, d: int = 1) -> CornerStats:
-    """Gap width, thickness, and denseness radius of the corner family."""
+    """Gap width, thickness, and denseness radius of the corner family: the
+    exact family's threshold ell + g/2, rounded up; denseness_check decides the float tree."""
     g = CornerFamilyParams(n, ell, d).g  # the family's checks on n, ell and d
     return CornerStats(n, ell, d, g, corner_tau(n, ell), corner_dense_radius(n, ell))
 

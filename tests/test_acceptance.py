@@ -11,6 +11,7 @@ import math
 import random
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from pytest import approx
@@ -223,11 +224,21 @@ def test_criterion_06_denseness_verdicts_are_exact():
     sys = corner_family(CornerFamilyParams(4, 2.0 / 5.0, 2))
     r_dense = corner_stats(4, 2.0 / 5.0, 2).r_dense
     assert r_dense == approx(7.0 / 15.0, rel=1e-12)
-    proven = denseness_check(sys, r_dense, 1e-3, 3)
+    # r_dense is the exact family's threshold; the float tree is dense from
+    # one float above it on, and at it a ball misses every child
+    r_proven = math.nextafter(r_dense, 1.0)
+    assert r_proven == 0.46666666666666673
+    proven = denseness_check(sys, r_proven, 1e-3, 3)
+    at_dense = denseness_check(sys, r_dense, 1e-3, 3)
     refuted = denseness_check(sys, 0.15, 1e-3, 3)
     assert proven.verdict == "proven"
-    assert refuted.verdict == "refuted"
-    assert "unknown" not in (proven.verdict, refuted.verdict)
+    assert at_dense.verdict == "refuted" and refuted.verdict == "refuted"
+    assert at_dense.witness == Ball((0.5333333333333333, 0.0), 0.4666666666666667)
+    # checked exactly: the witness lies in the root and holds no child
+    x, rho = [Fraction(v) for v in at_dense.witness.center], Fraction(at_dense.witness.radius)
+    assert rho >= Fraction(r_dense) and max(map(abs, x)) + rho <= 1
+    for c, rk in zip(*sys.child_block(())):
+        assert max(abs(a - Fraction(b)) for a, b in zip(x, c)) > rho - Fraction(rk)
     witness = refuted.witness
     assert witness is not None
     assert witness.radius >= 0.15 * sys.root.radius * (1 - 1e-12)
@@ -238,7 +249,8 @@ def test_criterion_06_denseness_verdicts_are_exact():
         assert reach + child.radius > witness.radius
     _passed(
         6,
-        f"r={r_dense:.6f} proven, r=0.15 refuted with witness ball at "
+        f"r={r_proven!r} proven, r_dense={r_dense!r} refuted with witness ball at "
+        f"{at_dense.witness.center}, r=0.15 refuted with witness ball at "
         f"{witness.center} radius {witness.radius}, no unknowns",
     )
 

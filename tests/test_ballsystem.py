@@ -141,6 +141,16 @@ def test_middle_thirds_ifs():
     assert sys.is_homothetic()
 
 
+def _split_at(sys, word):
+    """The gap a gap-tree node splits at, read from its two children's
+    ends; None at a leaf."""
+    kids = sys.children(word)
+    if not kids:
+        return None
+    left, right = kids
+    return left.center[0] + left.radius, right.center[0] - right.radius
+
+
 def test_gap_tree_structure():
     gl = GapList1D(hull=(0.0, 1.0), gaps=((1 / 3, 2 / 3),))
     sys = from_gaps_1d(gl)
@@ -154,21 +164,21 @@ def test_gap_tree_structure():
     assert sys.children((0,)) == ()
     # leaf endpoints keep the exact input floats
     assert sys.leaf_intervals() == ((0.0, 1 / 3), (2 / 3, 1.0))
-    assert sys.split_gap(()) == (1 / 3, 2 / 3)
-    assert sys.split_gap((0,)) is None
+    assert _split_at(sys, ()) == pytest.approx((1 / 3, 2 / 3))
+    assert _split_at(sys, (0,)) is None
 
 
 def test_gap_tree_split_order_longest_first():
     gl = GapList1D(hull=(0.0, 1.0), gaps=((0.1, 0.2), (0.4, 0.7)))
     sys = from_gaps_1d(gl)
-    assert sys.split_gap(()) == (0.4, 0.7)
-    assert sys.split_gap((0,)) == (0.1, 0.2)
+    assert _split_at(sys, ()) == pytest.approx((0.4, 0.7))
+    assert _split_at(sys, (0,)) == pytest.approx((0.1, 0.2))
     assert sys.leaf_intervals() == ((0.0, 0.1), (0.2, 0.4), (0.7, 1.0))
 
 
 def test_gap_tree_tie_breaks_leftmost():
     gl = GapList1D(hull=(0.0, 1.0), gaps=((0.6, 0.7), (0.2, 0.3)))
-    assert from_gaps_1d(gl).split_gap(()) == (0.2, 0.3)
+    assert _split_at(from_gaps_1d(gl), ()) == pytest.approx((0.2, 0.3))
 
 
 def test_gap_list_rejects_bad_input():
@@ -686,7 +696,7 @@ def test_corner_sibling_check_matches_pairwise_3d(n, ell, disjoint):
 def _recursive_gap_tree(gl):
     """The depth-first construction from_gaps_1d makes, written recursively."""
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
-    balls, children, split_gaps, leaf_ivs = {}, {}, {}, []
+    balls, children, leaf_ivs = {}, {}, []
 
     def build(word, a, b, inside):
         if not b > a:
@@ -696,15 +706,13 @@ def _recursive_gap_tree(gl):
             children[word] = ()
             leaf_ivs.append((a, b))
             return
-        gap = min(inside, key=lambda g: (-(g[1] - g[0]), g[0]))
-        split_gaps[word] = gap
-        lo, hi = gap
+        lo, hi = min(inside, key=lambda g: (-(g[1] - g[0]), g[0]))
         children[word] = (word + (0,), word + (1,))
         build(word + (0,), a, lo, [g for g in inside if g[1] <= lo])
         build(word + (1,), hi, b, [g for g in inside if g[0] >= hi])
 
     build((), gl.hull[0], gl.hull[1], order)
-    return balls, children, split_gaps, tuple(sorted(leaf_ivs))
+    return balls, children, tuple(sorted(leaf_ivs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -731,11 +739,10 @@ def test_gap_tree_matches_recursive_construction(data):
             from_gaps_1d(gl)
         return
     sys = from_gaps_1d(gl)
-    balls, children, split_gaps, leaf_ivs = expected
+    balls, children, leaf_ivs = expected
     assert list(sys._balls.items()) == list(balls.items())
     # the node table is the adjacency: word + (j,) for j below the child count
     assert {w: tuple(w + (j,) for j in range(sys.child_count(w))) for w in balls} == children
-    assert list(sys._split_gaps.items()) == list(split_gaps.items())
     assert sys.leaf_intervals() == leaf_ivs
 
 

@@ -220,12 +220,14 @@ def test_corner_dense_radius_is_the_least_float_at_or_above_ell_plus_half_g(case
     r = corner_dense_radius(n, ell)
     below = math.nextafter(r, 0.0)
     assert Fraction(below) < exact <= Fraction(r)
-    # the corner verdict flips there: never proven below the exact threshold
+    # r is the exact family's threshold: the float tree's verdict at r and
+    # below follows the float cells, which can need a few ulps more
     sys = corner_family(CornerFamilyParams(n, ell, 1))
-    if r < 1:
-        assert denseness_check(sys, r, 1e-3, 3).verdict == "proven"
-    if 0 < below < 1:
-        assert denseness_check(sys, below, 1e-3, 3).verdict != "proven"
+    kids = list(zip(*sys.child_block(())))
+    for x in (r, below):
+        if 0 < x < 1:
+            dense = _ref_dense_at((0.0,), 1.0, kids, Fraction(x)) is None
+            assert (denseness_check(sys, x, 1e-3, 3).verdict == "proven") == dense, x
 
 
 def _corner_as_ifs(n, ell, d):
@@ -348,7 +350,7 @@ def _ref_witness_ok(sys, depth, witness, r):
     def inside(c, s):
         return max(abs(a - Fraction(b)) for a, b in zip(x, c)) <= s
 
-    words = [w for w, _ in sys.walk(depth) if sys.child_count(w)]
+    words = (w for w, _ in sys.walk(depth) if sys.child_count(w))
     for w in words:
         b = sys.ball(w)
         if rho >= Fraction(r) * Fraction(b.radius) and inside(b.center, Fraction(b.radius) - rho):
@@ -429,8 +431,15 @@ def _linf_tree(draw):
 
 
 @st.composite
+def _corner_systems(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12 if d < 3 else 5))
+    return corner_family(CornerFamilyParams(n, draw(st.floats(0.01, 0.99)) * 2 / n, d))
+
+
+@st.composite
 def _box_systems(draw):
-    sys = draw(st.one_of(_linf_ifs(), _linf_tree()))
+    sys = draw(st.one_of(_linf_ifs(), _linf_tree(), _corner_systems()))
     if draw(st.booleans()):
         d = sys.dimension
         sys = similarity_image(
@@ -444,7 +453,13 @@ def _box_systems(draw):
 def test_box_denseness_matches_a_brute_force_reference(sys, data):
     depth = 2
     nodes = _ref_nodes(sys, depth)
-    if sys.dimension == 1 and data.draw(st.booleans()):
+    corner = (sys.core or sys).generator
+    if isinstance(corner, CornerFamilyParams) and data.draw(st.booleans()):
+        # the exact family's threshold and one float either side
+        up = corner_dense_radius(corner.n, corner.ell)
+        r = data.draw(st.sampled_from([math.nextafter(up, 0.0), up, math.nextafter(up, 1.0)]))
+        assume(0 < r < 1)
+    elif sys.dimension == 1 and data.draw(st.booleans()):
         exact = _ref_threshold_1d(nodes)
         up = float(exact)
         up = up if up >= exact else math.nextafter(up, 1.0)

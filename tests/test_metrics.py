@@ -460,9 +460,14 @@ def test_thickness_validation():
 
 
 def test_denseness_corner_threshold_proven():
+    # the float tree needs one ulp above the exact threshold 7/15: at the
+    # float 7/15 a ball about (8/15, 0) misses every child
     sys = corner_family(C4)
     rep = denseness_check(sys, 7 / 15, 1e-3, 3)
-    assert rep.verdict == "proven"
+    assert (rep.method, rep.verdict) == ("box-exact", "refuted")
+    assert rep.witness == Ball((0.5333333333333333, 0.0), 0.4666666666666667)
+    rep = denseness_check(sys, 0.46666666666666673, 1e-3, 3)
+    assert (rep.method, rep.verdict) == ("box-exact", "proven")
     assert rep.witness is None
 
 
@@ -601,7 +606,7 @@ def test_denseness_validation():
 def test_denseness_proven_implies_size_relations():
     # a proven r forces children no larger than r and holes no wider than 2r
     sys = corner_family(C4)
-    r = 7 / 15
+    r = 0.46666666666666673  # one ulp above 7/15, where the float tree is dense
     rep = denseness_check(sys, r, 1e-3, 3)
     assert rep.verdict == "proven"
     root = sys.root

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from thickgap import metrics, selfsimilar
 from thickgap.ballsystem import CornerFamilyParams, HomotheticIFS, corner_family
 from thickgap.geometry import IntervalBound, NormKind, norm_distance
-from thickgap.metrics import _dense1d_corner_decide, denseness_check, thickness
+from thickgap.metrics import denseness_check, thickness
 from thickgap.selfsimilar import (
     biebler_thickness,
     corner_stats,
@@ -81,11 +81,32 @@ def test_corner_stats_cross_check_thickness(n, ell, d, target):
     assert stats.tau == pytest.approx(target, rel=1e-9)
 
 
+def _root_dense_exact(sys, r):
+    """Whether the windows |x - c| <= r - rk of the 1-D root's children
+    cover its feasible centers [-1 + r, 1 - r], in exact arithmetic; the
+    children share one radius, so their windows rise with c."""
+    r = Fraction(r)
+    reach = r - 1
+    for (c,), rk in zip(*sys.child_block(())):
+        c, e = Fraction(c), r - Fraction(rk)
+        if e >= 0:
+            if c - e > reach:
+                return False
+            reach = max(reach, c + e)
+    return reach >= 1 - r
+
+
 @pytest.mark.parametrize("n,ell", [(4, 2 / 5), (10, 0.19)])
 def test_corner_stats_cross_check_denseness(n, ell):
+    # r_dense is the exact family's threshold; the float tree can need a few
+    # ulps more, and the verdict follows the float tree
     stats = corner_stats(n, ell, 1)
     sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=1))
-    assert denseness_check(sys, stats.r_dense, 1e-3, 3).verdict == "proven"
+    r = stats.r_dense
+    for _ in range(3):
+        assert (denseness_check(sys, r, 1e-3, 3).verdict == "proven") == _root_dense_exact(sys, r)
+        r = math.nextafter(r, 1.0)
+    assert denseness_check(sys, r, 1e-3, 3).verdict == "proven"
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,9 +120,6 @@ def test_corner_stats_share_the_metrics_formulas(n, frac, d):
     exact = Fraction(ell) * (n - 1) / (2 - n * Fraction(ell))
     assert Fraction(rep.overall.lo) <= exact <= Fraction(rep.overall.hi)
     assert rep.converged and rep.overall.width <= 1e-9
-    # one denseness threshold: the exact decision flips at r_dense, bit for bit
-    assert _dense1d_corner_decide(n, ell, stats.r_dense)[0]
-    assert not _dense1d_corner_decide(n, ell, math.nextafter(stats.r_dense, 0))[0]
 
 
 def test_middle_thirds_dense_radius_is_one():
