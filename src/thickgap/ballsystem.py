@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -61,7 +62,7 @@ from .geometry import (
     NormKind,
     Point,
     as_point,
-    balls_disjoint,
+    distance_kernel,
     norm_distance,
     trusted_ball,
     vector_size,
@@ -548,14 +549,6 @@ class BallSystem:
         # images rescale every radius by one factor, so ratios pass through
         return getattr((self.core or self).generator, "child_ratios", None)
 
-    def uniform_level_ratio(self) -> Optional[float]:
-        ratios = self.child_ratios()
-        if ratios is None:
-            return None
-        if max(ratios) - min(ratios) > 1e-15:
-            return None
-        return ratios[0]
-
     def axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
         """Per-axis 1-D factors when the set is the product of one 1-D
         attractor per axis: a generator that offers axis_factors(), or a
@@ -613,21 +606,30 @@ class BallSystem:
             yield center, radius
 
     def siblings_disjoint_at_root(self) -> bool:
-        grid = self.corner_grid
-        if grid is not None:
-            # Float rounding is monotone, so coordinates never fall as the
-            # digit rises and no pair of digits on an axis is closer than some
-            # neighbouring pair. The closest children are thus neighbours on
-            # one axis that agree on every other, where they differ by zero.
-            rows, _, radius = grid.axes(grid.root.center, grid.root.radius)
-            reach = radius + radius
-            return all(b - a > reach for row in rows for a, b in zip(row, row[1:]))
-        kids = list(map(trusted_ball, *self.child_block(ROOT)))
-        return all(
-            balls_disjoint(kids[i], kids[j], self.norm)
-            for i in range(len(kids))
-            for j in range(i + 1, len(kids))
-        )
+        return all(dist > ra + rb for dist, ra, rb in self.root_sibling_pairs())
+
+    def root_sibling_pairs(self) -> Iterator[Tuple[float, float, float]]:
+        """(distance, radius, radius) for pairs of root children that include
+        a closest pair in the norm's float distance: every pair, or, on an
+        axis product whose factors each have one ratio, the neighbouring child
+        coordinates on each axis, formed as the tree forms them (core root
+        center + R * t, then s * x + w per similarity, innermost first).
+        Rounding is monotone and a product's children share one radius, so no
+        two children are closer than two neighbours that agree on every other
+        axis. Raises what child_block(ROOT) raises."""
+        factors, dist = self.axis_factors(), distance_kernel(self.norm)
+        if factors is None or any(min(f.lams) != max(f.lams) for f in factors):
+            kids = itertools.combinations(zip(*self.child_block(ROOT)), 2)
+            return ((dist(a, b), ra, rb) for (a, ra), (b, rb) in kids)
+        root = (self.core or self).root
+        rows = [[c + root.radius * t for t in f.ts] for c, f in zip(root.center, factors)]
+        radius = root.radius * factors[0].lams[0]
+        for t in reversed(self.similarities):
+            rows = [[t.scale * x + w for x in row] for row, w in zip(rows, t.shift)]
+            radius = t.scale * radius
+        if not (0 < radius < math.inf and all(math.isfinite(x) for row in rows for x in row)):
+            self.child_block(ROOT)  # the block holds these floats, so it raises
+        return ((dist((a,), (b,)), radius, radius) for row in rows for a, b in zip(row, row[1:]))
 
     def leaf_intervals(self) -> Tuple[Tuple[float, float], ...]:
         """Sorted closed intervals whose union is C, for finite 1-D systems.

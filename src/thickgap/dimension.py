@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .ballsystem import ROOT, BallSystem, Word
-from .geometry import Ball, Point, distance_kernel, norm_distance
+from .geometry import Ball, Point, distance_kernel
 
 _BISECT_LO = 1e-9
 _BISECT_ITERS = 200
@@ -138,17 +138,14 @@ def _child_weights(radius: float, radii: Sequence[float], d: int) -> List[float]
 
 
 def _verify_separation(sys: BallSystem, c: float) -> None:
-    root = sys.root
-    centers, radii = sys.child_block(ROOT)
-    slack = 1e-12 * root.radius
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
-            gap = norm_distance(centers[i], centers[j], sys.norm) - radii[i] - radii[j]
-            if gap < c * root.radius - slack:
-                raise ValueError(
-                    f"separation hypothesis fails at the root: gap {gap:.6g} "
-                    f"< c * radius = {c * root.radius:.6g}"
-                )
+    R = sys.root.radius
+    for dist, ra, rb in sys.root_sibling_pairs():
+        gap = dist - ra - rb
+        if gap < c * R - 1e-12 * R:
+            raise ValueError(
+                f"separation hypothesis fails at the root: gap {gap:.6g} "
+                f"< c * radius = {c * R:.6g}"
+            )
 
 
 def _mass_in_ball(

@@ -294,8 +294,8 @@ class AliceStrategy:
         """Confirm equal disjoint same-level radii and return their decay ratio."""
         sys = self.sys
         if sys.is_homothetic():
-            ratio = sys.uniform_level_ratio()
-            if ratio is None:
+            ratio = min(sys.child_ratios())
+            if ratio != max(sys.child_ratios()):
                 raise ValueError("children radii differ within a level")
             self.n0 = sys.child_count(ROOT)
             # equal-ratio maps: first-level separation propagates down

@@ -13,6 +13,7 @@ or padded past it, says so in its converged flag; its bounds stay valid.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import heapq
 import itertools
@@ -730,7 +731,7 @@ def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport
     The report holds for all depths only when no hole was searched and no
     internal node lies below depth: then it covers every node there is.
     """
-    exact = _exact_hole(sys, ROOT, tol) is not None
+    exact = _oracle(sys).leaves is not None
     records: List[NodeThicknessRecord] = []
     best: Optional[NodeThicknessRecord] = None
     truncated = deeper_internal = False
@@ -783,24 +784,29 @@ def _verify_refutation(
 ) -> DensenessReport:
     """refuted, with the witness ball about center whose radius is the least
     float at or above r * rad(node), if an exact check on the rationals its
-    floats are finds it in the node and holding no child (L2 compared
-    through squares); else unknown, with the detail fail and the reason."""
+    floats are finds it in the node and holding no child; else unknown, with
+    the detail fail and the reason. |a - b| <= s (a >= b, s a float pair) is
+    the sign of one math.fsum of s, -a and b; L2 and overflows take Fractions."""
     from fractions import Fraction
 
-    def within(p: Point, q: Point, s: Fraction) -> bool:  # |p - q| <= s
-        gaps = [abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q)]
+    def within(p: Point, q: Point, s: Tuple[float, float]) -> bool:  # |p - q| <= s[0] + s[1]
+        if sys.norm is not NormKind.L2:
+            ends = [(-max(a, b), min(a, b)) for a, b in zip(p, q)]
+            sums = [s + e for e in ends] if sys.norm is NormKind.LINF else [s + sum(ends, ())]
+            with contextlib.suppress(OverflowError):
+                return all(math.fsum(x) >= 0 for x in sums)
+        gaps, t = [abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q)], sum(map(Fraction, s))
         if sys.norm is NormKind.L2:
-            return s >= 0 and sum(g * g for g in gaps) <= s * s
-        return (max(gaps) if sys.norm is NormKind.LINF else sum(gaps)) <= s
+            return t >= 0 and sum(g * g for g in gaps) <= t * t
+        return (max(gaps) if sys.norm is NormKind.LINF else sum(gaps)) <= t
 
     node = sys.ball(word)
     rho = Fraction(r) * Fraction(node.radius)
     radius = float(rho) if float(rho) >= rho else math.nextafter(float(rho), math.inf)
-    rho = Fraction(radius)
     kids = enumerate(zip(*sys.child_block(word)))
-    fits = (k for k, (c, rk) in kids if within(c, center, rho - Fraction(rk)))
+    fits = (k for k, (c, rk) in kids if within(c, center, (radius, -rk)))
     why = next((f"it holds child {k}" for k in fits), None)
-    if not within(center, node.center, Fraction(node.radius) - rho):
+    if not within(center, node.center, (node.radius, -radius)):
         why = "it leaves the node"
     if why is None:
         return DensenessReport(r, "refuted", Ball(tuple(center), radius), grid_step, method)

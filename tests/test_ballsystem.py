@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys as pysys
 import threading
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import balls_disjoint, norm_distance
-from thickgap.metrics import dist_to_set
+from thickgap import dimension
+from thickgap.metrics import dist_to_set, thickness
 from thickgap.ballsystem import (
     Ball,
     CornerFamilyParams,
@@ -30,7 +34,7 @@ from thickgap.ballsystem import (
     translate,
     word_str,
 )
-from thickgap.ballsystem import _checked_block, _corner_block
+from thickgap.ballsystem import _checked_block, _corner_axis_offsets, _corner_block
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,7 +141,7 @@ def test_middle_thirds_ifs():
     kids = sys.children(())
     assert kids[0].center[0] == pytest.approx(-2 / 3)
     assert kids[0].radius == pytest.approx(1 / 3)
-    assert sys.uniform_level_ratio() == pytest.approx(1 / 3)
+    assert sys.child_ratios() == (1 / 3, 1 / 3)
     assert sys.is_homothetic()
 
 
@@ -259,7 +263,7 @@ def test_perturbed_image_inflates_radii():
     assert b.radius == pytest.approx(b0.radius * 1.02)
     assert b.center[0] == pytest.approx(b0.center[0] + 0.01 * math.sin(b0.center[1]))
     assert not img.is_homothetic()
-    assert img.uniform_level_ratio() == pytest.approx(0.2)
+    assert img.child_ratios() == (0.2,) * 16
     with pytest.raises(ValueError):
         perturbed_image(base, f, eps=0.0)
 
@@ -639,6 +643,9 @@ def test_child_block_non_finite_image_raises():
     sys = similarity_image(_corner(), 1e308, (1e308, 0.0))
     with pytest.raises(ValueError, match="point coordinates must be finite"):
         sys.child_block(())
+    # the sibling check reads the same floats per axis, and raises alike
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        sys.siblings_disjoint_at_root()
 
 
 # -- sibling disjointness on corner grids ------------------------------------------
@@ -688,6 +695,94 @@ def test_corner_sibling_check_matches_pairwise(data, n, d):
 def test_corner_sibling_check_matches_pairwise_3d(n, ell, disjoint):
     for sys in _corner_images(CornerFamilyParams(n=n, ell=ell, d=3)):
         assert sys.siblings_disjoint_at_root() == _pairwise_disjoint(sys) == disjoint
+
+
+# -- root sibling separation on every axis product ----------------------------------
+
+
+def _least_gap(sys):
+    """The least gap between two root children, pair by pair."""
+    centers, radii = sys.child_block(())
+    return min(
+        (
+            norm_distance(centers[i], centers[j], sys.norm) - radii[i] - radii[j]
+            for i in range(len(radii))
+            for j in range(i + 1, len(radii))
+        ),
+        default=math.inf,
+    )
+
+
+@st.composite
+def _axis_products(draw):
+    """A corner family, or a product IFS in any norm, in dimension 1 to 3,
+    possibly under a similarity image or a translate. The IFS's
+    neighbouring translations on an axis lie twice the child radius apart,
+    one ulp either side of that, or farther or nearer."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        top = math.nextafter(2 / n, 0)
+        ell = draw(st.one_of(st.just(top), st.floats(top * (1 - 1e-12), top), st.floats(1e-3, top)))
+        sys = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    else:
+        lam = draw(st.sampled_from([1 / 16, 1 / 32, 3 / 64]) | st.floats(0.005, 1 / 16))
+        axes = []
+        for _ in range(d):
+            values = [-0.25]
+            for _ in range(draw(st.integers(0, 3))):
+                factor = draw(st.sampled_from([1.0, 1.0, 1.5]) | st.floats(0.5, 1.5))
+                t = values[-1] + 2 * lam * factor
+                step = draw(st.sampled_from([-1, 0, 1]))
+                values.append(math.nextafter(t, step * math.inf) if step else t)
+            axes.append(values)
+        maps = tuple((lam, t) for t in itertools.product(*axes))
+        sys = from_ifs(HomotheticIFS(maps), draw(st.sampled_from(list(NormKind))))
+    shift = tuple(draw(st.floats(-0.7, 0.7)) for _ in range(d))
+    wrap = draw(st.integers(0, 3))
+    if wrap & 1:
+        sys = similarity_image(sys, draw(st.floats(0.1, 3.0)), shift)
+    if wrap & 2:
+        sys = translate(sys, shift[::-1])
+    return sys
+
+
+_TOUCHING = HomotheticIFS(((0.125, (-0.25,)), (0.125, (0.0,)), (0.125, (0.25,))))
+
+
+@settings(max_examples=300, deadline=None)
+@example(sys=from_ifs(_TOUCHING, NormKind.L2), pick=0).via("touching children")
+# the squared gap is subnormal, so the L2 distance is not the coordinate gap
+@example(sys=similarity_image(from_ifs(_TOUCHING, NormKind.L2), 1e-155, (0.0,)), pick=0).via(
+    "an L2 distance rounded through a subnormal square"
+)
+@given(sys=_axis_products(), pick=st.integers(0, 3))
+def test_sibling_pair_reader_matches_pairwise(sys, pick):
+    assert sys.axis_factors() is not None
+    assert sys.siblings_disjoint_at_root() == _pairwise_disjoint(sys)
+    # the separation constant at the least gap and one ulp either side
+    R, gap = sys.root.radius, _least_gap(sys)
+    edge = (gap + 1e-12 * R) / R
+    c = [edge, math.nextafter(edge, 0), math.nextafter(edge, 1), 0.01][pick]
+    if not 0 < c < math.inf:
+        c = 0.01
+    with mock.patch.object(dimension, "_mass_in_ball", return_value=0.0):
+        if not gap < c * R - 1e-12 * R:  # the pairwise separation reference
+            dimension.measure_ball_bound_check(sys, c, 0.5, 1)
+        else:
+            with pytest.raises(ValueError, match="separation hypothesis fails"):
+                dimension.measure_ball_bound_check(sys, c, 0.5, 1)
+
+
+def test_product_ifs_sibling_check_takes_no_pairwise_loop():
+    # 6,400 children: a pairwise loop would visit 20 million pairs
+    ts = _corner_axis_offsets(80, 0.0125)
+    maps = tuple((0.00625, (u, v)) for u in ts for v in ts)
+    sys = from_ifs(HomotheticIFS(maps), NormKind.LINF)
+    start = time.perf_counter()
+    report = thickness(sys, 2, 1e-3)
+    assert time.perf_counter() - start < 2.0
+    assert report.valid_all_depths
 
 
 # -- gap trees against the recursive construction ------------------------------------

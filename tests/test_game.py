@@ -315,6 +315,15 @@ class TestStrategy:
         with pytest.raises(ValueError, match="beta"):
             alice_strategy(quarter_corner(1), 3.0, 0.1)
 
+    def test_rejects_map_ratios_one_ulp_apart(self):
+        # the level radii must be bit-equal: no tolerance absorbs one ulp
+        lam = 0.3
+        maps = ((lam, (-0.5,)), (math.nextafter(lam, 1.0), (0.5,)))
+        with pytest.raises(ValueError, match="children radii differ within a level"):
+            AliceStrategy(from_ifs(HomotheticIFS(maps), NormKind.LINF), 3.0, 0.5)
+        even = from_ifs(HomotheticIFS(((lam, (-0.5,)), (lam, (0.5,)))), NormKind.LINF)
+        assert AliceStrategy(even, 3.0, 0.5).n0 == 2
+
     def test_proposition_params_shape(self):
         params = proposition_params(quarter_corner(2), 3.0, 0.2)
         assert params.alpha == approx(1 / 3)

@@ -8,6 +8,7 @@ import heapq
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,6 +629,86 @@ def test_subtree_distance_within_twice_hole():
         x = tuple(c + node.radius * rng.uniform(-1, 1) for c in node.center)
         d_sub = dist_to_set(x, sub, 1e-9)
         assert d_sub.lo <= 2 * h.hi + 1e-9
+
+
+def _refutation_by_fractions(sys, center, r):
+    """_verify_refutation at the root with every comparison in Fractions."""
+
+    def within(p, q, s):  # |p - q| <= s
+        gaps = [abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q)]
+        if sys.norm is NormKind.L2:
+            return s >= 0 and sum(g * g for g in gaps) <= s * s
+        return (max(gaps) if sys.norm is NormKind.LINF else sum(gaps)) <= s
+
+    node = sys.root
+    rho = Fraction(r) * Fraction(node.radius)
+    radius = float(rho) if float(rho) >= rho else math.nextafter(float(rho), math.inf)
+    rho = Fraction(radius)
+    kids = enumerate(zip(*sys.child_block(())))
+    why = next((f"it holds child {k}" for k, (c, rk) in kids if within(c, center, rho - Fraction(rk))), None)
+    if not within(center, node.center, Fraction(node.radius) - rho):
+        why = "it leaves the node"
+    if why is None:
+        return DensenessReport(r, "refuted", Ball(tuple(center), radius), 0.1, "box-exact")
+    return DensenessReport(r, "unknown", None, 0.1, "box-exact", f"failed: {why}")
+
+
+# integer offsets of exact norm in each norm: Linf and L1 take any, L2 these
+_L2_OFFSETS = {1: [(1,), (2,)], 2: [(3, 4), (0, 5)], 3: [(1, 2, 2), (2, 3, 6)]}
+
+
+def _nudge(x, step):
+    return math.nextafter(x, step * math.inf) if step else x
+
+
+@st.composite
+def _refutation_cases(draw):
+    """(system, witness center, r): a root B(0, 1) whose children lie
+    exactly at the edge of the witness's window, radius - r_k, in the norm,
+    or one ulp either side of it; the witness sits inside the node, on its
+    edge or one ulp either side."""
+    norm = draw(st.sampled_from(list(NormKind)))
+    d = draw(st.integers(1, 3))
+    r = draw(st.sampled_from([0.25, 0.375, 0.5]) | st.floats(0.05, 0.9))
+    radius = r  # the least float at or above r * 1.0
+    cells = st.integers(-16, 16).map(lambda k: k / 64)
+    center = [draw(cells) for _ in range(d)]
+    if draw(st.booleans()):  # on the node's edge along axis 0
+        center = [_nudge(1 - radius, draw(st.integers(-1, 1)))] + [0.0] * (d - 1)
+    kids = []
+    for _ in range(draw(st.integers(1, 4))):
+        if norm is NormKind.L2:
+            v = list(draw(st.sampled_from(_L2_OFFSETS[d])))
+            size = math.isqrt(sum(x * x for x in v))
+        else:
+            v = [draw(st.integers(-4, 4)) for _ in range(d)]
+            size = max(map(abs, v)) if norm is NormKind.LINF else sum(map(abs, v))
+        v = [x * draw(st.sampled_from([-1, 1])) for x in draw(st.permutations(v))]
+        q = 2.0 ** -draw(st.integers(3, 9))
+        rk = _nudge(radius - size * q, draw(st.integers(-1, 1)))
+        assume(rk > 0)
+        c = [x + k * q for x, k in zip(center, v)]
+        axis = draw(st.integers(0, d - 1))
+        c[axis] = _nudge(c[axis], draw(st.integers(-1, 1)))
+        kids.append((tuple(c), rk))
+    entries = [((), Ball((0.0,) * d, 1.0))] + [((k,), Ball(*kid)) for k, kid in enumerate(kids)]
+    return explicit_tree(norm, d, entries), center, r
+
+
+# the sums past the float range fall back to Fractions
+_HUGE = explicit_tree(
+    NormKind.LINF, 1, [((), Ball((0.0,), 1.5e308)), ((0,), Ball((1.2e308,), 1e307))]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=(_HUGE, [-1.2e308], 0.1)).via("an exact sum past the float range")
+@example(case=(_HUGE, [1.2e308], 0.1)).via("a witness holding the child")
+@given(case=_refutation_cases())
+def test_refutation_matches_fractions(case):
+    sys, center, r = case
+    got = metrics._verify_refutation(sys, (), center, r, 0.1, "box-exact", "failed")
+    assert got == _refutation_by_fractions(sys, center, r)
 
 
 # -- branch-and-bound distance over child blocks --------------------------------
