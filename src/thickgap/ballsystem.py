@@ -563,8 +563,11 @@ class BallSystem:
         maps = self.similarities
         if maps is None:
             return None
-        make = getattr((self.core or self).generator, "axis_factors", None)
-        factors = make() if make is not None else None
+        if self.core is not None:
+            factors = self.core.axis_factors()  # memoized on the core
+        else:
+            make = getattr(self.generator, "axis_factors", None)
+            factors = make() if make is not None else None
         if factors is None:
             return None
         # compose the chain into one map y -> scale * y + shift, outermost

@@ -44,7 +44,8 @@ _RADIUS_FLOOR = 1e-9
 _ERASE_SLACK = 1e-12
 _BAND_LIMIT = 10_000
 _C0_GRID = 199  # best_intersection_dim_bound tries c0 = i / 200, i = 1..199
-_COVER_NODES = 300_000  # cap on the nodes of a pattern scan's cover
+_COVER_NODES = 300_000  # cap on the nodes one level of a pattern scan's descent reaches
+_QUERY_BLOCK = 1 << 16  # queries per pass of a pattern scan's descent
 
 
 @dataclass(frozen=True)
@@ -827,60 +828,50 @@ class PatternQuery:
             raise ValueError(f"lam must lie below {limit:.6g}")
 
 
-def _leaf_cover(sys: BallSystem, target_radius: float, max_nodes: int):
-    """Node balls refined until all radii drop to the target, as (centers,
-    radii, solid): solid flags the childless nodes, which are wholly part
-    of the set."""
+def _cover_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.ndarray:
+    """Upper distance to the set over the node cover refined to radius
+    tol / 8, by one pruned descent; inf for a query the descent drops.
+
+    (Query, node) pairs go down a level at a time. A pair ends at a node of
+    radius at most tol / 8 with d + r, or at a childless node, wholly part
+    of the set, with max(0, d - r); a query keeps its least end value. A
+    node's descendants lie in its ball, so none ends within tol of a query
+    once d - r > tol: the pair is dropped at d - r > tol + tol / 8, the
+    extra eighth covering rounding, and every value at most tol is the full
+    cover's bit for bit. Queries go in blocks of _QUERY_BLOCK; a level of
+    more than _COVER_NODES nodes is a RuntimeError."""
     import numpy as np
 
-    root = sys.root
-    frontier: List[Tuple[Word, Point, float]] = [(ROOT, root.center, root.radius)]
-    while True:
-        done: List[Tuple[Word, Point, float]] = []
-        todo: List[Word] = []
-        for node in frontier:
-            if node[2] <= target_radius or sys.child_count(node[0]) == 0:
-                done.append(node)
-            else:
-                todo.append(node[0])
-        if not todo:
-            break
-        grown: List[Tuple[Word, Point, float]] = []
-        for word in todo:
-            centers, radii = sys.child_block(word)
-            grown.extend(
-                (word + (i,), c, r) for i, (c, r) in enumerate(zip(centers, radii))
-            )
-        if len(done) + len(grown) > max_nodes:
-            raise RuntimeError(f"pattern cover exceeded the node budget {max_nodes}")
-        frontier = done + grown
-    centers = np.array([c for _, c, _ in frontier], dtype=float)
-    radii = np.array([r for _, _, r in frontier], dtype=float)
-    solid = np.array([sys.child_count(w) == 0 for w, _, _ in frontier], dtype=bool)
-    return centers, radii, solid
-
-
-def _cover_upper_dist(
-    queries: np.ndarray,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    norm: NormKind,
-    solid: np.ndarray,
-) -> np.ndarray:
-    """Upper distance to the set over a node cover: the least over its
-    nodes of the distance to the center plus the radius, or for a solid
-    node (one with no children, wholly part of the set) the distance to
-    its ball, max(0, d - r)."""
-    import numpy as np
-
-    offset = np.where(solid, -radii, radii)
-    out = np.empty(len(queries))
-    block = max(1, 4_000_000 // max(len(centers), 1))
-    for start in range(0, len(queries), block):
-        dist = row_norms(queries[start : start + block, None, :] - centers[None, :, :], norm)
-        out[start : start + block] = (dist + offset[None, :]).min(axis=1)
-    # d + r > 0 for the other nodes, so the clamp changes only solid ones
-    return np.maximum(out, 0.0, out=out)
+    if len(queries) > _QUERY_BLOCK:
+        starts = range(0, len(queries), _QUERY_BLOCK)
+        return np.concatenate(
+            [_cover_upper_dist(queries[i : i + _QUERY_BLOCK], sys, tol) for i in starts]
+        )
+    out = np.full(len(queries), np.inf)
+    words: List[Word] = [ROOT]
+    centers, radii = np.array([sys.root.center]), np.array([sys.root.radius])
+    qi, ni = np.arange(len(queries)), np.zeros(len(queries), dtype=np.intp)
+    while len(qi):
+        counts = np.array([sys.child_count(w) for w in words])
+        d, r = row_norms(queries[qi] - centers[ni], sys.norm), radii[ni]
+        ends = ((radii <= tol / 8) | (counts == 0))[ni]
+        value = np.where(counts[ni] == 0, np.maximum(d - r, 0.0), d + r)
+        np.minimum.at(out, qi[ends], value[ends])
+        go = ~ends & (d - r <= tol + tol / 8)
+        parents, up = np.unique(ni[go], return_inverse=True)
+        kids = counts[parents]
+        if kids.sum() > _COVER_NODES:
+            raise RuntimeError(f"pattern cover exceeded the node budget {_COVER_NODES}")
+        blocks = [sys.child_block(words[p]) for p in parents.tolist()]
+        words = [words[p] + (j,) for p, k in zip(parents.tolist(), kids.tolist()) for j in range(k)]
+        centers = np.array([c for cs, _ in blocks for c in cs]).reshape(-1, sys.dimension)
+        radii = np.array([x for _, xs in blocks for x in xs])
+        # each pair goes on to every child of its node
+        rep = kids[up]
+        qi = np.repeat(qi[go], rep)
+        ni = np.repeat((np.cumsum(kids) - kids)[up] - (np.cumsum(rep) - rep), rep)
+        ni += np.arange(len(qi))
+    return out
 
 
 def _axis_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.ndarray:
@@ -922,8 +913,9 @@ def pattern_search_oracle(
     witness never depends on sampling luck and an empty list is a valid
     result. Axis products of one ratio per axis are measured by exact
     per-axis descent, which stops once the distances still open are
-    certified below tol / 2; other systems use a node cover refined to
-    radius tol / 8, whose childless nodes count as solid balls. Any point
+    certified below tol / 2; other systems by a descent of the tree pruned
+    to the nodes within tol, down to radius tol / 8, whose childless nodes
+    count as solid balls. Any point
     of the set realizing the pattern has a grid point within half a step
     of it, which certifies whenever grid_step / 2 plus the cover fuzz
     stays at most tol.
@@ -959,16 +951,9 @@ def pattern_search_oracle(
         )
     factors = sys.axis_factors()
     if factors is not None and all(min(f.lams) == f.lam_max for f in factors):
-
-        def upper(q: np.ndarray) -> np.ndarray:
-            return _axis_upper_dist(q, sys, tol)
-
+        upper = _axis_upper_dist
     else:
-        centers, radii, solid = _leaf_cover(sys, tol / 8.0, _COVER_NODES)
-
-        def upper(q: np.ndarray) -> np.ndarray:
-            return _cover_upper_dist(q, centers, radii, sys.norm, solid)
-
+        upper = _cover_upper_dist
     grid_axes = [np.arange(lo, hi, grid_step) for lo, hi in spans]
     mesh = np.meshgrid(*grid_axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
@@ -976,7 +961,7 @@ def pattern_search_oracle(
     for b in pts:
         live = np.flatnonzero(keep)
         shifted = grid[live] + lam * np.asarray(b, dtype=float)[None, :]
-        keep[live[upper(shifted) > tol]] = False
+        keep[live[upper(shifted, sys, tol) > tol]] = False
         if not keep.any():
             break
     kept = grid[keep]

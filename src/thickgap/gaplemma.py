@@ -131,12 +131,16 @@ def check_hypotheses(
         raise ValueError("systems must share a dimension")
 
     rhs = 1.0 / (1.0 - 2 * r) ** 2
+    # one system on both sides (as `distances` passes it) is computed once
+    same = sys2 is sys1
     t1 = thickness(sys1, depth, _HYP_TOL)
-    t2 = thickness(sys2, depth, _HYP_TOL)
+    t2 = t1 if same else thickness(sys2, depth, _HYP_TOL)
     a, b = t1.overall, t2.overall
     # 0 * inf (a childless root's [inf, inf]) is NaN; thickness is never negative
     lhs = IntervalBound(a.lo * b.lo if a.lo and b.lo else 0.0, a.hi * b.hi, _HYP_TOL)
-    if lhs.lo >= rhs:
+    # an infimum over fewer nodes is at least the true one: a truncated
+    # report still refutes, but proves only when both cover every depth
+    if lhs.lo >= rhs and t1.valid_all_depths and t2.valid_all_depths:
         tau_status = "proven"
     elif lhs.hi < rhs:
         tau_status = "refuted"
@@ -151,7 +155,7 @@ def check_hypotheses(
     hyp_radii = RadiiHypothesis("proven" if ok12 and ok21 else "refuted", ok12, ok21)
 
     dense1 = denseness_check(sys1, r, _DENSE_STEP, _DENSE_DEPTH)
-    dense2 = denseness_check(sys2, r, _DENSE_STEP, _DENSE_DEPTH)
+    dense2 = dense1 if same else denseness_check(sys2, r, _DENSE_STEP, _DENSE_DEPTH)
     return GapHypothesesReport(r, hyp_tau, hyp_meet, hyp_radii, (dense1, dense2))
 
 

@@ -629,9 +629,10 @@ def thickness(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     Self-similar systems, corner families among them, use the root-hole
     transfer, which bounds every depth at once and is exact up to a few ulps
     where the root hole has a closed form (a similarity image whose chain
-    rounding keeps the ratio wider than tol takes its core's); the report is
-    marked valid for all depths only when the depth-1 siblings are verified
-    pairwise disjoint. Finite trees and other systems go node by node.
+    rounding keeps the ratio wider than tol takes its core's); the root's
+    ratio bounds every node's, so the report is valid for all depths
+    whatever the sibling layout. Finite trees and other systems go node by
+    node.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -646,6 +647,11 @@ def thickness(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
 
 
 def _thickness_homothetic(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
+    """The root's ratio, which bounds every node's whatever the sibling
+    layout: the node at I holds phi_I(C) and lies in phi_I(root ball), so a
+    hole of it is at most lambda_I times a hole of the root, h_I <=
+    lambda_I * h_root, while its least child radius is lambda_I times the
+    root's. The report is thus valid for all depths."""
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
 
@@ -667,7 +673,7 @@ def _thickness_homothetic(sys: BallSystem, depth: int, tol: float) -> ThicknessR
         overall=overall,
         per_node=(rec,),
         depth=depth,
-        valid_all_depths=sys.siblings_disjoint_at_root(),
+        valid_all_depths=True,
         method="homothetic-promotion",
     )
 

@@ -370,6 +370,22 @@ def test_similarity_chain_composes_into_the_factors():
     assert _oracle(image).mode == "product"
 
 
+def test_images_read_the_core_factors(monkeypatch):
+    base = parse_set_spec(_spec("ifs_linf.json"))
+    want = similarity_image(translate(base, (0.25, -0.5)), 2.0, (1.0, 0.0)).axis_factors()
+    calls = []
+    real = HomotheticIFS.axis_factors
+    monkeypatch.setattr(
+        HomotheticIFS, "axis_factors", lambda self: calls.append(self) or real(self)
+    )
+    base = parse_set_spec(_spec("ifs_linf.json"))
+    for _ in range(3):
+        image = similarity_image(translate(base, (0.25, -0.5)), 2.0, (1.0, 0.0))
+        assert image.axis_factors() == want
+    # the core computes its factors once; every image composes onto them
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "maps",
     [

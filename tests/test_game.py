@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -53,12 +54,12 @@ from thickgap.game import (
     transcript_to_jsonl,
     winning_dim_bound,
 )
+from thickgap import game
 from thickgap.game import (
     Verdict,
     _axis_upper_dist,
     _cover_upper_dist,
     _hole_enclosure,
-    _leaf_cover,
 )
 from thickgap.geometry import (
     Ball,
@@ -68,6 +69,7 @@ from thickgap.geometry import (
     distance_kernel,
     norm_distance,
     row_norms,
+    vector_size,
 )
 from thickgap.metrics import _axis1d_dist, _corner1d_dist_batch, dist_to_set
 
@@ -598,6 +600,27 @@ def _children_leaf_cover(sys, target_radius, max_nodes):
     return centers, radii, solid
 
 
+def _table_upper_dist(queries, centers, radii, norm, solid):
+    """Upper distance to the set over a node cover, every query against
+    every node: the distance to the center plus the radius, or for a solid
+    node (one with no children, wholly part of the set) the distance to
+    its ball, max(0, d - r)."""
+    offset = np.where(solid, -radii, radii)
+    out = np.empty(len(queries))
+    block = max(1, 4_000_000 // max(len(centers), 1))
+    for start in range(0, len(queries), block):
+        dist = row_norms(queries[start : start + block, None, :] - centers[None, :, :], norm)
+        out[start : start + block] = (dist + offset[None, :]).min(axis=1)
+    # d + r > 0 for the other nodes, so the clamp changes only solid ones
+    return np.maximum(out, 0.0, out=out)
+
+
+def _cover_upper(sys, tol, max_nodes=300_000):
+    """The reference upper distance: the children cover against the table."""
+    centers, radii, solid = _children_leaf_cover(sys, tol / 8.0, max_nodes)
+    return lambda q: _table_upper_dist(q, centers, radii, sys.norm, solid)
+
+
 def _scan_mask(sys, points, lam, grid_step, tol, upper):
     """The pattern grid and the mask of its rows that the scan keeps."""
     root = sys.root
@@ -789,6 +812,8 @@ class TestPatternDescentStop:
 
 
 _PATTERN_IFS = HomotheticIFS(((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6))))
+# a three-map IFS of one ratio that is not an axis product
+_T_IFS = HomotheticIFS(((0.3, (-0.55, -0.4)), (0.3, (0.55, -0.4)), (0.3, (0.0, 0.65))))
 
 
 
@@ -809,6 +834,9 @@ _PATTERN_GAPS = _middle_thirds_gaps(6)
 
 
 class TestPatternLeafCover:
+    """The pruned descent against the children cover measured against every
+    one of its nodes."""
+
     @pytest.mark.parametrize(
         "make, pts, lam, step, tol",
         [
@@ -819,34 +847,152 @@ class TestPatternLeafCover:
         ],
     )
     def test_witnesses_equal_the_children_cover(self, make, pts, lam, step, tol):
-        got = _leaf_cover(make(), tol / 8.0, 300_000)
-        want = _children_leaf_cover(make(), tol / 8.0, 300_000)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
         sys = make()
-        centers, radii, solid = want
-
-        def upper(q):
-            return _cover_upper_dist(q, centers, radii, sys.norm, solid)
-
+        upper = _cover_upper(sys, tol)
         found = pattern_search_oracle(make(), pts, lam, step, tol)
         assert found
-        assert repr(found) == repr(
-            _reference_scan(sys, pts, lam, step, tol, upper)
-        )
+        assert repr(found) == repr(_reference_scan(sys, pts, lam, step, tol, upper))
+        # every value within tol is the table's bit for bit
+        grid, _ = _scan_mask(sys, pts, lam, step, tol, upper)
+        got, want = _cover_upper_dist(grid, sys, tol), upper(grid)
+        near = want <= tol
+        assert near.any() and np.array_equal(got[near], want[near])
+        assert np.all(got[~near] > tol)
 
-    def test_cover_budget_error_is_unchanged(self):
+    def test_cover_budget_error_is_unchanged(self, monkeypatch):
         sys = from_ifs(_PATTERN_IFS, NormKind.L2)
+        monkeypatch.setattr(game, "_COVER_NODES", 200)
+        queries = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)
         with pytest.raises(RuntimeError) as got:
-            _leaf_cover(sys, 1e-3, 200)
+            _cover_upper_dist(queries, sys, 8e-3)
         with pytest.raises(RuntimeError) as want:
             _children_leaf_cover(from_ifs(_PATTERN_IFS, NormKind.L2), 1e-3, 200)
         assert str(got.value) == str(want.value)
 
+    def test_query_blocks_give_the_same_values(self, monkeypatch):
+        sys = from_ifs(_IFS_L1, NormKind.L1)
+        queries = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 31)] * 2), axis=-1).reshape(-1, 2)
+        whole = _cover_upper_dist(queries, sys, 0.05)
+        monkeypatch.setattr(game, "_QUERY_BLOCK", 7)
+        assert _cover_upper_dist(queries, sys, 0.05).tobytes() == whole.tobytes()
 
-def _cover_upper(sys, tol):
-    centers, radii, solid = _leaf_cover(sys, tol / 8.0, 300_000)
-    return lambda q: _cover_upper_dist(q, centers, radii, sys.norm, solid)
+    def test_far_queries_are_infinite(self):
+        sys = from_ifs(_PATTERN_IFS, NormKind.LINF)
+        # the second query is the fixed point of the map (0.3, (0.5, -0.4))
+        got = _cover_upper_dist(np.array([[5.0, 5.0], [0.5 / 0.7, -0.4 / 0.7]]), sys, 0.01)
+        assert got[0] == math.inf and 0 < got[1] <= 0.01
+
+
+@st.composite
+def cover_systems(draw):
+    """A set the scan measures by the pruned descent: an IFS that is not an
+    axis product of one ratio per axis (any norm, 2-4 maps, mixed ratios)
+    or a gap tree, whose ends may sit on a dyadic lattice, as it is or as a
+    similarity image."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 2))
+        norm = draw(st.sampled_from(list(NormKind)))
+        maps = []
+        for _ in range(draw(st.integers(2, 4))):
+            lam = draw(st.floats(0.1, 0.45))
+            raw = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
+            reach = 0.999 * (1.0 - lam)
+            size = vector_size(raw, norm)
+            maps.append((lam, tuple(v * reach / size for v in raw) if size > reach else raw))
+        ifs = HomotheticIFS(tuple(maps))
+        factors = ifs.axis_factors()
+        assume(factors is None or any(min(f.lams) != f.lam_max for f in factors))
+        base = from_ifs(ifs, norm)
+    else:
+        if draw(st.booleans()):
+            ends = st.integers(-63, 63).map(lambda i: i / 64)
+        else:
+            ends = st.floats(-0.99, 0.99).map(lambda x: round(x, 6))
+        cuts = sorted(set(draw(st.lists(ends, min_size=2, max_size=12))))
+        gaps = tuple(zip(cuts[0::2], cuts[1::2]))
+        assume(gaps)
+        base = from_gaps_1d(GapList1D(hull=(-1.0, 1.0), gaps=gaps))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([0.5, 2.0]) | st.floats(0.05, 20.0))
+        shifts = st.sampled_from([0.0, 0.25]) | st.floats(-2.0, 2.0)
+        shift = tuple(draw(shifts) for _ in range(base.dimension))
+        return similarity_image(base, scale, shift)
+    return base
+
+
+class TestPatternPrunedDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sys=cover_systems(),
+        pattern=st.lists(st.integers(-4, 4).map(lambda i: i / 4), min_size=2, max_size=6),
+        lam_frac=st.floats(0.01, 0.99),
+        intervals=st.sampled_from([8, 16, 32, 64, 128, 256]),
+        tol_steps=st.integers(1, 16),
+    )
+    # grid point -0.75 at pattern point -1 lies exactly tol left of the
+    # hull, and its node [-1, -0.132812] rounds d - r above tol: a drop at
+    # exactly d - r > tol loses this witness
+    @example(
+        sys=from_gaps_1d(GapList1D(hull=(-1.0, 1.0), gaps=((-0.25, -0.1875), (-0.132812, 0.0)))),
+        pattern=[0.5, -1.0],
+        lam_frac=0.5234375,
+        intervals=8,
+        tol_steps=3,
+    )
+    def test_witnesses_equal_the_reference_scan(self, sys, pattern, lam_frac, intervals, tol_steps):
+        # dyadic steps, tolerances and scales put grid points at exactly tol
+        # from the lattice gap trees
+        d = sys.dimension
+        pts = [tuple(pattern[i : i + d]) for i in range(0, len(pattern) - d + 1, d)]
+        assume(pts)
+        radius = sys.root.radius
+        limit = pattern_lambda_limit(pts, radius, sys.norm)
+        lam = math.ldexp(math.floor(math.ldexp(lam_frac * min(limit, radius), 12)), -12)
+        assume(0 < lam < limit)
+        if d == 2:
+            intervals = min(intervals, 32)
+        grid_step = 2 * radius / intervals
+        tol = tol_steps / 256 * radius
+        try:
+            upper = _cover_upper(sys, tol, max_nodes=20_000)
+        except RuntimeError:
+            return  # past the reference's budget
+        found = pattern_search_oracle(sys, pts, lam, grid_step, tol)
+        want = _reference_scan(sys, pts, lam, grid_step, tol, upper)
+        assert repr(found) == repr(want)
+
+    @pytest.mark.parametrize(
+        "make, pts, lam, step, tol, count",
+        [
+            (lambda: from_ifs(_IFS_L1, NormKind.L1), [(0.0, 0.0), (1.0, 0.0)], 0.05, 0.01, 0.02, 392),
+            (lambda: from_ifs(_T_IFS, NormKind.LINF), [(0.0, 0.0), (1.0, 0.0)], 0.1, 0.01, 0.01, 213),
+            (
+                lambda: similarity_image(from_ifs(_T_IFS, NormKind.LINF), 0.7, (0.1, -0.2)),
+                [(0.0, 0.0), (1.0, 0.0)], 0.1, 0.01, 0.01, 29,
+            ),
+            (
+                lambda: from_ifs(
+                    HomotheticIFS(((0.3, (-0.6,)), (0.2, (0.7,)), (0.1, (0.1,)))), NormKind.LINF
+                ),
+                [(0.0,), (1.0,)], 0.1, 1e-4, 1e-4, 126,
+            ),
+        ],
+        ids=["l1", "t_linf", "t_similarity", "mixed_1d"],
+    )
+    def test_boards_keep_their_witnesses(self, make, pts, lam, step, tol, count):
+        sys = make()
+        found = pattern_search_oracle(sys, pts, lam, step, tol)
+        assert len(found) == count
+        want = _reference_scan(sys, pts, lam, step, tol, _cover_upper(sys, tol))
+        assert repr(found) == repr(want)
+
+    def test_l1_board_scans_in_under_a_second(self):
+        # the all-pairs cover took about 3 s on this board
+        sys = from_ifs(_IFS_L1, NormKind.L1)
+        start = time.perf_counter()
+        found = pattern_search_oracle(sys, [(0.0, 0.0)], 0.1, 0.01, 0.02)
+        assert time.perf_counter() - start < 1.0
+        assert found
 
 
 _SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
@@ -942,19 +1088,30 @@ class TestPatternSolidLeaves:
                 assert dist_to_set((x + lam * b,), sys, tol).hi <= tol
 
     def test_cover_distance_to_solid_nodes(self):
-        centers, radii = np.array([[0.0], [1.0]]), np.array([0.25, 0.25])
+        # node (0,) is childless; node (1,) has a child but ends at radius tol / 8
+        entries = [
+            (ROOT, Ball((0.5,), 1.0)),
+            ((0,), Ball((0.0,), 0.25)),
+            ((1,), Ball((1.0,), 0.25)),
+            ((1, 0), Ball((1.0,), 0.1)),
+        ]
+        sys = explicit_tree(NormKind.LINF, 1, entries)
         q = np.array([[-0.1], [0.0], [0.5], [1.0], [2.0]])
-        got = _cover_upper_dist(q, centers, radii, NormKind.LINF, np.array([True, False]))
+        got = _cover_upper_dist(q, sys, 2.0)
         # max(0, d - r) for the solid node, d + r for the other
         assert got.tolist() == [0.0, 0.0, 0.25, 0.25, 1.25]
 
     def test_only_childless_nodes_are_solid(self):
-        # every leaf of this tree is wider than the target radius
-        _, radii, solid = _leaf_cover(from_gaps_1d(self.GAPS), 0.01 / 8.0, 300_000)
+        # every leaf of this tree is wider than the target radius: solid, at 0
+        centers, _, solid = _children_leaf_cover(from_gaps_1d(self.GAPS), 0.01 / 8.0, 300_000)
         assert len(solid) == 5 and solid.all()
-        # depth-6 nodes of the depth-8 Cantor tree stop at the target radius
-        _, radii, solid = _leaf_cover(_middle_thirds(8), 1e-3, 300_000)
+        assert _cover_upper_dist(centers, from_gaps_1d(self.GAPS), 0.01).tolist() == [0.0] * 5
+        # depth-6 nodes of the depth-8 Cantor tree stop at the target radius:
+        # at its center, a node gives its radius, d + r
+        centers, radii, solid = _children_leaf_cover(_middle_thirds(8), 1e-3, 300_000)
         assert len(solid) == 2**6 and not solid.any()
+        got = _cover_upper_dist(centers, _middle_thirds(8), 8e-3)
+        assert got.tolist() == radii.tolist() and np.all(got > 0)
 
     def test_cli_pattern_finds_them(self, tmp_path):
         from thickgap import cli
@@ -979,9 +1136,12 @@ class TestPatternSolidLeaves:
         assert json.loads(out.read_text())["count"] > 0
 
     def test_infinite_trees_have_no_solid_nodes(self):
+        # a solid node would give 0 at its own center
         for norm in (NormKind.L2, NormKind.LINF):
-            _, _, solid = _leaf_cover(from_ifs(_PATTERN_IFS, norm), 0.01, 300_000)
-            assert not solid.any()
+            sys = from_ifs(_PATTERN_IFS, norm)
+            centers, radii, _ = _children_leaf_cover(sys, 0.01, 300_000)
+            got = _cover_upper_dist(centers, sys, 0.08)
+            assert np.all(got > 0) and np.all(got <= radii)
 
 
 def test_numpy_is_imported_on_first_use():

@@ -1,6 +1,7 @@
 """Tests for the intersection criterion and its constructive witnesses."""
 
 import heapq
+import json
 import math
 import sys as pysys
 
@@ -30,7 +31,7 @@ from thickgap.gaplemma import (
     intersect,
 )
 from thickgap.geometry import Ball, NormKind, ball_contains, ball_scale, norm_distance
-from thickgap.metrics import dist_to_set
+from thickgap.metrics import dist_to_set, thickness
 
 R_BENCH = 0.19556
 
@@ -100,6 +101,57 @@ def test_hypotheses_validation():
     one_d = corner_family(CornerFamilyParams(n=10, ell=0.19, d=1))
     with pytest.raises(ValueError):
         check_hypotheses(s1, one_d, 0.2)
+
+
+# the gaps1d tree of the depth-truncation case: lhs 2.25 from the root alone,
+# 4.0e-6 once depth 1 is walked
+_TRUNCATED_SPEC = {
+    "norm": "linf",
+    "dimension": 1,
+    "generator": {"type": "gaps1d", "hull": [-1, 1], "gaps": [[-0.25, 0.25], [0.251, 0.749]]},
+}
+
+
+@pytest.mark.parametrize("depth, status", [(0, "unknown"), (1, "refuted")])
+def test_truncated_thickness_product_is_not_proven(tmp_path, depth, status):
+    from thickgap import cli
+
+    spec, out = tmp_path / "gaps.json", tmp_path / "out.json"
+    spec.write_text(json.dumps(_TRUNCATED_SPEC))
+    argv = ["gapcheck", "--spec", str(spec), "--r", "0.1", "--depth", str(depth)]
+    assert cli.main(argv + ["--out", str(out)]) == 4
+    tau = json.loads(out.read_text())["hypotheses"]["tau_product"]
+    assert tau["status"] == status
+    if depth == 0:
+        # the root's ratio alone clears rhs, but deeper nodes are thinner
+        assert tau["lhs"]["lo"] >= tau["rhs"]
+
+
+def test_homothetic_thickness_covers_every_depth_when_siblings_overlap():
+    sys = from_ifs(HomotheticIFS(((0.6, (-0.4,)), (0.6, (0.4,)))), NormKind.LINF)
+    assert not sys.siblings_disjoint_at_root()
+    report = thickness(sys, 2, 1e-6)
+    assert report.method == "homothetic-promotion" and report.valid_all_depths
+
+
+def test_one_system_on_both_sides_is_computed_once(monkeypatch):
+    ifs = HomotheticIFS(((0.3, (-0.55, -0.4)), (0.3, (0.55, -0.4)), (0.3, (0.0, 0.65))))
+    calls = {"thickness": 0, "denseness_check": 0}
+    for name in calls:
+        real = getattr(gaplemma, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gaplemma, name, counted)
+    sys = from_ifs(ifs, NormKind.L2)
+    report = check_hypotheses(sys, sys, 0.2)
+    assert calls == {"thickness": 1, "denseness_check": 1}
+    # the same report as from two equal systems, each computed on its own
+    twin = check_hypotheses(from_ifs(ifs, NormKind.L2), from_ifs(ifs, NormKind.L2), 0.2)
+    assert calls == {"thickness": 3, "denseness_check": 3}
+    assert report == twin
 
 
 # bridge construction
