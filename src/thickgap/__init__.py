@@ -23,7 +23,7 @@ _HOMES = {
     """,
     "ballsystem": """
         BallSystem CornerFamilyParams GapList1D HomotheticIFS SpecError Word corner_family
-        explicit_tree from_gaps_1d from_ifs newhouse_thickness parse_set_spec
+        BudgetExceeded explicit_tree from_gaps_1d from_ifs newhouse_thickness parse_set_spec
         perturbed_image similarity_image translate
     """,
     "metrics": """

@@ -11,25 +11,26 @@ intersections generate a compact set C. Generators:
   Similarity        image of a base under x -> scale*x + shift (translates too)
   Perturbed         image of a base: centers through a smooth map, radii * (1+eps)
 
-Trees are expanded lazily and memoized in two node stores. Each generator
-has one per-child formula on plain floats: the parent's center and radius
-in, the child's out. child_block(word) applies it to every child of a node
-(the generator's block()) and memoizes the result as the node's child
-block, (centers, radii) of plain floats, checked once with the checks Ball
-makes. Blocks are every tree's one adjacency: every walk of the tree reads
-them, and branch-and-bound searches build no Ball from them. A corner
-family's block is the product of each axis's n coordinates, which go
-through the formula's own float operations.
-children(word) and walk() wrap a block's entries in fresh Balls, equal to
-ball()'s, without checking them again or storing them; ball(word) builds
-only the missing nodes on the path to word, one checked Ball per level and
-none of its siblings, into the second store. path(word) gives the same
-nodes as plain floats and stores nothing, as the corner_grid field does
-for the children of any node of a corner family or a similarity image of
-one. An image (Similarity, Perturbed) expands nothing itself: its node at
-a word is the image's node() of the base's node at that word and its
-block that of each entry of the base's block, so every image of one base
-reads and fills the base's memo.
+Trees are expanded lazily into one node store, the child blocks. Each
+generator has one per-child formula on plain floats: the parent's center
+and radius in, the child's out. child_block(word) applies it to every child
+of a node (the generator's block()) and memoizes the result as the node's
+child block, (centers, radii) of plain floats, checked once with the checks
+Ball makes. Every walk of the tree reads blocks, and branch-and-bound
+searches build no Ball from them. A corner family's block is the product
+of each axis's n coordinates, which go through the formula's own float
+operations. The finite generators (gap lists, explicit tables) build every
+node's block with the tree, a leaf's empty; they terminate in leaves and
+represent the set at that truncation, meaning C is the union of the leaf
+balls. children(word) and walk() wrap a block's entries in fresh Balls
+without checking them again. ball(word) stores nothing: it reads the
+node's entry in its parent's block when that is built, else the last node
+of path(word). path(word) gives the nodes on the path as plain floats, as
+the corner_grid field does for the children of any node of a corner
+family or a similarity image of one. An image (Similarity, Perturbed) expands
+nothing itself: its node at a word is the image's node() of the base's
+node at that word and its block that of each entry of the base's block,
+so every image of one base reads and fills the base's blocks.
 
 A system records its shape once, when it is built, from its generator:
 base, the system an image maps (None for a generated or finite system);
@@ -39,13 +40,8 @@ first, () when there are none and None past a perturbed image; and
 corner_grid, the CornerGrid of a Linf corner family or of a similarity
 image of one, else None. A field that would name the system itself holds
 None, so that no system refers back to itself and each is freed by
-reference counting. Finite generators (gap lists, explicit tables) keep
-every node in a node table, the Ball store, and read a block from it on
-first use: the children of word are word + (j,) for j = 0, 1, ... while
-the table holds them. They terminate in leaves and represent the set at
-that truncation, meaning C is the union of the leaf balls. Memo fills take
-no lock: two threads may build the same block, and both get the one stored
-first.
+reference counting. Memo fills take no lock: two threads may build the
+same block, and both get the one stored first.
 """
 
 from __future__ import annotations
@@ -73,6 +69,7 @@ Word = Tuple[int, ...]
 Block = Tuple[Tuple[Point, ...], Tuple[float, ...]]
 
 ROOT: Word = ()
+_LEAF: Block = ((), ())  # the child block of a leaf
 
 _UNSET = object()  # marks a memo not filled yet where None is a value
 
@@ -81,6 +78,10 @@ _CONTAIN_SLACK = 1e-12  # relative float allowance in validation-only containmen
 
 class SpecError(ValueError):
     """Malformed set-spec input."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search stopped at a cap on its work before it found an answer."""
 
 
 def word_str(word: Word) -> str:
@@ -417,13 +418,6 @@ class CornerGrid:
             center, radius = t.node(center, radius)
         return center, radius
 
-    def core(self, word: Word) -> Tuple[Point, float]:
-        """The core center and radius of the node at word."""
-        center, radius = self.root.center, self.root.radius
-        for j in word:
-            center, radius = self.params.child(center, radius, j)
-        return center, radius
-
 
 class BallSystem:
     """Lazy, memoized, immutable-after-construction tree of closed balls."""
@@ -439,10 +433,8 @@ class BallSystem:
         self.dimension = dimension
         self.root = root
         self.generator = generator
-        # the two node stores: child blocks, and the Balls ball() builds (a
-        # finite tree's node table)
+        # the one node store: each expanded node's child block
         self._blocks: Dict[Word, Block] = {}
-        self._balls: Dict[Word, Ball] = {ROOT: root}
         self._finite = False  # set by the finite constructors and their similarity images
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
@@ -470,27 +462,9 @@ class BallSystem:
     # -- tree access -------------------------------------------------------
 
     def ball(self, word: Word) -> Ball:
-        """The node at word; KeyError when the tree has none."""
-        balls = self._balls
-        b = balls.get(word)
-        if b is not None:
-            return b
-        gen = self.generator
-        if self.base is not None:
-            b = self.base.ball(word)
-            b = balls[word] = Ball(*gen.node(b.center, b.radius))
-            return b
-        depth = len(word) - 1
-        while word[:depth] not in balls:  # the root is always cached
-            depth -= 1
-        b = balls[word[:depth]]
-        # finite trees store every node: a word they lack fails the index check
-        for depth in range(depth + 1, len(word) + 1):
-            node = word[:depth]
-            if not 0 <= node[-1] < self.child_count(node[:-1]):
-                raise KeyError(f"no node at word {word}")
-            b = balls[node] = Ball(*gen.child(b.center, b.radius, node[-1]))
-        return b
+        """The node at word as a fresh Ball; KeyError when the tree has none.
+        Stores nothing."""
+        return trusted_ball(*self._node(word)) if word else self.root
 
     def child_block(self, word: Word) -> Block:
         """The children of the node at word as plain floats, (centers, radii):
@@ -593,15 +567,17 @@ class BallSystem:
             for center, radius in self.base.path(word):
                 yield gen.node(center, radius)
             return
-        if self._finite:
-            for depth in range(len(word) + 1):
-                b = self._balls.get(word[:depth])
-                if b is None:
-                    raise KeyError(f"no node at word {word}")
-                yield b.center, b.radius
-            return
         center, radius = self.root.center, self.root.radius
         yield center, radius
+        if self._finite:
+            # every node's block is built with the tree
+            for depth, j in enumerate(word):
+                centers, radii = self._blocks[word[:depth]]
+                if not 0 <= j < len(radii):
+                    raise KeyError(f"no node at word {word}")
+                center, radius = centers[j], radii[j]
+                yield center, radius
+            return
         for j in word:
             if not 0 <= j < gen.child_count:
                 raise KeyError(f"no node at word {word}")
@@ -667,24 +643,21 @@ class BallSystem:
             centers, radii = self.base.child_block(word)
             return _checked_block([gen.node(c, r) for c, r in zip(centers, radii)])
         if self._finite:
-            # the node table holds children word + (j,) for j = 0, 1, ...,
-            # each checked as a Ball already
-            balls, kids = self._balls, []
-            while (b := balls.get(word + (len(kids),))) is not None:
-                kids.append(b)
-            return tuple([b.center for b in kids]), tuple([b.radius for b in kids])
+            return _LEAF  # a finite tree holds every node's block: word names none
         return gen.block(*self._node(word))
 
     def _node(self, word: Word) -> Tuple[Point, float]:
-        """Center and radius of the node at word, read from its parent's
-        block when that is built, so that a search builds no Ball."""
+        """Center and radius of the node at word: its entry in its parent's
+        block when that is built, else the last node of path(word) after the
+        checks Ball makes, with the same errors. Stores nothing."""
         if word:
             block = self._blocks.get(word[:-1])
             j = word[-1]
             if block is not None and 0 <= j < len(block[1]):
                 return block[0][j], block[1][j]
-        b = self.ball(word)
-        return b.center, b.radius
+        *_, node = self.path(word)
+        _checked_block([node])
+        return node
 
     # -- validation ---------------------------------------------------------
 
@@ -791,18 +764,11 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
 
     The gaps are sorted once by that rule. Each node's gap list keeps the
     sorted order, as the left and right filters keep it, so its first gap
-    is the one min() by the same key would pick."""
-
-    def interval_ball(a: float, b: float) -> Ball:
-        # a piece narrower than two of the least subnormals has radius 0
-        if not (b - a) / 2 > 0:
-            raise ValueError(
-                f"gap arrangement produces a degenerate piece [{a}, {b}]"
-            )
-        return Ball(((a + b) / 2,), (b - a) / 2)
-
+    is the one min() by the same key would pick. A node's block is built
+    where it splits, and its pieces are checked as Ball checks them when
+    they are visited."""
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
-    balls: Dict[Word, Ball] = {}
+    blocks: Dict[Word, Block] = {}
     leaf_ivs: List[Tuple[float, float]] = []
 
     # preorder with an explicit stack, left piece first: nesting depth is
@@ -812,8 +778,11 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     ]
     while stack:
         word, a, b, inside = stack.pop()
-        balls[word] = interval_ball(a, b)
+        if not (b - a) / 2 > 0:  # narrower than two of the least subnormals
+            raise ValueError(f"gap arrangement produces a degenerate piece [{a}, {b}]")
+        _checked_block([(((a + b) / 2,), (b - a) / 2)])
         if not inside:
+            blocks[word] = _LEAF
             leaf_ivs.append((a, b))
             continue
         lo, hi = inside[0]
@@ -821,11 +790,13 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         right = [g for g in inside if g[0] >= hi]
         if len(left) + len(right) != len(inside) - 1:
             raise ValueError("inconsistent gap containment")  # unreachable for valid input
+        blocks[word] = (((a + lo) / 2,), ((hi + b) / 2,)), ((lo - a) / 2, (b - hi) / 2)
         stack.append((word + (1,), hi, b, right))
         stack.append((word + (0,), a, lo, left))
 
-    sys = BallSystem(norm=norm, dimension=1, root=balls[ROOT], generator=gl)
-    sys._balls.update(balls)
+    a, b = gl.hull
+    sys = BallSystem(norm=norm, dimension=1, root=Ball(((a + b) / 2,), (b - a) / 2), generator=gl)
+    sys._blocks = blocks
     sys._finite = True
     sys._leaf_intervals = tuple(sorted(leaf_ivs))
     return sys
@@ -848,9 +819,14 @@ def explicit_tree(
         j, parent = w[-1], w[:-1]
         if j < 0 or (j > 0 and parent + (j - 1,) not in balls):
             raise ValueError(f"children of {parent} are not indexed 0..m-1")
-    # generator None: every node is in the table
+    # generator None: every node's block is read from the table, its
+    # entries checked as Balls already
     sys = BallSystem(norm=norm, dimension=dimension, root=balls[ROOT], generator=None)
-    sys._balls.update(balls)
+    for w in balls:
+        kids = []
+        while (b := balls.get(w + (len(kids),))) is not None:
+            kids.append(b)
+        sys._blocks[w] = tuple([b.center for b in kids]), tuple([b.radius for b in kids])
     sys._finite = True
     return sys
 

@@ -21,7 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 # only what every subcommand needs loads with the module; each handler
 # imports its analysis modules itself, so a process loads what it runs
-from .ballsystem import ROOT, BallSystem, SpecError, Word, parse_set_spec, translate, word_str
+from .ballsystem import (
+    ROOT, BallSystem, BudgetExceeded, SpecError, Word, parse_set_spec, translate, word_str
+)
 from .geometry import NormKind, Point, vector_size
 
 EXIT_OK = 0
@@ -530,6 +532,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_NO_CONVERGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_UNKNOWN

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
-from .ballsystem import ROOT, BallSystem, Word
+from .ballsystem import ROOT, BallSystem, BudgetExceeded, Word
 from .geometry import (
     Ball,
     NormKind,
@@ -230,9 +230,10 @@ def kappa(norm: NormKind, d: int) -> int:
     raise ValueError("no built-in packing count for this norm")
 
 
-def _hole_enclosure(sys: BallSystem, word: Word):
-    rad = sys.ball(word).radius
-    return hole_radius(word, sys, max(1e-9 * rad, 1e-13))
+def _hole_enclosure(sys: BallSystem, word: Word, ball: Optional[Ball] = None):
+    """The node's hole enclosure; a caller holding the node's ball passes it."""
+    ball = ball or sys.ball(word)
+    return hole_radius(word, sys, max(1e-9 * ball.radius, 1e-13), ball=ball)
 
 
 def alice_h_sets(sys: BallSystem, word: Word) -> SphereUnion:
@@ -243,13 +244,13 @@ def alice_h_sets(sys: BallSystem, word: Word) -> SphereUnion:
     end of the hole enclosure for both offsets. The union has at most
     one sphere more than the node has children.
     """
-    spheres = _h_spheres(sys, word, _hole_enclosure(sys, word).hi)
+    ball = sys.ball(word)
+    spheres = _h_spheres(sys, word, ball, _hole_enclosure(sys, word, ball).hi)
     return SphereUnion(tuple(spheres), m_bound=len(spheres))
 
 
-def _h_spheres(sys: BallSystem, word: Word, h: float) -> List[Sphere]:
-    """alice_h_sets' spheres for the node at word, given its hole bound h."""
-    ball = sys.ball(word)
+def _h_spheres(sys: BallSystem, word: Word, ball: Ball, h: float) -> List[Sphere]:
+    """alice_h_sets' spheres for the node at word, whose ball is ball, given its hole bound h."""
     centers, radii = sys.child_block(word)
     # node centers passed Ball's checks already
     spheres = [trusted_sphere(ball.center, ball.radius - h / 2)]
@@ -353,7 +354,7 @@ class AliceStrategy:
                 radii.append(root_radius * ratio ** (n + 1))
             if radius >= radii[n + 1]:
                 return n
-        raise RuntimeError("radius band search did not terminate")
+        raise BudgetExceeded(f"radius band search passed _BAND_LIMIT = {_BAND_LIMIT} bands")
 
     def words_meeting(self, ball: Ball, level: int) -> List[Word]:
         """Words of the given length whose balls intersect the ball."""
@@ -397,7 +398,8 @@ class AliceStrategy:
             )
         if not words:
             return AliceMove()
-        holes = [_hole_enclosure(self.sys, word) for word in words]
+        balls = [self.sys.ball(word) for word in words]
+        holes = [_hole_enclosure(self.sys, w, b) for w, b in zip(words, balls)]
         budget = ball.radius / self.tau
         worst = max(h.lo for h in holes)
         if worst > budget * (1 + _REF_TOL):
@@ -409,8 +411,8 @@ class AliceStrategy:
         if rho_erase <= 0:
             return AliceMove()
         spheres: List[Sphere] = []
-        for word, h in zip(words, holes):
-            spheres.extend(_h_spheres(self.sys, word, h.hi))
+        for word, b, h in zip(words, balls, holes):
+            spheres.extend(_h_spheres(self.sys, word, b, h.hi))
         union = SphereUnion(tuple(spheres), m_bound=self.sphere_budget)
         return AliceMove((Erasure(union, rho_erase),))
 
@@ -839,7 +841,7 @@ def _cover_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.nd
     once d - r > tol: the pair is dropped at d - r > tol + tol / 8, the
     extra eighth covering rounding, and every value at most tol is the full
     cover's bit for bit. Queries go in blocks of _QUERY_BLOCK; a level of
-    more than _COVER_NODES nodes is a RuntimeError."""
+    more than _COVER_NODES nodes is a BudgetExceeded."""
     import numpy as np
 
     if len(queries) > _QUERY_BLOCK:
@@ -861,7 +863,7 @@ def _cover_upper_dist(queries: np.ndarray, sys: BallSystem, tol: float) -> np.nd
         parents, up = np.unique(ni[go], return_inverse=True)
         kids = counts[parents]
         if kids.sum() > _COVER_NODES:
-            raise RuntimeError(f"pattern cover exceeded the node budget {_COVER_NODES}")
+            raise BudgetExceeded(f"pattern cover exceeded the node budget {_COVER_NODES}")
         blocks = [sys.child_block(words[p]) for p in parents.tolist()]
         words = [words[p] + (j,) for p, k in zip(parents.tolist(), kids.tolist()) for j in range(k)]
         centers = np.array([c for cs, _ in blocks for c in cs]).reshape(-1, sys.dimension)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .ballsystem import ROOT, BallSystem, CornerGrid, Word, translate
+from .ballsystem import ROOT, BallSystem, BudgetExceeded, CornerGrid, Word, translate
 from .geometry import (
     Ball,
     IntervalBound,
@@ -261,7 +261,10 @@ def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tup
     while heap:
         # stop before popping the node past the budget, as a full expansion does
         if not heap[0][2] and pops >= _FIND_BUDGET:
-            break
+            raise BudgetExceeded(
+                f"no node ball certifiably inside target B[{target.center}, {target.radius}] "
+                f"at tolerance {tol} within _FIND_BUDGET = {_FIND_BUDGET} pops"
+            )
         entry = heapq.heappop(heap)
         if entry[2]:
             for kid in entry[3]:
@@ -567,7 +570,7 @@ def intersect(
                     None,
                 )
             else:
-                core = grid.core(l_word)
+                *_, core = (side_b.core or side_b).path(l_word)
                 devs, _, min_child = grid.deviations(*core, bridge.center)
                 child_idx = _first_inside(grid.params.n, devs, min_child, bridge.radius)
             h_k = _hole_hi(side_a, k_word, k_ball)
@@ -630,8 +633,8 @@ def intersect(
             l_word, l_ball, h_l = k_word, k_ball, next_h
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case2"))
 
-    raise RuntimeError(
-        f"no certified witness after {max_steps} steps; last ball radius "
+    raise BudgetExceeded(
+        f"no certified witness within max_steps = {max_steps} steps; last ball radius "
         f"{l_ball.radius:.6g} vs tolerance {tol:.6g}"
     )
 

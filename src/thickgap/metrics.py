@@ -480,16 +480,17 @@ def _split_box(lo: Tuple[float, ...], hi: Tuple[float, ...], norm: NormKind) -> 
     return out
 
 
-def _hole_bnb(sys: BallSystem, word: Word, tol: float) -> IntervalBound:
+def _hole_bnb(sys: BallSystem, word: Word, tol: float, region: Optional[Ball] = None) -> IntervalBound:
     """Maximize dist(x, C) over the node ball by subdividing into sub-boxes.
 
     On a sub-box with representative q inside the node, the max over the box
     is enclosed by [dist(q, C).lo, dist(q, C).hi + reach(box, q)] since the
     distance function is 1-Lipschitz in the workspace norm. Boxes are
-    (lo, hi) pairs, so ties in the search go to the smallest box corner.
+    (lo, hi) pairs, so ties in the search go to the smallest box corner. A
+    caller holding the node's ball passes it as region.
     """
     oracle = _oracle(sys)
-    region = sys.ball(word)
+    region = region or sys.ball(word)
     norm = sys.norm
     ftol = tol / 4
 
@@ -525,7 +526,7 @@ def hole_radius(
     generated set, not only the part below the node. Exact up to a few ulps
     where _exact_hole has a closed form, searched by sub-boxes elsewhere.
     A caller that holds the node's ball, as sys.ball(word) gives it, passes
-    it as ball, and the closed form builds none.
+    it as ball, which saves a walk down from the root.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -539,8 +540,9 @@ def hole_radius(
 
 
 def _hole(sys: BallSystem, word: Word, tol: float, ball: Optional[Ball] = None) -> IntervalBound:
+    ball = ball or sys.ball(word)
     h = _exact_hole(sys, word, tol, ball)
-    return h if h is not None else _hole_bnb(sys, word, tol)
+    return h if h is not None else _hole_bnb(sys, word, tol, ball)
 
 
 def _exact_hole(
@@ -757,7 +759,7 @@ def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport
                 truncated = True
                 break
             searched += 1
-            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius)
+            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, ball)
         rec = _record(word, min(radii), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec

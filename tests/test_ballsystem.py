@@ -479,15 +479,24 @@ def test_single_ball_builds_only_its_path():
     moved = translate(base, (0.05, -0.02))
     word = (4, 0, 8, 2)
     moved.ball(word)
-    # the base holds the path's nodes, the translate the root and the node
-    assert sorted(base._balls) == [word[:k] for k in range(len(word) + 1)]
-    assert sorted(moved._balls) == [(), word]
-    # and no child block: children live in blocks alone
+    # the path is walked, not stored: neither system gains a child block
     assert not base._blocks and not moved._blocks
-    # a second image of the same base reads the base's nodes
+    # a second image of the same base walks the base's path too
     again = translate(base, (0.1, 0.1))
     again.ball(word[:3])
-    assert len(base._balls) == len(word) + 1
+    assert not base._blocks and not again._blocks
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_ball_stores_nothing(name):
+    make = GENERATORS[name]
+    for word, _ in make().walk(3):
+        fresh = make()
+        systems = [s for s in (fresh, fresh.base) if s is not None]
+        # a finite tree holds its blocks from construction
+        before = [dict(s._blocks) for s in systems]
+        fresh.ball(word)
+        assert [s._blocks for s in systems] == before, word
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
@@ -497,12 +506,13 @@ def test_path_matches_ball_and_builds_none(name):
     words = [w for w, _ in full.walk(3)]
     for word in words:
         single = make()
-        before = dict(single._balls)
+        # a finite tree holds its blocks from construction
+        before = dict(single._blocks)
         path = list(single.path(word))
         assert [repr(node) for node in path] == [
             _bits(full.ball(word[:i])) for i in range(len(word) + 1)
         ], word
-        assert single._balls == before and not single._blocks
+        assert single._blocks == before and (single.is_finite or not before)
     for word in [w for w in words if w][:5]:
         past = word[:-1] + (len(full.children(word[:-1])),)
         with pytest.raises(KeyError):
@@ -513,10 +523,11 @@ def test_path_matches_ball_and_builds_none(name):
 def test_corner_grid_matches_child_blocks(name):
     make = GENERATORS[name]
     full = make()
-    grid = make().corner_grid
+    sys = make()
+    grid = sys.corner_grid
     n = grid.params.n
     for word in [(), (4,), (4, 0), (4, 0, 8)]:
-        core = grid.core(word)
+        *_, core = (sys.core or sys).path(word)
         assert repr(grid.node(*core)) == _bits(full.ball(word))
         centers, radii = full.child_block(word)
         rows, core_radius, radius = grid.axes(*core)
@@ -563,8 +574,8 @@ def test_child_block_is_memoized_and_shared_by_images():
     block = moved.child_block((4,))
     assert moved.child_block((4,)) is block
     assert list(base._blocks) == [(4,)]
-    # the block stores no Ball of a child, only the node's own path
-    assert sorted(base._balls) == [(), (4,)] and sorted(moved._balls) == [()]
+    # the image stores its own block of the node and nothing else
+    assert list(moved._blocks) == [(4,)]
     assert translate(base, (0.1, 0.1)).child_block((4,))[1] == base._blocks[(4,)][1]
     assert len(base._blocks) == 1
     # children() wraps the block's own floats
@@ -835,7 +846,13 @@ def test_gap_tree_matches_recursive_construction(data):
         return
     sys = from_gaps_1d(gl)
     balls, children, leaf_ivs = expected
-    assert list(sys._balls.items()) == list(balls.items())
+    # the root and every node's block, its children's balls bit for bit, in
+    # the same preorder
+    assert _bits(sys.root) == _bits(balls[()])
+    assert list(sys._blocks) == list(balls)
+    for w, kids in children.items():
+        want = tuple(balls[k].center for k in kids), tuple(balls[k].radius for k in kids)
+        assert repr(sys._blocks[w]) == repr(want), w
     # the node table is the adjacency: word + (j,) for j below the child count
     assert {w: tuple(w + (j,) for j in range(sys.child_count(w))) for w in balls} == children
     assert sys.leaf_intervals() == leaf_ivs

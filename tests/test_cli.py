@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from thickgap import ballsystem, cli, game
+from thickgap import ballsystem, cli, game, gaplemma
 from thickgap.ballsystem import (
     MAX_CHILDREN,
     BallSystem,
@@ -51,6 +51,19 @@ SPECS = {
         "norm": "linf",
         "dimension": 1,
         "generator": {"type": "corner", "n": 2, "ell": 2 / 3},
+    },
+    # T: a 2-D Linf IFS that is not an axis product
+    "ifs_t": {
+        "norm": "linf",
+        "dimension": 2,
+        "generator": {
+            "type": "ifs",
+            "maps": [
+                {"lambda": 0.3, "t": [-0.55, -0.4]},
+                {"lambda": 0.3, "t": [0.55, -0.4]},
+                {"lambda": 0.3, "t": [0.0, 0.65]},
+            ],
+        },
     },
     "thirds": {
         "norm": "linf",
@@ -764,3 +777,27 @@ class TestRender:
         out = tmp_path / "dump.csv"
         assert cli.main(["render", "--spec", "unused", "--depth", "2", "--out", str(out)]) == 0
         assert out.read_text() != _walk_dump(_render_signed_zeros(), 2)
+
+
+class TestBudgetExit:
+    """A search stopped by a cap on its work exits 3, and says which cap."""
+
+    PAIR = ["--shift2", "0.05,0.02", "--r", "0.19556"]
+
+    def test_intersect_out_of_steps(self, specs, capsys):
+        argv = ["intersect", "--spec", specs["corner10_d2"], *self.PAIR, "--steps", "1"]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGE
+        err = capsys.readouterr().err
+        assert "max_steps = 1" in err and "Traceback" not in err
+
+    def test_locate_out_of_pops(self, specs, capsys, monkeypatch):
+        monkeypatch.setattr(gaplemma, "_FIND_BUDGET", 3)
+        argv = ["intersect", "--spec", specs["corner10_d2"], *self.PAIR]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGE
+        assert "_FIND_BUDGET = 3" in capsys.readouterr().err
+
+    def test_pattern_cover_out_of_nodes(self, specs, capsys, monkeypatch):
+        monkeypatch.setattr(game, "_COVER_NODES", 50)
+        argv = ["pattern", "--spec", specs["ifs_t"], "0.1", "0,0", "1,0", "--grid", "0.01"]
+        assert cli.main([*argv, "--tol", "0.01"]) == cli.EXIT_NO_CONVERGE
+        assert "node budget 50" in capsys.readouterr().err

@@ -38,6 +38,32 @@ L1_BOARD = {
     },
 }
 
+# the 1-D gap list G: hull [-1, 1] and two gaps, the second nested in the
+# right piece of the first
+GAPS_G = {
+    "norm": "linf",
+    "dimension": 1,
+    "generator": {"type": "gaps1d", "hull": [-1.0, 1.0], "gaps": [[-0.25, 0.25], [0.251, 0.749]]},
+}
+
+
+def middle_thirds_spec(levels):
+    """The middle-thirds gap list on [0, 1] down to the given level."""
+    gaps, pieces = [], [(0.0, 1.0)]
+    for _ in range(levels):
+        grown = []
+        for a, b in pieces:
+            third = (b - a) / 3
+            gaps.append([a + third, b - third])
+            grown.extend([(a, a + third), (b - third, b)])
+        pieces = grown
+    return {
+        "norm": "linf",
+        "dimension": 1,
+        "generator": {"type": "gaps1d", "hull": [0.0, 1.0], "gaps": gaps},
+    }
+
+
 PAIR = ["--shift2", "0.05,0.02", "--r", "0.19556"]
 GAME_GAMES = 20
 
@@ -94,6 +120,25 @@ CASES = {
     ),
 }
 
+# four commands on each finite tree: the gap list G and the depth-5
+# middle-thirds list
+for _spec in ("gaps_g", "thirds5"):
+    CASES.update({
+        f"thickness-{_spec}": (
+            ["thickness", "--spec", f"{{tmp}}/{_spec}.json", "--depth", "3"], "out.json"
+        ),
+        f"render-{_spec}": (["render", "--spec", f"{{tmp}}/{_spec}.json", "--depth", "3"], "out.csv"),
+        f"gapcheck-{_spec}": (
+            ["gapcheck", "--spec", f"{{tmp}}/{_spec}.json", "--r", "0.1", "--depth", "1"],
+            "out.json",
+        ),
+        f"pattern-{_spec}": (
+            ["pattern", "--spec", f"{{tmp}}/{_spec}.json", "0.1", "0", "1", "--grid", "1e-3",
+             "--tol", "1e-3"],
+            "out.json",
+        ),
+    })
+
 # (exit code, SHA-256 of the outputs), recorded before the `threads` option
 # was removed and the norm and gap formulas were given one home each; the
 # three IFS cases re-recorded when product IFS (both bench IFS specs) got
@@ -111,7 +156,9 @@ CASES = {
 # gapcheck-, intersect- and distances-corner10 re-recorded when corner
 # families lost their closed-form denseness route, which could prove r
 # where the float tree is not dense: their two denseness methods read
-# box-exact in place of corner-exact, and nothing else moved
+# box-exact in place of corner-exact, and nothing else moved; the eight
+# finite-tree cases (gaps_g, thirds5) recorded while finite trees still kept
+# their nodes in a separate node table
 GOLDEN = {
     "distances-corner10": (0, "c9b1e4b7bf82856500c33213edf55764d87707820462b6707d8168dcb73dea92"),
     "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
@@ -126,6 +173,14 @@ GOLDEN = {
     "thickness-ifs_l2": (0, "0c03030fe3045bdfb0b0645b858006088e71b9b92f1747257c7cfd74bcc2ec54"),
     "thickness-ifs_linf": (0, "763389614a7d811495206e190f69c8a71bbd396ab35aed0c7ad23154ecc8489f"),
     "thickness-l1": (0, "16d700f71046409864c583b280f045cb7c0a668dd16706dd34f1e5f03c723215"),
+    "gapcheck-gaps_g": (4, "868230df5ac76976124b4141820e5c996a0f5386112de7205ab7b897bd420d4a"),
+    "gapcheck-thirds5": (4, "fb652c094809663f9142150675dacf3514d989f5c526dbcfa3222f9e4fef37ae"),
+    "pattern-gaps_g": (0, "a601a21ec17c7e782319d73165ed10a4144f04650b4817577ea36e1f9e5a9967"),
+    "pattern-thirds5": (0, "d33ef1de3a5b71c5c07a3563b782d1ec7d9e562f15819fa7ff22bf260f50da6a"),
+    "render-gaps_g": (0, "4787d3563bb45e6229db0619558c90b0a8027c65dbda241e5b33144d47914afe"),
+    "render-thirds5": (0, "7e9439dacf06457c427610aa3bc2b5f7b3da26ae47c1770b6ace30f085efa1db"),
+    "thickness-gaps_g": (0, "6bd954ab8ea0f1292ee683c97ef5bb9f2942b1f26907659b7c651ba35b26e45b"),
+    "thickness-thirds5": (0, "903f1a2008f9e8f2505cc38b74112d92ab2070c6a14227099dee282e19430846"),
 }
 
 
@@ -133,6 +188,8 @@ def run_case(name, tmp):
     """Run one case in the directory tmp; returns (exit code, digest, config)."""
     tmp = Path(tmp)
     (tmp / "l1.json").write_text(json.dumps(L1_BOARD))
+    (tmp / "gaps_g.json").write_text(json.dumps(GAPS_G))
+    (tmp / "thirds5.json").write_text(json.dumps(middle_thirds_spec(5)))
     argv, out_name = CASES[name]
     return run_argv([a.format(specs=SPECS, tmp=tmp) for a in argv], tmp / out_name)
 

@@ -239,7 +239,7 @@ def test_hole_bad_word():
 
 def test_hole_with_the_held_ball():
     # a caller that holds the node's ball gets the same enclosure, and where
-    # a closed form gives the hole the ball memo does not grow
+    # a closed form gives the hole no child block is built
     gaps = GapList1D(hull=(0.0, 1.0), gaps=((0.4, 0.6),))
     cases = [
         (lambda: corner_family(C4), (5, 2), True),
@@ -249,11 +249,11 @@ def test_hole_with_the_held_ball():
     for make, word, closed in cases:
         want = hole_radius(word, make(), 1e-3)
         sys = make()
-        before = len(sys._balls)
+        before = dict(sys._blocks)
         got = hole_radius(word, sys, 1e-3, ball=make().ball(word))
         assert repr(got) == repr(want)
         if closed:
-            assert len(sys._balls) == before
+            assert sys._blocks == before
 
 
 def test_hole_gap_tree():
@@ -909,7 +909,6 @@ def test_dist_bnb_builds_no_balls(monkeypatch):
     enc = dist_to_set((0.1, -0.2), sys, 1e-9)
     assert enc.converged and enc.width <= 1e-9
     assert sys._blocks
-    assert list(sys._balls) == [()]
 
 
 def test_dist_oracle_built_once_per_system(monkeypatch):

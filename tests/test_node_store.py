@@ -247,16 +247,16 @@ def test_tree_access_matches_the_earlier_representation(name):
     words = [w for w, _ in ref.walk(4)]
     for word in words:
         kids = ref.children(word)
-        before = dict(sys._balls)
+        before = set(sys._blocks)
         assert [_bits(k) for k in sys.children(word)] == [_bits(k) for k in kids], word
-        # children() stores no Ball
-        assert sys._balls == before
+        # children() stores the node's block and nothing else
+        assert set(sys._blocks) <= before | {word}
         assert sys.child_count(word) == len(kids), word
         assert sys.is_leaf(word) == (not kids), word
         assert [repr(node) for node in sys.path(word)] == [
             _bits(ref.node(word[:i])) for i in range(len(word) + 1)
         ], word
-    # ball() on a fresh system, deepest words first, so each builds its path
+    # ball() on a fresh system, deepest words first, so each walks its path
     fresh, _ = SYSTEMS[name]()
     for word in sorted(words, key=len, reverse=True):
         assert _bits(fresh.ball(word)) == _bits(ref.node(word)), word
@@ -278,6 +278,6 @@ def test_finite_images_stay_lazy():
     base = _gaps()
     img = similarity_image(base, 0.5, (0.1,))
     assert isinstance(img.generator, Similarity) and img.is_finite
-    # nothing is mapped up front: the image holds its root alone
-    assert list(img._balls) == [ROOT] and not img._blocks
+    # nothing is mapped up front: the image holds no block
+    assert not img._blocks
     assert not perturbed_image(base, _warp, 0.01).is_finite

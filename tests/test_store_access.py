@@ -3,7 +3,8 @@ calls `children()`.
 
 A stdlib `ast` walk over `src/thickgap/*.py`: every other library module
 reads a tree through BallSystem's methods (ball, child_block, walk, path and
-the rest), so the stores `_balls` and `_blocks` can change inside one module.
+the rest), so the one store, the child blocks `_blocks`, can change inside
+one module.
 Child blocks are the one adjacency: `children()` wraps a block in fresh
 Balls for callers outside the library, and the library reads blocks.
 """
@@ -18,7 +19,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "thickgap"
 ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 MODULES = [name for name in ALL_MODULES if name != "ballsystem.py"]
-STORES = {"_balls", "_blocks"}
+STORES = {"_blocks"}
 
 
 def test_every_module_is_checked():
