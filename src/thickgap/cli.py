@@ -229,6 +229,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     else:
         ts = [args.tmax * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
+    capped = 0  # failed rows whose search hit a cap on its work
     for v in directions:
         for t in ts:
             if t > limit * (1 + 1e-12):
@@ -237,6 +238,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
             try:
                 cert = directional_distance_certificate(sys, v, t, args.tol, r=args.r)
             except RuntimeError as exc:
+                capped += isinstance(exc, BudgetExceeded)
                 rows.append({"direction": v, "t": t, "status": "failed", "error": str(exc)})
                 continue
             rows.append(
@@ -255,7 +257,10 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     _emit(payload, args.out)
     if not hypotheses.all_proven:
         return _hypotheses_exit(hypotheses)
-    return EXIT_OK if counts["failed"] == 0 else EXIT_UNKNOWN
+    if counts["failed"] == 0:
+        return EXIT_OK
+    # a table that failed only on hit caps did not converge, as one run would
+    return EXIT_NO_CONVERGE if capped == counts["failed"] else EXIT_UNKNOWN
 
 
 # -- game ----------------------------------------------------------------------

@@ -213,7 +213,13 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
     return out
 
 
-def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tuple[Point, Word]:
+def _locate(
+    sys: BallSystem,
+    target: Ball,
+    tol: float,
+    hint: Word = ROOT,
+    cut: Optional[Tuple[float, float]] = None,
+) -> Tuple[Point, Word]:
     """Point of the set inside target, as (deep node center, its word).
 
     Best-first over how far each node ball sticks out of the target: the
@@ -247,6 +253,13 @@ def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tup
     an otherwise empty heap. Starting there with counter = pops = m thus
     continues its sequence of popped (key, counter, word) bit for bit,
     budget included. Other systems start at the root.
+
+    cut, when given, is intersect's (shrink, h) for the step that reads
+    the word next: _descend then stops at the first node past it (see
+    _past_cut), so the word is a prefix of the uncut one and the center,
+    that node's, need not lie within tol of the set. The budget counts
+    pops of the search, not levels of the descent, so the cut leaves it
+    alone.
     """
     norm = sys.norm
     root = sys.root
@@ -273,7 +286,7 @@ def _locate(sys: BallSystem, target: Ball, tol: float, hint: Word = ROOT) -> Tup
         pops += 1
         key, _, _, word, center, radius = entry
         if key <= 0:
-            return _descend(sys, grid, target, tol, word, center, radius)
+            return _descend(sys, grid, target, tol, word, center, radius, cut)
         family = _family(sys, grid, target, word, center, radius, counter)
         if family is not None:
             first, rest, size = family
@@ -422,10 +435,15 @@ def _descend(
     word: Word,
     center: Point,
     radius: float,
+    cut: Optional[Tuple[float, float]] = None,
 ) -> Tuple[Point, Word]:
     """Follow the child nearest the target center, lowest index on ties,
     from the node at word, given by its center and radius in _family's
-    frame, until its radius drops to tol.
+    frame, until its radius drops to tol or, with a cut, until the first
+    node past it (_past_cut), that node included, whichever comes first.
+    Each level's choice depends on the node alone, so a cut word is a
+    prefix of the uncut one. The radius tested is the system's, bit for
+    bit the one path() gives intersect's k-loop.
 
     The node passed _locate's key <= 0 test, which is ball_contains', so
     it and every node under it lie in the target. On a corner grid the
@@ -439,7 +457,7 @@ def _descend(
     t_center = target.center
     if grid is None:
         dist = distance_kernel(sys.norm)
-        while radius > tol:
+        while radius > tol and not _past_cut(cut, radius):
             centers, radii = sys.child_block(word)
             if not radii:
                 break
@@ -448,7 +466,7 @@ def _descend(
         return center, word
     n = grid.params.n
     own = grid.node(center, radius)[1]
-    while own > tol:
+    while own > tol and not _past_cut(cut, own):
         devs, _, own = grid.deviations(center, radius, t_center)
         nearest = max(map(min, devs))
         j = 0
@@ -460,6 +478,28 @@ def _descend(
         word = word + (j,)
         center, radius = grid.params.child(center, radius, j)
     return grid.node(center, radius)[0], word
+
+
+def _past_cut(cut: Optional[Tuple[float, float]], radius: float) -> bool:
+    """Whether a node of this radius is past the cut (shrink, h): its
+    shrunken radius is below the hole bound h. intersect's k-loop stops at
+    the first prefix past it, and _descend at the first node past it; one
+    float test for both keeps the two stops the same. No cut, no stop."""
+    return cut is not None and cut[0] * radius < cut[1]
+
+
+def _is_witness_step(l_ball: Ball, tol: float) -> bool:
+    """Whether intersect reads its point as a witness against l_ball, the
+    other side's current ball, rather than only its word to the k-cut."""
+    return l_ball.radius <= tol / 4
+
+
+def _next_cut(
+    shrink: float, l_ball: Ball, h_l: IntervalBound, tol: float
+) -> Optional[Tuple[float, float]]:
+    """The cut for a point the next step reads against l_ball, with h_l its
+    hole bound: the k-loop's (shrink, h_l.hi), or None before a witness step."""
+    return None if _is_witness_step(l_ball, tol) else (shrink, h_l.hi)
 
 
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
@@ -507,6 +547,18 @@ def intersect(
     over to the other side (small ball case). Ball radii contract by a
     factor of r per step, and the final witness carries distance
     enclosures to both sets at tolerance tol.
+
+    A located point is read as a witness only on a witness step
+    (_is_witness_step). Before any other step only its word is read, by
+    the k-loop, which stops at the first prefix past the cut (shrink, h),
+    h the hole bound it compares against; so that _locate gets the cut
+    and its descent stops at that node, the node included. The descent is
+    deterministic, so the cut word is a prefix of the uncut one, and it
+    holds the uncut word's first prefix past the cut or is the whole uncut
+    word: k, the k-node, the trace and the next hints are the uncut
+    descent's. A witness step's point still descends to full depth, and
+    _FIND_BUDGET counts pops, not levels, so certificates and budget stops
+    are those of the uncut descent bit for bit.
     """
     if not 0 < r < 0.5:
         raise ValueError("r must lie in (0, 1/2)")
@@ -528,11 +580,12 @@ def intersect(
     delta = tol / 10
     if h_l.hi > 0:
         delta = min(delta, h_l.hi / 2)
-    point, point_word = _locate(systems[1], target, delta)
+    cut = _next_cut(shrink, l_ball, h_l, tol)
+    point, point_word = _locate(systems[1], target, delta, ROOT, cut)
     trace: List[TraceStep] = [TraceStep(0, 1, ROOT, l_ball.radius, "Init")]
 
     for step in range(1, max_steps + 1):
-        if l_ball.radius <= tol / 4:
+        if _is_witness_step(l_ball, tol):
             res1 = dist_to_set(point, sys1, tol / 10)
             res2 = dist_to_set(point, sys2, tol / 10)
             if res1.hi <= tol and res2.hi <= tol:
@@ -541,11 +594,13 @@ def intersect(
         side_b = systems[3 - j]
 
         # deepest prefix of the point's word whose shrunken ball still
-        # dominates the hole radius of the other side's current ball; the
-        # path is walked without building a Ball for every prefix
+        # dominates the hole radius of the other side's current ball: the
+        # word ends at the first prefix past this cut unless it reached
+        # tol first; the path is walked without building a Ball per prefix
         k, k_node = 0, (side_a.root.center, side_a.root.radius)
+        cut = (shrink, h_l.hi)
         for i, node in enumerate(side_a.path(point_word)):
-            if shrink * node[1] < h_l.hi:
+            if _past_cut(cut, node[1]):
                 break
             k, k_node = i, node
         k_word = point_word[:k]
@@ -601,7 +656,8 @@ def intersect(
             if next_h.hi > 0:
                 delta = min(delta, next_h.hi / 2)
             # target in child_ball in bridge in k_ball
-            point, point_word = _locate(side_a, target, delta, k_word)
+            cut = _next_cut(shrink, child_ball, next_h, tol)
+            point, point_word = _locate(side_a, target, delta, k_word, cut)
             l_word, l_ball, h_l = next_word, child_ball, next_h
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case1"))
         else:
@@ -628,7 +684,8 @@ def intersect(
             if next_h.hi > 0:
                 delta = min(delta, next_h.hi / 2)
             # target in k_ball in l_ball
-            point, point_word = _locate(side_b, target, delta, l_word)
+            cut = _next_cut(shrink, k_ball, next_h, tol)
+            point, point_word = _locate(side_b, target, delta, l_word, cut)
             j = 3 - j
             l_word, l_ball, h_l = k_word, k_ball, next_h
             trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case2"))

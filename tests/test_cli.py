@@ -796,6 +796,34 @@ class TestBudgetExit:
         assert cli.main(argv) == cli.EXIT_NO_CONVERGE
         assert "_FIND_BUDGET = 3" in capsys.readouterr().err
 
+    DISTANCES = ["distances", "--r", "0.19556", "--directions", "2", "--steps", "2"]
+
+    def test_distances_out_of_pops(self, specs, tmp_path, monkeypatch):
+        # every row hits the cap, so the table did not converge
+        monkeypatch.setattr(gaplemma, "_FIND_BUDGET", 3)
+        argv = [*self.DISTANCES, "--spec", specs["corner10_d2"]]
+        code, report = run(argv, tmp_path / "d.json")
+        assert code == cli.EXIT_NO_CONVERGE
+        assert report["summary"] == {"total": 4, "ok": 0, "failed": 4, "out_of_scope": 0}
+        assert all("_FIND_BUDGET = 3" in row["error"] for row in report["rows"])
+
+    def test_distances_failure_past_a_cap_is_unknown(self, specs, tmp_path, monkeypatch):
+        # a plain RuntimeError is no hit cap, even among capped rows
+        seen = []
+
+        def fail_second(sys, v, t, tol, *, r):
+            seen.append(t)
+            if len(seen) == 2:
+                raise RuntimeError("no child fits")
+            raise ballsystem.BudgetExceeded("a cap")
+
+        monkeypatch.setattr(gaplemma, "directional_distance_certificate", fail_second)
+        argv = [*self.DISTANCES, "--spec", specs["corner10_d2"]]
+        code, report = run(argv, tmp_path / "d.json")
+        assert code == cli.EXIT_UNKNOWN
+        assert [row["status"] for row in report["rows"]] == ["failed"] * 4
+        assert report["rows"][1]["error"] == "no child fits"
+
     def test_pattern_cover_out_of_nodes(self, specs, capsys, monkeypatch):
         monkeypatch.setattr(game, "_COVER_NODES", 50)
         argv = ["pattern", "--spec", specs["ifs_t"], "0.1", "0,0", "1,0", "--grid", "0.01"]

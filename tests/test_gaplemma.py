@@ -581,12 +581,16 @@ def test_warm_locate_stops_where_a_neighbour_meets_the_target():
         assert skipped == len(hint)
 
 
-def test_warm_starts_cut_family_calls(monkeypatch):
-    # the bench's certificates on corner n=10, d=2, with and without hints
-    s = bench_pair()[0]
+def _bench_cases():
+    """Ten (v, t) of the bench's certificates on corner n=10, d=2."""
     limit = distance_interval(R_BENCH)
     cases = [((1.0, math.tan(0.1 + k)), limit * (k + 0.5) / 10) for k in range(10)]
-    cases = [((1.0, y) if abs(y) <= 1 else (1 / y, 1.0), t) for (_, y), t in cases]
+    return [((1.0, y) if abs(y) <= 1 else (1 / y, 1.0), t) for (_, y), t in cases]
+
+
+def test_warm_starts_cut_family_calls(monkeypatch):
+    # the bench's certificates on corner n=10, d=2, with and without hints
+    s, cases = bench_pair()[0], _bench_cases()
     locate, family = gaplemma._locate, gaplemma._family
     calls = []
 
@@ -601,11 +605,216 @@ def test_warm_starts_cut_family_calls(monkeypatch):
 
     monkeypatch.setattr(gaplemma, "_family", counting_family)
     warm, warm_calls = run()
-    monkeypatch.setattr(gaplemma, "_locate", lambda sys, target, tol, hint=(): locate(sys, target, tol))
+    # the cold run drops the hint and intersect's descent cut: the full
+    # descent from the root, the reference for whole certificates
+    monkeypatch.setattr(
+        gaplemma, "_locate", lambda sys, target, tol, hint=(), cut=None: locate(sys, target, tol)
+    )
     cold, cold_calls = run()
     assert repr(warm) == repr(cold)
     # 6,300 -> 2,700 per 100 certificates when measured
     assert warm_calls < 0.6 * cold_calls
+
+
+# the descent cut: intersect's points descend only as deep as the next step reads
+
+
+def _drop_cut(locate):
+    """_locate with intersect's cut dropped: every descent runs to tol."""
+    return lambda sys, target, tol, hint=(), cut=None: locate(sys, target, tol, hint)
+
+
+def _with_and_without_cut(fn, *args, **kwargs):
+    """repr of fn's result, or its error's class and message, as fn runs and
+    with every descent uncut."""
+
+    def outcome():
+        try:
+            return repr(fn(*args, **kwargs))
+        except (RuntimeError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+    cut = outcome()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gaplemma, "_locate", _drop_cut(gaplemma._locate))
+        return cut, outcome()
+
+
+def _corner_gap_list(n, ell, depth):
+    """The gaps of corner n, ell in 1-D down to depth, as a gap tree."""
+    offsets = ballsystem._corner_axis_offsets(n, ell)
+    cells, gaps = [(0.0, 1.0)], []
+    for _ in range(depth):
+        families = [[(c + rad * x, rad * ell / 2) for x in offsets] for c, rad in cells]
+        for kids in families:
+            gaps += [(c1 + r1, c2 - r2) for (c1, r1), (c2, r2) in zip(kids, kids[1:])]
+        cells = [kid for kids in families for kid in kids]
+    return from_gaps_1d(GapList1D((-1.0, 1.0), tuple(gaps)))
+
+
+def _corner_ifs(n, ell, d, norm):
+    """Corner n, ell in d dimensions as a homothetic IFS, which has no
+    corner grid; shrunk by sqrt(d) into the L2 unit ball."""
+    offsets = ballsystem._corner_axis_offsets(n, ell)
+    k = 1.0 if norm is NormKind.LINF else 1 / math.sqrt(d)
+    cells = [()]
+    for _ in range(d):
+        cells = [c + (x * k,) for x in offsets for c in cells]
+    return from_ifs(HomotheticIFS(tuple((ell / 2 * k, c) for c in cells)), norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(5, 10),
+    d=st.integers(1, 3),
+    frac=st.floats(0.8, 0.97),
+    kind=st.sampled_from(["translate", "chain", "directional"]),
+    slack=st.floats(1e-4, 0.1),
+    tol=st.floats(1e-8, 1e-4),
+)
+def test_cut_corner_certificates_match_uncut(data, n, d, frac, kind, slack, tol):
+    ell = frac * 2 / n
+    base = corner_family(CornerFamilyParams(n=n, ell=ell, d=d))
+    r = ballsystem.corner_dense_radius(n, ell) * (1 + slack)
+    shift = tuple(data.draw(st.floats(-0.1, 0.1)) for _ in range(d))
+    if kind == "directional":
+        r = min(r, 1 / 3)
+        v = shift[:-1] + (1.0,)
+        t = data.draw(st.floats(0, 1)) * distance_interval(r)
+        cut, uncut = _with_and_without_cut(directional_distance_certificate, base, v, t, tol, r=r)
+    else:
+        other = translate(base, shift)
+        if kind == "chain":
+            scale = data.draw(st.floats(0.2, 1.3))
+            other = translate(similarity_image(other, scale, shift[::-1]), shift)
+        cut, uncut = _with_and_without_cut(intersect, base, other, r, tol, 200)
+    assert cut == uncut
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 8),
+    d=st.integers(1, 2),
+    frac=st.floats(0.8, 0.97),
+    norm=st.sampled_from([NormKind.LINF, NormKind.L2]),
+    scale=st.floats(0.3, 1.2),
+    shift=st.floats(-0.1, 0.1),
+    slack=st.floats(1e-4, 0.1),
+    tol=st.floats(1e-6, 1e-3),
+)
+def test_cut_ifs_certificates_match_uncut(n, d, frac, norm, scale, shift, slack, tol):
+    # the child-block branch of the search and of the descent
+    ell = frac * 2 / n
+    s1 = _corner_ifs(n, ell, d, norm)
+    s2 = similarity_image(s1, scale, (shift, -shift)[:d])
+    r = min(ballsystem.corner_dense_radius(n, ell) * (1 + slack), 0.49)
+    cut, uncut = _with_and_without_cut(intersect, s1, s2, r, tol, 200)
+    assert cut == uncut
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(5, 6),
+    frac=st.floats(0.85, 0.97),
+    scale=st.floats(0.6, 1.2),
+    shift=st.floats(-0.1, 0.1),
+    slack=st.floats(1e-4, 0.1),
+    rel_tol=st.floats(30, 1000),
+)
+def test_cut_gap_tree_certificates_match_uncut(n, frac, scale, shift, slack, rel_tol):
+    ell = frac * 2 / n
+    s1 = _corner_gap_list(n, ell, 4)
+    s2 = similarity_image(s1, scale, (shift,))
+    r = ballsystem.corner_dense_radius(n, ell) * (1 + slack)
+    tol = rel_tol * (ell / 2) ** 4  # leaves have radius (ell / 2) ** 4
+    cut, uncut = _with_and_without_cut(intersect, s1, s2, r, tol, 100)
+    assert cut == uncut
+
+
+def _counting_descent(m):
+    """Patch _descend through m to record how many levels each call descends."""
+    descend, levels = gaplemma._descend, []
+
+    def counting(sys, grid, target, tol, word, *rest):
+        out = descend(sys, grid, target, tol, word, *rest)
+        levels.append(len(out[1]) - len(word))
+        return out
+
+    m.setattr(gaplemma, "_descend", counting)
+    return levels
+
+
+def test_cut_gap_tree_certificate_is_found(monkeypatch):
+    # a gap-tree case that reaches a witness in three steps, the cut
+    # stopping descents above the leaves
+    s1 = _corner_gap_list(6, 0.3, 4)
+    s2 = translate(s1, (0.05,))
+    levels = _counting_descent(monkeypatch)
+    cut, uncut = _with_and_without_cut(intersect, s1, s2, 0.3232, 0.05, 100)
+    assert cut == uncut
+    assert cut.startswith("IntersectionCertificate") and cut.count("Case2") == 3
+    # the cut run's descents come first, then as many uncut ones
+    half = len(levels) // 2
+    assert sum(levels[:half]) < sum(levels[half:])
+
+
+def _cut_systems():
+    corner = corner_family(CornerFamilyParams(n=10, ell=0.19, d=2))
+    return {
+        "corner": corner,
+        "translate": translate(corner, (0.05, 0.02)),
+        "chain": _corner_image("chain", 6, 0.3, 3),
+        "ifs": _corner_ifs(6, 0.3, 2, NormKind.LINF),
+        "l2": _corner_ifs(6, 0.3, 2, NormKind.L2),
+        "gaps": _corner_gap_list(5, 0.38, 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cut_systems()))
+@pytest.mark.parametrize("stop", [0, 1, 3, None])
+def test_cut_descent_is_a_prefix_ending_past_the_cut(name, stop):
+    sys = _cut_systems()[name]
+    grid = sys.corner_grid
+    target = Ball(sys.root.center, sys.root.radius)
+    frame = grid.root if grid is not None else sys.root
+    start = (sys, grid, target, 1e-9, (), frame.center, frame.radius)
+    full_center, full = gaplemma._descend(*start)
+    radii = [radius for _, radius in sys.path(full)]
+    assert len(full) >= 4
+    shrink = 0.5
+    if stop is None:
+        # past the tolerance: the cut never stops the descent
+        h = shrink * radii[-1] / 2
+    elif stop == 0:
+        h = shrink * radii[0] * 2
+    else:
+        # between the stop's radius and its parent's
+        h = shrink * math.sqrt(radii[stop - 1] * radii[stop])
+    center, word = gaplemma._descend(*start, (shrink, h))
+    assert full[: len(word)] == word
+    past = [i for i, radius in enumerate(radii) if gaplemma._past_cut((shrink, h), radius)]
+    assert len(word) == (past[0] if past else len(full))
+    assert center == sys.ball(word).center
+    if stop is None:
+        assert (center, word) == (full_center, full)
+
+
+def test_cut_halves_the_descent_on_the_bench_certificates(monkeypatch):
+    s, cases = bench_pair()[0], _bench_cases()
+    levels = _counting_descent(monkeypatch)
+
+    def run():
+        levels.clear()
+        out = [directional_distance_certificate(s, v, t, 1e-7, r=R_BENCH) for v, t in cases]
+        return out, sum(levels)
+
+    cut, cut_levels = run()
+    monkeypatch.setattr(gaplemma, "_locate", _drop_cut(gaplemma._locate))
+    uncut, uncut_levels = run()
+    assert repr(cut) == repr(uncut)
+    # 4,200 -> 1,200 per 100 certificates when measured
+    assert cut_levels <= 0.5 * uncut_levels
 
 
 def test_corner_locate_on_a_translate_builds_no_ball(monkeypatch):
