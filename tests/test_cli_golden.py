@@ -64,6 +64,14 @@ def middle_thirds_spec(levels):
     }
 
 
+def corner_spec(n, ell, d):
+    return {"norm": "linf", "dimension": d, "generator": {"type": "corner", "n": n, "ell": ell}}
+
+
+# a large-ball pair: corner n = 10, ell = 0.13 against corner n = 6,
+# ell = 0.3, whose located balls stay large enough for Case1 steps
+LARGE_BALL = {"a": (10, 0.13), "b": (6, 0.3)}
+
 PAIR = ["--shift2", "0.05,0.02", "--r", "0.19556"]
 GAME_GAMES = 20
 
@@ -113,6 +121,20 @@ CASES = {
         ],
         "out.json",
     ),
+    "intersect-largeball": (
+        [
+            "intersect", "--spec", "{tmp}/a2.json", "--spec2", "{tmp}/b2.json",
+            "--shift2", "0.01,-0.02", "--r", "0.33",
+        ],
+        "out.json",
+    ),
+    "intersect-largeball-d1": (
+        [
+            "intersect", "--spec", "{tmp}/a1.json", "--spec2", "{tmp}/b1.json",
+            "--shift2", "0.01", "--r", "0.33",
+        ],
+        "out.json",
+    ),
     "render-corner4": (["render", "--spec", "{specs}/corner4.json", "--depth", "3"], "out.csv"),
     "render-corner4-bench": (
         ["render", "--spec", "{specs}/corner4.json", "--depth", "4"],
@@ -158,12 +180,15 @@ for _spec in ("gaps_g", "thirds5"):
 # where the float tree is not dense: their two denseness methods read
 # box-exact in place of corner-exact, and nothing else moved; the eight
 # finite-tree cases (gaps_g, thirds5) recorded while finite trees still kept
-# their nodes in a separate node table
+# their nodes in a separate node table; the two large-ball cases recorded
+# before Init, Case1 and Case2 shared one relocation
 GOLDEN = {
     "distances-corner10": (0, "c9b1e4b7bf82856500c33213edf55764d87707820462b6707d8168dcb73dea92"),
     "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
     "gapcheck-corner10": (0, "dcc0f5b0c697fde83430dcb8124edb2a3c1b0264073ecc56d4d4e5bc6bb0729a"),
     "gapcheck-ifs_l2": (4, "b4732491e80dc52a40283643251bf2380bf2db9e39f15df5895ff24b1c9bbcbe"),
+    "intersect-largeball": (0, "502ef066e958eec0a5b5d069751ad0a6d14af166a12b60fdf572bb06bd52dbde"),
+    "intersect-largeball-d1": (0, "a25950718fbc78647c911381d07adc9387283c6ca69249459f21fa11d4f3e77e"),
     "intersect-corner10": (0, "db39dab894bacb0a92e97e6e54504590d0b748227aaca55eef894388a65bbda3"),
     "pattern-corner10d1": (0, "3b0be0ac349bf787fd6aa5b9a68771598701f53cdeae62887d26648aac955d48"),
     "pattern-corner10d1-bench": (0, "6c150cbae7a4c2b9672df67c0d27ab8ebe3f22a7c824bd41b94241b9356d669e"),
@@ -190,6 +215,9 @@ def run_case(name, tmp):
     (tmp / "l1.json").write_text(json.dumps(L1_BOARD))
     (tmp / "gaps_g.json").write_text(json.dumps(GAPS_G))
     (tmp / "thirds5.json").write_text(json.dumps(middle_thirds_spec(5)))
+    for side, (n, ell) in LARGE_BALL.items():
+        for d in (1, 2):
+            (tmp / f"{side}{d}.json").write_text(json.dumps(corner_spec(n, ell, d)))
     argv, out_name = CASES[name]
     return run_argv([a.format(specs=SPECS, tmp=tmp) for a in argv], tmp / out_name)
 

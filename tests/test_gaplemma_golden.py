@@ -1,10 +1,13 @@
-"""Golden gap-lemma outputs on corner n=10, ell=0.19, d=2 and two images of it.
+"""Golden gap-lemma outputs on corner n=10, ell=0.19, d=2 and two images of it,
+and on pairs whose located balls stay large, so that the large ball case
+(Case1) runs.
 
 Each case certifies one distance t along one Linf unit direction v with
 `directional_distance_certificate` and runs the `intersect` it is built
 on, then compares the SHA-256 of `repr` of the certificate's
 (e1, e2, residual) and of the intersect trace with values recorded from
-an earlier release. The search inside (`_locate`) may change how it
+an earlier release. Each large-ball case compares the digest of `repr` of
+one `intersect` certificate. The search inside (`_locate`) may change how it
 works, never what it finds. Run this file as a script to print the
 digests of the current code.
 """
@@ -15,7 +18,14 @@ import sys
 
 import pytest
 
-from thickgap.ballsystem import CornerFamilyParams, corner_family, similarity_image, translate
+from test_gaplemma import _scale_mismatch_ifs_pair
+from thickgap.ballsystem import (
+    CornerFamilyParams,
+    corner_dense_radius,
+    corner_family,
+    similarity_image,
+    translate,
+)
 from thickgap.gaplemma import _DIRECTIONAL_STEPS, directional_distance_certificate, intersect
 
 R = 0.19556
@@ -127,6 +137,65 @@ def test_certificate_and_trace_match_recorded_digest(name, k):
     assert run_case(name, k) == GOLDEN[f"{name}/{k}"]
 
 
+# large-ball pairs: corner n=6, ell=0.3 in d = 2 and 3 against a smaller
+# similarity image of it, on either side, at r just above its dense radius;
+# the 16 corner pairs take 144 Case1 steps on the corner-grid branch, and
+# the IFS pair (no corner grid) takes its Case1 steps on child blocks
+LARGE_R = 1.001 * corner_dense_radius(6, 0.3)
+LARGE_SHIFTS = ((0.03, -0.02, 0.01), (-0.05, 0.04, 0.02), (0, 0.07, -0.03), (0.011, 0.013, 0.017))
+LARGE_CASES = [
+    f"d{d}/{k}/{side}" for d in (2, 3) for k in range(len(LARGE_SHIFTS)) for side in ("a", "b")
+] + ["ifs"]
+
+
+def run_large_case(name):
+    """The digest of the certificate of large-ball case name, built afresh:
+    side a pairs the base with its image of scale 0.345, side b the image of
+    scale 0.335 (reversed shift) with the base."""
+    if name == "ifs":
+        pair, r = _scale_mismatch_ifs_pair(), 0.17
+    else:
+        d, k, side = name.split("/")
+        d, s = int(d[1:]), LARGE_SHIFTS[int(k)]
+        base = corner_family(CornerFamilyParams(n=6, ell=0.3, d=d))
+        if side == "a":
+            pair = base, similarity_image(base, 0.345, s[:d])
+        else:
+            pair = similarity_image(base, 0.335, s[::-1][:d]), base
+        r = LARGE_R
+    cert = intersect(*pair, r, 1e-7, 400)
+    return hashlib.sha256(repr(cert).encode()).hexdigest()[:32]
+
+
+# recorded before Init, Case1 and Case2 shared one relocation
+LARGE_GOLDEN = {
+    "d2/0/a": "05f553581d96f2f4cc9d4ee1cbc300f1",
+    "d2/0/b": "75bcd40c2206359d455300a68ba22f31",
+    "d2/1/a": "31c65a5099628c32f8796678030195b7",
+    "d2/1/b": "8dbce3d06b3ecc86a26b413512208d36",
+    "d2/2/a": "43eac1f1a2ee28e59fff83058ad0cd0f",
+    "d2/2/b": "736d151bd4f9e1d9f2cef34c0d1be526",
+    "d2/3/a": "b8e133c8f2f5547227235db23b1c9743",
+    "d2/3/b": "aee4fbb4818c039f5ad44b009ce3832c",
+    "d3/0/a": "5802174aff9e92faa6cc3227406005df",
+    "d3/0/b": "236582774c7e966a0a7cd173e71e372e",
+    "d3/1/a": "e3b99f2884d2718d9b350d563eae850f",
+    "d3/1/b": "61b2eb6527bfcc894c5316655e652bfc",
+    "d3/2/a": "c53158fb46acd862ae29489244315708",
+    "d3/2/b": "ff591a5ec43f8c22e3d6450984cdfa01",
+    "d3/3/a": "7a73c3e12ecf4939ca5cf4d7692f16e7",
+    "d3/3/b": "c2b98de4ee02db1c6fbf0ec7778596ac",
+    "ifs": "56cccc88f4515849f88a7525820964c2",
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CASES)
+def test_large_ball_certificate_matches_recorded_digest(name):
+    assert run_large_case(name) == LARGE_GOLDEN[name]
+
+
 if __name__ == "__main__":
     for name, k in CASES:
         print(f'    "{name}/{k}": "{run_case(name, k)}",', file=sys.stdout)
+    for name in LARGE_CASES:
+        print(f'    "{name}": "{run_large_case(name)}",', file=sys.stdout)
