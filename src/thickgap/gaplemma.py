@@ -494,14 +494,6 @@ def _is_witness_step(l_ball: Ball, tol: float) -> bool:
     return l_ball.radius <= tol / 4
 
 
-def _next_cut(
-    shrink: float, l_ball: Ball, h_l: IntervalBound, tol: float
-) -> Optional[Tuple[float, float]]:
-    """The cut for a point the next step reads against l_ball, with h_l its
-    hole bound: the k-loop's (shrink, h_l.hi), or None before a witness step."""
-    return None if _is_witness_step(l_ball, tol) else (shrink, h_l.hi)
-
-
 def find_point_in(sys: BallSystem, target: Ball, tol: float) -> Point:
     """Point inside target and within tol of the set; raises on exhaustion."""
     if not tol > 0:
@@ -548,17 +540,20 @@ def intersect(
     factor of r per step, and the final witness carries distance
     enclosures to both sets at tolerance tol.
 
-    A located point is read as a witness only on a witness step
-    (_is_witness_step). Before any other step only its word is read, by
-    the k-loop, which stops at the first prefix past the cut (shrink, h),
-    h the hole bound it compares against; so that _locate gets the cut
-    and its descent stops at that node, the node included. The descent is
-    deterministic, so the cut word is a prefix of the uncut one, and it
-    holds the uncut word's first prefix past the cut or is the whole uncut
-    word: k, the k-node, the trace and the next hints are the uncut
-    descent's. A witness step's point still descends to full depth, and
-    _FIND_BUDGET counts pops, not levels, so certificates and budget stops
-    are those of the uncut descent bit for bit.
+    Init, Case1 and Case2 each end in relocate: a point of one side inside
+    the next step's ball shrunk by 1 - 2r, located to delta, the least of
+    tol / 10, margin / 4 and h / 2 for the ball's hole bound h (each term
+    only when positive). Init has no margin; Case1's is positive, since
+    the hole check before it raises otherwise.
+
+    Before any step but a witness step (_is_witness_step) only the point's
+    word is read, by the k-loop, which stops at the first prefix past the
+    cut (shrink, h); relocate passes _locate that cut, so its descent stops
+    at that node, the node included. The descent is deterministic, so the
+    cut word is a prefix of the uncut one that holds its first prefix past
+    the cut, or all of it: k, the k-node, the trace and the hints are the
+    uncut descent's. _FIND_BUDGET counts pops, not levels, so certificates
+    and budget stops are the uncut descent's bit for bit.
     """
     if not 0 < r < 0.5:
         raise ValueError("r must lie in (0, 1/2)")
@@ -570,18 +565,22 @@ def intersect(
     norm = sys1.norm
     shrink = 1.0 - 2 * r
 
-    # start: a point of the first set inside the shrunken root of the second
-    j = 1
-    l_word: Word = ROOT
-    l_ball = systems[2].root
-    target = ball_scale(l_ball, shrink)
-    # the hole bound of the other side's current ball, carried from step to step
+    def relocate(
+        side: BallSystem, ball: Ball, h: IntervalBound, margin: float, hint: Word
+    ) -> Tuple[Point, Word]:
+        delta = tol / 10
+        if margin > 0:
+            delta = min(delta, margin / 4)
+        if h.hi > 0:
+            delta = min(delta, h.hi / 2)
+        cut = None if _is_witness_step(ball, tol) else (shrink, h.hi)
+        return _locate(side, ball_scale(ball, shrink), delta, hint, cut)
+
+    # start: a point of the first set inside the shrunken root of the second;
+    # h_l, the hole bound of the other side's current ball, is carried along
+    j, l_word, l_ball = 1, ROOT, systems[2].root
     h_l = _hole_hi(systems[2], ROOT, l_ball)
-    delta = tol / 10
-    if h_l.hi > 0:
-        delta = min(delta, h_l.hi / 2)
-    cut = _next_cut(shrink, l_ball, h_l, tol)
-    point, point_word = _locate(systems[1], target, delta, ROOT, cut)
+    point, point_word = relocate(systems[1], l_ball, h_l, math.inf, ROOT)
     trace: List[TraceStep] = [TraceStep(0, 1, ROOT, l_ball.radius, "Init")]
 
     for step in range(1, max_steps + 1):
@@ -598,9 +597,8 @@ def intersect(
         # word ends at the first prefix past this cut unless it reached
         # tol first; the path is walked without building a Ball per prefix
         k, k_node = 0, (side_a.root.center, side_a.root.radius)
-        cut = (shrink, h_l.hi)
         for i, node in enumerate(side_a.path(point_word)):
-            if _past_cut(cut, node[1]):
+            if _past_cut((shrink, h_l.hi), node[1]):
                 break
             k, k_node = i, node
         k_word = point_word[:k]
@@ -648,18 +646,12 @@ def intersect(
                     f"step {step}: child radius {child_ball.radius:.6g} exceeds "
                     f"r * rad = {r * l_ball.radius:.6g}"
                 )
-            next_word = l_word + (child_idx,)
-            target = ball_scale(child_ball, shrink)
-            margin = shrink * child_ball.radius - h_k.hi
-            next_h = _hole_hi(side_b, next_word, child_ball)
-            delta = min(tol / 10, margin / 4)
-            if next_h.hi > 0:
-                delta = min(delta, next_h.hi / 2)
+            l_word, l_ball = l_word + (child_idx,), child_ball
+            h_l = _hole_hi(side_b, l_word, l_ball)
             # target in child_ball in bridge in k_ball
-            cut = _next_cut(shrink, child_ball, next_h, tol)
-            point, point_word = _locate(side_a, target, delta, k_word, cut)
-            l_word, l_ball, h_l = next_word, child_ball, next_h
-            trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case1"))
+            margin = shrink * l_ball.radius - h_k.hi
+            point, point_word = relocate(side_a, l_ball, h_l, margin, k_word)
+            case = "Case1"
         else:
             # small ball case: hand the point over to the other side
             if k == 0:
@@ -675,20 +667,13 @@ def intersect(
                     f"step {step}: located ball is not inside the other side's "
                     "ball; the contraction invariant fails here"
                 )
-            target = ball_scale(k_ball, shrink)
             margin = shrink * k_ball.radius - h_l.hi
-            next_h = _hole_hi(side_a, k_word, k_ball)
-            delta = tol / 10
-            if margin > 0:
-                delta = min(delta, margin / 4)
-            if next_h.hi > 0:
-                delta = min(delta, next_h.hi / 2)
+            h_l = _hole_hi(side_a, k_word, k_ball)
             # target in k_ball in l_ball
-            cut = _next_cut(shrink, k_ball, next_h, tol)
-            point, point_word = _locate(side_b, target, delta, l_word, cut)
-            j = 3 - j
-            l_word, l_ball, h_l = k_word, k_ball, next_h
-            trace.append(TraceStep(step, j, l_word, l_ball.radius, "Case2"))
+            point, point_word = relocate(side_b, k_ball, h_l, margin, l_word)
+            j, l_word, l_ball = 3 - j, k_word, k_ball
+            case = "Case2"
+        trace.append(TraceStep(step, j, l_word, l_ball.radius, case))
 
     raise BudgetExceeded(
         f"no certified witness within max_steps = {max_steps} steps; last ball radius "
