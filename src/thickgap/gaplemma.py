@@ -190,7 +190,9 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
     already fits in sl, or the centers coincide, or the ball sits at the
     midpoint between the boundary of the shrunken sl and the boundary of
     sl along the line of centers. The radius is backed off by a relative
-    1e-13 so the exact containment predicate passes despite rounding.
+    1e-13 and by 8 ulps of the largest coordinate or radius in play, which
+    covers the rounding of the center's coordinates and of the containment
+    tests. A bridge that still fails them is a failed step: RuntimeError.
     """
     if not 0 < r < 0.5:
         raise ValueError("r must lie in (0, 1/2)")
@@ -201,7 +203,10 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
         raise ValueError("sk must meet the shrunken sl")
     if ball_contains(sl, sk, norm):
         return sk
-    radius = r * sl.radius * (1 - 1e-13)
+    scale = max(map(abs, sl.center + sk.center)) + sl.radius + sk.radius
+    radius = r * sl.radius * (1 - 1e-13) - 8 * math.ulp(scale)
+    if not radius > 0:
+        raise RuntimeError("bridge radius is below the rounding of its center")
     if gap == 0.0:
         return Ball(sl.center, radius)
     unit = tuple((a - b) / gap for a, b in zip(sk.center, sl.center))
@@ -209,7 +214,7 @@ def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:
     center = tuple(b + reach * u for b, u in zip(sl.center, unit))
     out = Ball(center, radius)
     if not (ball_contains(sl, out, norm) and ball_contains(sk, out, norm)):
-        raise ValueError("bridge construction failed its containment check")
+        raise RuntimeError("bridge construction failed its containment check")
     return out
 
 

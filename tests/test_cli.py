@@ -395,6 +395,28 @@ class TestGapPair:
         for a, b in zip(radii, radii[1:]):
             assert b <= 0.19556 * a * (1 + 1e-12)
 
+    def test_failed_bridge_is_a_failed_step(self, tmp_path, capsys, monkeypatch):
+        # a large-ball pair whose third step bridges; a bridge that fails its
+        # containment check exits 5 like intersect's other step checks, not 2
+        paths = []
+        for n, ell in ((10, 0.13), (6, 0.3)):
+            spec = {"norm": "linf", "dimension": 2, "generator": {"type": "corner", "n": n, "ell": ell}}
+            paths.append(tmp_path / f"corner{n}.json")
+            paths[-1].write_text(json.dumps(spec))
+        argv = ["intersect", "--spec", str(paths[0]), "--spec2", str(paths[1])]
+        argv += ["--shift2", "0.01,-0.02", "--r", "0.33"]
+        real = gaplemma.intersect
+
+        def failing_bridges(*args):
+            monkeypatch.setattr(gaplemma, "ball_contains", lambda outer, inner, norm: False)
+            return real(*args)
+
+        monkeypatch.setattr(gaplemma, "intersect", failing_bridges)
+        assert cli.main(argv) == cli.EXIT_UNKNOWN
+        err = capsys.readouterr().err
+        assert "bridge construction failed its containment check" in err
+        assert "Traceback" not in err
+
 
 class TestDistances:
     def test_full_table(self, specs, tmp_path):

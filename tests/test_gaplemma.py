@@ -224,6 +224,54 @@ def test_bridge_contains_both_and_keeps_radius(d, rad_l, r, size, frac, angle):
     assert out.radius >= r * rad_l - 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    origin=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    rad_l=st.floats(1e-7, 1e-3),
+    r=st.floats(0.05, 0.45),
+    size=st.floats(1.02, 2.0),
+    frac=st.floats(0.5, 1.0),
+    raw=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+def test_bridge_of_small_balls_far_from_the_origin(d, origin, rad_l, r, size, frac, raw):
+    # node radii small against the centers' coordinates: the back-off must
+    # cover the rounding of the bridge center, or the bridge is a failed step
+    scale = max(map(abs, raw[:d]))
+    if scale < 1e-3:
+        return
+    rad_k = size * r * rad_l
+    gap = frac * ((1 - 2 * r) * rad_l + rad_k)
+    sl = Ball(origin[:d], rad_l)
+    sk = Ball(tuple(c + gap * u / scale for c, u in zip(sl.center, raw)), rad_k)
+    if norm_distance(sk.center, sl.center, NormKind.LINF) > (1 - 2 * r) * rad_l + rad_k:
+        return
+    out = bridge_ball(sk, sl, r, NormKind.LINF)
+    assert ball_contains(sl, out, NormKind.LINF) and ball_contains(sk, out, NormKind.LINF)
+    # every coordinate and radius here is below 2
+    assert r * rad_l - out.radius <= 1e-13 * r * rad_l + 8 * math.ulp(2.0)
+
+
+def test_bridge_that_fails_its_containment_check_is_a_failed_step(monkeypatch):
+    monkeypatch.setattr(gaplemma, "ball_contains", lambda outer, inner, norm: False)
+    with pytest.raises(RuntimeError, match="bridge construction failed its containment check"):
+        bridge_ball(Ball((1.1, 0.0), 0.6), Ball((0.0, 0.0), 1.0), 0.25, NormKind.LINF)
+
+
+def test_intersect_bridges_small_balls_far_from_the_origin():
+    # a chain image of corner n = 5 in d = 3 whose bridges, with radii about
+    # 2e-5 near coordinate -0.47, once failed their containment check: a
+    # relative back-off of 1e-13 was below the rounding of the center
+    base = corner_family(CornerFamilyParams(n=5, ell=0.3406243038402147, d=3))
+    s = (-0.0527903820525131, -0.07936679315385685, -0.0207883514778638)
+    other = translate(similarity_image(translate(base, s), 0.883102715939118, s[::-1]), s)
+    r, tol = 0.37777188735147454, 2.29e-8
+    assert check_hypotheses(base, other, r).all_proven
+    cert = intersect(base, other, r, tol, 200)
+    assert any(step.case == "Case1" for step in cert.trace)
+    assert cert.residual1.hi <= tol and cert.residual2.hi <= tol
+
+
 # point location
 
 
