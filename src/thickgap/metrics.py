@@ -830,6 +830,11 @@ def denseness_check(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
     "grid", a margin grid (_dense_grid) for L2 and L1 in dimension 2 or
     more, which leaves unknown what it cannot decide. Every witness ball of
     a refutation passes _verify_refutation.
+
+    Both decide a homothetic system at one node, whose layout every node
+    repeats, and a finite tree at every internal node, whatever depth is.
+    Any other system is walked down to depth only: a failing node refutes,
+    but when all pass the verdict is unknown, its detail naming the depth.
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
@@ -843,10 +848,26 @@ def denseness_check(sys: BallSystem, r: float, grid_step: float, depth: int) -> 
 
 
 def _dense_nodes(sys: BallSystem, depth: int) -> Optional[List[Tuple[Word, Ball]]]:
-    """The internal nodes down to depth; None once the walk meets more than _MAX_DENSE_NODES."""
-    internal = ((word, ball) for word, ball in sys.walk(depth) if sys.child_count(word))
+    """The internal nodes a node-by-node verdict visits: every one when the
+    system's core is finite, whatever depth is, else those down to depth;
+    None once the walk meets more than _MAX_DENSE_NODES."""
+    full = (sys.core or sys).is_finite
+    internal = ((w, b) for w, b in sys.walk(math.inf if full else depth) if sys.child_count(w))
     nodes = list(itertools.islice(internal, _MAX_DENSE_NODES + 1))
     return None if len(nodes) > _MAX_DENSE_NODES else nodes
+
+
+def _dense_passed(
+    sys: BallSystem, r: float, grid_step: float, depth: int, method: str
+) -> DensenessReport:
+    """The verdict once every node visited passes: proven when they are all
+    the tree's internal nodes, that is on homothetic systems (the root's
+    layout is every node's) and finite cores; a walk down to depth on any
+    other system refutes, but cannot prove the nodes below it."""
+    if sys.is_homothetic() or (sys.core or sys).is_finite:
+        return DensenessReport(r, "proven", None, grid_step, method)
+    detail = f"every node down to depth {depth} passes; deeper nodes are unchecked"
+    return DensenessReport(r, "unknown", None, grid_step, method, detail)
 
 
 def _uncovered_box(lo: Sequence, hi: Sequence, windows) -> Optional[Tuple]:
@@ -923,7 +944,7 @@ def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dense
     these windows cover the feasible centers, |x_i - c_i| <= R - rho.
     Homothetic systems and their similarity images are decided at the root
     of their similarity core, whose layout every node repeats up to a
-    similarity; other systems node by node to depth, in exact rationals.
+    similarity; other systems node by node (_dense_nodes), in exact rationals.
     An axis product's windows are every combination of per-axis ones, so
     _axis_gap decides it axis by axis from its factors: the generated cores
     root at B(0, 1), so each child's coordinate on an axis and its radius
@@ -965,7 +986,7 @@ def _dense_box(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dense
         failed = f"witness verification failed at node {word}"
         point = [float(x) for x in point]
         return _verify_refutation(sys, word, point, r, grid_step, "box-exact", failed)
-    return DensenessReport(r, "proven", None, grid_step, "box-exact")
+    return _dense_passed(sys, r, grid_step, depth, "box-exact")
 
 
 def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> DensenessReport:
@@ -991,7 +1012,7 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
     if nodes is None:
         return unknown("node budget exceeded")
     if not nodes:  # no internal node: nothing to refute, and no grid to build
-        return DensenessReport(r, "proven", None, grid_step, "grid")
+        return _dense_passed(sys, r, grid_step, depth, "grid")
     norm, d, avail = sys.norm, sys.dimension, 1 - r
     factor = {NormKind.LINF: 1.0, NormKind.L2: math.sqrt(d), NormKind.L1: float(d)}[norm]
     margin, slack = grid_step * factor, (10 * d + 10) * (2 * d + 1) * 2.0**-53
@@ -1023,4 +1044,4 @@ def _dense_grid(sys: BallSystem, r: float, grid_step: float, depth: int) -> Dens
             return _verify_refutation(sys, word, center, r, grid_step, "grid", failed)
         if r - margin - slack <= 0 or not sure.all():
             return unknown("full-radius balls pass but the margin grid cannot certify")
-    return DensenessReport(r, "proven", None, grid_step, "grid")
+    return _dense_passed(sys, r, grid_step, depth, "grid")

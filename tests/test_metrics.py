@@ -594,6 +594,78 @@ def test_denseness_flat_tree_with_middle_child():
     assert small.witness is not None
 
 
+def test_denseness_walk_to_depth_refutes_but_never_proves():
+    # a perturbed image is neither homothetic nor finite: the nodes down to
+    # depth 0 or 1 all pass, which proves nothing about deeper ones
+    base = corner_family(CornerFamilyParams(10, 0.19, 2))
+    img = perturbed_image(base, lambda p: (p[0] + 0.001 * math.sin(p[1]), p[1]), 0.01)
+    for depth in (0, 1):
+        rep = denseness_check(img, 0.3, 1e-3, depth)
+        assert (rep.verdict, rep.method) == ("unknown", "box-exact")
+        assert rep.detail == f"every node down to depth {depth} passes; deeper nodes are unchecked"
+    # 1 + 100 + 10,000 internal nodes down to depth 2: past the node cap
+    assert denseness_check(img, 0.3, 1e-3, 2).detail == "node budget exceeded"
+
+
+def _spine_tree():
+    """A 1-D explicit tree whose spine nodes, down to depth 3, each have 20
+    children of radius 0.04R spaced 0.1R apart, child 0 continuing the
+    spine; the spine's depth-4 node has two children of radius 0.1R at
+    +-0.9R, so no ball of radius 0.1R about its center holds a child."""
+    entries = [((), Ball((0.0,), 1.0))]
+    word, c, rad = (), 0.0, 1.0
+    for _ in range(4):
+        entries += [(word + (k,), Ball((c + (k - 9.5) * 0.1 * rad,), 0.04 * rad)) for k in range(20)]
+        word, c, rad = word + (0,), c - 0.95 * rad, 0.04 * rad
+    entries += [(word + (k,), Ball((c + s * 0.9 * rad,), 0.1 * rad)) for k, s in enumerate((-1, 1))]
+    return explicit_tree(NormKind.LINF, 1, entries)
+
+
+@pytest.mark.parametrize("depth", [0, 2, 5])
+def test_denseness_finite_tree_walks_every_node(depth):
+    # the spine's depth-4 node fails: a walk to depth 2 said proven once
+    rep = denseness_check(_spine_tree(), 0.1, 1e-3, depth)
+    assert rep.verdict == "refuted"
+    assert rep.witness.radius < 1e-6  # a ball of the depth-4 node
+
+
+@st.composite
+def _finite_systems(draw):
+    """A maker of a finite 1-D tree, a gap tree or a spine of evenly spaced
+    children whose layout changes from level to level, or of a translate or
+    perturbed image of one: every system whose core is finite."""
+    if draw(st.booleans()):
+        # neighbouring cuts bound the tree's pieces, and from_gaps_1d refuses
+        # a piece whose radius rounds to 0
+        cuts = sorted(draw(st.sets(st.floats(-0.99, 0.99), min_size=2, max_size=16)))
+        assume(all((b - a) / 2 > 0 for a, b in zip(cuts, cuts[1:])))
+        gaps = GapList1D(hull=(-1.0, 1.0), gaps=tuple(zip(cuts[::2], cuts[1::2])))
+        tree = lambda: from_gaps_1d(gaps)  # noqa: E731
+    else:
+        entries = [((), Ball((0.0,), 1.0))]
+        word, c, rad = (), 0.0, 1.0
+        for _ in range(draw(st.integers(1, 4))):
+            m, f = draw(st.integers(2, 12)), draw(st.floats(0.3, 0.9))
+            kids = [Ball((c - rad + (2 * k + 1) * rad / m,), f * rad / m) for k in range(m)]
+            entries += [(word + (k,), kid) for k, kid in enumerate(kids)]
+            k = draw(st.integers(0, m - 1))
+            word, c, rad = word + (k,), kids[k].center[0], kids[k].radius
+        tree = lambda: explicit_tree(NormKind.LINF, 1, entries)  # noqa: E731
+    image = draw(st.sampled_from(["none", "translate", "perturbed"]))
+    if image == "translate":
+        return lambda: translate(tree(), (0.125,))
+    if image == "perturbed":
+        return lambda: perturbed_image(tree(), _warp, eps=0.05)
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=_finite_systems(), r=st.floats(0.05, 0.95))
+def test_denseness_of_a_finite_tree_does_not_depend_on_depth(make, r):
+    reports = {repr(denseness_check(make(), r, 1e-3, depth)) for depth in (0, 1, 3, 40)}
+    assert len(reports) == 1
+
+
 def test_denseness_validation():
     sys = corner_family(C4)
     with pytest.raises(ValueError):
