@@ -860,10 +860,8 @@ def _dense_nodes(sys: BallSystem, depth: int) -> Optional[List[Tuple[Word, Ball]
 def _dense_passed(
     sys: BallSystem, r: float, grid_step: float, depth: int, method: str
 ) -> DensenessReport:
-    """The verdict once every node visited passes: proven when they are all
-    the tree's internal nodes, that is on homothetic systems (the root's
-    layout is every node's) and finite cores; a walk down to depth on any
-    other system refutes, but cannot prove the nodes below it."""
+    """The verdict once every node visited passes: proven where they stand
+    for the whole tree (see denseness_check), else unknown."""
     if sys.is_homothetic() or (sys.core or sys).is_finite:
         return DensenessReport(r, "proven", None, grid_step, method)
     detail = f"every node down to depth {depth} passes; deeper nodes are unchecked"

@@ -258,6 +258,13 @@ def test_bridge_that_fails_its_containment_check_is_a_failed_step(monkeypatch):
         bridge_ball(Ball((1.1, 0.0), 0.6), Ball((0.0, 0.0), 1.0), 0.25, NormKind.LINF)
 
 
+def test_bridge_below_the_rounding_of_its_center_is_a_failed_step():
+    # r * rad(sl) is below 8 ulps of the coordinates: no radius is left
+    sk, sl = Ball((0.5 + 2**-53,), 1e-16), Ball((0.5,), 1e-16)
+    with pytest.raises(RuntimeError, match="below the rounding of its center"):
+        bridge_ball(sk, sl, 0.25, NormKind.LINF)
+
+
 def test_intersect_bridges_small_balls_far_from_the_origin():
     # a chain image of corner n = 5 in d = 3 whose bridges, with radii about
     # 2e-5 near coordinate -0.47, once failed their containment check: a
