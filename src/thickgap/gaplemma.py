@@ -653,7 +653,7 @@ def intersect(
                 )
             l_word, l_ball = l_word + (child_idx,), child_ball
             h_l = _hole_hi(side_b, l_word, l_ball)
-            # target in child_ball in bridge in k_ball
+            # target in the child (now l_ball) in bridge in k_ball
             margin = shrink * l_ball.radius - h_k.hi
             point, point_word = relocate(side_a, l_ball, h_l, margin, k_word)
             case = "Case1"
