@@ -689,21 +689,25 @@ def _checked_block(kids: Sequence[Tuple[Point, float]]) -> Block:
     return tuple([k[0] for k in kids]), tuple([k[1] for k in kids])
 
 
-def _corner_block(axes: Sequence[Sequence[float]], radius: float) -> Block:
-    """The block of a grid of children, child j taking on axis i the
-    coordinate axes[i][k] with k the axis-i digit of j, all of one radius.
-
-    Raises what _checked_block raises on the per-child list: that list
-    fails first at child 0 when the radius is bad, on a coordinate if one
-    of child 0's is not finite, else at its first child with one.
-    """
+def _check_grid(axes: Sequence[Sequence[float]], radius: float) -> None:
+    """Raises what _checked_block raises on the per-child list of a grid
+    of children (see _corner_block): that list fails first at child 0 when
+    the radius is bad, on a coordinate if one of child 0's is not finite,
+    else at its first child with one."""
     isfinite = math.isfinite
     if not (radius > 0 and isfinite(radius)):
         if all(isfinite(row[0]) for row in axes):
             raise ValueError("ball radius must be positive and finite")
         raise ValueError("point coordinates must be finite")
-    if not all(isfinite(x) for row in axes for x in row):
+    if not all(map(isfinite, itertools.chain.from_iterable(axes))):
         raise ValueError("point coordinates must be finite")
+
+
+def _corner_block(axes: Sequence[Sequence[float]], radius: float) -> Block:
+    """The block of a grid of children, child j taking on axis i the
+    coordinate axes[i][k] with k the axis-i digit of j, all of one radius,
+    after _check_grid's checks."""
+    _check_grid(axes, radius)
     # axis 0's digit varies fastest
     centers = [(x,) for x in axes[0]]
     for row in axes[1:]:

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 # only what every subcommand needs loads with the module; each handler
 # imports its analysis modules itself, so a process loads what it runs
 from .ballsystem import (
-    ROOT, BallSystem, BudgetExceeded, SpecError, Word, parse_set_spec, translate, word_str
+    ROOT, BallSystem, BudgetExceeded, SpecError, Word, _check_grid, parse_set_spec, translate,
+    word_str,
 )
 from .geometry import NormKind, Point, vector_size
 
@@ -393,6 +394,19 @@ class _ReprCache(dict):
 def _cmd_render(args: argparse.Namespace) -> int:
     """CSV rows tag,center...,radius of every node down to --depth.
 
+    One walk, depth first in child order as BallSystem.walk, takes the rows
+    of each node's children from a child reader; a row's tag is its
+    parent's tag plus its child index. A system with a corner grid (a Linf
+    corner family and its similarity images, translates included) is read
+    from CornerGrid.axes and builds no child block: each node's n
+    coordinates per axis and its child radius are formatted once, and
+    child j's row is its tag, the string of j's digit on each axis, axis
+    0's varying fastest as in _corner_block, and the radius. axes() forms
+    each coordinate as ball() does, so the rows are the block walk's bit
+    for bit; when those floats fail _corner_block's checks, the reader
+    builds the block, which holds them, to raise the block walk's error
+    from whichever map of a chain it comes. Other systems read child blocks.
+
     A tree of n children per node has far fewer distinct floats than rows,
     so each float is formatted through a cache that lives for this call.
     The cache is exact because repr of a float is a function of its value,
@@ -404,31 +418,65 @@ def _cmd_render(args: argparse.Namespace) -> int:
     sys = _load_system(args.spec)
     if _render_rows(sys, args.depth) > MAX_RENDER_ROWS:
         raise ValueError(f"render to depth {args.depth} writes more than {MAX_RENDER_ROWS:,} rows")
-    block = sys.child_block
-    fmt = _ReprCache().__getitem__
     depth = args.depth
-    # depth first in child order, as BallSystem.walk, reading child blocks;
-    # each row's tag is its parent's tag plus its child index, and the rows
-    # of a last-level block are written straight from it
+    fmt = _ReprCache().__getitem__
+    grid = sys.corner_grid
+    # a reader gives the children's rows and, when they are inner, the
+    # node each one's own children are read from
+    if grid is None:
+
+        def children(word: Word, node: None, prefix: str, inner: bool):
+            centers, radii = sys.child_block(word)
+            rows = [
+                ",".join([prefix + str(i), *map(fmt, c), fmt(r)])
+                for i, (c, r) in enumerate(zip(centers, radii))
+            ]
+            return rows, (None,) * len(rows)
+
+        root_node = None
+    else:
+        labels = [str(j) for j in range(grid.params.child_count)]
+
+        def children(word: Word, node: Tuple[Point, float], prefix: str, inner: bool):
+            try:
+                axes, core_radius, own = grid.axes(*node)
+                _check_grid(axes, own)
+            except ValueError:
+                sys.child_block(word)  # raises the block walk's error
+                raise
+            cells = [["," + fmt(x) for x in row] for row in axes]
+            tail = "," + fmt(own)
+            cells[-1] = [cell + tail for cell in cells[-1]]
+            tails = cells[0]
+            for row in cells[1:]:
+                tails = [t + cell for cell in row for t in tails]
+            rows = [f"{prefix}{label}{t}" for label, t in zip(labels, tails)]
+            if not inner:
+                return rows, None
+            centers = [()]  # the children's core centers, in the same order
+            for row in grid.params.child_axes(*node)[0]:
+                centers = [c + (x,) for x in row for c in centers]
+            return rows, [(c, core_radius) for c in centers]
+
+        root_node = (grid.root.center, grid.root.radius)  # the core's root, not sys.root
+    root = sys.root
     lines = []
-    stack: List[Tuple[Word, str, Point, float]] = [(ROOT, "", sys.root.center, sys.root.radius)]
+    stack: List[Tuple[Word, str, str, object]] = [
+        (ROOT, "", ",".join(["", *map(fmt, root.center), fmt(root.radius)]), root_node)
+    ]
     while stack:
-        word, tag, center, radius = stack.pop()
-        lines.append(",".join([tag, *map(fmt, center), fmt(radius)]))
+        word, tag, row, node = stack.pop()
+        lines.append(row)
         if len(word) == depth:
             continue
-        centers, radii = block(word)
         prefix = tag + "." if word else ""
-        if len(word) + 1 < depth:
-            for i in range(len(radii) - 1, -1, -1):
-                stack.append((word + (i,), prefix + str(i), centers[i], radii[i]))
-        else:
-            lines.extend(
-                [
-                    ",".join([prefix + str(i), *map(fmt, c), fmt(r)])
-                    for i, (c, r) in enumerate(zip(centers, radii))
-                ]
-            )
+        inner = len(word) + 1 < depth
+        rows, nodes = children(word, node, prefix, inner)
+        if not inner:
+            lines.extend(rows)
+            continue
+        for i in range(len(rows) - 1, -1, -1):
+            stack.append((word + (i,), prefix + str(i), rows[i], nodes[i]))
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -337,8 +337,11 @@ class _DistOracle:
                 lo, hi = lo * (1 - 2**-50), hi * (1 + 2**-50)
             return IntervalBound(lo, hi, tol)
         if self.leaves is not None:
+            # v is the least distance to the leaf intervals rounded to
+            # nearest: exact at 0, else within one ulp either way
             v = _finite1d_dist(self.leaves.starts, self.leaves.ends, x[0])
-            return IntervalBound(v, v, tol)
+            hi = math.nextafter(v, math.inf) if v else v
+            return IntervalBound(math.nextafter(v, 0.0), hi, tol)
         if self.leaf_balls is not None:
             v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
             return IntervalBound(v, v, tol)
@@ -574,7 +577,9 @@ def _exact_hole(
     elif oracle.leaves is not None:
         a, b = ball.center[0] - ball.radius, ball.center[0] + ball.radius
         v = _finite1d_hole(oracle.leaves, a, b)
-        pad = 1e-12 * max(1.0, v)  # absorbs last-ulp disagreement between equivalent formulas
+        # absorbs last-ulp disagreement between equivalent formulas, and the
+        # rounding of a, b and the gap midpoints, each within ulp(max(|a|, |b|)) / 2
+        pad = max(1e-12 * max(1.0, v), 4 * math.ulp(max(abs(a), abs(b))))
         lo, hi = v - pad, v + pad
     else:
         return None

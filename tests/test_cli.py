@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickgap import ballsystem, cli, game, gaplemma
 from thickgap.ballsystem import (
@@ -694,11 +696,46 @@ _RENDER_SYSTEMS = {
     "gaps1d": _render_gaps,
     "explicit": _render_explicit,
     "translate": lambda: translate(_render_corner(), (0.05, -0.02)),
+    # the corner systems above and below render from per-axis rows; the
+    # perturbed image of a corner has no grid and reads child blocks
+    "corner_d1": lambda: corner_family(CornerFamilyParams(n=10, ell=0.19, d=1)),
+    "corner_d3": lambda: corner_family(CornerFamilyParams(n=3, ell=0.3, d=3)),
+    "chain": lambda: similarity_image(
+        translate(_render_corner(), (0.05, -0.02)), 0.7, (-0.3, 0.125)
+    ),
     "similarity": lambda: similarity_image(from_ifs(_RENDER_IFS, NormKind.L2), 0.7, (0.1, 0.2)),
     "perturbed": lambda: perturbed_image(_render_corner(), _warp, eps=0.05),
     "signed_zeros": _render_signed_zeros,
 }
 
+# corner systems whose child floats fail a check at depth 1, with the
+# block walk's error, and one whose floats pass; the grid reader must
+# raise what the block walk raises
+_RENDER_EXTREMES = {
+    # the child radius underflows to 0
+    "underflow": (
+        lambda: similarity_image(_render_corner(), 5e-324, (0.0, 0.0)),
+        "ball radius must be positive and finite",
+    ),
+    "subnormal": (lambda: similarity_image(_render_corner(), 1e-320, (0.0, 0.0)), None),
+    # the children right of the root center overflow
+    "overflow": (
+        lambda: similarity_image(_render_corner(), 1e308, (1.7e308, 0.0)),
+        "point coordinates must be finite",
+    ),
+    # the inner map's children right of center overflow, which the block
+    # walk finds first, and the outer map's child radius underflows
+    "inner_overflow": (
+        lambda: similarity_image(
+            similarity_image(
+                similarity_image(_render_corner(), 1e308, (1.7e308, 0.0)), 1e-308, (0.0, 0.0)
+            ),
+            1e-323,
+            (0.0, 0.0),
+        ),
+        "point coordinates must be finite",
+    ),
+}
 
 
 class TestRender:
@@ -773,6 +810,7 @@ class TestRender:
             monkeypatch.setattr(cli, "MAX_RENDER_ROWS", cap)
         if not ok:
             monkeypatch.setattr(cli, "_ReprCache", None)  # formats no row
+            monkeypatch.setattr(ballsystem.CornerGrid, "axes", None)  # reads no child row
         out = tmp_path / "dump.csv"
         code = cli.main(["render", "--spec", specs[name], "--depth", str(depth), "--out", str(out)])
         if ok:
@@ -788,6 +826,55 @@ class TestRender:
         ) == 0
         assert out.read_text() == _walk_dump(parse_set_spec(SPECS["corner4_d2"]), 3)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corner_images_dump_equals_the_walk(self, data, tmp_path_factory):
+        n, d = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 3))
+        ell = data.draw(st.floats(0.01, 0.99)) * 2 / n
+        sys = corner_family(CornerFamilyParams(n, ell, d))
+        for kind in data.draw(st.lists(st.sampled_from(["translate", "similarity"]), max_size=2)):
+            shift = tuple(data.draw(st.floats(-2.0, 2.0)) for _ in range(d))
+            if kind == "translate":
+                sys = translate(sys, shift)
+            else:
+                sys = similarity_image(sys, data.draw(st.floats(0.01, 50.0)), shift)
+        # a depth in 0..3, cut to at most a few thousand last-level rows
+        depth = data.draw(st.integers(0, 3))
+        while depth and (n**d) ** depth > 5_000:
+            depth -= 1
+        out = tmp_path_factory.getbasetemp() / "corner-images.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_load_system", lambda path: sys)
+            argv = ["render", "--spec", "unused", "--depth", str(depth), "--out", str(out)]
+            assert cli.main(argv) == 0
+        assert out.read_text() == _walk_dump(sys, depth)
+
+    @pytest.mark.parametrize("shift", [None, (0.05, -0.02)])
+    def test_corner_grid_render_builds_no_child_block(self, shift, tmp_path, monkeypatch):
+        sys = _render_corner() if shift is None else translate(_render_corner(), shift)
+        monkeypatch.setattr(cli, "_load_system", lambda path: sys)
+        out = tmp_path / "dump.csv"
+        assert cli.main(["render", "--spec", "unused", "--depth", "3", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 1 + 9 + 81 + 729
+        assert sys._blocks == {} and (sys.core or sys)._blocks == {}
+
+    @pytest.mark.parametrize("name", sorted(_RENDER_EXTREMES))
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_corner_grid_render_errors_are_the_walks(
+        self, name, depth, tmp_path, capsys, monkeypatch
+    ):
+        make, error = _RENDER_EXTREMES[name]
+        monkeypatch.setattr(cli, "_load_system", lambda path: make())
+        out = tmp_path / "dump.csv"
+        code = cli.main(["render", "--spec", "unused", "--depth", str(depth), "--out", str(out)])
+        if error is None:
+            assert code == 0 and out.read_text() == _walk_dump(make(), depth)
+            return
+        with pytest.raises(ValueError, match=error):
+            _walk_dump(make(), depth)
+        assert code == 2 and not out.exists()
+        assert f"error: {error}" in capsys.readouterr().err
 
     def test_a_repr_cache_that_stores_zeros_fails_the_walk(self, tmp_path, monkeypatch):
         def store_every_value(cache, x):

@@ -37,6 +37,7 @@ from thickgap.ballsystem import (
     corner_family,
     corner_gap,
     explicit_tree,
+    from_gaps_1d,
     from_ifs,
     newhouse_thickness,
     parse_set_spec,
@@ -263,6 +264,110 @@ def test_ifs_linf_node_holes_enclose_13_over_35_of_the_radius():
             h = hole_radius(word, sys, tol)
             assert _contains(h, want, want), (word, h)
             assert h.width <= tol
+
+
+# -- finite 1-D gap trees -------------------------------------------------------------
+
+
+@st.composite
+def _dyadic_gap_lists(draw):
+    """A gap list whose hull and gap ends are k / 2**e with |k| <= 2**20, so
+    exact as floats, and so are the node centers and radii derived from
+    them; distinct ends keep every piece between two gaps nondegenerate."""
+    e = draw(st.integers(0, 40))
+    m = draw(st.integers(0, 8))
+    ks = draw(st.sets(st.integers(-(2**20), 2**20), min_size=2 * m + 2, max_size=2 * m + 2))
+    ends = [math.ldexp(k, -e) for k in sorted(ks)]
+    return GapList1D((ends[0], ends[-1]), tuple(zip(ends[1:-1:2], ends[2:-1:2])))
+
+
+@st.composite
+def _far_gap_lists(draw):
+    """A gap list of float ends a long way from the origin, whose node
+    centers, radii and gap midpoints round."""
+    offset = draw(st.floats(1e3, 1e9))
+    m = draw(st.integers(1, 6))
+    ends = sorted({offset + u for u in draw(st.lists(st.floats(0.0, 2.0), min_size=2 * m + 2))})
+    assume(len(ends) >= 2 * m + 2)
+    ends = ends[: 2 * m + 1] + ends[-1:]
+    return GapList1D((ends[0], ends[-1]), tuple(zip(ends[1:-1:2], ends[2:-1:2])))
+
+
+def _gap_list_pieces(gl):
+    """The closed pieces of the hull between the gaps, exactly: the leaf
+    intervals of the gap tree."""
+    ends = [gl.hull[0], *itertools.chain.from_iterable(gl.gaps), gl.hull[1]]
+    return [(Fraction(a), Fraction(b)) for a, b in zip(ends[::2], ends[1::2])]
+
+
+def _exact_dist(pieces, x):
+    return min(max(a - x, x - b, Fraction(0)) for a, b in pieces)
+
+
+def _exact_hole(pieces, lo, hi):
+    """max over [lo, hi] of the distance to the pieces: taken at an end or
+    at the midpoint of a gap between two pieces."""
+    mids = [(b + a) / 2 for (_, b), (a, _) in zip(pieces, pieces[1:])]
+    return max(_exact_dist(pieces, t) for t in [lo, hi, *(t for t in mids if lo <= t <= hi)])
+
+
+def _near_gap_list(draw, gl):
+    """A float anywhere near the hull, or at or beside a hull end, a gap
+    end or a gap midpoint, where the distance turns."""
+    a, b = gl.hull
+    if draw(st.booleans()):
+        return draw(st.floats(2 * a - b, 2 * b - a))
+    marks = [a, b, *itertools.chain.from_iterable(gl.gaps), *((lo + hi) / 2 for lo, hi in gl.gaps)]
+    x = draw(st.sampled_from(marks))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    return x
+
+
+def _check_finite1d(gl, x, tol):
+    """dist_to_set at x and every node's hole_radius hold the exact values:
+    the distance to the union of the leaf intervals, and its max over the
+    node's ball."""
+    sys = from_gaps_1d(gl)
+    pieces = _gap_list_pieces(gl)
+    exact = _exact_dist(pieces, Fraction(x))
+    iv = dist_to_set((x,), sys, tol)
+    assert _contains(iv, exact, exact), (x, iv, float(exact))
+    for word, ball in sys.walk(len(gl.gaps)):
+        c, r = Fraction(ball.center[0]), Fraction(ball.radius)
+        exact = _exact_hole(pieces, c - r, c + r)
+        h = hole_radius(word, sys, tol)
+        assert _contains(h, exact, exact), (word, h, float(exact))
+    return sys, pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(gl=_dyadic_gap_lists(), data=st.data(), tol=st.sampled_from([1e-3, 1e-9, 1e-12]))
+@example(
+    gl=GapList1D((-4.0, 4.0), ((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.0))),
+    data=None,
+    tol=1e-3,
+).via("a point whose distance 1 - x rounded up to 1.0, given as [1.0, 1.0]")
+def test_finite1d_distance_and_holes_enclose_the_exact_values(gl, data, tol):
+    x = 5.8125628937389095e-154 if data is None else _near_gap_list(data.draw, gl)
+    sys, pieces = _check_finite1d(gl, x, tol)
+    # dyadic ends make the root ball the hull, whose hole is half the widest
+    # component of the hull minus the pieces: half the widest gap
+    half = max([hi - lo for (_, lo), (hi, _) in zip(pieces, pieces[1:])], default=0) / 2
+    assert _contains(hole_radius((), sys, tol), half, half)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gl=_far_gap_lists(), data=st.data(), tol=st.sampled_from([1e-3, 1e-9, 1e-12]))
+@example(
+    gl=GapList1D(
+        (2625183.3548202747, 2625185.3548202747), ((2625183.8502553618, 2625183.8507054034),)
+    ),
+    data=None,
+    tol=1e-12,
+).via("a gap midpoint whose rounding passed the hole's 1e-12 pad")
+def test_finite1d_holes_far_from_the_origin_enclose_the_exact_values(gl, data, tol):
+    _check_finite1d(gl, gl.hull[0] if data is None else _near_gap_list(data.draw, gl), tol)
 
 
 # -- Newhouse thickness ---------------------------------------------------------------
