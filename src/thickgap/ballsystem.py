@@ -458,6 +458,7 @@ class BallSystem:
             if isinstance(core.generator, CornerFamilyParams):
                 self.corner_grid = CornerGrid(core.generator, core.root, maps[::-1])
         self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
+        self.leaf_ends_exact = True  # set with the leaf intervals, see there
 
     # -- tree access -------------------------------------------------------
 
@@ -615,16 +616,18 @@ class BallSystem:
 
         No two overlap: leaves that do (an explicit tree may have them) are
         merged into their union, so that the left ends and the right ends
-        both rise; gap-derived leaves are disjoint already."""
+        both rise; gap-derived leaves are disjoint already. A gap list's
+        ends are its given floats, any other tree's its leaves' c - r and
+        c + r rounded; leaf_ends_exact says whether fsum finds those exact."""
         if self._leaf_intervals is not None:
             return self._leaf_intervals
         if not (self.is_finite and self.dimension == 1):
             raise ValueError("leaf intervals exist only for finite 1-D systems")
-        leaves = sorted(
-            (b.center[0] - b.radius, b.center[0] + b.radius)
-            for w, b in self.walk(1_000_000)
-            if self.is_leaf(w)
+        ends = [(b.center[0], b.radius) for w, b in self.walk(1_000_000) if self.is_leaf(w)]
+        self.leaf_ends_exact = all(
+            math.fsum((c, s * r, -(c + s * r))) == 0 for c, r in ends for s in (-1.0, 1.0)
         )
+        leaves = sorted((c - r, c + r) for c, r in ends)
         merged: List[Tuple[float, float]] = []
         for lo, hi in leaves:
             if merged and lo < merged[-1][1]:

@@ -6,6 +6,10 @@ command line, every argument of the subcommand under its parser name, with
 the defaults a handler resolves at run time filled in (`distances --tmax`,
 `game --rho`, `pattern`'s parsed points). Passing those values back as
 arguments reruns the report bit for bit.
+
+Handlers return (report, exit_code) and write nothing: a JSON payload
+without `config`, or render's CSV text. `main` writes it, `config` first,
+so a field that every report shares is added in one place.
 """
 
 from __future__ import annotations
@@ -93,13 +97,12 @@ def _parse_point(text: str) -> Tuple[float, ...]:
 # -- thickness ----------------------------------------------------------------
 
 
-def _cmd_thickness(args: argparse.Namespace) -> int:
+def _cmd_thickness(args: argparse.Namespace) -> Tuple[dict, int]:
     from .metrics import thickness
 
     sys = _load_system(args.spec)
     report = thickness(sys, args.depth, args.tol)
     payload = {
-        "config": vars(args),
         "tau": {
             "lo": report.overall.lo,
             "hi": report.overall.hi,
@@ -118,8 +121,7 @@ def _cmd_thickness(args: argparse.Namespace) -> int:
             for rec in report.per_node
         ],
     }
-    _emit(payload, args.out)
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGE
+    return payload, EXIT_OK if report.converged else EXIT_NO_CONVERGE
 
 
 # -- gap hypotheses and intersection ------------------------------------------
@@ -158,23 +160,16 @@ def _hypotheses_exit(report) -> int:
     return EXIT_REFUTED if "refuted" in report.statuses else EXIT_UNKNOWN
 
 
-def _cmd_gapcheck(args: argparse.Namespace) -> int:
+def _cmd_gapcheck(args: argparse.Namespace) -> Tuple[dict, int]:
     """gapcheck; intersect adds a certificate when every hypothesis is proven."""
     from .gaplemma import check_hypotheses, intersect
 
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
-    payload = {"config": vars(args), "hypotheses": _hypotheses_payload(report)}
+    payload = {"hypotheses": _hypotheses_payload(report)}
     if args.command == "intersect" and report.all_proven:
-        cert = intersect(sys1, sys2, args.r, args.tol, args.steps)
-        payload["certificate"] = {
-            "witness": cert.witness,
-            "residual1": cert.residual1,
-            "residual2": cert.residual2,
-            "trace": cert.trace,
-        }
-    _emit(payload, args.out)
-    return _hypotheses_exit(report)
+        payload["certificate"] = intersect(sys1, sys2, args.r, args.tol, args.steps)
+    return payload, _hypotheses_exit(report)
 
 
 # -- directional distances -----------------------------------------------------
@@ -207,7 +202,7 @@ def _normalize(v: Sequence[float], norm: NormKind) -> Point:
     return tuple(x / size for x in v)
 
 
-def _cmd_distances(args: argparse.Namespace) -> int:
+def _cmd_distances(args: argparse.Namespace) -> Tuple[dict, int]:
     from .gaplemma import check_hypotheses, directional_distance_certificate, distance_interval
 
     if min(args.directions, args.steps) < 1:
@@ -218,11 +213,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     if args.tmax is None:
         args.tmax = limit
     hypotheses = check_hypotheses(sys, sys, args.r)
-    payload = {
-        "config": vars(args),
-        "hypotheses": _hypotheses_payload(hypotheses),
-        "t_limit": limit,
-    }
+    payload = {"hypotheses": _hypotheses_payload(hypotheses), "t_limit": limit}
     # no row is certified unless every hypothesis is proven
     directions = _direction_sample(sys, args.directions, args.seed) if hypotheses.all_proven else []
     if args.steps == 1:
@@ -255,13 +246,12 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     counts = {k: sum(row["status"] == k for row in rows) for k in ("ok", "failed", "out_of_scope")}
     payload["rows"] = rows
     payload["summary"] = {"total": len(rows), **counts}
-    _emit(payload, args.out)
     if not hypotheses.all_proven:
-        return _hypotheses_exit(hypotheses)
+        return payload, _hypotheses_exit(hypotheses)
     if counts["failed"] == 0:
-        return EXIT_OK
+        return payload, EXIT_OK
     # a table that failed only on hit caps did not converge, as one run would
-    return EXIT_NO_CONVERGE if capped == counts["failed"] else EXIT_UNKNOWN
+    return payload, EXIT_NO_CONVERGE if capped == counts["failed"] else EXIT_UNKNOWN
 
 
 # -- game ----------------------------------------------------------------------
@@ -272,7 +262,7 @@ def _transcript_path(out: str, seed: int) -> str:
     return f"{stem}-seed{seed}.jsonl"
 
 
-def _cmd_game(args: argparse.Namespace) -> int:
+def _cmd_game(args: argparse.Namespace) -> Tuple[dict, int]:
     from .game import (
         play_batch,
         proposition_params,
@@ -314,54 +304,41 @@ def _cmd_game(args: argparse.Namespace) -> int:
             with open(_transcript_path(args.out, seed), "w") as fh:
                 fh.write(transcript_to_jsonl(result))
     payload = {
-        "config": vars(args),
         "params": params,
         "classifications": tally,
         "violations": violations,
         "outcomes": outcomes,
     }
-    _emit(payload, args.out)
     clean = violations == 0 and set(tally) <= {"in_target", "erased"}
-    return EXIT_OK if clean else EXIT_UNKNOWN
+    return payload, EXIT_OK if clean else EXIT_UNKNOWN
 
 
 # -- dimension bounds ------------------------------------------------------------
 
 
-def _cmd_dims(args: argparse.Namespace) -> int:
+def _cmd_dims(args: argparse.Namespace) -> Tuple[dict, int]:
     from .dimension import dim_lower_bound
 
     value = dim_lower_bound(args.d, args.tau, args.m0)
-    payload = {
-        "config": vars(args),
-        "formula_bound": value,
-        "caveat": _D2_CAVEAT if args.d >= 2 else None,
-    }
+    payload = {"formula_bound": value, "caveat": _D2_CAVEAT if args.d >= 2 else None}
     if args.alpha is not None and args.beta is not None and args.c is not None:
         from .game import BfsConstants, winning_dim_bound
 
         k = BfsConstants(args.K1, args.K2)
         payload["winning"] = winning_dim_bound(args.alpha, args.beta, args.c, args.d, k)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 # -- pattern search ---------------------------------------------------------------
 
 
-def _cmd_pattern(args: argparse.Namespace) -> int:
+def _cmd_pattern(args: argparse.Namespace) -> Tuple[dict, int]:
     from .game import pattern_search_oracle
 
     sys = _load_system(args.spec)
     args.points = tuple(_parse_point(text) for text in args.points)
     witnesses = pattern_search_oracle(sys, args.points, args.lam, args.grid, args.tol)
-    payload = {
-        "config": vars(args),
-        "count": len(witnesses),
-        "witnesses": witnesses,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if witnesses else EXIT_UNKNOWN
+    return {"count": len(witnesses), "witnesses": witnesses}, EXIT_OK if witnesses else EXIT_UNKNOWN
 
 
 # -- geometry dump -----------------------------------------------------------------
@@ -391,7 +368,7 @@ class _ReprCache(dict):
         return text
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> Tuple[str, int]:
     """CSV rows tag,center...,radius of every node down to --depth.
 
     One walk, depth first in child order as BallSystem.walk, takes the rows
@@ -477,8 +454,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             continue
         for i in range(len(rows) - 1, -1, -1):
             stack.append((word + (i,), prefix + str(i), rows[i], nodes[i]))
-    _emit_text("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------------
@@ -581,7 +557,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the namespace less its handler is the report's config
     handler = vars(args).pop("handler")
     try:
-        return handler(args)
+        report, code = handler(args)
+        if isinstance(report, str):
+            _emit_text(report, args.out)
+        else:
+            # read after the handler, which fills in the defaults it resolves
+            _emit({"config": vars(args), **report}, args.out)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

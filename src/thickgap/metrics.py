@@ -38,7 +38,6 @@ from .ballsystem import (
     ROOT,
     AxisFactor,
     BallSystem,
-    Perturbed,
     Word,
 )
 
@@ -309,6 +308,7 @@ class _DistOracle:
         # dispatch reads which field is set; mode only labels it for the tracer
         self.mode = "bnb"
         self.leaves: Optional[_Leaves1D] = None
+        self.rounded_ends = False
         self.leaf_balls: Optional[List[Ball]] = None
         if self.factors is not None:
             self.mode = "product"
@@ -316,6 +316,7 @@ class _DistOracle:
             self.mode = "finite1d"
             ivs = sys.leaf_intervals()
             self.leaves = _leaves_1d([iv[0] for iv in ivs], [iv[1] for iv in ivs])
+            self.rounded_ends = not sys.leaf_ends_exact
         elif sys.is_finite:
             self.mode = "finite"
             self.leaf_balls = [
@@ -338,10 +339,14 @@ class _DistOracle:
             return IntervalBound(lo, hi, tol)
         if self.leaves is not None:
             # v is the least distance to the leaf intervals rounded to
-            # nearest: exact at 0, else within one ulp either way
+            # nearest: exact at 0, else within one ulp either way. Rounded
+            # ends widen that by 2u, u = ulp(|x| + v): v moves no more than
+            # the ends that set it, each within |x| + v of 0 and half its
+            # ulp of c +- r, and u more covers v's own rounding
             v = _finite1d_dist(self.leaves.starts, self.leaves.ends, x[0])
-            hi = math.nextafter(v, math.inf) if v else v
-            return IntervalBound(math.nextafter(v, 0.0), hi, tol)
+            pad = 2 * math.ulp(abs(x[0]) + v) if self.rounded_ends else 0.0
+            lo, hi = math.nextafter(v - pad, -math.inf), v + pad
+            return IntervalBound(max(lo, 0.0), math.nextafter(hi, math.inf) if hi else hi, tol)
         if self.leaf_balls is not None:
             v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
             return IntervalBound(v, v, tol)
@@ -645,9 +650,9 @@ def thickness(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
         raise ValueError("depth must be >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    gen = sys.generator
-    if isinstance(gen, Perturbed):
-        return _thickness_perturbed(sys, gen, depth, tol)
+    if sys.similarities is None and sys.base.is_homothetic():
+        # the outermost map is the one perturbation, of a homothetic base
+        return _thickness_perturbed(sys, depth, tol)
     if sys.is_homothetic():
         return _thickness_homothetic(sys, depth, tol)
     return _thickness_nodes(sys, depth, tol)
@@ -686,7 +691,8 @@ def _thickness_homothetic(sys: BallSystem, depth: int, tol: float) -> ThicknessR
 
 
 def _sample_hole_lower(sys: BallSystem) -> float:
-    """Sound lower bound on the root hole radius from a few sample points."""
+    """Sound lower bound on the root hole radius from a few sample points.
+    Only perturbed images, all Linf, come here, so each point is in the root."""
     import numpy as np
 
     oracle = _oracle(sys)
@@ -707,21 +713,14 @@ def _sample_hole_lower(sys: BallSystem) -> float:
             for _ in range(64)
         ]
     for p in pts:
-        if sys.norm is not NormKind.LINF:
-            p = _clamp_into_ball(p, region, sys.norm)
         enc = oracle.enclosure(p, ftol)
         if enc.lo > best:
             best = enc.lo
     return best
 
 
-def _thickness_perturbed(
-    sys: BallSystem, gen: Perturbed, depth: int, tol: float
-) -> ThicknessReport:
-    base = gen.base
-    eps = gen.eps
-    if not base.is_homothetic():
-        return _thickness_nodes(sys, depth, tol)
+def _thickness_perturbed(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
+    base, eps = sys.base, sys.generator.eps
     hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3).hi / base.root.radius
     lam_min = min(base.child_ratios())
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)

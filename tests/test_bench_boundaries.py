@@ -7,6 +7,8 @@ renames one silently zeroes that metric, so these tests fail instead.
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from thickgap.ballsystem import (
     from_gaps_1d,
     from_ifs,
 )
-from thickgap import dimension
+from thickgap import cli, dimension
 from thickgap.metrics import _oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -82,3 +84,41 @@ def test_tracer_counts_the_mass_walks_moran_solves(monkeypatch):
     totals = tracer.span_totals()
     assert totals["dimension.measure_check"][0] == 1
     assert totals["dimension.moran"][0] > 17
+
+
+def test_each_command_emits_once_and_counts_the_bytes_it_wrote(monkeypatch, tmp_path):
+    # the tracer reads the output path from _emit's and _emit_text's second
+    # argument; a command that wrote twice, or past them, would miscount
+    paths = {}
+    for name, gen in [
+        ("corner4", {"type": "corner", "n": 4, "ell": 0.4}),
+        ("corner10", {"type": "corner", "n": 10, "ell": 0.19}),
+    ]:
+        for d in (1, 2):
+            paths[f"{name}_d{d}"] = path = str(tmp_path / f"{name}_d{d}.json")
+            Path(path).write_text(json.dumps({"norm": "linf", "dimension": d, "generator": gen}))
+    pair = ["--spec", paths["corner10_d2"], "--shift2", "0.05,0.02", "--r", "0.19556"]
+    commands = [
+        ["thickness", "--spec", paths["corner4_d2"], "--depth", "2"],
+        ["gapcheck", *pair],
+        ["intersect", *pair, "--tol", "1e-6"],
+        ["distances", "--spec", paths["corner10_d2"], "--r", "0.19556", "--directions", "2",
+         "--steps", "2"],
+        ["game", "--spec", paths["corner4_d2"], "--alpha", str(1 / 3), "--beta", "0.2",
+         "--games", "2"],
+        ["dims", "2", "3", "16"],
+        ["pattern", "--spec", paths["corner10_d1"], "0.05", "0", "1", "2"],
+        ["render", "--spec", paths["corner4_d2"], "--depth", "2"],
+    ]
+    out = str(tmp_path / "report.out")
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        for argv in commands:
+            spans = tracer.span_totals().get("cli.emit", (0, 0.0))[0]
+            written = tracer.counts.get("cli.emit.bytes", 0)
+            assert cli.main([*argv, "--out", out]) == 0, argv
+            assert tracer.span_totals()["cli.emit"][0] == spans + 1, argv
+            assert tracer.counts["cli.emit.bytes"] == written + os.path.getsize(out), argv
+    finally:
+        tracer.uninstall()

@@ -631,6 +631,49 @@ class TestPattern:
         assert code == 2
 
 
+def _json_commands(specs):
+    """One quick run of each subcommand that writes a JSON report."""
+    pair = ["--spec", specs["corner10_d2"], "--shift2", "0.05,0.02", "--r", "0.19556"]
+    return {
+        "thickness": ["thickness", "--spec", specs["corner4_d2"], "--depth", "2"],
+        "gapcheck": ["gapcheck", *pair],
+        "intersect": ["intersect", *pair, "--tol", "1e-6"],
+        "distances": [
+            "distances", "--spec", specs["corner10_d2"], "--r", "0.19556",
+            "--directions", "2", "--steps", "2",
+        ],
+        "game": [
+            "game", "--spec", specs["corner4_d2"], "--alpha", str(1 / 3), "--beta", "0.2",
+            "--games", "2",
+        ],
+        "dims": ["dims", "2", "3", "16"],
+        "pattern": ["pattern", "--spec", specs["corner10_d1"], "0.05", "0", "1", "2"],
+    }
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize(
+        "command", ["thickness", "gapcheck", "intersect", "distances", "game", "dims", "pattern"]
+    )
+    def test_config_comes_first_and_is_the_command_line(self, command, specs, tmp_path):
+        argv = [*_json_commands(specs)[command], "--out", str(tmp_path / "report.json")]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert next(iter(report)) == "config"
+        want = vars(cli.build_parser().parse_args(argv))
+        del want["handler"]
+        # the defaults the handlers resolve at run time
+        if command == "distances":
+            sys = cli._load_system(want["spec"])
+            want["tmax"] = gaplemma.distance_interval(want["r"]) * sys.root.radius
+        elif command == "game":
+            sys = cli._load_system(want["spec"])
+            want["rho"] = game.proposition_params(sys, 1 / want["alpha"], want["beta"]).rho
+        elif command == "pattern":
+            want["points"] = [[float(p)] for p in want["points"]]
+        assert report["config"] == json.loads(json.dumps(want))
+
+
 def _walk_dump(sys, depth):
     """The render CSV as BallSystem.walk and word_str give it."""
     lines = []

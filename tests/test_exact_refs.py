@@ -3,10 +3,12 @@
 A test-only `fractions.Fraction` oracle computes the exact value of each
 quantity that has a closed form: distances to corner families and their
 images, corner holes, thickness and denseness radius, the hole of the
-max-norm bench IFS and Newhouse thickness. Float parameters are read as the rationals they
-are, and every other quantity (the corner gap g, cell centers, node
-radii) is derived from them exactly. Every float enclosure must contain
-the exact value. Max-norm denseness verdicts are checked against a
+max-norm bench IFS, the closed-form h0 of product IFS and their distances
+in every norm, distances and holes of finite 1-D trees, and Newhouse
+thickness. Float parameters are read as the rationals they are, and
+every other quantity (the corner gap g, cell centers, node radii) is
+derived from them exactly. Every float enclosure must contain the exact
+value. Max-norm denseness verdicts are checked against a
 brute force over candidate centers in exact arithmetic.
 """
 
@@ -45,6 +47,7 @@ from thickgap.ballsystem import (
     translate,
 )
 from thickgap.metrics import denseness_check, dist_to_set, hole_radius, thickness
+from thickgap.selfsimilar import _product_h0, homothetic_h0_upper
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -266,6 +269,117 @@ def test_ifs_linf_node_holes_enclose_13_over_35_of_the_radius():
             assert h.width <= tol
 
 
+# -- product IFS: the closed-form h0 and distances in every norm ------------------------
+
+
+@st.composite
+def _product_axes(draw, norm=NormKind.LINF):
+    """(lam, axes): one ratio and, per axis, 1 to 4 sorted translations
+    drawn as arbitrary floats, whose child hulls t + lam * [a, b] are
+    disjoint in exact arithmetic. They lie in [-1 + lam, 1 - lam], or a d-th
+    of that outside Linf, so that every map keeps the unit ball."""
+    lam = draw(st.floats(0.02, 0.4))
+    d = draw(st.integers(1, 2))
+    reach = (1 - lam) / (1 if norm is NormKind.LINF else d)
+    axes = []
+    for _ in range(d):
+        ts = sorted(draw(st.sets(st.floats(-reach, reach), min_size=1, max_size=4)))
+        hulls = _exact_hulls(lam, ts)
+        assume(all(e < s for (_, e), (s, _) in zip(hulls, hulls[1:])))
+        axes.append(ts)
+    return lam, axes
+
+
+def _exact_hulls(lam, ts):
+    """The child hulls t + lam * [a, b] of the attractor K of y -> lam * y
+    + t over the sorted ts, whose hull [a, b] has the outer fixed points
+    as its ends, so both ends of every child hull lie in K."""
+    lam = Fraction(lam)
+    a, b = Fraction(ts[0]) / (1 - lam), Fraction(ts[-1]) / (1 - lam)
+    return [(Fraction(t) + lam * a, Fraction(t) + lam * b) for t in ts]
+
+
+def _product_ifs(lam, axes, norm):
+    grid = [()]
+    for ts in axes:
+        grid = [t + (x,) for t in grid for x in ts]
+    ifs = HomotheticIFS(tuple((lam, t) for t in grid))
+    assume(ifs.axis_factors() is not None)  # the float hulls are disjoint too
+    return ifs, from_ifs(ifs, norm)
+
+
+def _exact_axis_dist(lam, ts, y, levels=80):
+    """(lo, hi) around dist(y, K): K lies in its child hulls, whose ends are
+    points of K, so outside them the distance is the nearest end's; inside
+    one, it is lam times the distance of the hull's preimage point. Exact
+    unless y stays in hulls for the given number of levels."""
+    hulls = _exact_hulls(lam, ts)
+    lam, y, scale = Fraction(lam), Fraction(y), Fraction(1)
+    for _ in range(levels):
+        inside = [k for k, (a, b) in enumerate(hulls) if a <= y <= b]
+        if not inside:
+            d = min(max(a - y, y - b) for a, b in hulls)
+            return scale * d, scale * d
+        y = (y - Fraction(ts[inside[0]])) / lam
+        scale *= lam
+    return Fraction(0), scale * (hulls[-1][1] - hulls[0][0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_product_axes(), tol=st.sampled_from([1e-3, 1e-9]))
+def test_product_h0_encloses_the_widest_half_gap_or_stick_out(case, tol):
+    lam, axes = case
+    ifs, _ = _product_ifs(lam, axes, NormKind.LINF)
+    assert _product_h0(ifs) is not None  # the closed form, not the search
+    # the farthest point of [-1, 1] from each axis's child intervals
+    # [t - lam, t + lam]: an end of [-1, 1] or the middle of a gap
+    lam_q = Fraction(lam)
+    widest = 0
+    for ts in axes:
+        pieces = []
+        for lo, hi in sorted((Fraction(t) - lam_q, Fraction(t) + lam_q) for t in ts):
+            if pieces and lo <= pieces[-1][1]:
+                pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
+            else:
+                pieces.append((lo, hi))
+        widest = max(widest, _exact_hole(pieces, Fraction(-1), Fraction(1)))
+    exact = widest / (1 - lam_q)
+    assert _contains(homothetic_h0_upper(ifs, tol), exact, exact)
+
+
+def _near_product_axis(draw, lam, ts):
+    """A float anywhere near [-1, 1], or in or beside a child hull a few
+    levels down, where the descent runs deepest."""
+    if draw(st.booleans()):
+        return draw(st.floats(-1.5, 1.5))
+    hulls = _exact_hulls(lam, ts)
+    c, r = Fraction(0), Fraction(1)
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = hulls[draw(st.integers(0, len(ts) - 1))]
+        c, r = c + r * (a + b) / 2, r * (b - a) / 2
+    return float(c + r * Fraction(draw(st.floats(-1.5, 1.5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    norm=st.sampled_from([NormKind.L2, NormKind.L1]),
+    data=st.data(),
+    tol=st.sampled_from([1e-3, 1e-9]),
+)
+def test_product_distance_encloses_the_exact_value_in_l2_and_l1(norm, data, tol):
+    lam, axes = data.draw(_product_axes(norm))
+    _, sys = _product_ifs(lam, axes, norm)
+    x = tuple(_near_product_axis(data.draw, lam, ts) for ts in axes)
+    parts = [_exact_axis_dist(lam, ts, y) for ts, y in zip(axes, x)]
+    iv = dist_to_set(x, sys, tol)
+    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
+    if norm is NormKind.L1:
+        assert lo <= sum(p[0] for p in parts) and sum(p[1] for p in parts) <= hi, (x, iv)
+    else:  # squares, which stay rational
+        assert lo * lo <= sum(p[0] ** 2 for p in parts), (x, iv)
+        assert sum(p[1] ** 2 for p in parts) <= hi * hi, (x, iv)
+
+
 # -- finite 1-D gap trees -------------------------------------------------------------
 
 
@@ -324,21 +438,18 @@ def _near_gap_list(draw, gl):
     return x
 
 
-def _check_finite1d(gl, x, tol):
+def _check_finite1d(sys, pieces, x, tol):
     """dist_to_set at x and every node's hole_radius hold the exact values:
-    the distance to the union of the leaf intervals, and its max over the
-    node's ball."""
-    sys = from_gaps_1d(gl)
-    pieces = _gap_list_pieces(gl)
+    the distance to the union of the pieces, sorted and disjoint, and its
+    max over the node's ball."""
     exact = _exact_dist(pieces, Fraction(x))
     iv = dist_to_set((x,), sys, tol)
     assert _contains(iv, exact, exact), (x, iv, float(exact))
-    for word, ball in sys.walk(len(gl.gaps)):
+    for word, ball in sys.walk(1_000_000):
         c, r = Fraction(ball.center[0]), Fraction(ball.radius)
         exact = _exact_hole(pieces, c - r, c + r)
         h = hole_radius(word, sys, tol)
         assert _contains(h, exact, exact), (word, h, float(exact))
-    return sys, pieces
 
 
 @settings(max_examples=300, deadline=None)
@@ -350,7 +461,8 @@ def _check_finite1d(gl, x, tol):
 ).via("a point whose distance 1 - x rounded up to 1.0, given as [1.0, 1.0]")
 def test_finite1d_distance_and_holes_enclose_the_exact_values(gl, data, tol):
     x = 5.8125628937389095e-154 if data is None else _near_gap_list(data.draw, gl)
-    sys, pieces = _check_finite1d(gl, x, tol)
+    sys, pieces = from_gaps_1d(gl), _gap_list_pieces(gl)
+    _check_finite1d(sys, pieces, x, tol)
     # dyadic ends make the root ball the hull, whose hole is half the widest
     # component of the hull minus the pieces: half the widest gap
     half = max([hi - lo for (_, lo), (hi, _) in zip(pieces, pieces[1:])], default=0) / 2
@@ -367,7 +479,87 @@ def test_finite1d_distance_and_holes_enclose_the_exact_values(gl, data, tol):
     tol=1e-12,
 ).via("a gap midpoint whose rounding passed the hole's 1e-12 pad")
 def test_finite1d_holes_far_from_the_origin_enclose_the_exact_values(gl, data, tol):
-    _check_finite1d(gl, gl.hull[0] if data is None else _near_gap_list(data.draw, gl), tol)
+    x = gl.hull[0] if data is None else _near_gap_list(data.draw, gl)
+    _check_finite1d(from_gaps_1d(gl), _gap_list_pieces(gl), x, tol)
+
+
+def _leaf_pieces(sys):
+    """The leaves of a finite 1-D tree as the exact intervals [c - r, c + r]
+    of their float centers and radii, sorted, overlapping ones merged."""
+    ivs = sorted(
+        (Fraction(b.center[0]) - Fraction(b.radius), Fraction(b.center[0]) + Fraction(b.radius))
+        for w, b in sys.walk(1_000_000)
+        if sys.is_leaf(w)
+    )
+    merged = []
+    for a, b in ivs:
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+@st.composite
+def _far_trees(draw):
+    """An explicit 1-D tree a long way from the origin: a root whose
+    children, and maybe the first child's children, are small balls, so
+    that their ends c - r and c + r round."""
+    c0 = draw(st.floats(1e3, 1e6))
+    radius = draw(st.floats(0.5, 2.0))
+    entries = [((), Ball((c0,), radius))]
+    for j in range(draw(st.integers(1, 4))):
+        c = c0 + radius * draw(st.floats(-0.9, 0.9))
+        entries.append(((j,), Ball((c,), radius * draw(st.floats(0.01, 0.1)))))
+    _, first = entries[1]
+    for j in range(draw(st.integers(0, 2))):
+        c = first.center[0] + first.radius * draw(st.floats(-0.5, 0.5))
+        entries.append(((0, j), Ball((c,), first.radius * draw(st.floats(0.05, 0.4)))))
+    return explicit_tree(NormKind.LINF, 1, entries)
+
+
+@st.composite
+def _gap_list_images(draw):
+    """A similarity image of a two-piece gap list, whose leaf ends round."""
+    a = draw(st.floats(0.05, 0.9))
+    b = draw(st.floats(a + 0.01, 0.95))
+    gl = GapList1D((0.0, 1.0), ((a, b),))
+    return similarity_image(
+        from_gaps_1d(gl), draw(st.floats(0.3, 3.0)), (draw(st.floats(-1e4, 1e4)),)
+    )
+
+
+def _near_leaf_end(draw, sys):
+    """A float at or just beside the float end c - r or c + r of a leaf, up
+    to 1e-9 away, where the end's rounding shows."""
+    leaves = [b for w, b in sys.walk(1_000_000) if sys.is_leaf(w)]
+    ball = draw(st.sampled_from(leaves))
+    x = ball.center[0] + draw(st.sampled_from([-1, 1])) * ball.radius
+    if draw(st.booleans()):
+        return x + draw(st.floats(-1e-9, 1e-9))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    return x
+
+
+def test_finite1d_distance_past_a_rounded_leaf_end_encloses_the_exact_value():
+    # c + r rounds to nearest, 2.33e-10 short of x, where the exact gap is
+    # 2.56e-10; a one-ulp widening of the rounded distance misses it
+    c, r, x = 747603.0557957015, 0.05511589904770413, 747603.1109116008
+    sys = explicit_tree(NormKind.LINF, 1, [((), Ball((c,), 1.0)), ((0,), Ball((c,), r))])
+    exact = Fraction(x) - Fraction(c) - Fraction(r)
+    assert float(exact) == pytest.approx(2.5622389e-10)
+    assert _contains(dist_to_set((x,), sys, 1e-9), exact, exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sys=st.one_of(_far_trees(), _gap_list_images()),
+    data=st.data(),
+    tol=st.sampled_from([1e-3, 1e-9, 1e-12]),
+)
+def test_finite1d_rounded_leaf_ends_enclose_the_exact_values(sys, data, tol):
+    _check_finite1d(sys, _leaf_pieces(sys), _near_leaf_end(data.draw, sys), tol)
 
 
 # -- Newhouse thickness ---------------------------------------------------------------

@@ -450,6 +450,98 @@ def test_thickness_perturbed_is_converged_only_within_tol():
     assert not rep.converged and not rep.overall.converged
 
 
+def _route_warp(p):
+    return tuple(x + 0.01 * math.sin(3 * x + k) for k, x in enumerate(p))
+
+
+def _route_corner():
+    return corner_family(CornerFamilyParams(n=3, ell=0.3, d=2))
+
+
+def _route_gaps():
+    gaps = ((-0.2, 0.3), (-0.9, -0.6), (0.5, 0.55), (-0.5, -0.45))
+    return from_gaps_1d(GapList1D(hull=(-1.0, 1.0), gaps=gaps))
+
+
+def _route_explicit():
+    return explicit_tree(
+        NormKind.LINF,
+        2,
+        [
+            ((), Ball((0.0, 0.0), 1.0)),
+            ((0,), Ball((-0.5, 0.0), 0.4)),
+            ((1,), Ball((0.5, 0.1), 0.3)),
+            ((0, 0), Ball((-0.6, 0.1), 0.1)),
+            ((0, 1), Ball((-0.3, -0.1), 0.1)),
+            ((1, 0), Ball((0.5, 0.1), 0.2)),
+        ],
+    )
+
+
+def _route_half():
+    return similarity_image(_route_corner(), 0.5, (0.1, -0.2))
+
+
+_ROUTE_IFS = ((0.3, (-0.5, -0.4)), (0.3, (0.5, -0.4)), (0.25, (0.0, 0.6)))
+
+# (system, (method, overall lo, overall hi, valid_all_depths)) at depth 1,
+# tol 0.1; only a perturbed image of a homothetic base takes the transfer
+_THICKNESS_ROUTES = {
+    "corner": (
+        _route_corner,
+        ("homothetic-promotion", 0.5454545454545388, 0.545454545454552, True),
+    ),
+    "gap_tree": (
+        _route_gaps,
+        ("finite-1d-exact", 0.333333333331111, 0.3333333333355554, False),
+    ),
+    "explicit_tree": (_route_explicit, ("per-node-bnb", 0.25, 0.26666666666666666, False)),
+    "ifs": (
+        lambda: from_ifs(HomotheticIFS(_ROUTE_IFS), NormKind.LINF),
+        ("homothetic-promotion", 0.30396245455761306, 0.30733579816643464, True),
+    ),
+    "translate": (
+        lambda: translate(_route_corner(), (0.05, -0.02)),
+        ("homothetic-promotion", 0.5454545454545365, 0.5454545454545542, True),
+    ),
+    "similarity_chain": (
+        lambda: translate(similarity_image(_route_corner(), 0.5, (0.3, -0.1)), (1e-3, 0.2)),
+        ("homothetic-promotion", 0.5454545454545309, 0.5454545454545564, True),
+    ),
+    "perturbed_corner": (
+        lambda: perturbed_image(_route_corner(), _route_warp, eps=0.05),
+        ("perturbed-transfer", 0.40514469453375834, 1.4191227376647506, False),
+    ),
+    "perturbed_gap_tree": (
+        lambda: perturbed_image(_route_gaps(), _route_warp, eps=0.05),
+        ("per-node-bnb", 0.3392134070873511, 0.39433271388615515, False),
+    ),
+    "perturbed_of_perturbed": (
+        lambda: perturbed_image(
+            perturbed_image(_route_half(), _route_warp, eps=0.02), _route_warp, eps=0.03
+        ),
+        ("per-node-bnb", 0.4110249411440267, 0.5632027685465127, False),
+    ),
+    "similarity_of_perturbed": (
+        lambda: similarity_image(
+            perturbed_image(_route_corner(), _route_warp, eps=0.05), 0.5, (0.1, -0.2)
+        ),
+        ("per-node-bnb", 0.4716706722712731, 0.6029702297651204, False),
+    ),
+    "perturbed_of_similarity": (
+        lambda: perturbed_image(_route_half(), _route_warp, eps=0.05),
+        ("perturbed-transfer", 0.4051446945337572, 1.4504836373630383, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_THICKNESS_ROUTES))
+def test_thickness_routes_by_the_recorded_shape(kind):
+    make, expected = _THICKNESS_ROUTES[kind]
+    rep = thickness(make(), 1, 0.1)
+    assert (rep.method, rep.overall.lo, rep.overall.hi, rep.valid_all_depths) == expected
+
+
 def test_thickness_validation():
     with pytest.raises(ValueError):
         thickness(corner_family(C4), -1, 0.1)
