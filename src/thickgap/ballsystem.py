@@ -20,9 +20,11 @@ Ball makes. Every walk of the tree reads blocks, and branch-and-bound
 searches build no Ball from them. A corner family's block is the product
 of each axis's n coordinates, which go through the formula's own float
 operations. The finite generators (gap lists, explicit tables) build every
-node's block with the tree, a leaf's empty; they terminate in leaves and
-represent the set at that truncation, meaning C is the union of the leaf
-balls. children(word) and walk() wrap a block's entries in fresh Balls
+node's block with the tree, a leaf's empty, and hand them to the system;
+they terminate in leaves and represent the set at that truncation, meaning
+C is the union of the leaf balls. meeting(x, r) lists the nodes that meet a
+closed ball level by level, for the gap lemma's overlap search and Alice's
+move alike. children(word) and walk() wrap a block's entries in fresh Balls
 without checking them again. ball(word) stores nothing: it reads the
 node's entry in its parent's block when that is built, else the last node
 of path(word). path(word) gives the nodes on the path as plain floats, as
@@ -33,6 +35,7 @@ node at that word and its block that of each entry of the base's block,
 so every image of one base reads and fills the base's blocks.
 
 A system records its shape once, when it is built, from its generator:
+is_finite, True for a finite tree and its similarity images only;
 base, the system an image maps (None for a generated or finite system);
 core, the generated or finite system under all of its images;
 similarities, the Similarity maps from core to the system, outermost
@@ -428,19 +431,21 @@ class BallSystem:
         dimension: int,
         root: Ball,
         generator,
+        blocks: Optional[Dict[Word, Block]] = None,
     ) -> None:
         self.norm = norm
         self.dimension = dimension
         self.root = root
         self.generator = generator
-        # the one node store: each expanded node's child block
-        self._blocks: Dict[Word, Block] = {}
-        self._finite = False  # set by the finite constructors and their similarity images
+        # the one node store: each expanded node's child block, a finite tree's all given
+        self._blocks: Dict[Word, Block] = {} if blocks is None else blocks
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
         self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         # the shape, read from the generator once; None stands for this
         # system itself, so that no field refers back to it
         base = self.base = getattr(generator, "base", None)  # an image's base
+        # a finite tree, or a similarity image of one
+        self.is_finite = blocks is not None or isinstance(generator, Similarity) and base.is_finite
         # the generated or finite system under all of this one's images
         self.core = None if base is None else base.core or base
         # the similarities from core to this system, outermost first; None
@@ -457,8 +462,6 @@ class BallSystem:
         if norm is NormKind.LINF and maps is not None:
             if isinstance(core.generator, CornerFamilyParams):
                 self.corner_grid = CornerGrid(core.generator, core.root, maps[::-1])
-        self._leaf_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
-        self.leaf_ends_exact = True  # set with the leaf intervals, see there
 
     # -- tree access -------------------------------------------------------
 
@@ -488,7 +491,7 @@ class BallSystem:
         """How many children the node at word has; a generated tree builds none."""
         if self.base is not None:
             return self.base.child_count(word)
-        if self._finite:
+        if self.is_finite:
             return len(self.child_block(word)[1])
         return self.generator.child_count
 
@@ -509,10 +512,6 @@ class BallSystem:
                     stack.append((word + (j,), trusted_ball(centers[j], radii[j])))
 
     # -- structure queries ---------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return self._finite
 
     def is_homothetic(self) -> bool:
         """True when every node repeats the root's relative child layout: a
@@ -570,7 +569,7 @@ class BallSystem:
             return
         center, radius = self.root.center, self.root.radius
         yield center, radius
-        if self._finite:
+        if self.is_finite:
             # every node's block is built with the tree
             for depth, j in enumerate(word):
                 centers, radii = self._blocks[word[:depth]]
@@ -619,12 +618,23 @@ class BallSystem:
         both rise; gap-derived leaves are disjoint already. A gap list's
         ends are its given floats, any other tree's its leaves' c - r and
         c + r rounded; leaf_ends_exact says whether fsum finds those exact."""
-        if self._leaf_intervals is not None:
-            return self._leaf_intervals
+        return self._leaf_ends[0]
+
+    @property
+    def leaf_ends_exact(self) -> bool:
+        """Whether leaf_intervals()' ends are exact; read with them."""
+        return self._leaf_ends[1]
+
+    @functools.cached_property
+    def _leaf_ends(self) -> Tuple[Tuple[Tuple[float, float], ...], bool]:
         if not (self.is_finite and self.dimension == 1):
             raise ValueError("leaf intervals exist only for finite 1-D systems")
+        gl = self.generator
+        if isinstance(gl, GapList1D):  # the hull's pieces between its sorted gaps
+            ends = [gl.hull[0], *itertools.chain(*gl.gaps), gl.hull[1]]
+            return tuple(zip(ends[::2], ends[1::2])), True
         ends = [(b.center[0], b.radius) for w, b in self.walk(1_000_000) if self.is_leaf(w)]
-        self.leaf_ends_exact = all(
+        exact = all(
             math.fsum((c, s * r, -(c + s * r))) == 0 for c, r in ends for s in (-1.0, 1.0)
         )
         leaves = sorted((c - r, c + r) for c, r in ends)
@@ -634,8 +644,31 @@ class BallSystem:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        self._leaf_intervals = tuple(merged)
-        return self._leaf_intervals
+        return tuple(merged), exact
+
+    def meeting(self, x: Point, r: float) -> Iterator[List[Tuple[Word, Point, float]]]:
+        """The nodes that meet the closed ball B(x, r), dist(c, x) <= s + r
+        for a node of center c and radius s, level by level from the root:
+        each level's (word, c, s) list in word order, read from the blocks
+        of the level before (a corner grid's axis by axis) when it is asked
+        for. The levels stop before the first empty one."""
+        dist = distance_kernel(self.norm)
+        root = self.root
+        if dist(root.center, x) > root.radius + r:
+            return
+        level = [(ROOT, root.center, root.radius)]
+        grid = self.corner_grid
+        while level:
+            yield level
+            grown: List[Tuple[Word, Point, float]] = []
+            for word, _, _ in level:
+                centers, radii = self.child_block(word)
+                if grid is None:
+                    hits = [i for i, c in enumerate(centers) if dist(c, x) <= radii[i] + r]
+                else:
+                    hits = _corner_cells_meeting(centers, radii[0] + r, x, grid.params.n)
+                grown.extend([(word + (i,), centers[i], radii[i]) for i in hits])
+            level = grown
 
     # -- expansion ----------------------------------------------------------
 
@@ -645,7 +678,7 @@ class BallSystem:
         if self.base is not None:
             centers, radii = self.base.child_block(word)
             return _checked_block([gen.node(c, r) for c, r in zip(centers, radii)])
-        if self._finite:
+        if self.is_finite:
             return _LEAF  # a finite tree holds every node's block: word names none
         return gen.block(*self._node(word))
 
@@ -718,6 +751,26 @@ def _corner_block(axes: Sequence[Sequence[float]], radius: float) -> Block:
     return tuple(centers), (radius,) * len(centers)
 
 
+def _corner_cells_meeting(centers: Sequence[Point], reach: float, x: Point, n: int) -> List[int]:
+    """Indices, ascending, of the children of a corner block (see
+    _corner_block) within max-norm distance reach of x.
+
+    Child j's axis-i coordinate is centers[k * n**i][i] with k the axis-i
+    digit of j. A float max is exact, so max_i |c_i - x_i| <= reach holds
+    exactly when every axis passes: the children found are the products of
+    the passing digits, n * d comparisons in place of n**d distances.
+    """
+    found = [0]
+    stride = 1  # n**i
+    for i, xi in enumerate(x):
+        steps = [k * stride for k in range(n) if abs(centers[k * stride][i] - xi) <= reach]
+        if not steps:
+            return []
+        found = [s + j for s in steps for j in found]
+        stride *= n
+    return found
+
+
 @functools.lru_cache(maxsize=64)
 def _corner_axis_offsets(n: int, ell: float) -> Tuple[float, ...]:
     g = corner_gap(n, ell)
@@ -776,7 +829,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     they are visited."""
     order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
     blocks: Dict[Word, Block] = {}
-    leaf_ivs: List[Tuple[float, float]] = []
 
     # preorder with an explicit stack, left piece first: nesting depth is
     # bounded only by the gap list's length
@@ -790,7 +842,6 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         _checked_block([(((a + b) / 2,), (b - a) / 2)])
         if not inside:
             blocks[word] = _LEAF
-            leaf_ivs.append((a, b))
             continue
         lo, hi = inside[0]
         left = [g for g in inside if g[1] <= lo]
@@ -802,11 +853,7 @@ def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
         stack.append((word + (0,), a, lo, left))
 
     a, b = gl.hull
-    sys = BallSystem(norm=norm, dimension=1, root=Ball(((a + b) / 2,), (b - a) / 2), generator=gl)
-    sys._blocks = blocks
-    sys._finite = True
-    sys._leaf_intervals = tuple(sorted(leaf_ivs))
-    return sys
+    return BallSystem(norm, 1, Ball(((a + b) / 2,), (b - a) / 2), gl, blocks)
 
 
 def explicit_tree(
@@ -828,14 +875,11 @@ def explicit_tree(
             raise ValueError(f"children of {parent} are not indexed 0..m-1")
     # generator None: every node's block is read from the table, its
     # entries checked as Balls already
-    sys = BallSystem(norm=norm, dimension=dimension, root=balls[ROOT], generator=None)
-    for w in balls:
-        kids = []
-        while (b := balls.get(w + (len(kids),))) is not None:
-            kids.append(b)
-        sys._blocks[w] = tuple([b.center for b in kids]), tuple([b.radius for b in kids])
-    sys._finite = True
-    return sys
+    kids: Dict[Word, List[Ball]] = {w: [] for w in balls}
+    for w in sorted(balls)[1:]:  # sorted words list each node's children in index order
+        kids[w[:-1]].append(balls[w])
+    blocks = {w: (tuple(b.center for b in k), tuple(b.radius for b in k)) for w, k in kids.items()}
+    return BallSystem(norm, dimension, balls[ROOT], None, blocks)
 
 
 def translate(sys: BallSystem, v: Sequence[float]) -> BallSystem:
@@ -852,9 +896,7 @@ def similarity_image(sys: BallSystem, scale: float, shift: Sequence[float]) -> B
         raise ValueError("shift dimension mismatch")
     gen = Similarity(sys, float(scale), shift)
     root = Ball(*gen.node(sys.root.center, sys.root.radius))
-    out = BallSystem(sys.norm, sys.dimension, root, gen)
-    out._finite = sys._finite
-    return out
+    return BallSystem(sys.norm, sys.dimension, root, gen)
 
 
 def perturbed_image(

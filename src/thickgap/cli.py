@@ -160,10 +160,20 @@ def _hypotheses_exit(report) -> int:
     return EXIT_REFUTED if "refuted" in report.statuses else EXIT_UNKNOWN
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol!r}")
+
+
 def _cmd_gapcheck(args: argparse.Namespace) -> Tuple[dict, int]:
     """gapcheck; intersect adds a certificate when every hypothesis is proven."""
     from .gaplemma import check_hypotheses, intersect
 
+    if args.command == "intersect":
+        # checked before any work, so the exit code does not depend on the set
+        _check_tol(args.tol)
+        if args.steps < 1:
+            raise ValueError(f"--steps must be at least 1, got {args.steps}")
     sys1, sys2 = _load_pair(args)
     report = check_hypotheses(sys1, sys2, args.r, depth=args.depth)
     payload = {"hypotheses": _hypotheses_payload(report)}
@@ -208,6 +218,9 @@ def _cmd_distances(args: argparse.Namespace) -> Tuple[dict, int]:
     if min(args.directions, args.steps) < 1:
         # a run with no direction or no step would check nothing
         raise ValueError("--directions and --steps must be at least 1")
+    _check_tol(args.tol)
+    if args.tmax is not None and not 0 <= args.tmax < math.inf:
+        raise ValueError(f"--tmax must be finite and non-negative, got {args.tmax!r}")
     sys = _load_system(args.spec)
     limit = distance_interval(args.r) * sys.root.radius
     if args.tmax is None:

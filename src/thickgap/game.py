@@ -358,32 +358,10 @@ class AliceStrategy:
 
     def words_meeting(self, ball: Ball, level: int) -> List[Word]:
         """Words of the given length whose balls intersect the ball."""
-        sys = self.sys
-        root = sys.root
-        x, r = ball.center, ball.radius
-        if len(x) != len(root.center):
-            raise ValueError(f"dimension mismatch: {len(root.center)} vs {len(x)}")
-        dist = distance_kernel(sys.norm)
-        if dist(root.center, x) > root.radius + r:
-            return []
-        grid = sys.corner_grid  # its cells are tested axis by axis
-        child_block = sys.child_block
-        words = [ROOT]
-        for _ in range(level):
-            grown: List[Word] = []
-            for word in words:
-                centers, radii = child_block(word)
-                if grid is None:
-                    for i, c in enumerate(centers):
-                        if dist(c, x) <= radii[i] + r:
-                            grown.append(word + (i,))
-                else:
-                    cells = _corner_cells_meeting(centers, radii[0] + r, x, grid.params.n)
-                    grown.extend([word + (j,) for j in cells])
-            words = grown
-            if not words:
-                break
-        return words
+        if len(ball.center) != self.sys.dimension:
+            raise ValueError(f"dimension mismatch: {self.sys.dimension} vs {len(ball.center)}")
+        levels = itertools.islice(self.sys.meeting(ball.center, ball.radius), level, None)
+        return [word for word, _, _ in next(levels, [])]
 
     def respond(self, ball: Ball) -> AliceMove:
         n = self.band(ball.radius)
@@ -415,28 +393,6 @@ class AliceStrategy:
             spheres.extend(_h_spheres(self.sys, word, b, h.hi))
         union = SphereUnion(tuple(spheres), m_bound=self.sphere_budget)
         return AliceMove((Erasure(union, rho_erase),))
-
-
-def _corner_cells_meeting(
-    centers: Sequence[Point], reach: float, x: Point, n: int
-) -> List[int]:
-    """Indices, ascending, of the children of a corner block within max-norm
-    distance reach of x.
-
-    Child j's axis-i coordinate is centers[k * n**i][i] with k the axis-i
-    digit of j. A float max is exact, so max_i |c_i - x_i| <= reach holds
-    exactly when every axis passes: the children found are the products of
-    the passing digits, n * d comparisons in place of n**d distances.
-    """
-    found = [0]
-    stride = 1  # n**i
-    for i, xi in enumerate(x):
-        steps = [k * stride for k in range(n) if abs(centers[k * stride][i] - xi) <= reach]
-        if not steps:
-            return []
-        found = [s + j for s in steps for j in found]
-        stride *= n
-    return found
 
 
 def alice_strategy(sys: BallSystem, tau: float, beta: float) -> AliceStrategy:
@@ -948,8 +904,10 @@ def pattern_search_oracle(
         raise ValueError(f"pattern grid at step {grid_step!r} has no finite point count")
     total = math.prod(math.ceil(n) for n in counts)
     if total > _GRID_CAP:
+        # a count of more than 16 digits is given by its order of magnitude
+        shown = f"{total:,}" if total < 10**16 else f"about 10^{int(math.log10(total))}"
         raise ValueError(
-            f"pattern grid of {total:,} points exceeds the cap of {_GRID_CAP:,}; coarsen grid_step"
+            f"pattern grid of {shown} points exceeds the cap of {_GRID_CAP:,}; coarsen grid_step"
         )
     factors = sys.axis_factors()
     if factors is not None and all(min(f.lams) == f.lam_max for f in factors):

@@ -164,23 +164,17 @@ def _meet_status(sys1: BallSystem, sys2: BallSystem, r: float, meet_depth: int) 
 
     A contained ball proves the overlap; a level on which no ball even
     intersects the target refutes it, since the set lives in that level.
+    Levels 0 to meet_depth are searched, in word order.
     """
     target = ball_scale(sys2.root, 1.0 - 2 * r)
-    norm = sys1.norm
-    frontier: List[Word] = [ROOT]
-    for _ in range(meet_depth + 1):
-        keep: List[Word] = []
-        for word in frontier:
-            ball = sys1.ball(word)
-            if norm_distance(ball.center, target.center, norm) > ball.radius + target.radius:
-                continue
-            if ball_contains(target, ball, norm):
+    dist = distance_kernel(sys1.norm)
+    for depth, level in enumerate(sys1.meeting(target.center, target.radius)):
+        for word, center, radius in level:
+            if dist(target.center, center) + radius <= target.radius:
                 return MeetHypothesis("proven", word)
-            keep.append(word)
-        if not keep:
-            return MeetHypothesis("refuted")
-        frontier = [w + (j,) for w in keep for j in range(sys1.child_count(w))]
-    return MeetHypothesis("unknown")
+        if depth == meet_depth:
+            return MeetHypothesis("unknown")
+    return MeetHypothesis("refuted")
 
 
 def bridge_ball(sk: Ball, sl: Ball, r: float, norm: NormKind) -> Ball:

@@ -5,7 +5,8 @@ estimates. Fast exact paths cover the structured generators: axis products of
 1-D attractors, corner families among them, whose distances, Linf holes and
 thickness come from one per-axis path padded outward by a few ulps; finite
 1-D trees; the self-similar transfer. A best-first branch-and-bound covers
-everything else; each of its searches, _dist_bnb and _box_max, stops after
+everything else, finite trees in d >= 2 among them, whose leaves it takes as
+solid balls; each of its searches, _dist_bnb and _box_max, stops after
 NODE_BUDGET node pops. An enclosure wider than its tolerance, out of budget
 or padded past it, says so in its converged flag; its bounds stay valid.
 """
@@ -28,7 +29,6 @@ from .geometry import (
     NormKind,
     Point,
     as_point,
-    dist_point_ball,
     distance_kernel,
     norm_distance,
     row_norms,
@@ -309,7 +309,6 @@ class _DistOracle:
         self.mode = "bnb"
         self.leaves: Optional[_Leaves1D] = None
         self.rounded_ends = False
-        self.leaf_balls: Optional[List[Ball]] = None
         if self.factors is not None:
             self.mode = "product"
         elif sys.is_finite and sys.dimension == 1:
@@ -317,11 +316,6 @@ class _DistOracle:
             ivs = sys.leaf_intervals()
             self.leaves = _leaves_1d([iv[0] for iv in ivs], [iv[1] for iv in ivs])
             self.rounded_ends = not sys.leaf_ends_exact
-        elif sys.is_finite:
-            self.mode = "finite"
-            self.leaf_balls = [
-                ball for word, ball in sys.walk(1_000_000) if sys.is_leaf(word)
-            ]
 
     def enclosure(self, x: Point, tol: float) -> IntervalBound:
         if self.factors is not None:
@@ -347,9 +341,7 @@ class _DistOracle:
             pad = 2 * math.ulp(abs(x[0]) + v) if self.rounded_ends else 0.0
             lo, hi = math.nextafter(v - pad, -math.inf), v + pad
             return IntervalBound(max(lo, 0.0), math.nextafter(hi, math.inf) if hi else hi, tol)
-        if self.leaf_balls is not None:
-            v = min(dist_point_ball(x, b, self.sys.norm) for b in self.leaf_balls)
-            return IntervalBound(v, v, tol)
+        # finite trees of d >= 2 too: a leaf is a solid ball of the set
         return _dist_bnb(self.sys, x, tol)
 
 

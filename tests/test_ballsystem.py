@@ -172,6 +172,23 @@ def test_gap_tree_structure():
     assert _split_at(sys, (0,)) is None
 
 
+def test_leaf_ends_exact_is_read_with_the_intervals():
+    # ends rounded from c - r and c + r: the flag is False on its first
+    # read, before leaf_intervals() has run, and stays so
+    leaf = explicit_tree(NormKind.LINF, 1, [((), Ball((747603.0557957015,), 0.05511589904770413))])
+    gaps = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((1 / 3, 2 / 3),)))
+    image = similarity_image(gaps, 0.3, (1234.567,))
+    for sys in (leaf, image):
+        assert sys.leaf_ends_exact is False
+        sys.leaf_intervals()
+        assert sys.leaf_ends_exact is False
+    # a gap list's ends are its given floats
+    assert gaps.leaf_ends_exact is True
+    assert gaps.leaf_intervals() == ((0.0, 1 / 3), (2 / 3, 1.0))
+    with pytest.raises(ValueError, match="finite 1-D"):
+        corner_family(CornerFamilyParams(3, 0.5, 1)).leaf_ends_exact
+
+
 def test_gap_tree_split_order_longest_first():
     gl = GapList1D(hull=(0.0, 1.0), gaps=((0.1, 0.2), (0.4, 0.7)))
     sys = from_gaps_1d(gl)

@@ -60,7 +60,8 @@ def test_oracle_modes_the_tracer_names():
     # corner families are axis products
     assert _oracle(corner).mode == "product"
     assert _oracle(gaps).mode == "finite1d"
-    assert _oracle(tree).mode == "finite"
+    # a finite tree of d >= 2 is searched like any other tree
+    assert _oracle(tree).mode == "bnb"
     assert _oracle(ifs).mode == "bnb"
     # both bench IFS specs are such product grids
     assert _oracle(from_ifs(grid, NormKind.L2)).mode == "product"

@@ -293,6 +293,36 @@ class TestInputErrors:
         assert cli.main(argv.format(**specs).split()) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["corner4_d2", "corner10_d2"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("intersect --r 0.19556 --tol -1", "--tol must be positive and finite, got -1.0"),
+            ("intersect --r 0.19556 --tol 0", "--tol must be positive and finite, got 0.0"),
+            ("intersect --r 0.19556 --tol nan", "--tol must be positive and finite, got nan"),
+            ("intersect --r 0.19556 --steps 0", "--steps must be at least 1, got 0"),
+            ("intersect --r 0.19556 --steps -3", "--steps must be at least 1, got -3"),
+            ("distances --r 0.19556 --tol -1", "--tol must be positive and finite, got -1.0"),
+            ("distances --r 0.19556 --tol inf", "--tol must be positive and finite, got inf"),
+            ("distances --r 0.19556 --tmax -5", "--tmax must be finite and non-negative, got -5.0"),
+            ("distances --r 0.19556 --tmax nan", "--tmax must be finite and non-negative, got nan"),
+            ("distances --r 0.19556 --tmax inf", "--tmax must be finite and non-negative, got inf"),
+        ],
+    )
+    def test_invalid_flags_exit_2_on_every_set(
+        self, argv, message, spec, specs, tmp_path, capsys, monkeypatch
+    ):
+        # the flags are checked before the set is read, so its hypotheses
+        # cannot decide the exit code
+        def no_load(path):
+            raise AssertionError("the set was read")
+
+        monkeypatch.setattr(cli, "_load_system", no_load)
+        out = tmp_path / "out.json"
+        assert cli.main([*argv.split(), "--spec", specs[spec], "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -623,6 +653,14 @@ class TestPattern:
         args = ["pattern", "--spec", specs["corner10_d2"], "0.05", "0,0", "1,0"]
         assert cli.main([*args, "--grid", "0.01"]) == 2
         assert "exceeds the cap of 1,000" in capsys.readouterr().err
+
+    def test_huge_grid_count_is_shortened(self, specs, capsys):
+        # 2 / 1e-300 points per axis: the count is given by its magnitude
+        args = ["pattern", "--spec", specs["corner10_d2"], "0.05", "0,0", "1,0"]
+        assert cli.main([*args, "--grid", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "pattern grid of about 10^600 points exceeds the cap of 8,000,000" in err
+        assert len(err) < 200
 
     def test_scale_outside_admissible_interval(self, specs):
         code = cli.main(

@@ -4,8 +4,8 @@ traceback.
 A drawn spec is well formed but for some of its fields, which are missing
 or hold ints, bools, floats (the infinities, NaN and subnormals among
 them), strings, nulls or lists; each number inside a float field (`ell`,
-`lambda`, `t`, `hull`, `gaps`) may also be a string or a bool. `game` flags are drawn as a shell
-would hand them over. Sizes stay small: a corner family has
+`lambda`, `t`, `hull`, `gaps`) may also be a string or a bool. `game`,
+`intersect` and `distances` flags are drawn as a shell would hand them over. Sizes stay small: a corner family has
 at most 12 points per axis in at most 3 dimensions, and a spec has at most
 6 maps or gaps. Larger counts are exercised through a lowered
 `MAX_CHILDREN`, so no draw allocates a large child block.
@@ -116,3 +116,42 @@ def test_hostile_game_flags_end_in_an_exit_code(flags, tmp_path_factory):
     argv = ["game", "--spec", str(CORNER4), "--games", "1", "--out", str(out)]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     assert cli.main(argv) in EXIT_CODES
+
+
+def _parsed(text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _valid_run_flags(flags):
+    """Whether every drawn flag parses and lies in its range: --tol positive
+    and finite, --steps at least 1, --tmax finite and non-negative."""
+    tol = _parsed(flags.get("--tol", "1"), float)
+    steps = _parsed(flags.get("--steps", "1"), int)
+    tmax = _parsed(flags.get("--tmax", "0"), float)
+    if tol is None or steps is None or tmax is None:
+        return False
+    return 0 < tol < math.inf and steps >= 1 and 0 <= tmax < math.inf
+
+
+_STEPS = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["inf", "nan", "1.5", "-0"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["intersect", "distances"]),
+    flags=st.fixed_dictionaries({}, optional={"--tol": _FLAG, "--steps": _STEPS, "--tmax": _FLAG}),
+)
+def test_hostile_run_flags_end_in_an_exit_code(command, flags, tmp_path_factory):
+    if command == "intersect":
+        flags.pop("--tmax", None)  # intersect has no such flag
+    out = tmp_path_factory.getbasetemp() / "fuzz-run.json"
+    argv = [command, "--spec", str(CORNER4), "--r", "0.19556", "--out", str(out)]
+    if command == "intersect":
+        argv += ["--shift2", "0.05,0.02"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    # corner4's hypotheses fail, so a run with valid flags is refuted; an
+    # invalid flag is an input error before the set is read
+    assert cli.main(argv) == (4 if _valid_run_flags(flags) else 2)

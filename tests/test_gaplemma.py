@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickgap.ballsystem import (
+    ROOT,
     BallSystem,
     BudgetExceeded,
     CornerFamilyParams,
@@ -19,6 +20,7 @@ from thickgap.ballsystem import (
     explicit_tree,
     from_gaps_1d,
     from_ifs,
+    perturbed_image,
     similarity_image,
     translate,
 )
@@ -1007,15 +1009,94 @@ def test_directional_certificate_validation():
         directional_distance_certificate(s, (1.0, 0.0), 0.1, 0.0, r=R_BENCH)
 
 
-def test_meet_status_builds_no_children():
+def test_meet_status_builds_only_the_root_block():
     s1, s2 = bench_pair()
     status = gaplemma._meet_status(s1, s2, R_BENCH, 6)
-    assert status.status == "proven" and len(status.word) >= 1
-    # no child block
-    assert not s1._blocks
-    # the answer read from child counts is the one a full expansion gives
-    s1.children(())
+    assert status.status == "proven" and len(status.word) == 1
+    # level 1 is read from the root's block, and the search stops there
+    assert list(s1._blocks) == [ROOT] and not s2._blocks
     assert gaplemma._meet_status(s1, s2, R_BENCH, 6) == status
+
+
+def _reference_meet_status(sys1, sys2, r, meet_depth):
+    """The meet search as it read the tree before it shared
+    BallSystem.meeting: one Ball per frontier word, found by ball(), and
+    the frontier grown from child counts."""
+    target = ball_scale(sys2.root, 1.0 - 2 * r)
+    norm = sys1.norm
+    frontier = [ROOT]
+    for _ in range(meet_depth + 1):
+        keep = []
+        for word in frontier:
+            ball = sys1.ball(word)
+            if norm_distance(ball.center, target.center, norm) > ball.radius + target.radius:
+                continue
+            if ball_contains(target, ball, norm):
+                return gaplemma.MeetHypothesis("proven", word)
+            keep.append(word)
+        if not keep:
+            return gaplemma.MeetHypothesis("refuted")
+        frontier = [w + (j,) for w in keep for j in range(sys1.child_count(w))]
+    return gaplemma.MeetHypothesis("unknown")
+
+
+_MEET_IFS = {
+    NormKind.LINF: ((0.3, (-0.55, -0.4)), (0.3, (0.55, -0.4)), (0.3, (0.0, 0.65))),
+    NormKind.L2: ((0.3, (-0.45, -0.45)), (0.3, (0.45, 0.45)), (0.25, (0.45, -0.45))),
+    NormKind.L1: ((0.3, (-0.5, 0.0)), (0.3, (0.5, 0.0)), (0.2, (0.0, 0.6))),
+}
+
+
+def _meet_warp(p):
+    return tuple(x + 0.01 * math.sin(3 * x) for x in p)
+
+
+@st.composite
+def _meet_systems(draw):
+    """A system of a drawn kind: a corner family, an IFS in each norm, a gap
+    list, an explicit table, or an image of a corner family."""
+    kind = draw(
+        st.sampled_from(
+            ["corner", "ifs", "gaps", "explicit", "translate", "similarity", "perturbed"]
+        )
+    )
+    if kind == "ifs":
+        norm = draw(st.sampled_from(sorted(_MEET_IFS, key=lambda k: k.value)))
+        return from_ifs(HomotheticIFS(_MEET_IFS[norm]), norm)
+    if kind == "gaps":
+        return from_gaps_1d(GapList1D((-1.0, 1.0), ((-0.6, -0.2), (0.1, 0.3), (0.5, 0.55))))
+    if kind == "explicit":
+        corner = corner_family(CornerFamilyParams(3, 0.5, 2))
+        return explicit_tree(NormKind.LINF, 2, list(corner.walk(draw(st.integers(1, 2)))))
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    ell = draw(st.floats(0.05, 0.95)) * 2 / n
+    base = corner_family(CornerFamilyParams(n, ell, d))
+    shift = tuple(draw(st.floats(-0.5, 0.5)) for _ in range(d))
+    if kind == "translate":
+        return translate(base, shift)
+    if kind == "similarity":
+        return similarity_image(base, draw(st.floats(0.2, 3.0)), shift)
+    if kind == "perturbed":
+        return perturbed_image(base, _meet_warp, 0.05)
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sys1=_meet_systems(),
+    r=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    meet_depth=st.integers(0, 4),
+    data=st.data(),
+)
+def test_meet_status_matches_the_frontier_search(sys1, r, meet_depth, data):
+    d = sys1.dimension
+    root = sys1.root
+    shift = tuple(data.draw(st.floats(-1.5, 1.5)) * root.radius for _ in range(d))
+    scale = data.draw(st.sampled_from([0.3, 1.0, 1.7]))
+    sys2 = similarity_image(sys1, scale, shift)
+    got = gaplemma._meet_status(sys1, sys2, r, meet_depth)
+    assert got == _reference_meet_status(sys1, sys2, r, meet_depth)
 
 
 # the large ball case reads child blocks, or corner children axis by axis

@@ -1075,6 +1075,51 @@ def test_dist_bnb_builds_no_balls(monkeypatch):
     assert sys._blocks
 
 
+_FINITE_2D = {
+    "corner10-depth1": lambda: explicit_tree(
+        NormKind.LINF, 2, list(corner_family(CornerFamilyParams(10, 0.19, 2)).walk(1))
+    ),
+    "corner10-depth2": lambda: explicit_tree(
+        NormKind.LINF, 2, list(corner_family(CornerFamilyParams(10, 0.19, 2)).walk(2))
+    ),
+    "table-l2": lambda: explicit_tree(
+        NormKind.L2,
+        2,
+        [((), Ball((0.0, 0.0), 1.0)), ((0,), Ball((-0.5, 0.0), 0.3)), ((1,), Ball((0.5, 0.1), 0.2))],
+    ),
+    "table-l1": lambda: explicit_tree(
+        NormKind.L1,
+        2,
+        [
+            ((), Ball((0.0, 0.0), 1.0)),
+            ((0,), Ball((-0.4, 0.1), 0.5)),
+            ((1,), Ball((0.6, -0.1), 0.3)),
+            ((0, 0), Ball((-0.6, 0.2), 0.1)),
+            ((0, 1), Ball((-0.2, 0.0), 0.2)),
+        ],
+    ),
+    "childless": lambda: explicit_tree(NormKind.L2, 2, [((), Ball((0.3, -0.2), 0.5))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_2D))
+def test_finite_2d_distance_encloses_the_least_leaf_distance(name):
+    # the search takes each leaf as a solid ball of the set: its enclosure
+    # holds the least leaf distance, up to the rounding of its node bounds
+    sys = _FINITE_2D[name]()
+    leaves = [ball for word, ball in sys.walk(10) if sys.is_leaf(word)]
+    rng = random.Random(7)
+    tol = 1e-9
+    for _ in range(50):
+        x = (rng.uniform(-1.3, 1.3), rng.uniform(-1.3, 1.3))
+        want = min(dist_point_ball(x, leaf, sys.norm) for leaf in leaves)
+        enc = dist_to_set(x, sys, tol)
+        pad = 4 * math.ulp(1 + max(map(abs, x)))
+        assert enc.lo - pad <= want <= enc.hi + pad, (x, want, enc)
+        assert enc.converged and enc.width <= tol, (x, enc)
+    assert _oracle(sys).mode == "bnb"
+
+
 def test_dist_oracle_built_once_per_system(monkeypatch):
     sys = explicit_tree(
         NormKind.L2,
@@ -1086,8 +1131,9 @@ def test_dist_oracle_built_once_per_system(monkeypatch):
     monkeypatch.setattr(sys, "walk", lambda depth: walks.append(depth) or walk(depth))
     for x in ((0.0, 0.0), (0.9, 0.9), (-0.5, 0.0)):
         dist_to_set(x, sys, 1e-9)
-    assert len(walks) == 1
-    assert _oracle(sys) is _oracle(sys) and _oracle(sys).mode == "finite"
+    # a finite tree of d >= 2 is searched from its blocks: no leaf list is walked
+    assert walks == []
+    assert _oracle(sys) is _oracle(sys) and _oracle(sys).mode == "bnb"
 
 
 # a system of every shape, each with the distance oracle its query builds
@@ -1113,7 +1159,7 @@ _FREED = {
             2,
             [((), Ball((0.0, 0.0), 1.0)), ((0,), Ball((-0.5, 0.0), 0.3)), ((1,), Ball((0.5, 0.1), 0.2))],
         ),
-        "finite",
+        "bnb",
     ),
 }
 
