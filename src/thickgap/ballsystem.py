@@ -24,15 +24,18 @@ node's block with the tree, a leaf's empty, and hand them to the system;
 they terminate in leaves and represent the set at that truncation, meaning
 C is the union of the leaf balls. meeting(x, r) lists the nodes that meet a
 closed ball level by level, for the gap lemma's overlap search and Alice's
-move alike. children(word) and walk() wrap a block's entries in fresh Balls
-without checking them again. ball(word) stores nothing: it reads the
-node's entry in its parent's block when that is built, else the last node
-of path(word). path(word) gives the nodes on the path as plain floats, as
-the corner_grid field does for the children of any node of a corner
-family or a similarity image of one. An image (Similarity, Perturbed) expands
-nothing itself: its node at a word is the image's node() of the base's
-node at that word and its block that of each entry of the base's block,
-so every image of one base reads and fills the base's blocks.
+move alike; at r = inf it lists every level, which Alice's finite-tree
+check and the natural measure read. A gap list is split in one walk,
+_gap_splits, which from_gaps_1d builds from and newhouse_thickness reads
+each gap's bridges from. children(word) and walk() wrap a block's entries
+in fresh Balls without checking them again. ball(word) stores nothing: it
+reads the node's entry in its parent's block when that is built, else the
+last node of path(word). path(word) gives the nodes on the path as plain
+floats, as the corner_grid field does for the children of any node of a
+corner family or a similarity image of one. An image (Similarity,
+Perturbed) expands nothing itself: its node at a word is the image's node()
+of the base's node at that word and its block that of each entry of the
+base's block, so every image of one base reads and fills the base's blocks.
 
 A system records its shape once, when it is built, from its generator:
 is_finite, True for a finite tree and its similarity images only;
@@ -818,40 +821,43 @@ def from_ifs(ifs: HomotheticIFS, norm: NormKind) -> BallSystem:
     )
 
 
+def _gap_splits(
+    gl: GapList1D,
+) -> Iterator[Tuple[Word, float, float, Optional[Tuple[float, float]]]]:
+    """The pieces of gl's split tree in preorder, left piece first, as
+    (word, a, b, gap): the piece [a, b] at word and the gap that splits it,
+    None for a leaf. Checks nothing. The gaps are sorted once, widest first
+    and leftmost on ties; the left and right filters keep each piece's list
+    in that order, so its first gap is the one min() by that key would pick."""
+    order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
+    # an explicit stack: nesting depth is bounded only by the gap list's length
+    stack = [(ROOT, gl.hull[0], gl.hull[1], order)]
+    while stack:
+        word, a, b, inside = stack.pop()
+        gap = inside[0] if inside else None
+        yield word, a, b, gap
+        if gap is not None:
+            lo, hi = gap
+            stack.append((word + (1,), hi, b, [g for g in inside if g[0] >= hi]))
+            stack.append((word + (0,), a, lo, [g for g in inside if g[1] <= lo]))
+
+
 def from_gaps_1d(gl: GapList1D, norm: NormKind = NormKind.LINF) -> BallSystem:
     """Finite binary tree: each node splits at the largest listed gap it contains,
     longest first and leftmost on ties; gapless nodes are leaves.
 
-    The gaps are sorted once by that rule. Each node's gap list keeps the
-    sorted order, as the left and right filters keep it, so its first gap
-    is the one min() by the same key would pick. A node's block is built
-    where it splits, and its pieces are checked as Ball checks them when
-    they are visited."""
-    order = sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0]))
+    The nodes are _gap_splits' pieces. Each is checked as Ball checks it
+    when it is visited, and a node's block is built where it splits."""
     blocks: Dict[Word, Block] = {}
-
-    # preorder with an explicit stack, left piece first: nesting depth is
-    # bounded only by the gap list's length
-    stack: List[Tuple[Word, float, float, List[Tuple[float, float]]]] = [
-        (ROOT, gl.hull[0], gl.hull[1], list(order))
-    ]
-    while stack:
-        word, a, b, inside = stack.pop()
+    for word, a, b, gap in _gap_splits(gl):
         if not (b - a) / 2 > 0:  # narrower than two of the least subnormals
             raise ValueError(f"gap arrangement produces a degenerate piece [{a}, {b}]")
         _checked_block([(((a + b) / 2,), (b - a) / 2)])
-        if not inside:
+        if gap is None:
             blocks[word] = _LEAF
             continue
-        lo, hi = inside[0]
-        left = [g for g in inside if g[1] <= lo]
-        right = [g for g in inside if g[0] >= hi]
-        if len(left) + len(right) != len(inside) - 1:
-            raise ValueError("inconsistent gap containment")  # unreachable for valid input
+        lo, hi = gap
         blocks[word] = (((a + lo) / 2,), ((hi + b) / 2,)), ((lo - a) / 2, (b - hi) / 2)
-        stack.append((word + (1,), hi, b, right))
-        stack.append((word + (0,), a, lo, left))
-
     a, b = gl.hull
     return BallSystem(norm, 1, Ball(((a + b) / 2,), (b - a) / 2), gl, blocks)
 
@@ -921,24 +927,11 @@ def perturbed_image(
 
 
 def newhouse_thickness(gl: GapList1D) -> float:
-    """inf over listed gaps, taken in decreasing length (leftmost on ties), of
-    min(left bridge, right bridge) / gap length."""
-    intervals = [gl.hull]
-    tau = math.inf
-    for lo, hi in sorted(gl.gaps, key=lambda g: (-(g[1] - g[0]), g[0])):
-        host = None
-        for iv in intervals:
-            if iv[0] <= lo and hi <= iv[1]:
-                host = iv
-                break
-        if host is None:
-            raise ValueError(f"gap ({lo}, {hi}) is not inside a remaining interval")
-        left = lo - host[0]
-        right = host[1] - hi
-        tau = min(tau, min(left, right) / (hi - lo))
-        intervals.remove(host)
-        intervals.extend([(host[0], lo), (hi, host[1])])
-    return tau
+    """inf over listed gaps of min(left bridge, right bridge) / gap length, the
+    bridges read in the split tree's piece that each gap splits: the interval
+    that holds it when the gaps are removed widest first, leftmost on ties."""
+    splits = [(a, b, gap) for _, a, b, gap in _gap_splits(gl) if gap is not None]
+    return min((min(lo - a, b - hi) / (hi - lo) for a, b, (lo, hi) in splits), default=math.inf)
 
 
 # -- JSON set-spec ------------------------------------------------------------

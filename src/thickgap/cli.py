@@ -100,6 +100,7 @@ def _parse_point(text: str) -> Tuple[float, ...]:
 def _cmd_thickness(args: argparse.Namespace) -> Tuple[dict, int]:
     from .metrics import thickness
 
+    _check_tol(args.tol)  # before the spec is read: the exit code does not depend on the set
     sys = _load_system(args.spec)
     report = thickness(sys, args.depth, args.tol)
     payload = {
@@ -348,6 +349,7 @@ def _cmd_dims(args: argparse.Namespace) -> Tuple[dict, int]:
 def _cmd_pattern(args: argparse.Namespace) -> Tuple[dict, int]:
     from .game import pattern_search_oracle
 
+    _check_tol(args.tol)
     sys = _load_system(args.spec)
     args.points = tuple(_parse_point(text) for text in args.points)
     witnesses = pattern_search_oracle(sys, args.points, args.lam, args.grid, args.tol)

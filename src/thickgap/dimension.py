@@ -10,6 +10,7 @@ chosen so the proportions sum to one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -112,20 +113,13 @@ def natural_measure(sys: BallSystem, depth: int) -> NaturalMeasure:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     masses: Dict[Word, float] = {ROOT: 1.0}
-    frontier: List[Tuple[Word, float]] = [(ROOT, sys.root.radius)]
-    for _ in range(depth):
-        nxt: List[Tuple[Word, float]] = []
-        for word, radius in frontier:
+    # every node meets a ball of infinite radius: meeting lists every level
+    for level in itertools.islice(sys.meeting(sys.root.center, math.inf), depth):
+        for word, _, radius in level:
             radii = sys.child_block(word)[1]
-            if not radii:
-                continue
-            weights = _child_weights(radius, radii, sys.dimension)
-            parent_mass = masses[word]
-            for j, r in enumerate(radii):
-                child = word + (j,)
-                masses[child] = parent_mass * weights[j]
-                nxt.append((child, r))
-        frontier = nxt
+            if radii:
+                weights = _child_weights(radius, radii, sys.dimension)
+                masses.update((word + (j,), masses[word] * w) for j, w in enumerate(weights))
     return NaturalMeasure(depth, masses)
 
 

@@ -29,11 +29,9 @@ from .geometry import (
     Point,
     Sphere,
     SphereUnion,
-    balls_disjoint,
     distance_kernel,
     norm_distance,
     row_norms,
-    trusted_ball,
     trusted_sphere,
     vector_size,
 )
@@ -312,27 +310,18 @@ class AliceStrategy:
 
     def _verify_finite_levels(self) -> float:
         sys = self.sys
+        dist = distance_kernel(sys.norm)
         radii: List[float] = []
-        frontier: List[Tuple[Word, Ball]] = [(ROOT, sys.root)]
-        depth = 0
-        while frontier:
-            level = [ball for _, ball in frontier]
-            top = max(ball.radius for ball in level)
-            if top - min(ball.radius for ball in level) > 1e-12 * top:
+        # every node meets a ball of infinite radius: meeting lists every level
+        for depth, level in enumerate(sys.meeting(sys.root.center, math.inf)):
+            top = max(s for _, _, s in level)
+            if top - min(s for _, _, s in level) > 1e-12 * top:
                 raise ValueError(f"level {depth} has unequal radii")
-            if depth > 0 and not all(
-                balls_disjoint(a, b, sys.norm) for a, b in itertools.combinations(level, 2)
-            ):
+            pairs = itertools.combinations(level, 2)
+            if depth > 0 and not all(dist(a, b) > ra + rb for (_, a, ra), (_, b, rb) in pairs):
                 raise ValueError(f"level {depth} balls overlap")
             radii.append(top)
-            grown: List[Tuple[Word, Ball]] = []
-            for word, _ in frontier:
-                centers, kid_radii = sys.child_block(word)
-                self.n0 = max(self.n0, len(kid_radii))
-                kids = map(trusted_ball, centers, kid_radii)
-                grown.extend((word + (j,), kid) for j, kid in enumerate(kids))
-            frontier = grown
-            depth += 1
+            self.n0 = max([self.n0] + [sys.child_count(word) for word, _, _ in level])
         ratios = [b / a for a, b in zip(radii, radii[1:])]
         sup = max(ratios) if ratios else 0.0
         if not sup < 1:

@@ -307,6 +307,11 @@ class TestInputErrors:
             ("distances --r 0.19556 --tmax -5", "--tmax must be finite and non-negative, got -5.0"),
             ("distances --r 0.19556 --tmax nan", "--tmax must be finite and non-negative, got nan"),
             ("distances --r 0.19556 --tmax inf", "--tmax must be finite and non-negative, got inf"),
+            ("thickness --tol inf", "--tol must be positive and finite, got inf"),
+            ("thickness --tol 0", "--tol must be positive and finite, got 0.0"),
+            ("thickness --tol nan", "--tol must be positive and finite, got nan"),
+            ("pattern 0.05 0,0 1,0 --tol inf", "--tol must be positive and finite, got inf"),
+            ("pattern 0.05 0,0 1,0 --tol -1", "--tol must be positive and finite, got -1.0"),
         ],
     )
     def test_invalid_flags_exit_2_on_every_set(

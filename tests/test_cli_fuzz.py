@@ -5,24 +5,30 @@ A drawn spec is well formed but for some of its fields, which are missing
 or hold ints, bools, floats (the infinities, NaN and subnormals among
 them), strings, nulls or lists; each number inside a float field (`ell`,
 `lambda`, `t`, `hull`, `gaps`) may also be a string or a bool. `game`,
-`intersect` and `distances` flags are drawn as a shell would hand them over. Sizes stay small: a corner family has
-at most 12 points per axis in at most 3 dimensions, and a spec has at most
-6 maps or gaps. Larger counts are exercised through a lowered
-`MAX_CHILDREN`, so no draw allocates a large child block.
+`intersect`, `distances`, `thickness` and `pattern` flags are drawn as a
+shell would hand them over, and every run has a time bound. Sizes stay
+small: a corner family has at most 12 points per axis in at most 3
+dimensions, and a spec has at most 6 maps or gaps. Larger counts are
+exercised through a lowered `MAX_CHILDREN` and a lowered pattern-grid cap,
+so no draw allocates a large child block or grid.
 """
 
+import contextlib
+import io
 import json
 import math
+import time
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickgap import ballsystem, cli
+from thickgap import ballsystem, cli, game
 
 EXIT_CODES = {0, 2, 3, 4, 5}
-CORNER4 = Path(__file__).resolve().parents[1] / "bench" / "specs" / "corner4.json"
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+CORNER4 = SPECS / "corner4.json"
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _NUMBERS = st.one_of(st.integers(-3, 12), _FLOATS)
@@ -155,3 +161,98 @@ def test_hostile_run_flags_end_in_an_exit_code(command, flags, tmp_path_factory)
     # corner4's hypotheses fail, so a run with valid flags is refuted; an
     # invalid flag is an input error before the set is read
     assert cli.main(argv) == (4 if _valid_run_flags(flags) else 2)
+
+
+# a finite tree: thickness reads its leaf intervals, and the pattern scan
+# descends it, as it does every set that is not an axis product
+_GAP_SPEC = {
+    "norm": "linf",
+    "dimension": 1,
+    "generator": {"type": "gaps1d", "hull": [-1, 1], "gaps": [[-0.25, 0.25], [0.251, 0.749]]},
+}
+_RUN_SECONDS = 10.0  # per run; each takes well under a second
+_PATTERN_CAP = 2_000  # the lowered pattern-grid cap
+_DEPTH = st.one_of(
+    st.integers(-3, 30).map(str), st.sampled_from(["100000", "inf", "nan", "1.5", "-0", "1e3"])
+)
+
+
+def _timed_run(argv):
+    """cli.main(argv)'s exit code, after checking that it stayed within the
+    time bound and wrote no traceback."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < _RUN_SECONDS, argv
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def _spec_path(tmp, name):
+    if name != "gaps":
+        return SPECS / name
+    path = tmp / "fuzz-gaps.json"
+    path.write_text(json.dumps(_GAP_SPEC))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["corner4.json", "corner10d1.json", "ifs_linf.json", "gaps"]),
+    flags=st.fixed_dictionaries({}, optional={"--tol": _FLAG, "--depth": _DEPTH}),
+)
+def test_hostile_thickness_flags_exit_2_exactly_when_one_is_invalid(name, flags, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    argv = ["thickness", "--spec", str(_spec_path(tmp, name)), "--out", str(tmp / "fuzz-tau.json")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    tol = _parsed(flags.get("--tol", "1"), float)
+    depth = _parsed(flags.get("--depth", "0"), int)
+    valid = tol is not None and 0 < tol < math.inf and depth is not None and depth >= 0
+    # a valid run converges or exits 3 at a tolerance no search reaches
+    assert _timed_run(argv) in ({0, 3} if valid else {2})
+
+
+def _grid_points(radius, d, step):
+    """The pattern grid's point count about a root centered at the origin,
+    worked out as the scan does; inf when it has no finite count."""
+    count = ((0.0 + radius + step / 2) - (0.0 - radius)) / step
+    return math.ceil(count) ** d if math.isfinite(count) else math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(
+        [
+            ("corner4.json", ["0,0", "1,0"]),
+            ("corner10d1.json", ["0", "1", "2"]),
+            ("gaps", ["0", "1"]),
+        ]
+    ),
+    lam=_FLAG,
+    flags=st.fixed_dictionaries({}, optional={"--tol": _FLAG, "--grid": _FLAG}),
+)
+def test_hostile_pattern_flags_exit_2_exactly_when_one_is_invalid(
+    case, lam, flags, tmp_path_factory
+):
+    tmp = tmp_path_factory.getbasetemp()
+    name, points = case
+    path = _spec_path(tmp, name)
+    argv = ["pattern", "--spec", str(path), "--out", str(tmp / "fuzz-pattern.json")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += ["--", lam, *points]  # a lam of "-1" is a value, not an option
+    sys = cli._load_system(str(path))
+    pts = [cli._parse_point(p) for p in points]
+    limit = game.pattern_lambda_limit(pts, sys.root.radius, sys.norm)
+    tol = float(flags.get("--tol", "1e-3"))
+    step = float(flags.get("--grid", "0.01"))
+    valid = (
+        0 < float(lam) < limit
+        and 0 < tol < math.inf
+        and step > 0
+        and _grid_points(sys.root.radius, sys.dimension, step) <= _PATTERN_CAP
+    )
+    with mock.patch.object(game, "_GRID_CAP", _PATTERN_CAP):
+        code = _timed_run(argv)
+    # a valid scan finds witnesses (0), finds none (5) or stops on a cap (3)
+    assert code in ({0, 3, 5} if valid else {2})
