@@ -77,8 +77,6 @@ Block = Tuple[Tuple[Point, ...], Tuple[float, ...]]
 ROOT: Word = ()
 _LEAF: Block = ((), ())  # the child block of a leaf
 
-_UNSET = object()  # marks a memo not filled yet where None is a value
-
 _CONTAIN_SLACK = 1e-12  # relative float allowance in validation-only containment
 
 
@@ -443,7 +441,6 @@ class BallSystem:
         # the one node store: each expanded node's child block, a finite tree's all given
         self._blocks: Dict[Word, Block] = {} if blocks is None else blocks
         self._dist_oracle = None  # metrics' distance oracle, built on the first query
-        self._axis_factors = _UNSET  # axis_factors(), computed on its first call
         # the shape, read from the generator once; None stands for this
         # system itself, so that no field refers back to it
         base = self.base = getattr(generator, "base", None)  # an image's base
@@ -531,12 +528,10 @@ class BallSystem:
         attractor per axis: a generator that offers axis_factors(), or a
         similarity image of one, its chain composed into each factor's
         offset and scale; None for every other system. Computed once."""
-        factors = self._axis_factors
-        if factors is _UNSET:
-            factors = self._axis_factors = self._make_axis_factors()
-        return factors
+        return self._axis_factors
 
-    def _make_axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
+    @functools.cached_property
+    def _axis_factors(self) -> Optional[Tuple[AxisFactor, ...]]:
         maps = self.similarities
         if maps is None:
             return None

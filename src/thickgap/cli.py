@@ -213,12 +213,20 @@ def _normalize(v: Sequence[float], norm: NormKind) -> Point:
     return tuple(x / size for x in v)
 
 
+MAX_DISTANCE_ROWS = 10_000  # --directions x --steps; 78x the default 16 x 8
+
+
 def _cmd_distances(args: argparse.Namespace) -> Tuple[dict, int]:
     from .gaplemma import check_hypotheses, directional_distance_certificate, distance_interval
 
     if min(args.directions, args.steps) < 1:
         # a run with no direction or no step would check nothing
         raise ValueError("--directions and --steps must be at least 1")
+    if args.directions * args.steps > MAX_DISTANCE_ROWS:
+        raise ValueError(
+            f"--directions x --steps must be at most {MAX_DISTANCE_ROWS:,}, "
+            f"got {args.directions} x {args.steps}"
+        )
     _check_tol(args.tol)
     if args.tmax is not None and not 0 <= args.tmax < math.inf:
         raise ValueError(f"--tmax must be finite and non-negative, got {args.tmax!r}")
@@ -276,6 +284,9 @@ def _transcript_path(out: str, seed: int) -> str:
     return f"{stem}-seed{seed}.jsonl"
 
 
+MAX_GAMES = 10_000  # 100x the default --games
+
+
 def _cmd_game(args: argparse.Namespace) -> Tuple[dict, int]:
     from .game import (
         play_batch,
@@ -289,6 +300,8 @@ def _cmd_game(args: argparse.Namespace) -> Tuple[dict, int]:
         raise ValueError(f"alpha must be positive, got {args.alpha!r}")
     if args.games < 1:
         raise ValueError(f"--games must be at least 1, got {args.games}")
+    if args.games > MAX_GAMES:
+        raise ValueError(f"--games must be at most {MAX_GAMES:,}, got {args.games}")
     sys = _load_system(args.spec)
     base = proposition_params(sys, 1.0 / args.alpha, args.beta)
     if args.rho is None:
@@ -445,9 +458,7 @@ def _cmd_render(args: argparse.Namespace) -> Tuple[str, int]:
             rows = [f"{prefix}{label}{t}" for label, t in zip(labels, tails)]
             if not inner:
                 return rows, None
-            centers = [()]  # the children's core centers, in the same order
-            for row in grid.params.child_axes(*node)[0]:
-                centers = [c + (x,) for x in row for c in centers]
+            centers = grid.params.block(*node)[0]  # the children's core centers, in row order
             return rows, [(c, core_radius) for c in centers]
 
         root_node = (grid.root.center, grid.root.radius)  # the core's root, not sys.root

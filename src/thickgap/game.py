@@ -228,9 +228,8 @@ def kappa(norm: NormKind, d: int) -> int:
     raise ValueError("no built-in packing count for this norm")
 
 
-def _hole_enclosure(sys: BallSystem, word: Word, ball: Optional[Ball] = None):
-    """The node's hole enclosure; a caller holding the node's ball passes it."""
-    ball = ball or sys.ball(word)
+def _hole_enclosure(sys: BallSystem, word: Word, ball: Ball):
+    """The hole enclosure of the node at word, whose ball the caller holds."""
     return hole_radius(word, sys, max(1e-9 * ball.radius, 1e-13), ball=ball)
 
 

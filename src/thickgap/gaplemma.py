@@ -448,8 +448,8 @@ def _descend(
     it and every node under it lie in the target. On a corner grid the
     nearest distance is the largest per-axis least deviation the kernel
     gives, the children at that distance are those within it on every
-    axis, and the lowest index among them takes on each axis the lowest
-    digit within it; only that child's core center is formed, and the
+    axis, and _first_inside, with radius 0, gives the lowest index among
+    them; only that child's core center is formed, and the
     system center of the last node. The returned center is the system's,
     as ball(word) gives it.
     """
@@ -467,13 +467,7 @@ def _descend(
     own = grid.node(center, radius)[1]
     while own > tol and not _past_cut(cut, own):
         devs, _, own = grid.deviations(center, radius, t_center)
-        nearest = max(map(min, devs))
-        j = 0
-        for row in reversed(devs):
-            k = 0
-            while row[k] > nearest:
-                k += 1
-            j = j * n + k
+        j = _first_inside(n, devs, 0.0, max(map(min, devs)))
         word = word + (j,)
         center, radius = grid.params.child(center, radius, j)
     return grid.node(center, radius)[0], word
@@ -515,8 +509,10 @@ def _first_inside(n: int, devs: List[List[float]], radius: float, bound: float) 
     lowest index takes the lowest passing digit on each axis."""
     j = 0
     for row in reversed(devs):
-        k = next((k for k, dev in enumerate(row) if dev + radius <= bound), None)
-        if k is None:
+        for k, dev in enumerate(row):
+            if dev + radius <= bound:
+                break
+        else:
             return None
         j = j * n + k
     return j

@@ -42,6 +42,7 @@ from .ballsystem import (
 )
 
 _MAX_RECORDS = 64
+_MAX_SEARCHED_HOLES = 800  # holes one node-by-node thickness walk searches
 # the node pops one _dist_bnb or _box_max search may make; a hole search's
 # boxes and each box's distance search count apart
 NODE_BUDGET = 200_000
@@ -392,7 +393,6 @@ def _dist_bnb(sys: BallSystem, x: Point, tol: float) -> IntervalBound:
                 push(heap, (clo, word + (i,)))
     hi = min(upper, best_exact)
     lo = min(heap[0][0], hi) if heap else hi
-    lo = min(lo, best_exact)
     return IntervalBound(max(lo, 0.0), hi, tol)
 
 
@@ -480,17 +480,15 @@ def _split_box(lo: Tuple[float, ...], hi: Tuple[float, ...], norm: NormKind) -> 
     return out
 
 
-def _hole_bnb(sys: BallSystem, word: Word, tol: float, region: Optional[Ball] = None) -> IntervalBound:
-    """Maximize dist(x, C) over the node ball by subdividing into sub-boxes.
+def _hole_bnb(sys: BallSystem, region: Ball, tol: float) -> IntervalBound:
+    """Maximize dist(x, C) over the node ball region by subdividing into sub-boxes.
 
     On a sub-box with representative q inside the node, the max over the box
     is enclosed by [dist(q, C).lo, dist(q, C).hi + reach(box, q)] since the
     distance function is 1-Lipschitz in the workspace norm. Boxes are
-    (lo, hi) pairs, so ties in the search go to the smallest box corner. A
-    caller holding the node's ball passes it as region.
+    (lo, hi) pairs, so ties in the search go to the smallest box corner.
     """
     oracle = _oracle(sys)
-    region = region or sys.ball(word)
     norm = sys.norm
     ftol = tol / 4
 
@@ -539,26 +537,21 @@ def hole_radius(
     return _hole(sys, word, tol, ball)
 
 
-def _hole(sys: BallSystem, word: Word, tol: float, ball: Optional[Ball] = None) -> IntervalBound:
-    ball = ball or sys.ball(word)
+def _hole(sys: BallSystem, word: Word, tol: float, ball: Ball) -> IntervalBound:
     h = _exact_hole(sys, word, tol, ball)
-    return h if h is not None else _hole_bnb(sys, word, tol, ball)
+    return h if h is not None else _hole_bnb(sys, ball, tol)
 
 
-def _exact_hole(
-    sys: BallSystem, word: Word, tol: float, ball: Optional[Ball] = None
-) -> Optional[IntervalBound]:
+def _exact_hole(sys: BallSystem, word: Word, tol: float, ball: Ball) -> Optional[IntervalBound]:
     """The hole radius of the node at word where a closed form gives it, or
     None. On axis products (corner families among them) under the Linf norm
     (any norm in 1-D) the ball is a product of intervals and the Linf
     distance the largest per-axis one, so the hole is the largest per-axis
     hole: _node_hole_form's when that is at most tol wide, else that cut
     down by the _axis_hole descent. On finite 1-D trees it is the farthest
-    point of the node from the leaf intervals. A caller holding the node's
-    ball, as ball(word) gives it, passes it, and none is built."""
+    point of the node from the leaf intervals. ball is the node's, as
+    ball(word) gives it."""
     oracle = _oracle(sys)
-    if ball is None:
-        ball = sys.ball(word)
     if oracle.factors is not None and (sys.norm is NormKind.LINF or sys.dimension == 1):
         R, k = ball.radius, len(word)
         lo = hi = 0.0
@@ -659,13 +652,13 @@ def _thickness_homothetic(sys: BallSystem, depth: int, tol: float) -> ThicknessR
     R = sys.root.radius
     mrad = min(sys.child_ratios()) * R
 
-    rough = _hole(sys, ROOT, R / 64)
+    rough = _hole(sys, ROOT, R / 64, sys.root)
     h = rough
     if rough.lo > 0:
         target = tol * rough.lo * rough.lo / mrad
         target = min(max(target, 1e-14 * R), R / 64)
         if rough.width > target:
-            h = _hole(sys, ROOT, target)
+            h = _hole(sys, ROOT, target, sys.root)
     rec = _record(ROOT, mrad, h, tol)
     overall = rec.ratio
     if not overall.converged and sys.core is not None:
@@ -713,7 +706,7 @@ def _sample_hole_lower(sys: BallSystem) -> float:
 
 def _thickness_perturbed(sys: BallSystem, depth: int, tol: float) -> ThicknessReport:
     base, eps = sys.base, sys.generator.eps
-    hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3).hi / base.root.radius
+    hrel_hi = _hole(base, ROOT, base.root.radius * 1e-3, base.root).hi / base.root.radius
     lam_min = min(base.child_ratios())
     lower = (1 + eps) * lam_min / (2 * eps + (1 + eps) * hrel_hi)
     h_lo = _sample_hole_lower(sys)
@@ -731,7 +724,7 @@ def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport
     """The infimum node by node over the internal nodes down to depth.
 
     Each hole is exact where _exact_hole gives one and searched otherwise;
-    after 800 searched nodes the walk stops and the lower end drops to 0.
+    after _MAX_SEARCHED_HOLES searched holes the walk stops and lo drops to 0.
     The report holds for all depths only when no hole was searched and no
     internal node lies below depth: then it covers every node there is.
     """
@@ -740,7 +733,6 @@ def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport
     best: Optional[NodeThicknessRecord] = None
     truncated = deeper_internal = False
     searched = 0
-    cap = 800
     for word, ball in sys.walk(depth + 1):
         if len(word) > depth:
             # counted, not built: a generated tree is not expanded past depth
@@ -751,11 +743,11 @@ def _thickness_nodes(sys: BallSystem, depth: int, tol: float) -> ThicknessReport
             continue
         h = _exact_hole(sys, word, tol, ball)
         if h is None:
-            if searched >= cap:
+            if searched >= _MAX_SEARCHED_HOLES:
                 truncated = True
                 break
             searched += 1
-            h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius, ball)
+            h = _hole_bnb(sys, ball, max(tol, 1e-9) * ball.radius)
         rec = _record(word, min(radii), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec

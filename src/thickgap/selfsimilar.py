@@ -146,13 +146,9 @@ def _h0_bnb(ifs: HomotheticIFS, tol: float, norm: NormKind) -> IntervalBound:
         for lam, t in ifs.maps:
             if norm_distance(center, t, norm) + rho <= lam:
                 return None
-        point = center
+        # boxes bisect [-1, 1]^d, so only an L2 or L1 center can leave the root
         nc = vector_size(center, norm)
-        if nc > 1.0:
-            if norm is NormKind.LINF:
-                point = tuple(min(1.0, max(-1.0, c)) for c in center)
-            else:
-                point = tuple(c / nc for c in center)
+        point = center if nc <= 1.0 else tuple(c / nc for c in center)
         # inside a child the objective is negative, so taking the max stays sound
         return max(0.0, _phi(point, ifs, norm)), _phi(center, ifs, norm) + lip * rho
 

@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thickgap.ballsystem import (
-    _UNSET,
     CornerFamilyParams,
     HomotheticIFS,
     NormKind,
@@ -288,7 +287,7 @@ def test_linf_hole_encloses_the_exact_value(ifs, word):
     R = Fraction(ball.radius)
     parts = [ref.hole(Fraction(c) - R, Fraction(c) + R) for ref, c in zip(_refs(ifs), ball.center)]
     want = (max(part[0] for part in parts), max(part[1] for part in parts))
-    h = _exact_hole(sys, word, 1e-12)
+    h = _exact_hole(sys, word, 1e-12, ball)
     assert _contains((h.lo, h.hi), *want)
     assert h.width <= 1e-12
     h = hole_radius(word, sys, 1e-6)
@@ -330,7 +329,7 @@ def test_product_enclosures_meet_the_branch_and_bound(ifs, norm, image, data):
     assert fast.lo <= slow.hi and slow.lo <= fast.hi
     if norm is NormKind.LINF:
         h = hole_radius((), sys, 1e-9)
-        hb = _hole_bnb(sys, (), 1e-3 * R)
+        hb = _hole_bnb(sys, sys.root, 1e-3 * R)
         assert h.lo <= hb.hi and hb.lo <= h.hi
 
 
@@ -340,25 +339,23 @@ def test_hole_search_on_the_l2_product_board_converges_at_1e_13(monkeypatch):
     sys = parse_set_spec(_spec("ifs_l2.json"))
     assert _oracle(sys).mode == "product"
     # the L2 hole of a product is not a per-axis one: it is searched
-    assert _exact_hole(sys, (), 1e-9) is None
+    assert _exact_hole(sys, (), 1e-9, sys.root) is None
     monkeypatch.setattr(metrics, "NODE_BUDGET", 2_000)
     for word in [(), (0,), (3, 1), (1, 3, 0, 2, 1)]:
-        h = _hole_bnb(sys, word, 1e-13)
+        h = _hole_bnb(sys, sys.ball(word), 1e-13)
         assert h.converged and h.width <= 1e-13, word
 
 
 # -- what qualifies -----------------------------------------------------------------
 
 
-def test_capability_is_detected_lazily_and_once(monkeypatch):
+def test_capability_is_detected_lazily_and_once():
     # parse_set_spec leaves the detection to the first query
     sys = parse_set_spec(_spec("ifs_linf.json"))
-    assert sys._axis_factors is _UNSET
-    calls = []
-    make = sys._make_axis_factors
-    monkeypatch.setattr(sys, "_make_axis_factors", lambda: calls.append(1) or make())
+    assert "_axis_factors" not in vars(sys)
     first = sys.axis_factors()
-    assert sys.axis_factors() is first and len(calls) == 1
+    assert vars(sys)["_axis_factors"] is first
+    assert all(sys.axis_factors() is first for _ in range(3))
     assert [f.ts for f in first] == [(-0.65, 0.65)] * 2
 
 

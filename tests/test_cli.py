@@ -121,6 +121,16 @@ class TestThickness:
         assert code == 0
         assert report["tau"]["lo"] <= 1.0 <= report["tau"]["hi"]
 
+    def test_gap_list_without_gaps_reports_an_infinite_tau(self, tmp_path):
+        # no internal node: the infimum is vacuous, and JSON has no inf
+        spec = tmp_path / "solid.json"
+        solid = {"type": "gaps1d", "hull": [0.0, 1.0], "gaps": []}
+        spec.write_text(json.dumps({**SPECS["thirds"], "generator": solid}))
+        code, report = run(["thickness", "--spec", str(spec)], tmp_path / "tau.json")
+        assert code == 0
+        assert (report["tau"]["lo"], report["tau"]["hi"]) == ("inf", "inf")
+        assert report["per_node"] == []
+
     def test_thousand_nested_gaps(self, tmp_path):
         # each gap (hi - L/2, hi - L/4) leaves bridges L/2 and L/4 around a
         # gap of length L/4, and the next one nests in [lo, hi - L/2]
@@ -328,6 +338,38 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["corner4_d2", "corner10_d2"])
+    @pytest.mark.parametrize(
+        "argv, cap, message",
+        [
+            (
+                "distances --r 0.19556 --directions 3 --steps 2",
+                "MAX_DISTANCE_ROWS",
+                "--directions x --steps must be at most 5, got 3 x 2",
+            ),
+            (
+                "distances --r 0.19556 --directions 1 --steps 6",
+                "MAX_DISTANCE_ROWS",
+                "--directions x --steps must be at most 5, got 1 x 6",
+            ),
+            ("game --alpha 0.5 --beta 0.2 --games 6", "MAX_GAMES", "--games must be at most 5, got 6"),
+        ],
+    )
+    def test_counts_above_their_caps_exit_2_on_every_set(
+        self, argv, cap, message, spec, specs, tmp_path, capsys, monkeypatch
+    ):
+        # the caps are lowered, so no run is ever built at full size, and
+        # checked before the set is read
+        def no_load(path):
+            raise AssertionError("the set was read")
+
+        monkeypatch.setattr(cli, cap, 5)
+        monkeypatch.setattr(cli, "_load_system", no_load)
+        out = tmp_path / "out.json"
+        assert cli.main([*argv.split(), "--spec", specs[spec], "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -524,6 +566,22 @@ class TestDistances:
         assert report["summary"]["out_of_scope"] == 6
         flagged = [row for row in report["rows"] if row["status"] == "out_of_scope"]
         assert all(row["t"] > report["t_limit"] for row in flagged)
+
+    def test_three_dimensions_draw_seeded_directions(self, tmp_path):
+        spec = tmp_path / "corner10_d3.json"
+        spec.write_text(json.dumps({**SPECS["corner10_d2"], "dimension": 3}))
+        argv = ["distances", "--spec", str(spec), "--r", "0.19556"]
+        argv += ["--directions", "3", "--steps", "2", "--seed", "5"]
+        reports = []
+        for name in ("a.json", "b.json"):
+            code, report = run(argv, tmp_path / name)
+            assert code == 0
+            reports.append(report)
+        assert reports[0]["summary"] == {"total": 6, "ok": 6, "failed": 0, "out_of_scope": 0}
+        # each drawn direction has Linf size 1, and the seed fixes every row
+        dirs = {tuple(row["direction"]) for row in reports[0]["rows"]}
+        assert len(dirs) == 3 and all(max(map(abs, v)) == 1.0 for v in dirs)
+        assert reports[0]["rows"] == reports[1]["rows"]
 
     def test_refuted_hypotheses_exit(self, specs):
         code = cli.main(

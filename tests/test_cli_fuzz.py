@@ -5,12 +5,13 @@ A drawn spec is well formed but for some of its fields, which are missing
 or hold ints, bools, floats (the infinities, NaN and subnormals among
 them), strings, nulls or lists; each number inside a float field (`ell`,
 `lambda`, `t`, `hull`, `gaps`) may also be a string or a bool. `game`,
-`intersect`, `distances`, `thickness` and `pattern` flags are drawn as a
-shell would hand them over, and every run has a time bound. Sizes stay
-small: a corner family has at most 12 points per axis in at most 3
-dimensions, and a spec has at most 6 maps or gaps. Larger counts are
-exercised through a lowered `MAX_CHILDREN` and a lowered pattern-grid cap,
-so no draw allocates a large child block or grid.
+`gapcheck`, `intersect`, `distances`, `thickness` and `pattern` flags are
+drawn as a shell would hand them over, and every run has a time bound.
+Sizes stay small: a corner family has at most 12 points per axis in at
+most 3 dimensions, and a spec has at most 6 maps or gaps. Larger counts are
+exercised through a lowered `MAX_CHILDREN`, a lowered pattern-grid cap and
+lowered caps on distance rows and games, so no draw allocates a large
+child block, grid, table or batch.
 """
 
 import contextlib
@@ -256,3 +257,96 @@ def test_hostile_pattern_flags_exit_2_exactly_when_one_is_invalid(
         code = _timed_run(argv)
     # a valid scan finds witnesses (0), finds none (5) or stops on a cap (3)
     assert code in ({0, 3, 5} if valid else {2})
+
+
+_R = st.one_of(
+    st.sampled_from(
+        ["0", "-0.0", "0.5", "0.49999", "0.7", "-0.2", "1e300", "5e-324", "inf", "-inf", "nan"]
+    ),
+    _FLOATS.map(repr),
+    st.floats(0.01, 0.49).map(repr),
+)
+_COORDS = st.one_of(
+    st.sampled_from(["0", "-0.0", "0.05", "1e300", "-1e300", "5e-324", "inf", "-inf", "nan"]),
+    st.floats(-0.5, 0.5).map(repr),
+)
+
+
+def _finite_point(text, d):
+    """Whether text parses as a point of d finite coordinates."""
+    try:
+        point = cli._parse_point(text)
+    except ValueError:
+        return False
+    return len(point) == d and all(map(math.isfinite, point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["gapcheck", "intersect"]),
+    case=st.sampled_from([("corner4.json", 2), ("corner10d1.json", 1), ("gaps", 1)]),
+    r=_R,
+    flags=st.fixed_dictionaries(
+        {},
+        optional={
+            "--depth": _DEPTH,
+            # one to three coordinates: a wrong length is an input error
+            "--shift2": st.lists(_COORDS, min_size=1, max_size=3).map(",".join),
+        },
+    ),
+)
+def test_hostile_gapcheck_flags_exit_2_exactly_when_one_is_invalid(
+    command, case, r, flags, tmp_path_factory
+):
+    tmp = tmp_path_factory.getbasetemp()
+    name, d = case
+    argv = [command, "--spec", str(_spec_path(tmp, name)), "--out", str(tmp / "fuzz-gap.json")]
+    argv += [f"--r={r}"] + [f"{flag}={value}" for flag, value in flags.items()]
+    rr = _parsed(r, float)
+    depth = _parsed(flags.get("--depth", "0"), int)
+    valid = (
+        rr is not None
+        and 0 < rr < 0.5
+        and depth is not None
+        and depth >= 0
+        and _finite_point(flags.get("--shift2", "0" + ",0" * (d - 1)), d)
+    )
+    # a valid pair is proven (0), refuted (4) or undecided (5)
+    assert _timed_run(argv) in ({0, 4, 5} if valid else {2})
+
+
+_CAP = 10  # the lowered caps on --directions x --steps and on --games
+_COUNT = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["10", "11", "10000", "10001", str(10**18), "inf", "nan", "1.5"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["distances", "game"]),
+    flags=st.fixed_dictionaries({"--directions": _COUNT, "--steps": _COUNT, "--games": _COUNT}),
+)
+def test_hostile_counts_exit_2_exactly_past_their_caps(command, flags, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "fuzz-count.json"
+    if command == "distances":
+        del flags["--games"]
+        argv = [command, "--spec", str(CORNER4), "--r", "0.19556"]
+        directions = _parsed(flags["--directions"], int)
+        steps = _parsed(flags["--steps"], int)
+        valid = (
+            directions is not None
+            and steps is not None
+            and min(directions, steps) >= 1
+            and directions * steps <= _CAP
+        )
+    else:
+        del flags["--directions"], flags["--steps"]
+        argv = [command, "--spec", str(CORNER4), "--alpha", "0.5", "--beta", "0.2"]
+        games = _parsed(flags["--games"], int)
+        valid = games is not None and 1 <= games <= _CAP
+    argv += ["--out", str(out)] + [f"{flag}={value}" for flag, value in flags.items()]
+    with mock.patch.object(cli, "MAX_DISTANCE_ROWS", _CAP), mock.patch.object(cli, "MAX_GAMES", _CAP):
+        code = _timed_run(argv)
+    # corner4's hypotheses fail, so distances is refuted; its matches are clean
+    assert code == ((4 if command == "distances" else 0) if valid else 2)

@@ -394,6 +394,47 @@ class TestPlay:
             assert referee(move, history, params).legal
             history.append(move)
 
+    def test_alice_over_her_sphere_bound_ends_the_match(self):
+        sys = quarter_corner(2)
+        params = replace(proposition_params(sys, 3.0, 0.2), M=1)
+        result = play(sys, random_legal_bob(sys), params, seed=0)
+        assert result.classification == "illegal_alice"
+        bob, alice = result.moves
+        assert isinstance(alice, AliceMove) and result.outcome == bob.ball.center
+        verdict = referee(alice, [bob], params)
+        assert not verdict.legal and "exceed the family bound 1" in verdict.reason
+
+    def test_bob_leaving_his_last_ball_ends_the_match(self):
+        sys = quarter_corner(2)
+        params = proposition_params(sys, 3.0, 0.2)
+
+        def leaving(prev, params, rng):
+            if prev is None:
+                return Ball((0.0, 0.0), params.rho)
+            return Ball((prev.center[0] + prev.radius, prev.center[1]), prev.radius / 2)
+
+        result = play(sys, leaving, params)
+        assert result.classification == "illegal_bob"
+        # the last legal ball's center is the outcome
+        assert len(result.moves) == 3 and result.outcome == (0.0, 0.0)
+        verdict = referee(result.moves[-1], list(result.moves[:-1]), params)
+        assert verdict.reason == "ball is not inside the previous ball"
+
+    def test_a_ball_that_vanishes_outside_the_root_lands_in_the_target(self, monkeypatch):
+        sys = quarter_corner(2)
+        params = proposition_params(sys, 3.0, 0.2)
+
+        def outside(prev, params, rng):
+            return Ball((3.0, 3.0), params.rho if prev is None else prev.radius / 2)
+
+        def no_distance(*args):
+            raise AssertionError("a point outside the root needs no distance")
+
+        monkeypatch.setattr(game, "dist_to_set", no_distance)
+        result = play(sys, outside, params)
+        assert result.classification == "in_target"
+        assert len(result.moves) == 58 and result.outcome == (3.0, 3.0)
+
 
 class TestTranscriptMaps:
     def record(self):
@@ -1201,7 +1242,7 @@ def _reference_h_sets(sys, word):
     """alice_h_sets over children() Balls, computing its own hole bound."""
     ball = sys.ball(word)
     kids = sys.children(word)
-    h = _hole_enclosure(sys, word).hi
+    h = _hole_enclosure(sys, word, ball).hi
     spheres = [Sphere(ball.center, ball.radius - h / 2)]
     spheres.extend(Sphere(kid.center, kid.radius + h) for kid in kids)
     return SphereUnion(tuple(spheres), m_bound=len(kids) + 1)
@@ -1259,7 +1300,7 @@ class _ReferenceAlice(AliceStrategy):
             )
         if not words:
             return AliceMove()
-        holes = [_hole_enclosure(self.sys, word) for word in words]
+        holes = [_hole_enclosure(self.sys, word, self.sys.ball(word)) for word in words]
         budget = ball.radius / self.tau
         worst = max(h.lo for h in holes)
         if worst > budget * (1 + 1e-9):

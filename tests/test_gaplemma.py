@@ -416,6 +416,56 @@ def test_corner_locate_breaks_ties_like_full_expansion():
         assert gaplemma._locate(fast, target, 1e-9) == expected
 
 
+def _reference_grid_descend(grid, tol, word, center, radius, t_center):
+    """_descend's corner-grid loop with its own pick: on each level the
+    nearest distance is the largest per-axis least deviation, and each
+    axis takes the lowest digit whose deviation does not exceed it."""
+    n = grid.params.n
+    own = grid.node(center, radius)[1]
+    while own > tol:
+        devs, _, own = grid.deviations(center, radius, t_center)
+        nearest = max(map(min, devs))
+        j = 0
+        for row in reversed(devs):
+            k = 0
+            while row[k] > nearest:
+                k += 1
+            j = j * n + k
+        word = word + (j,)
+        center, radius = grid.params.child(center, radius, j)
+    return grid.node(center, radius)[0], word
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 12),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["corner", "translate", "similarity", "chain"]),
+    ell_frac=st.floats(0.05, 0.95),
+    tol=st.floats(1e-9, 1e-2),
+)
+def test_corner_descent_picks_the_reference_child(data, n, d, kind, ell_frac, tol):
+    sys = _corner_image(kind, n, ell_frac * 2 / n, d)
+    grid = sys.corner_grid
+    start = tuple(data.draw(st.lists(st.integers(0, n**d - 1), max_size=2)))
+    center, radius = grid.root.center, grid.root.radius
+    for j in start:
+        center, radius = grid.params.child(center, radius, j)
+    # a target on a child's center, or on a corner of a node's cell, makes
+    # Linf ties between children
+    deeper = start + tuple(data.draw(st.lists(st.integers(0, n**d - 1), max_size=3)))
+    node = sys.ball(deeper)
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d))
+    spot = [c + s * node.radius for c, s in zip(node.center, signs)]
+    for i in data.draw(st.sets(st.integers(0, d - 1))):
+        spot[i] = data.draw(st.floats(-1.2, 1.2))
+    target = Ball(tuple(spot), sys.root.radius)
+    got = gaplemma._descend(sys, grid, target, tol, start, center, radius)
+    want = _reference_grid_descend(grid, tol, start, center, radius, target.center)
+    assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_locate_budget_exhaustion_matches_full_expansion(monkeypatch, budget):
     monkeypatch.setattr(gaplemma, "_FIND_BUDGET", budget)

@@ -1058,7 +1058,7 @@ def test_hole_bnb_matches_reference_at_small_budgets(made, tol, budgets):
         for budget in budgets:
             mp.setattr(metrics, "NODE_BUDGET", budget)
             want = _reference_hole_bnb(ref_sys, (), tol, budget)
-            got = _hole_bnb(sys, (), tol)
+            got = _hole_bnb(sys, sys.root, tol)
             assert repr(got) == repr(want), budget
 
 
@@ -1204,7 +1204,7 @@ def _reference_thickness_finite(sys, depth, tol):
         if len(word) > depth:
             deeper_internal = True
             continue
-        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, word, tol), tol)
+        rec = _record(word, min(k.radius for k in kids), _exact_hole(sys, word, tol, ball), tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
             best = rec
         if len(records) < _MAX_RECORDS:
@@ -1234,7 +1234,7 @@ def _reference_thickness_generic(sys, depth, tol):
             truncated = True
             break
         examined += 1
-        h = _hole_bnb(sys, word, max(tol, 1e-9) * ball.radius)
+        h = _hole_bnb(sys, ball, max(tol, 1e-9) * ball.radius)
         converged = converged and h.converged
         rec = _record(word, min(k.radius for k in kids), h, tol)
         if best is None or rec.ratio.lo < best.ratio.lo:
@@ -1347,7 +1347,8 @@ def test_thickness_budget_reaches_finite_trees_in_2d():
         root = rep.per_node[0]
         assert root.word == () and root.h.converged is False
         assert rep.converged is False
-        assert repr(root.h) == repr(_hole_bnb(_corner_tree_2d(), (), 1e-6))
+        fresh = _corner_tree_2d()
+        assert repr(root.h) == repr(_hole_bnb(fresh, fresh.root, 1e-6))
     # the separate loop searched at the default budget whatever was asked
     old = _reference_thickness_finite(_corner_tree_2d(), 2, 1e-6)
     assert old.converged is True and (old.overall.lo, old.overall.hi) == (2.0, 2.0)
@@ -1367,10 +1368,44 @@ def test_exact_hole_is_converged_only_within_tol():
     sys = similarity_image(corner_family(CornerFamilyParams(4, 0.4921875, 1)), 1 / 32, (1.0,))
     h = hole_radius((), sys, 1e-16)
     assert h.width > 1e-16 and h.converged is False
-    assert repr(_exact_hole(sys, (), 1e-16)) == repr(h)
+    assert repr(_exact_hole(sys, (), 1e-16, sys.root)) == repr(h)
     wide = hole_radius((), sys, 1e-14)
     assert (wide.lo, wide.hi) == (h.lo, h.hi) and wide.converged is True
     # finite 1-D trees: the 1e-12 pad is wider than a tol of 1e-13
     gaps = from_gaps_1d(GapList1D(hull=(0.0, 1.0), gaps=((1 / 3, 2 / 3),)))
-    assert _exact_hole(gaps, (), 1e-13).converged is False
-    assert _exact_hole(gaps, (), 1e-9).converged is True
+    assert _exact_hole(gaps, (), 1e-13, gaps.root).converged is False
+    assert _exact_hole(gaps, (), 1e-9, gaps.root).converged is True
+
+
+def test_thickness_stops_at_its_searched_hole_cap(monkeypatch):
+    # each of the explicit tree's ten internal nodes has its hole searched
+    full = thickness(_corner_tree_2d(), 2, 1e-6)
+    monkeypatch.setattr(metrics, "_MAX_SEARCHED_HOLES", 2)
+    capped = thickness(_corner_tree_2d(), 2, 1e-6)
+    # the walk stops after two searches: the records are the full walk's
+    # first two, the best of them is kept, and the lower end drops to 0
+    assert capped.per_node == full.per_node[:2]
+    best = min(capped.per_node, key=lambda rec: rec.ratio.lo)
+    assert (capped.overall.lo, capped.overall.hi) == (0.0, best.ratio.hi)
+    assert full.overall.lo == 2.0 and capped.valid_all_depths is False
+
+
+def test_perturbed_thickness_samples_the_hole_in_four_dimensions():
+    sys = perturbed_image(corner_family(CornerFamilyParams(2, 0.3, 4)), _warp, eps=0.03)
+    rep = thickness(sys, 1, 1e-2)
+    assert rep.method == "perturbed-transfer" and rep.valid_all_depths is False
+    # past three dimensions the root hole's lower end comes from 64 seeded
+    # points, so every run finds the same one, below the transfer's bound
+    (rec,) = rep.per_node
+    assert 0 < metrics._sample_hole_lower(sys) == rec.h.lo <= rec.h.hi
+    assert rep.overall.lo <= rep.overall.hi
+
+
+def test_box_denseness_refuses_more_cells_than_its_cap():
+    # an explicit copy of corner n = 30 is decided node by node: its root's
+    # 900 child windows bound the cells by (2 * 900 + 1) ** 2 = 3,243,601
+    corner = corner_family(CornerFamilyParams(30, 0.05, 2))
+    sys = explicit_tree(NormKind.LINF, 2, list(corner.walk(1)))
+    rep = denseness_check(sys, 0.3, 0.01, 1)
+    assert (rep.verdict, rep.method, rep.witness) == ("unknown", "box-exact", None)
+    assert rep.detail == "3,243,601 cells exceed the cap of 2,000,000"

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thickgap import metrics, selfsimilar
@@ -299,6 +299,33 @@ def test_h0_bnb_matches_reference(ifs, norm, tol, node_budget):
         mp.setattr(metrics, "NODE_BUDGET", node_budget)
         got = selfsimilar._h0_bnb(ifs, tol, norm)
     assert repr(got) == repr(_reference_h0_bnb(ifs, tol, norm, node_budget))
+
+
+@st.composite
+def _non_product_ifs(draw):
+    d = draw(st.integers(2, 3))
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        lam = draw(st.one_of(st.sampled_from([0.2, 0.25, 0.3]), st.floats(0.05, 0.6)))
+        maps.append((lam, tuple(draw(_COORD) for _ in range(d))))
+    ifs = HomotheticIFS(tuple(maps))
+    assume(ifs.axis_factors() is None)
+    return ifs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ifs=_non_product_ifs(),
+    norm=st.sampled_from(list(NormKind)),
+    tol=st.sampled_from([1e-2, 1e-3]),
+)
+def test_h0_upper_off_products_matches_reference(ifs, norm, tol):
+    # no closed form: every norm takes the search, which projects an L2 or
+    # L1 box center outside the root onto the root's boundary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "NODE_BUDGET", 300)
+        got = homothetic_h0_upper(ifs, tol, norm=norm)
+    assert repr(got) == repr(_reference_h0_bnb(ifs, tol, norm, 300))
 
 
 def test_h0_l2_norm_runs():
