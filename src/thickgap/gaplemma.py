@@ -43,6 +43,7 @@ _DENSE_STEP = 1e-3  # its denseness grid step
 _DENSE_DEPTH = 3  # and denseness depth
 _HOLE_REL_TOL = 1e-2  # intersect's hole enclosures, relative to the node radius
 _DIRECTIONAL_STEPS = 400  # intersect steps directional_distance_certificate allows
+_DIRECTIONAL_SHARE = 0.5  # and the share of its tol that intersect's witness takes
 
 
 @dataclass(frozen=True)
@@ -688,10 +689,11 @@ def directional_distance_certificate(
 ) -> DirectionalDistanceCertificate:
     """Certify that distance t is realized between two points of the set along v.
 
-    Builds the translate of the set by t*v, intersects it with the
-    original at a finer tolerance, then anchors the witness to a verified
-    point e1 of the set; e2 = e1 - t*v is checked against the set as well,
-    so the pair realizes the distance t in direction v up to the residual.
+    e1 is intersect's witness for the set and its translate by t*v at
+    tol / 2 (_DIRECTIONAL_SHARE), r1 its certified residual to the set.
+    e2 = e1 - t*v is as near the set as e1 is to the translate; the other
+    half of tol leaves room for r2, a fresh enclosure at tol / 10. The
+    residual max(r1.hi, r2.hi, |(e1 - e2) - t*v|) must not exceed tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -702,14 +704,12 @@ def directional_distance_certificate(
         raise ValueError(f"t must lie in [0, {limit:.6g}] for r = {r:.6g}")
 
     shifted = translate(sys, tuple(t * c for c in v))
-    cert = intersect(sys, shifted, r, tol / 8, _DIRECTIONAL_STEPS)
-    x = cert.witness
-    e1 = find_point_in(sys, Ball(x, tol / 2), tol / 40)
+    cert = intersect(sys, shifted, r, tol * _DIRECTIONAL_SHARE, _DIRECTIONAL_STEPS)
+    e1 = cert.witness
     e2 = tuple(a - t * c for a, c in zip(e1, v))
-    r1 = dist_to_set(e1, sys, tol / 10)
     r2 = dist_to_set(e2, sys, tol / 10)
     gap = norm_distance(tuple(a - b for a, b in zip(e1, e2)), tuple(t * c for c in v), sys.norm)
-    residual = max(r1.hi, r2.hi, gap)
+    residual = max(cert.residual1.hi, r2.hi, gap)
     if residual > tol:
         raise RuntimeError(
             f"directional witness residual {residual:.6g} exceeds tolerance {tol:.6g}"

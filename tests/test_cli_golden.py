@@ -181,9 +181,13 @@ for _spec in ("gaps_g", "thirds5"):
 # box-exact in place of corner-exact, and nothing else moved; the eight
 # finite-tree cases (gaps_g, thirds5) recorded while finite trees still kept
 # their nodes in a separate node table; the two large-ball cases recorded
-# before Init, Case1 and Case2 shared one relocation
+# before Init, Case1 and Case2 shared one relocation; distances-corner10
+# re-recorded when a directional certificate's e1 became the witness of
+# its intersect, run at tol / 2 in place of tol / 8, with no second search
+# for e1: every row's e1 and e2 moved, and 6 of its 12 residuals, while
+# every row stayed ok
 GOLDEN = {
-    "distances-corner10": (0, "c9b1e4b7bf82856500c33213edf55764d87707820462b6707d8168dcb73dea92"),
+    "distances-corner10": (0, "8dc33a675e728ca1cea7471ed8855131f02d7a20ffc68f76c1444798d42c5853"),
     "game-corner4": (0, "22ef87024a7d9271823dc62317d02baac56c46292a535d9de4c04d67361d7f21"),
     "gapcheck-corner10": (0, "dcc0f5b0c697fde83430dcb8124edb2a3c1b0264073ecc56d4d4e5bc6bb0729a"),
     "gapcheck-ifs_l2": (4, "b4732491e80dc52a40283643251bf2380bf2db9e39f15df5895ff24b1c9bbcbe"),

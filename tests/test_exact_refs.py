@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from thickgap.geometry import Ball
@@ -46,6 +46,7 @@ from thickgap.ballsystem import (
     similarity_image,
     translate,
 )
+from thickgap.gaplemma import check_hypotheses, directional_distance_certificate, distance_interval
 from thickgap.metrics import denseness_check, dist_to_set, hole_radius, thickness
 from thickgap.selfsimilar import _product_h0, homothetic_h0_upper
 
@@ -99,14 +100,11 @@ def _contains(iv, lo, hi):
 # -- corner families and their images ----------------------------------------------
 
 
-@st.composite
-def _corner_images(draw):
-    """(system, ref, scale, shift): a corner family or a similarity image of
-    one, whose set is shift + scale * K**d exactly."""
-    n = draw(st.integers(2, 12))
-    d = draw(st.integers(1, 2))
-    ell = draw(st.floats(0.01, 0.99)) * 2 / n
-    sys = corner_family(CornerFamilyParams(n, ell, d))
+def _draw_image(draw, sys):
+    """(image, scale, shift): sys, a translate, a similarity image or a
+    similarity image of a translate of it, whose set is shift + scale times
+    the set of sys exactly."""
+    d = sys.dimension
     scale, shift = Fraction(1), (Fraction(0),) * d
     kind = draw(st.sampled_from(["family", "translate", "similarity", "chain"]))
     if kind in ("translate", "chain"):
@@ -119,6 +117,25 @@ def _corner_images(draw):
         sys = similarity_image(sys, s, w)
         scale = Fraction(s) * scale
         shift = tuple(Fraction(s) * a + Fraction(b) for a, b in zip(shift, w))
+    return sys, scale, shift
+
+
+def _exact_corner_dist(ref, scale, shift, x):
+    """The exact Linf distance from x to shift + scale * K**d, to within
+    _Corner.dist's levels: the largest per-axis distance, each scaled back
+    from K's units."""
+    parts = [ref.dist((Fraction(xi) - w) / scale) for xi, w in zip(x, shift)]
+    return scale * max(p[0] for p in parts), scale * max(p[1] for p in parts)
+
+
+@st.composite
+def _corner_images(draw):
+    """(system, ref, scale, shift): a corner family or a similarity image of
+    one, whose set is shift + scale * K**d exactly."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 2))
+    ell = draw(st.floats(0.01, 0.99)) * 2 / n
+    sys, scale, shift = _draw_image(draw, corner_family(CornerFamilyParams(n, ell, d)))
     return sys, _Corner(n, ell), scale, shift
 
 
@@ -150,9 +167,7 @@ def test_corner_distance_encloses_the_exact_value(case, data):
         x = (float.fromhex("-0x1.314028effca64p-2"),)
     else:
         x = tuple(float(w + scale * Fraction(_near_set(data.draw, ref))) for w in shift)
-    # Linf: the largest per-axis distance, each scaled back from K's units
-    parts = [ref.dist((Fraction(xi) - w) / scale) for xi, w in zip(x, shift)]
-    lo, hi = scale * max(p[0] for p in parts), scale * max(p[1] for p in parts)
+    lo, hi = _exact_corner_dist(ref, scale, shift, x)
     iv = dist_to_set(x, sys, 1e-9)
     assert _contains(iv, lo, hi), (x, iv, float(lo))
     assert iv.converged
@@ -202,6 +217,69 @@ def test_corner_thickness_encloses_ell_over_g(case, tol):
     rep = thickness(sys, 3, tol)
     assert _contains(rep.overall, ref.tau, ref.tau), (rep.overall, float(ref.tau))
     assert rep.converged and rep.overall.width <= tol
+
+
+# -- directional distance certificates ----------------------------------------
+
+# float nodes are rounded copies of the exact family's nodes (ROADMAP item 17
+# measured them up to 79 ulp of |center| apart at depth 2, more with depth),
+# so a point within the residual of the float set may sit this many ulps of
+# the largest coordinate in play farther from the exact set
+_NODE_ULPS = 256
+
+
+@st.composite
+def _directional_cases(draw):
+    """(system, ref, scale, shift, v, t, tol, r): a corner family in d = 1, 2
+    or 3 thick enough for the gap lemma at some r <= 1/3, or an image of one,
+    with a Linf unit v, t in the guaranteed interval [0, distance_interval(r)
+    * root radius] and tol in [1e-8, 1e-4]."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(6, 12 if d < 3 else 8))
+    # ell from the thickness tau = ell / g, since n ell + (n - 1) g = 2
+    tau = draw(st.floats(1.5, 30.0))
+    ell = 2 * tau / (n * tau + n - 1)
+    ref = _Corner(n, ell)
+    # denseness needs r at least the dense radius, the thickness product
+    # tau**2 >= 1 / (1 - 2r)**2 needs r <= (1 - 1 / tau) / 2
+    low, high = corner_dense_radius(n, ell), min(1 / 3, float((1 - 1 / ref.tau) / 2))
+    assume(low < high)
+    r = min(high, low + draw(st.floats(0.01, 1.0)) * (high - low))
+    sys, scale, shift = _draw_image(draw, corner_family(CornerFamilyParams(n, ell, d)))
+    v = [draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+    v[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    t = draw(st.floats(0.0, 1.0)) * distance_interval(r) * sys.root.radius
+    tol = 10 ** draw(st.floats(-8.0, -4.0))
+    return sys, ref, scale, shift, tuple(v), t, tol, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_directional_cases())
+def test_directional_certificate_points_lie_within_the_residual_of_the_exact_set(case):
+    sys, ref, scale, shift, v, t, tol, r = case
+    # the gap lemma's hypotheses for the set and its translate by t*v
+    assume(check_hypotheses(sys, translate(sys, tuple(t * c for c in v)), r).all_proven)
+    try:
+        cert = directional_distance_certificate(sys, v, t, tol, r=r)
+    except RuntimeError as exc:
+        # near r = (1 - 1/tau) / 2 the exact margin of intersect's strict
+        # hole check vanishes, and a step can fail although every
+        # hypothesis is proven: no certificate, nothing to check; any
+        # other failure fails the test
+        if "hole bound" not in str(exc):
+            raise
+        reject()
+    residual = Fraction(cert.residual)
+    assert residual <= Fraction(tol)
+    allowance = _NODE_ULPS * Fraction(math.ulp(float(max(map(abs, shift)) + scale)))
+    for e in (cert.e1, cert.e2):
+        lo, _ = _exact_corner_dist(ref, scale, shift, e)
+        assert lo <= residual + allowance, (e, float(lo), cert.residual)
+    gap = max(
+        abs(Fraction(a) - Fraction(b) - Fraction(t) * Fraction(c))
+        for a, b, c in zip(cert.e1, cert.e2, v)
+    )
+    assert gap <= residual, (float(gap), cert.residual)
 
 
 @st.composite
